@@ -416,14 +416,16 @@ class Campaign:
         }
         if base is None:
             return plan
-        index = store._load_index()["logical"]
         for shard in plan_shards(self, shard_size):
             key = {**base, "pairs": [list(pair) for pair in shard]}
             fingerprint = fingerprint_of(key)
             plan["shards"] += 1
             if store.contains(fingerprint):
                 plan["stored"] += 1
-            elif index.get(logical_id_of(key)) is not None:
+                continue
+            # The same rule as a ``store.fetch`` miss.
+            latest = store.latest(logical_id_of(key))
+            if latest is not None and latest != fingerprint:
                 plan["invalidated"] += 1
             else:
                 plan["missing"] += 1

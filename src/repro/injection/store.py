@@ -123,6 +123,10 @@ class CampaignStore:
     def __init__(self, root: str | os.PathLike) -> None:
         self.root = pathlib.Path(root)
         self.counters = {"hits": 0, "misses": 0, "invalidated": 0, "writes": 0}
+        #: The index, loaded on first use and kept current by ``put``.
+        self._index: dict | None = None
+        #: Whether ``_index`` holds puts that ``index.json`` lacks.
+        self._dirty = False
 
     # -- paths ---------------------------------------------------------
     @property
@@ -137,69 +141,86 @@ class CampaignStore:
         return self._shards_dir / f"{fingerprint}.json"
 
     # -- index ---------------------------------------------------------
-    def _load_index(self) -> dict:
-        try:
-            payload = json.loads(self._index_path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return self._rebuild_index()
-        if (
-            not isinstance(payload, dict)
-            or payload.get("format") != STORE_FORMAT
-            or not isinstance(payload.get("logical"), dict)
-        ):
-            return self._rebuild_index()
-        return payload
+    def _current_index(self) -> dict:
+        if self._index is None:
+            self._index = self._load_index()
+        return self._index
 
-    def _rebuild_index(self) -> dict:
-        """Recover the index by scanning shard files (latest = highest
-        write sequence); an empty or missing store yields an empty
-        index rather than an error."""
-        logical: dict[str, dict] = {}
-        sequence = 0
-        for payload in self._iter_shards():
-            sequence = max(sequence, int(payload.get("sequence", 0)))
+    def _load_index(self) -> dict:
+        """Read ``index.json`` and bring it up to date with the shards.
+
+        Shard files the index does not list are stale generations or
+        puts whose flush never happened (the writer died); reading just
+        those recovers every newer generation.  A missing or corrupt
+        index is the same case with nothing listed, i.e. a rebuild from
+        every shard.  A recovered index is written back at once.
+        """
+        try:
+            index = json.loads(self._index_path.read_text())
+        except (OSError, json.JSONDecodeError):
+            index = None
+        recovered = not (
+            isinstance(index, dict)
+            and index.get("format") == STORE_FORMAT
+            and isinstance(index.get("logical"), dict)
+        )
+        if recovered:
+            index = {
+                "format": STORE_FORMAT,
+                "version": VERSION,
+                "sequence": 0,
+                "logical": {},
+            }
+        logical = index["logical"]
+        listed = {entry.get("fingerprint") for entry in logical.values()}
+        for payload in self._iter_shards(skip=listed):
+            sequence = int(payload.get("sequence", 0))
+            if sequence > int(index.get("sequence", 0)):
+                index["sequence"] = sequence
+                recovered = True
             lid = payload.get("logical")
             current = logical.get(lid)
-            if current is None or payload.get("sequence", 0) > current["sequence"]:
+            if current is None or sequence > current.get("sequence", 0):
                 logical[lid] = {
                     "fingerprint": payload["fingerprint"],
-                    "sequence": int(payload.get("sequence", 0)),
+                    "sequence": sequence,
                 }
-        index = {
-            "format": STORE_FORMAT,
-            "version": VERSION,
-            "sequence": sequence,
-            "logical": logical,
-        }
-        if self.root.exists():
+                recovered = True
+        if recovered and self.root.exists():
             self._write_json(self._index_path, index)
         return index
 
-    def _iter_shards(self):
+    def _iter_shards(self, skip=()):
         try:
-            paths = sorted(self._shards_dir.glob("*.json"))
+            names = sorted(os.listdir(self._shards_dir))
         except OSError:
             return
-        for path in paths:
+        for name in names:
+            stem, suffix = os.path.splitext(name)
+            if suffix != ".json" or stem in skip:
+                continue
             try:
-                payload = json.loads(path.read_text())
+                payload = json.loads((self._shards_dir / name).read_text())
             except (OSError, json.JSONDecodeError):
                 continue
             if (
                 isinstance(payload, dict)
                 and payload.get("format") == SHARD_FORMAT
-                and payload.get("fingerprint") == path.stem
+                and payload.get("fingerprint") == stem
             ):
                 yield payload
 
     def _write_json(self, path: pathlib.Path, payload: dict) -> None:
+        # One-shot ``json.dumps`` runs the C encoder; ``json.dump`` to a
+        # file would run the pure-Python one for the same bytes.
+        text = json.dumps(payload, separators=(",", ":"))
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(
             dir=path.parent, prefix=path.name, suffix=".tmp"
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, separators=(",", ":"))
+                handle.write(text)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -208,18 +229,33 @@ class CampaignStore:
                 pass
             raise
 
+    def flush(self) -> None:
+        """Persist the in-memory index if puts changed it since it was
+        last written.  ``TaskGraph.run`` calls this once per run."""
+        if self._dirty:
+            self._write_json(self._index_path, self._index)
+            self._dirty = False
+
     # -- read/write ----------------------------------------------------
     def contains(self, fingerprint: str) -> bool:
         """Whether a shard with this content address exists (does not
         touch the counters -- it is the planner's peek, not a lookup)."""
         return self.shard_path(fingerprint).is_file()
 
+    def latest(self, logical_id: str) -> str | None:
+        """Fingerprint of the newest stored generation of a slice, or
+        ``None`` when the slice never ran.  A shard that is absent but
+        whose slice has a ``latest`` is *invalidated*, else *cold*."""
+        entry = self._current_index()["logical"].get(logical_id)
+        return None if entry is None else entry.get("fingerprint")
+
     def fetch(self, fingerprint: str, key: dict) -> list | None:
         """Records of the shard at ``fingerprint``, or ``None``.
 
-        A miss consults the index to classify itself: ``invalidated``
-        when another generation of the same slice is stored (the
-        module was edited), ``misses`` when the slice is cold.
+        A miss consults :meth:`latest` to classify itself:
+        ``invalidated`` when another generation of the same slice is
+        stored (the module was edited), ``misses`` when the slice is
+        cold.
         """
         path = self.shard_path(fingerprint)
         try:
@@ -233,9 +269,8 @@ class CampaignStore:
         ):
             self.counters["hits"] += 1
             return payload["records"]
-        lid = logical_id_of(key)
-        latest = self._load_index()["logical"].get(lid)
-        if latest is not None and latest.get("fingerprint") != fingerprint:
+        latest = self.latest(logical_id_of(key))
+        if latest is not None and latest != fingerprint:
             self.counters["invalidated"] += 1
         else:
             self.counters["misses"] += 1
@@ -246,11 +281,13 @@ class CampaignStore:
 
         Idempotent: an existing shard is left untouched (content
         addressing makes overwrites meaningless).  Returns whether a
-        new shard file was written.
+        new shard file was written.  Only the shard file is written;
+        the index update stays in memory until :meth:`flush`, except
+        that a store without ``index.json`` gets one at once.
         """
         if self.contains(fingerprint):
             return False
-        index = self._load_index()
+        index = self._current_index()
         sequence = int(index.get("sequence", 0)) + 1
         lid = logical_id_of(key)
         self._write_json(
@@ -270,19 +307,31 @@ class CampaignStore:
             "fingerprint": fingerprint,
             "sequence": sequence,
         }
-        self._write_json(self._index_path, index)
+        self._dirty = True
+        if not self._index_path.exists():
+            self.flush()
         self.counters["writes"] += 1
         return True
 
     # -- inspection / maintenance --------------------------------------
     def entries(self) -> list[StoreEntry]:
-        """Metadata of every stored shard, stale generations included."""
-        index = self._load_index()["logical"]
+        """Metadata of every stored shard, stale generations included.
+
+        Staleness comes from the shard files alone: a shard is stale
+        when its slice has a shard with a higher sequence, whatever
+        the index says.
+        """
+        payloads = list(self._iter_shards())
+        newest: dict[str, tuple[int, str]] = {}
+        for payload in payloads:
+            lid = payload.get("logical")
+            candidate = (int(payload.get("sequence", 0)), payload["fingerprint"])
+            if lid not in newest or candidate[0] > newest[lid][0]:
+                newest[lid] = candidate
         entries = []
-        for payload in self._iter_shards():
+        for payload in payloads:
             key = payload.get("key") or {}
             lid = payload.get("logical")
-            latest = index.get(lid, {}).get("fingerprint")
             entries.append(
                 StoreEntry(
                     fingerprint=payload["fingerprint"],
@@ -292,7 +341,7 @@ class CampaignStore:
                     module=str(key.get("config", {}).get("module", "?")),
                     pairs=len(payload.get("key", {}).get("pairs", ())),
                     records=len(payload.get("records", ())),
-                    stale=latest != payload["fingerprint"],
+                    stale=newest[lid][1] != payload["fingerprint"],
                 )
             )
         return entries
@@ -306,11 +355,13 @@ class CampaignStore:
 
         Live shards (each slice's latest generation) are never
         touched, so a delta run after ``gc()`` behaves identically.
+        The index is brought up to date and flushed as well.
         """
         from repro import observability as obs
         from repro.observability import names
 
         with obs.span(names.STORE_GC, root=str(self.root)) as span:
+            self._current_index()
             stale = self.stale_entries()
             if not dry_run:
                 for entry in stale:
@@ -318,6 +369,7 @@ class CampaignStore:
                         self.shard_path(entry.fingerprint).unlink()
                     except OSError:
                         pass
+            self.flush()
             span.count(names.COUNTER_STORE_STALE, len(stale))
         return [entry.fingerprint for entry in stale]
 

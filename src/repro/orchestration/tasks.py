@@ -132,7 +132,9 @@ class TaskGraph:
         and a journal hit is written to the store (so a later store
         run hits) -- and each fresh completion checkpoints to both *as
         it finishes*, so a run killed mid-flight loses nothing
-        completed.  The returned mapping is ordered by task order.
+        completed.  The store's index is flushed once, when the pool
+        returns or raises.  The returned mapping is ordered by task
+        order.
         """
         from repro.orchestration.pool import TaskOutcome
 
@@ -181,7 +183,13 @@ class TaskGraph:
             if wants_store:
                 store.put(task.store_fingerprint, task.store_key, payload)
 
-        fresh = pool.run(to_run, on_result=checkpoint)
+        try:
+            fresh = pool.run(to_run, on_result=checkpoint)
+        finally:
+            # Puts (backfills above, checkpoints) leave the store's
+            # index in memory: persist it once per run.
+            if store is not None:
+                store.flush()
         ordered: dict[str, TaskOutcome] = {}
         for task in self.tasks:
             outcome = resolved.get(task.task_id)

@@ -10,8 +10,12 @@ independent output component, so a single-module edit demonstrably
 cannot change any other module's records.
 """
 
+import dataclasses
+import hashlib
 import json
+import os
 import pathlib
+import shutil
 
 import pytest
 from hypothesis import given, settings
@@ -412,6 +416,220 @@ class TestCampaignStore:
 
 
 # ----------------------------------------------------------------------
+# Persistence: a lagging index, file compatibility, O(1) writes
+# ----------------------------------------------------------------------
+PARENT_STORE = DATA_DIR / "parent_store"
+
+
+def write_golden_store(root) -> None:
+    """The pinned store: both golden modules cold, then an edit of
+    ``alpha`` (a second generation of its four slices)."""
+    run_all(SourcedTarget(GOLDEN_SOURCES), CampaignStore(root))
+    edited = SourcedTarget(dict(GOLDEN_SOURCES, alpha=source_for(9, 9, 9)))
+    run_all(edited, CampaignStore(root))
+
+
+def store_file_digests(root) -> dict:
+    root = pathlib.Path(root)
+    return {
+        path.relative_to(root).as_posix(): hashlib.sha256(
+            path.read_bytes()
+        ).hexdigest()
+        for path in sorted(root.rglob("*.json"))
+    }
+
+
+def _probe_keys() -> dict:
+    """Keys whose fetch exercises every classification: present
+    generations (hits), a third ``alpha`` generation (invalidated) and
+    a slice that never ran (cold)."""
+    sources = {
+        "original": GOLDEN_SOURCES,
+        "edited": dict(GOLDEN_SOURCES, alpha=source_for(9, 9, 9)),
+        "third": dict(GOLDEN_SOURCES, alpha=source_for(1, 1, 1)),
+    }
+    keys = {}
+    for label, srcs in sources.items():
+        for module in ("alpha", "beta"):
+            campaign = Campaign(SourcedTarget(srcs), config_for(module))
+            base = campaign.store_key_base()
+            for n, shard in enumerate(plan_shards(campaign, 1)):
+                keys[f"{label}/{module}/{n}"] = {
+                    **base, "pairs": [list(pair) for pair in shard],
+                }
+    cold = dict(keys["original/beta/0"], config={"module": "gamma"})
+    keys["cold"] = cold
+    return keys
+
+
+def _classify(store, keys: dict) -> dict:
+    """Per labelled key: the counter its ``fetch`` moves (``hits``,
+    ``invalidated`` or ``misses``)."""
+    verdicts = {}
+    for label, key in keys.items():
+        before = dict(store.counters)
+        store.fetch(fingerprint_of(key), key)
+        (moved,) = [k for k in before if store.counters[k] != before[k]]
+        verdicts[label] = moved
+    return verdicts
+
+
+class TestStorePersistence:
+    def test_unflushed_generations_recover_on_reopen(self, tmp_path):
+        """A writer that puts two generations and dies before flushing
+        leaves a store that reads exactly like a flushed one."""
+        old_key, new_key = _key(generation=0), _key(generation=1)
+        other = _key(n=3)
+        old_fp, new_fp = fingerprint_of(old_key), fingerprint_of(new_key)
+        crashed, flushed = CampaignStore(tmp_path / "a"), CampaignStore(tmp_path / "b")
+        for store in (crashed, flushed):
+            store.put(old_fp, old_key, [{"r": 1}])
+            store.put(new_fp, new_key, [{"r": 2}])
+            store.put(fingerprint_of(other), other, [{"r": 3}])
+        flushed.flush()
+        # The first put created index.json; the later ones never reached it.
+        index = json.loads((tmp_path / "a" / "index.json").read_text())
+        assert index["sequence"] == 1
+
+        reopened = CampaignStore(tmp_path / "a")
+        assert reopened.fetch(old_fp, old_key) == [{"r": 1}]
+        assert reopened.fetch(new_fp, new_key) == [{"r": 2}]
+        probes = {
+            "edited": _key(generation=2),
+            "other edited": _key(n=3, generation=2),
+            "cold": _key(n=9),
+        }
+        verdicts = _classify(reopened, probes)
+        assert verdicts == _classify(CampaignStore(tmp_path / "b"), probes)
+        assert verdicts == {
+            "edited": "invalidated", "other edited": "invalidated", "cold": "misses",
+        }
+        assert (tmp_path / "a" / "index.json").read_bytes() == (
+            tmp_path / "b" / "index.json"
+        ).read_bytes()
+
+        assert [e.fingerprint for e in reopened.stale_entries()] == [old_fp]
+        assert CampaignStore(tmp_path / "a").gc() == [old_fp]
+        assert reopened.fetch(new_fp, new_key) == [{"r": 2}]
+
+        later = CampaignStore(tmp_path / "a")
+        latest_key = _key(n=5)
+        latest_fp = fingerprint_of(latest_key)
+        assert later.put(latest_fp, latest_key, [])
+        sequences = [e.sequence for e in later.entries()]
+        newest = json.loads(later.shard_path(latest_fp).read_text())
+        assert newest["sequence"] == max(sequences) == 4
+
+    def test_gc_never_deletes_the_newest_shard_on_disk(self, tmp_path):
+        """Staleness comes from the shard files, not the index: when the
+        generation the index names is gone, the one left is live."""
+        store = CampaignStore(tmp_path)
+        old_key, new_key = _key(generation=0), _key(generation=1)
+        store.put(fingerprint_of(old_key), old_key, [])
+        store.put(fingerprint_of(new_key), new_key, [])
+        store.flush()
+        store.shard_path(fingerprint_of(new_key)).unlink()
+        assert CampaignStore(tmp_path).gc() == []
+        assert store.contains(fingerprint_of(old_key))
+
+    def test_task_graph_flushes_when_the_pool_raises(self, tmp_path):
+        from repro.orchestration.pool import TaskOutcome
+        from repro.orchestration.tasks import Task, TaskGraph
+
+        class DiesAfterOne:
+            def run(self, tasks, on_result):
+                task = tasks[0]
+                on_result(task, TaskOutcome(task.task_id, "done", [1]))
+                raise RuntimeError("worker lost")
+
+        tasks = [
+            Task(f"t:{n}", f"f{n}", len, store_fingerprint=fingerprint_of(key),
+                 store_key=key)
+            for n, key in enumerate([_key(n=0), _key(n=1)])
+        ]
+        store = CampaignStore(tmp_path)
+        store.put(fingerprint_of(_key(n=7)), _key(n=7), [])
+        with pytest.raises(RuntimeError):
+            TaskGraph(tasks).run(DiesAfterOne(), store=store)
+        index = json.loads((tmp_path / "index.json").read_text())
+        assert index["sequence"] == 2
+        assert logical_id_of(_key(n=0)) in index["logical"]
+
+    def test_files_match_the_pinned_writer(self, tmp_path):
+        """Shard names, shard bytes and the flushed ``index.json`` are a
+        persistence format: the pins come from the per-put writer the
+        store had before the index was kept in memory."""
+        pins = json.loads((DATA_DIR / "store_files.json").read_text())
+        write_golden_store(tmp_path)
+        assert store_file_digests(tmp_path) == pins
+        assert store_file_digests(PARENT_STORE) == pins
+
+    def test_store_from_the_per_put_writer_reads_correctly(self, tmp_path):
+        root = tmp_path / "store"
+        write_golden_store(root)
+        old = tmp_path / "old"
+        shutil.copytree(PARENT_STORE, old)
+        verdicts = _classify(CampaignStore(old), _probe_keys())
+        assert verdicts == _classify(CampaignStore(root), _probe_keys())
+        assert verdicts["cold"] == "misses"
+        assert {verdicts[f"third/alpha/{n}"] for n in range(4)} == {"invalidated"}
+        assert {v for k, v in verdicts.items() if k.startswith(("original", "edited"))} == {
+            "hits"
+        }
+        third = SourcedTarget(dict(GOLDEN_SOURCES, alpha=source_for(1, 1, 1)))
+        assert Campaign(third, config_for("alpha")).plan_delta(
+            CampaignStore(old)
+        )["invalidated"] == 4
+        assert len(CampaignStore(old).gc()) == 4
+
+    def test_cold_run_writes_each_shard_once_and_the_index_at_most_twice(
+        self, tmp_path, monkeypatch
+    ):
+        """The O(1) guard: per-shard store cost must not grow with the
+        store (no index rewrite, no index re-read per shard)."""
+        writes, index_reads = [], []
+        write_json = CampaignStore._write_json
+        read_text = pathlib.Path.read_text
+
+        def counting_write(self, path, payload):
+            writes.append("index" if path.name == "index.json" else "shard")
+            return write_json(self, path, payload)
+
+        def counting_read(self, *args, **kwargs):
+            if self.name == "index.json":
+                index_reads.append(self)
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(CampaignStore, "_write_json", counting_write)
+        monkeypatch.setattr(pathlib.Path, "read_text", counting_read)
+        wide = dataclasses.replace(config_for("alpha"), bits=tuple(range(8)))
+        sources = {"alpha": source_for(2, 3, 1), "beta": source_for(4, 0, 2)}
+        for root in (tmp_path / "fresh", tmp_path / "empty"):
+            if root.name == "empty":
+                root.mkdir()
+            writes.clear()
+            index_reads.clear()
+            store = CampaignStore(root)
+            result = Campaign(SourcedTarget(sources), wide).run(store=store)
+            shards = result.orchestration["tasks"]
+            assert shards == 16
+            assert writes.count("shard") == shards
+            assert len(os.listdir(root / "shards")) == shards
+            assert writes.count("index") <= 2
+            assert len(index_reads) <= 1
+
+        # A delta run on a new instance: one index read for every miss.
+        index_reads.clear()
+        edited = SourcedTarget(dict(sources, alpha=source_for(5, 5, 5)))
+        store = CampaignStore(tmp_path / "fresh")
+        Campaign(edited, wide).run(store=store)
+        Campaign(SourcedTarget(sources), config_for("beta")).run(store=store)
+        assert store.counters["invalidated"] == 16
+        assert store.counters["misses"] == 4
+        assert len(index_reads) == 1
+
+
+# ----------------------------------------------------------------------
 # TargetSystem.fingerprint(): identity-repr attributes (satellite fix)
 # ----------------------------------------------------------------------
 class _Knobs:
@@ -466,9 +684,19 @@ class TestFingerprintIdentityRepr:
 
 
 if __name__ == "__main__":
-    # Regenerate the golden fingerprint fixture (see
-    # test_store_fingerprints_match_fixture).
+    # Regenerate the golden fixtures (see
+    # test_store_fingerprints_match_fixture and
+    # test_files_match_the_pinned_writer).  The store files are a
+    # persistence format: regenerate them only for an intentional
+    # format change, and say so in the commit.
     DATA_DIR.mkdir(parents=True, exist_ok=True)
     path = DATA_DIR / "store_fingerprints.json"
     path.write_text(json.dumps(golden_fingerprints(), indent=2) + "\n")
     print(f"wrote {path}")
+    shutil.rmtree(PARENT_STORE, ignore_errors=True)
+    write_golden_store(PARENT_STORE)
+    path = DATA_DIR / "store_files.json"
+    path.write_text(
+        json.dumps(store_file_digests(PARENT_STORE), indent=2) + "\n"
+    )
+    print(f"wrote {path} and {PARENT_STORE}")
