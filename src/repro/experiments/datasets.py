@@ -6,8 +6,8 @@ where M is A/B for the system's two modules and K in 1..3 selects the
 location pair: 1 = entry/entry, 2 = entry/exit, 3 = exit/exit.
 
 :func:`generate_dataset` runs the campaign at a given scale (caching
-the PROPANE-style log on disk so Step 1 runs once per dataset+scale)
-and converts it to a mining dataset via
+the PROPANE-style log on disk so Step 1 runs once per dataset, scale
+and target source) and converts it to a mining dataset via
 :mod:`repro.injection.readout` -- the paper's Step 2 format
 transformation.
 """
@@ -33,6 +33,7 @@ __all__ = [
     "campaign_config",
     "generate_dataset",
     "load_dataset",
+    "dataset_log_path",
     "default_cache_dir",
 ]
 
@@ -129,6 +130,55 @@ def default_cache_dir() -> pathlib.Path:
     return pathlib.Path(__file__).resolve().parents[3] / ".cache" / "repro"
 
 
+def _campaign_for(spec: DatasetSpec, scale: Scale) -> Campaign:
+    return Campaign(build_target(spec.target, scale), campaign_config(spec, scale))
+
+
+def _log_path(
+    campaign: Campaign, name: str, scale: Scale, cache_dir: pathlib.Path
+) -> pathlib.Path | None:
+    """The cached log of ``campaign``, or ``None`` when it cannot be
+    cached.
+
+    The file name carries the fingerprint of the campaign's store key
+    (:meth:`~repro.injection.campaign.Campaign.store_key_base`: the
+    injected module's source closure, the failure spec, the probes)
+    and of its config, so editing a target's code moves the campaign
+    to a new file instead of serving the old log.  A target that is
+    not fingerprintable has no such key and is never cached.
+    """
+    from repro.orchestration.tasks import fingerprint_of
+
+    base = campaign.store_key_base()
+    if base is None:
+        return None
+    key = fingerprint_of({"store": base, "config": campaign.config.to_dict()})
+    return cache_dir / f"{name}.{scale.name}.{key}.log"
+
+
+def _spec_for(name: str) -> DatasetSpec:
+    spec = DATASET_SPECS.get(name)
+    if spec is None:
+        raise ValueError(
+            f"unknown dataset {name!r}; available: {sorted(DATASET_SPECS)}"
+        )
+    return spec
+
+
+def dataset_log_path(
+    name: str,
+    scale: Scale | str = "bench",
+    cache_dir: pathlib.Path | None = None,
+) -> pathlib.Path | None:
+    """Where :func:`generate_dataset` caches the named dataset's
+    campaign log for the current target sources (``None``: never
+    cached)."""
+    if isinstance(scale, str):
+        scale = get_scale(scale)
+    cache_dir = cache_dir if cache_dir is not None else default_cache_dir()
+    return _log_path(_campaign_for(_spec_for(name), scale), name, scale, cache_dir)
+
+
 def generate_dataset(
     name: str,
     scale: Scale | str = "bench",
@@ -137,23 +187,22 @@ def generate_dataset(
 ) -> Dataset:
     """Produce the named Table II dataset at the given scale.
 
-    The campaign's PROPANE-style log is cached under ``cache_dir``;
-    subsequent calls parse the log instead of re-running Step 1.
+    The campaign's PROPANE-style log is cached under ``cache_dir``,
+    keyed by the target's source (:func:`dataset_log_path`); later
+    calls parse the log instead of re-running Step 1 until a target
+    edit changes the key.
     """
     if isinstance(scale, str):
         scale = get_scale(scale)
-    spec = DATASET_SPECS.get(name)
-    if spec is None:
-        raise ValueError(
-            f"unknown dataset {name!r}; available: {sorted(DATASET_SPECS)}"
-        )
+    spec = _spec_for(name)
+    campaign = _campaign_for(spec, scale)
     cache_dir = cache_dir if cache_dir is not None else default_cache_dir()
-    cache_path = cache_dir / f"{name}.{scale.name}.log"
-    if use_cache and cache_path.exists():
+    cache_path = _log_path(campaign, name, scale, cache_dir) if use_cache else None
+    if cache_path is not None and cache_path.exists():
         return load_dataset(cache_path, name)
 
-    result = _run_campaign(spec, scale)
-    if use_cache:
+    result = _run_campaign(campaign, spec, scale)
+    if cache_path is not None:
         cache_dir.mkdir(parents=True, exist_ok=True)
         tmp_path = cache_path.with_suffix(".tmp")
         with open(tmp_path, "w") as fp:
@@ -169,9 +218,9 @@ def load_dataset(path: pathlib.Path, name: str | None = None) -> Dataset:
     return parsed.to_dataset(name)
 
 
-def _run_campaign(spec: DatasetSpec, scale: Scale) -> CampaignResult:
-    target = build_target(spec.target, scale)
-    config = campaign_config(spec, scale)
+def _run_campaign(
+    campaign: Campaign, spec: DatasetSpec, scale: Scale
+) -> CampaignResult:
     # When the experiments CLI was invoked with --resume, checkpoint
     # the campaign shards next to the log cache so a killed run picks
     # up where it stopped (repro-experiments ... --resume).
@@ -183,4 +232,4 @@ def _run_campaign(spec: DatasetSpec, scale: Scale) -> CampaignResult:
         journal = Journal(
             journal_dir / f"{spec.name}.{scale.name}.journal.jsonl"
         )
-    return Campaign(target, config).run(journal=journal)
+    return campaign.run(journal=journal)

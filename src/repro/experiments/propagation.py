@@ -14,7 +14,7 @@ from __future__ import annotations
 from repro.analysis.propagation import PropagationReport, analyse_propagation
 from repro.experiments.datasets import (
     DATASET_SPECS,
-    default_cache_dir,
+    dataset_log_path,
     generate_dataset,
 )
 from repro.experiments.reporting import render_table
@@ -38,7 +38,7 @@ def run(scale: Scale | str = "bench", datasets=None) -> list[PropagationReport]:
             raise ValueError(f"unknown dataset {name!r}")
         # Ensure the campaign log exists, then analyse the records.
         generate_dataset(name, scale)
-        log_path = default_cache_dir() / f"{name}.{scale.name}.log"
+        log_path = dataset_log_path(name, scale)
         with open(log_path) as fp:
             parsed = read_log(fp)
         reports.append(analyse_propagation(parsed))

@@ -17,6 +17,13 @@ discussion of Hiller's setup).  Runs that crash before reaching the
 sampling probe produce no instance but are counted as failures in the
 campaign statistics.
 
+An injected run is identical to its golden run up to the injection,
+so for targets that follow the step protocol of
+:mod:`repro.targets.base` it resumes from a snapshot of the fault-free
+run taken at that point (:meth:`Campaign._capture_checkpoints`)
+instead of replaying the test case from its start; the records are
+the same either way.
+
 The paper's full scale (250 test cases x all 64 bits x 4 times per
 variable) is supported but configurable; the experiment drivers use a
 documented reduced scale (see EXPERIMENTS.md).
@@ -31,7 +38,12 @@ from collections.abc import Mapping
 
 from repro import observability as obs
 from repro.injection.bitflip import BitFlip, bit_width
-from repro.injection.golden import GoldenRun, golden_runs_for
+from repro.injection.golden import (
+    Checkpoint,
+    GoldenRun,
+    capture_checkpoints,
+    golden_runs_for,
+)
 from repro.injection.instrument import (
     InjectionHarness,
     Location,
@@ -39,6 +51,7 @@ from repro.injection.instrument import (
     StateSample,
     VariableSpec,
 )
+from repro.observability import names
 
 __all__ = ["CampaignConfig", "ExperimentRecord", "CampaignResult", "Campaign"]
 
@@ -600,7 +613,6 @@ class Campaign:
         prune_plan = None
         if prune_mode == "static":
             from repro.analysis import prune as prune_mod
-            from repro.observability import names
 
             with obs.span(names.PRUNE_PLAN, target=self.target.name) as span:
                 prune_plan = prune_mod.plan_prune(self, golden_runs=golden_runs)
@@ -628,26 +640,24 @@ class Campaign:
                 pool.close()
 
     def _run_serial(self) -> CampaignResult:
-        """The paper's strictly serial experiment loop."""
+        """The paper's experiment loop, serially in this process."""
         with obs.span(
             "campaign.serial", target=self.target.name
         ) as campaign_span:
             golden_runs = golden_runs_for(self.target, self.config.test_cases)
+            checkpoints = self._capture_checkpoints()
             records: list[ExperimentRecord] = []
+            pairs = 0
             for spec in self._targeted_specs():
                 for bit in self._bits_for(spec):
                     flip = BitFlip(spec.name, spec.kind, bit)
-                    for injection_time in self.config.injection_times:
-                        for tc in self.config.test_cases:
-                            records.append(
-                                self._run_one(
-                                    flip, injection_time, tc, golden_runs[tc]
-                                )
-                            )
+                    records.extend(self._run_pair(flip, golden_runs, checkpoints))
+                    pairs += 1
             campaign_span.count("runs", len(records))
             campaign_span.count(
                 "failures", sum(1 for r in records if r.failed)
             )
+            self._count_resumes(campaign_span, checkpoints, pairs)
         return CampaignResult(
             self.target.name,
             self.config,
@@ -685,7 +695,6 @@ class Campaign:
         """The statically pruned campaign: plan, execute the remainder,
         synthesize the rest, audit.  Bit-identical to `_run_serial`."""
         from repro.analysis import prune as prune_mod
-        from repro.observability import names
 
         with obs.span(names.PRUNE_PLAN, target=self.target.name) as plan_span:
             golden_runs = golden_runs_for(self.target, self.config.test_cases)
@@ -764,17 +773,84 @@ class Campaign:
         golden_runs: dict[int, GoldenRun],
     ) -> dict[tuple[str, int], list[ExperimentRecord]]:
         """Serial inner loops for an explicit (variable, kind, bit) list."""
-        executed: dict[tuple[str, int], list[ExperimentRecord]] = {}
-        for name, kind, bit in pairs:
-            flip = BitFlip(name, kind, bit)
-            records: list[ExperimentRecord] = []
-            for injection_time in self.config.injection_times:
-                for tc in self.config.test_cases:
-                    records.append(
-                        self._run_one(flip, injection_time, tc, golden_runs[tc])
-                    )
-            executed[(name, bit)] = records
-        return executed
+        checkpoints = self._capture_checkpoints()
+        return {
+            (name, bit): self._run_pair(
+                BitFlip(name, kind, bit), golden_runs, checkpoints
+            )
+            for name, kind, bit in pairs
+        }
+
+    def _resumes(self) -> bool:
+        """Whether injected runs resume from golden-prefix checkpoints.
+
+        They replay in full when the target lacks the step protocol or
+        when a subclass hooks the harness (``_make_harness``) or
+        observes it after the run (``_after_run``): those hooks see
+        the whole run, prefix included.
+        """
+        cls = type(self)
+        resumable = getattr(self.target, "resumable", None)
+        return (
+            cls._make_harness is Campaign._make_harness
+            and cls._after_run is Campaign._after_run
+            and resumable is not None
+            and resumable()
+        )
+
+    def _capture_checkpoints(self) -> dict[tuple[int, int], Checkpoint]:
+        """``(injection time, test case) -> checkpoint`` for every cell
+        that can resume; empty when the campaign replays."""
+        if not self._resumes():
+            return {}
+        config = self.config
+        checkpoints: dict[tuple[int, int], Checkpoint] = {}
+        with obs.span(
+            names.CAMPAIGN_CHECKPOINT, target=self.target.name
+        ) as span:
+            for tc in config.test_cases:
+                captured = capture_checkpoints(
+                    self.target,
+                    tc,
+                    config.injection_probe,
+                    config.sample_probe,
+                    config.injection_times,
+                )
+                for injection_time, checkpoint in captured.items():
+                    checkpoints[(injection_time, tc)] = checkpoint
+            span.count("checkpoints", len(checkpoints))
+        return checkpoints
+
+    def _count_resumes(self, span, checkpoints, pairs: int) -> None:
+        """Count ``pairs`` pairs' resumed and replayed cells on ``span``."""
+        cells = len(self.config.injection_times) * len(self.config.test_cases)
+        span.count(names.COUNTER_RESUMED, len(checkpoints) * pairs)
+        span.count(names.COUNTER_REPLAYED, (cells - len(checkpoints)) * pairs)
+
+    def _run_pair(
+        self,
+        flip: BitFlip,
+        golden_runs: dict[int, GoldenRun],
+        checkpoints: Mapping[tuple[int, int], Checkpoint],
+        hints: Mapping[tuple[int, int], tuple] | None = None,
+    ) -> list[ExperimentRecord]:
+        """Every cell of one (variable, bit) pair in canonical order
+        (injection time, then test case), resuming where a checkpoint
+        exists.  The one inner loop of the serial, pruned and shard
+        paths."""
+        hints = hints or {}
+        return [
+            self._run_one(
+                flip,
+                injection_time,
+                tc,
+                golden_runs[tc],
+                injected_hint=hints.get((injection_time, tc)),
+                checkpoint=checkpoints.get((injection_time, tc)),
+            )
+            for injection_time in self.config.injection_times
+            for tc in self.config.test_cases
+        ]
 
     def _run_one(
         self,
@@ -783,7 +859,10 @@ class Campaign:
         test_case: int,
         golden: GoldenRun,
         injected_hint: tuple | None = None,
+        checkpoint: Checkpoint | None = None,
     ) -> ExperimentRecord:
+        """One injected run; ``checkpoint`` resumes it from the golden
+        prefix instead of replaying the test case from the start."""
         harness = self._make_harness(flip, injection_time)
         if injected_hint is not None and getattr(
             harness, "injected_hint", None
@@ -793,9 +872,13 @@ class Campaign:
             # live value matches before using it, so the hint can only
             # skip work, never change a record.
             harness.injected_hint = injected_hint
+        state = None if checkpoint is None else checkpoint.restore(harness)
         crashed = False
         try:
-            output = self.target.run(test_case, harness)
+            if checkpoint is None:
+                output = self.target.run(test_case, harness)
+            else:
+                output = self.target.resume(state, harness)
             failed = self.target.is_failure(golden.output, output)
         except Exception:
             # An injected fault crashed the target: a specification

@@ -15,16 +15,30 @@ a content-addressed :class:`~repro.mining.cache.ContentCache` keyed by
 the target's configuration fingerprint -- a campaign re-run (exhaustive
 after sampled, pruned after exhaustive, a benchmark's before/after
 pair) reuses the fault-free executions instead of re-deriving them.
+
+:func:`capture_checkpoints` steps a fault-free run of a target that
+follows the resumable step protocol (:mod:`repro.targets.base`) and
+snapshots its state at the unit boundary where each injection time's
+run would diverge from it: an injected run then resumes there instead
+of replaying the fault-free prefix.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import pickle
 
-from repro.injection.instrument import GoldenHarness, Probe, StateSample
+from repro.injection.instrument import GoldenHarness, Harness, Probe, StateSample
 from repro.mining.cache import ContentCache
 
-__all__ = ["GoldenRun", "capture_golden_run", "golden_runs_for", "GOLDEN_CACHE"]
+__all__ = [
+    "GoldenRun",
+    "Checkpoint",
+    "capture_golden_run",
+    "capture_checkpoints",
+    "golden_runs_for",
+    "GOLDEN_CACHE",
+]
 
 
 @dataclasses.dataclass
@@ -117,3 +131,77 @@ def golden_runs_for(target, test_cases) -> dict[int, GoldenRun]:
             GOLDEN_CACHE.put(key, golden)
         runs[tc] = golden
     return runs
+
+
+@dataclasses.dataclass(frozen=True)
+class Checkpoint:
+    """A fault-free run's state at one unit boundary, ready to resume.
+
+    ``state`` is the pickled run state (so every resume starts from a
+    fresh copy); ``occurrences`` the probe occurrence counts at that
+    boundary, which the resumed run's harness continues from.
+    """
+
+    state: bytes
+    occurrences: dict
+
+    def restore(self, harness: Harness) -> object:
+        """Seed ``harness``'s occurrence counts; return a fresh state."""
+        harness.restore_occurrences(self.occurrences)
+        return pickle.loads(self.state)
+
+
+class _CountingHarness(Harness):
+    """Counts probe occurrences and records nothing."""
+
+    def _should_sample(self, key, occurrence: int) -> bool:
+        return False
+
+
+def capture_checkpoints(
+    target,
+    test_case: int,
+    injection_probe: Probe,
+    sample_probe: Probe,
+    injection_times,
+) -> dict[int, Checkpoint]:
+    """Resume points of ``test_case`` for each injection time.
+
+    Steps the fault-free run once (``target`` must be
+    :meth:`~repro.targets.base.TargetSystem.resumable`).  The
+    checkpoint of time ``t`` is the last unit boundary where
+    ``injection_probe`` has fired exactly ``t`` times -- the injection
+    fires at the next occurrence, so everything before it is the
+    golden prefix -- and where ``sample_probe`` has not fired more
+    than ``t`` times (an injected run samples from occurrence ``t``
+    on, so an earlier sample would be lost).  A time past the run's
+    last occurrence resumes from the final state.  A time with no such
+    boundary gets no checkpoint, and its runs replay in full.  The
+    stepping stops once every time is behind the run.
+    """
+    pending = sorted(set(injection_times))
+    checkpoints: dict[int, Checkpoint] = {}
+    harness = _CountingHarness()
+    state = target.start(test_case)
+    while True:
+        count = harness.occurrences(injection_probe)
+        while pending and pending[0] < count:
+            pending.pop(0)
+        if not pending:
+            break
+        sampled = harness.occurrences(sample_probe)
+        if pending[0] == count and sampled <= count:
+            checkpoints[count] = Checkpoint(
+                pickle.dumps(state), harness.occurrence_counts()
+            )
+        if not target.advance(state, harness):
+            final = None
+            for time in pending:
+                if time > count and sampled <= time:
+                    if final is None:
+                        final = Checkpoint(
+                            pickle.dumps(state), harness.occurrence_counts()
+                        )
+                    checkpoints[time] = final
+            break
+    return checkpoints

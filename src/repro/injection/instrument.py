@@ -155,6 +155,16 @@ class Harness:
         """Number of times ``probe`` has fired so far."""
         return self._occurrences.get(probe.key, 0)
 
+    def occurrence_counts(self) -> dict[tuple[str, Location], int]:
+        """A copy of every probe's occurrence count so far."""
+        return dict(self._occurrences)
+
+    def restore_occurrences(
+        self, counts: Mapping[tuple[str, Location], int]
+    ) -> None:
+        """Continue counting from ``counts`` (a resumed run's prefix)."""
+        self._occurrences = dict(counts)
+
     def samples_at(self, probe: Probe) -> list[StateSample]:
         return [s for s in self.samples if s.probe == probe]
 

@@ -25,6 +25,8 @@ __all__ = [
     "POOL_RUN",
     "ORCHESTRATION_TASK",
     "WORKER_START",
+    "CAMPAIGN_SHARD",
+    "CAMPAIGN_CHECKPOINT",
     "SERVE_FLUSH",
     "SERVE_DRAIN",
     "SERVE_PUBLISH",
@@ -59,6 +61,8 @@ __all__ = [
     "COUNTER_STORE_INVALIDATED",
     "COUNTER_STORE_WRITES",
     "COUNTER_STORE_STALE",
+    "COUNTER_RESUMED",
+    "COUNTER_REPLAYED",
 ]
 
 # -- pipeline phases (orchestrate.run, serve lifecycles) ---------------
@@ -73,6 +77,16 @@ ENGINE_BATCH = "engine.batch"
 POOL_RUN = "pool.run"
 ORCHESTRATION_TASK = "orchestration.task"
 WORKER_START = "worker.start"
+
+# -- campaign data plane (repro.orchestration.campaigns) ---------------
+#: One shard's injected runs in a worker (carries ``pairs``; counts
+#: ``runs`` -- every executed cell, resumed or replayed -- plus
+#: ``failures``, ``resumed`` and ``replayed``).
+CAMPAIGN_SHARD = "campaign.shard"
+#: Stepping each test case's fault-free run once to snapshot the
+#: golden-prefix checkpoints injected runs resume from (carries
+#: ``target``; counts ``checkpoints``).
+CAMPAIGN_CHECKPOINT = "campaign.checkpoint"
 
 # -- serving tier ------------------------------------------------------
 #: Router flushing one shard's pending micro-batch into its ring
@@ -166,3 +180,7 @@ COUNTER_STORE_INVALIDATED = "store_invalidated"
 COUNTER_STORE_WRITES = "store_writes"
 #: Stale (superseded) shard generations seen by gc/lint.
 COUNTER_STORE_STALE = "store_stale"
+#: Injected runs resumed from a golden-prefix checkpoint.
+COUNTER_RESUMED = "resumed"
+#: Injected runs replayed from the start of their test case.
+COUNTER_REPLAYED = "replayed"

@@ -39,7 +39,7 @@ import warnings
 from repro import observability as obs
 from repro.injection.bitflip import BitFlip, flip_values_batch
 from repro.injection.campaign import Campaign, CampaignResult, ExperimentRecord
-from repro.injection.golden import GoldenRun, golden_runs_for
+from repro.injection.golden import Checkpoint, GoldenRun, golden_runs_for
 from repro.observability import names
 from repro.orchestration.journal import Journal
 from repro.orchestration.pool import SerialPool, WorkerPool
@@ -112,26 +112,23 @@ def _execute_shard(
     campaign: Campaign,
     pairs: tuple[Pair, ...],
     golden_runs: dict[int, GoldenRun],
+    checkpoints: dict[tuple[int, int], Checkpoint],
 ) -> list[ExperimentRecord]:
     """Worker body: the serial inner loops for one shard's pairs."""
     records: list[ExperimentRecord] = []
-    with obs.span("campaign.shard", pairs=len(pairs)) as shard_span:
+    with obs.span(names.CAMPAIGN_SHARD, pairs=len(pairs)) as shard_span:
         for name, kind, bit in pairs:
-            flip = BitFlip(name, kind, bit)
-            hints = _injection_hints(campaign, name, kind, bit, golden_runs)
-            for injection_time in campaign.config.injection_times:
-                for tc in campaign.config.test_cases:
-                    records.append(
-                        campaign._run_one(
-                            flip,
-                            injection_time,
-                            tc,
-                            golden_runs[tc],
-                            injected_hint=hints.get((injection_time, tc)),
-                        )
-                    )
+            records.extend(
+                campaign._run_pair(
+                    BitFlip(name, kind, bit),
+                    golden_runs,
+                    checkpoints,
+                    _injection_hints(campaign, name, kind, bit, golden_runs),
+                )
+            )
         shard_span.count("runs", len(records))
         shard_span.count("failures", sum(1 for r in records if r.failed))
+        campaign._count_resumes(shard_span, checkpoints, len(pairs))
     return records
 
 
@@ -189,8 +186,15 @@ def run_campaign(
     target without declared module source closures
     (:meth:`~repro.targets.base.TargetSystem.module_sources`) is not
     store-eligible; the run warns and proceeds storeless.  When every
-    shard is already stored, golden-run capture is skipped entirely --
-    the warm-path fast lane the delta bench measures.
+    shard is already stored, golden-run and checkpoint capture are
+    skipped entirely -- the warm-path fast lane the delta bench
+    measures.
+
+    Executed cells resume from golden-prefix checkpoints
+    (:meth:`Campaign._capture_checkpoints`, captured once per call and
+    handed to every shard like the golden runs) instead of replaying
+    their test case from the start; the records are bit-identical
+    either way.
     """
     if pool is None:
         pool = SerialPool()
@@ -243,6 +247,11 @@ def run_campaign(
                 golden_runs = golden_runs_for(
                     campaign.target, config.test_cases
                 )
+    # Executed cells resume from golden-prefix checkpoints: each test
+    # case's fault-free prefix is stepped once here, not once per cell.
+    checkpoints = (
+        campaign._capture_checkpoints() if shards and not fully_stored else {}
+    )
     # Per-pair records do not depend on the prune settings (a pair that
     # executes computes the same records either way), so fingerprints
     # drop them: journal shards stay shareable between exhaustive and
@@ -267,7 +276,7 @@ def run_campaign(
                 {**base, "pairs": [list(pair) for pair in pairs]}
             ),
             fn=_execute_shard,
-            args=(campaign, pairs, golden_runs),
+            args=(campaign, pairs, golden_runs, checkpoints),
             weight=len(pairs)
             * len(config.injection_times)
             * len(config.test_cases),

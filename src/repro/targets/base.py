@@ -17,6 +17,48 @@ target system in this reproduction is a class that
 
 Targets are grey box, as the paper assumes: the harness sees variable
 names and values, not the target's semantics.
+
+The resumable step protocol
+---------------------------
+A target may describe its run as a loop of *units* -- one FlightGear
+control-loop iteration, one 7-Zip compress-file or decompress-file,
+one Mp3Gain track -- through three methods:
+
+* :meth:`TargetSystem.start` ``(test_case) -> state`` builds the
+  initial run state;
+* :meth:`TargetSystem.advance` ``(state, harness) -> bool`` executes
+  the next unit against the harness, mutating ``state``, and returns
+  ``False`` (executing nothing) once every unit has run;
+* :meth:`TargetSystem.finish` ``(state) -> output`` derives the
+  observable output.
+
+:meth:`TargetSystem.run` is then the loop over the three (via
+:meth:`TargetSystem.resume`), so a full replay and a resumed run
+execute the same code.  The state must be self-contained and
+picklable: it may share only immutable values with the target, never
+a mutable object the target holds, so ``pickle.loads`` of a snapshot
+taken between two units continues exactly as the original run would.
+
+That is what lets a campaign skip the fault-free prefix of an
+injected run (:mod:`repro.injection.golden`,
+:func:`~repro.injection.golden.capture_checkpoints`): the prefix
+before the injection point is identical to the golden run, so the run
+resumes from a snapshot of the fault-free state at the last unit
+boundary before the injection instead of replaying the test case from
+its start.  A campaign replays in full instead when
+
+* the target only overrides :meth:`run` (toy targets, targets with a
+  run that is not the unit loop): :meth:`TargetSystem.resumable` is
+  false;
+* the campaign overrides ``_make_harness`` or ``_after_run`` (the
+  validation campaign), since those hooks observe the prefix;
+* no unit boundary has the injection probe's occurrence count equal
+  to the injection time, or the sampling probe had already fired past
+  it there (a sample the prefix would have recorded).
+
+An injection time past the run's last occurrence resumes from the
+final state: the run finishes without an injection, as its replay
+would.
 """
 
 from __future__ import annotations
@@ -148,15 +190,51 @@ class TargetSystem(abc.ABC):
         returns the union.
         """
 
-    @abc.abstractmethod
+    def start(self, test_case: int) -> object:
+        """The initial state of ``test_case``'s run (step protocol).
+
+        Targets that override only :meth:`run` leave this
+        unimplemented and are always replayed from the start.
+        """
+        raise NotImplementedError(
+            f"{type(self).__name__} implements neither run() nor the "
+            "start/advance/finish step protocol"
+        )
+
+    def advance(self, state: object, harness: Harness) -> bool:
+        """Execute the next unit of the run against ``harness``.
+
+        Mutates ``state`` and returns ``True``; returns ``False``
+        without executing anything once every unit has run.
+        """
+        raise NotImplementedError
+
+    def finish(self, state: object) -> object:
+        """The observable output of a run whose units have all run."""
+        raise NotImplementedError
+
     def run(self, test_case: int, harness: Harness) -> object:
         """Execute ``test_case`` under ``harness`` and return the output.
 
         The output must be a picklable, equality-comparable value that
         the failure specification can diff against the golden run's.
         A run may raise an exception when an injected fault crashes the
-        target; the campaign treats crashes as failures.
+        target; the campaign treats crashes as failures.  The default
+        is the step protocol's loop; a target may override it instead.
         """
+        return self.resume(self.start(test_case), harness)
+
+    def resume(self, state: object, harness: Harness) -> object:
+        """Run the remaining units of ``state`` and return the output."""
+        while self.advance(state, harness):
+            pass
+        return self.finish(state)
+
+    def resumable(self) -> bool:
+        """Whether :meth:`run` is the step protocol's loop, so a run can
+        resume from a state snapshot instead of replaying."""
+        cls = type(self)
+        return cls.run is TargetSystem.run and cls.start is not TargetSystem.start
 
     @abc.abstractmethod
     def is_failure(self, golden_output: object, run_output: object) -> bool:

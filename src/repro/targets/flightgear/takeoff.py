@@ -24,7 +24,7 @@ import math
 from repro.injection.instrument import Harness, Location, VariableSpec
 from repro.targets.base import TargetSystem
 from repro.targets.flightgear import aero
-from repro.targets.flightgear.aircraft import Aircraft, scenario_for
+from repro.targets.flightgear.aircraft import Aircraft, Scenario, scenario_for
 from repro.targets.flightgear.gear import GearModule
 from repro.targets.flightgear.massbalance import MassModule
 from repro.targets.flightgear.spec import (
@@ -45,6 +45,38 @@ CLIMB_SPEED_TARGET_MS = 34.0
 
 def _finite(value: float, fallback: float = 0.0) -> float:
     return value if math.isfinite(value) else fallback
+
+
+class _TakeoffState:
+    """One takeoff between two control-loop iterations.
+
+    Holds the scenario, the two stateful modules, the flight state and
+    the trajectory summary accumulators; it shares only the immutable
+    :class:`Aircraft` with the target, so a pickled copy resumes the
+    takeoff exactly.
+    """
+
+    def __init__(self, scenario: Scenario, aircraft: Aircraft) -> None:
+        self.scenario = scenario
+        self.gear = GearModule()
+        self.mass = MassModule(aircraft, scenario)
+        self.iteration = 0
+        # Flight state.
+        self.v = 0.0        # ground speed, m/s
+        self.x = 0.0        # distance along runway, m
+        self.h = 0.0        # altitude, m
+        self.vs = 0.0       # vertical speed, m/s
+        self.theta = 0.0    # pitch attitude, rad
+        self.q = 0.0        # pitch rate, rad/s
+        # Trajectory summary accumulators.
+        self.passed_critical = False
+        self.passed_rotation = False
+        self.max_airspeed = 0.0
+        self.lifted_off = False
+        self.cleared_runway = False
+        self.distance_at_clear = math.inf
+        self.max_pitch_rate_before_clear = 0.0
+        self.stalled = False
 
 
 class FlightGearTarget(TargetSystem):
@@ -144,138 +176,140 @@ class FlightGearTarget(TargetSystem):
 
         return (takeoff, aircraft, aero, gear, massbalance, spec)
 
-    def run(self, test_case: int, harness: Harness) -> FailureReport:
-        scenario = scenario_for(test_case)
+    def start(self, test_case: int) -> _TakeoffState:
+        return _TakeoffState(scenario_for(test_case), self.aircraft)
+
+    def advance(self, state: _TakeoffState, harness: Harness) -> bool:
+        """One control-loop iteration."""
+        iteration = state.iteration
+        if iteration >= self.init_iterations + self.run_iterations:
+            return False
+        scenario = state.scenario
         aircraft = self.aircraft
-        gear = GearModule()
-        mass = MassModule(aircraft, scenario)
         dt = self.dt
+        v, x, h, vs, theta, q = (
+            state.v, state.x, state.h, state.vs, state.theta, state.q
+        )
+        lifted_off = state.lifted_off
+        cleared_runway = state.cleared_runway
 
-        # Flight state.
-        v = 0.0        # ground speed, m/s
-        x = 0.0        # distance along runway, m
-        h = 0.0        # altitude, m
-        vs = 0.0       # vertical speed, m/s
-        theta = 0.0    # pitch attitude, rad
-        q = 0.0        # pitch rate, rad/s
+        throttle = 0.0 if iteration < self.init_iterations else 1.0
+        airspeed = max(v + scenario.headwind_ms * throttle, 0.0)
 
-        # Trajectory summary accumulators.
-        passed_critical = False
-        passed_rotation = False
-        max_airspeed = 0.0
-        lifted_off = False
-        cleared_runway = False
-        distance_at_clear = math.inf
-        max_pitch_rate_before_clear = 0.0
-        stalled = False
+        mass_state = state.mass.step(harness, dt, throttle)
+        m = max(_finite(mass_state.mass, 1.0), 1.0)
+        weight = _finite(mass_state.weight, m * aircraft.gravity)
+        inertia = max(_finite(mass_state.inertia, aircraft.pitch_inertia), 1.0)
 
-        total = self.init_iterations + self.run_iterations
-        for iteration in range(total):
-            throttle = 0.0 if iteration < self.init_iterations else 1.0
-            airspeed = max(v + scenario.headwind_ms * throttle, 0.0)
+        # Angle of attack = attitude minus flight-path angle; this
+        # is what makes the climb self-stabilising (as speed bleeds
+        # the path shallows, alpha and lift recover).
+        gamma = math.atan2(vs, max(v, 1.0)) if h > 0.0 else 0.0
+        alpha = aero.angle_of_attack(theta, vs, v, h)
+        cl = aero.lift_coefficient(aircraft, alpha)
+        lift = aero.lift(aircraft, airspeed, cl)
+        drag = aero.drag(aircraft, airspeed, cl)
 
-            mass_state = mass.step(harness, dt, throttle)
-            m = max(_finite(mass_state.mass, 1.0), 1.0)
-            weight = _finite(mass_state.weight, m * aircraft.gravity)
-            inertia = max(_finite(mass_state.inertia, aircraft.pitch_inertia), 1.0)
+        forces = state.gear.step(
+            harness, weight, lift, airspeed, aircraft.rho, h, dt
+        )
+        thrust = aircraft.thrust(airspeed) * throttle
 
-            # Angle of attack = attitude minus flight-path angle; this
-            # is what makes the climb self-stabilising (as speed bleeds
-            # the path shallows, alpha and lift recover).
-            gamma = math.atan2(vs, max(v, 1.0)) if h > 0.0 else 0.0
-            alpha = aero.angle_of_attack(theta, vs, v, h)
-            cl = aero.lift_coefficient(aircraft, alpha)
-            lift = aero.lift(aircraft, airspeed, cl)
-            drag = aero.drag(aircraft, airspeed, cl)
-
-            forces = gear.step(
-                harness, weight, lift, airspeed, aircraft.rho, h, dt
-            )
-            thrust = aircraft.thrust(airspeed) * throttle
-
-            on_ground = forces.on_ground and h <= 0.0
-            if on_ground:
-                accel = (thrust - drag - forces.friction - forces.drag) / m
-                v = max(v + _finite(accel) * dt, 0.0)
-                x += v * dt
-                vs = 0.0
-                if lift >= weight and theta > 0.01:
-                    lifted_off = True
-                    h = 0.01
-                    vs = 0.2
-            else:
+        on_ground = forces.on_ground and h <= 0.0
+        if on_ground:
+            accel = (thrust - drag - forces.friction - forces.drag) / m
+            v = max(v + _finite(accel) * dt, 0.0)
+            x += v * dt
+            vs = 0.0
+            if lift >= weight and theta > 0.01:
                 lifted_off = True
-                az = (lift - weight) / m
-                vs = max(min(vs + _finite(az) * dt, 12.0), -12.0)
-                accel = (thrust - drag - weight * math.sin(gamma)) / m
-                v = max(v + _finite(accel) * dt, 0.0)
-                x += v * dt
-                h = h + vs * dt
-                if h <= 0.0:
-                    h = 0.0
-                    vs = 0.0
+                h = 0.01
+                vs = 0.2
+        else:
+            lifted_off = True
+            az = (lift - weight) / m
+            vs = max(min(vs + _finite(az) * dt, 12.0), -12.0)
+            accel = (thrust - drag - weight * math.sin(gamma)) / m
+            v = max(v + _finite(accel) * dt, 0.0)
+            x += v * dt
+            h = h + vs * dt
+            if h <= 0.0:
+                h = 0.0
+                vs = 0.0
 
-            # Control module: a consistent input vector, as the paper's
-            # control module provides.  Rotation at Vr to the target
-            # attitude; once clear of the runway, a speed-hold pitch
-            # law sustains the climb (pitch down when airspeed decays).
-            if cleared_runway:
-                # Climb-out attitude hold with stall protection: lower
-                # the commanded attitude when airspeed decays towards
-                # the climb target.
-                theta_cmd_deg = aircraft.target_pitch_deg - max(
-                    CLIMB_SPEED_TARGET_MS - airspeed, 0.0
-                )
-                theta_cmd = math.radians(max(theta_cmd_deg, 0.0))
-                q_cmd = max(
-                    min(2.0 * (theta_cmd - theta), math.radians(2.5)),
-                    math.radians(-2.5),
-                )
-            elif throttle > 0.0 and airspeed >= aircraft.rotate_speed:
-                passed_rotation = True
-                target_theta = math.radians(aircraft.target_pitch_deg)
-                cg_shaping = max(1.0 - 0.3 * mass_state.cg_offset, 0.0)
-                q_cmd = (
-                    math.radians(aircraft.pitch_rate_cmd_deg) * cg_shaping
-                    if theta < target_theta
-                    else 0.0
-                )
-            else:
-                q_cmd = 0.0
-            response = min(900.0 / inertia, 1.0 / dt)
-            q += (q_cmd - q) * response * dt
-            q = max(min(q, math.radians(30.0)), math.radians(-30.0))
-            theta = max(min(theta + q * dt, math.radians(25.0)), math.radians(-8.0))
+        # Control module: a consistent input vector, as the paper's
+        # control module provides.  Rotation at Vr to the target
+        # attitude; once clear of the runway, a speed-hold pitch
+        # law sustains the climb (pitch down when airspeed decays).
+        if cleared_runway:
+            # Climb-out attitude hold with stall protection: lower
+            # the commanded attitude when airspeed decays towards
+            # the climb target.
+            theta_cmd_deg = aircraft.target_pitch_deg - max(
+                CLIMB_SPEED_TARGET_MS - airspeed, 0.0
+            )
+            theta_cmd = math.radians(max(theta_cmd_deg, 0.0))
+            q_cmd = max(
+                min(2.0 * (theta_cmd - theta), math.radians(2.5)),
+                math.radians(-2.5),
+            )
+        elif throttle > 0.0 and airspeed >= aircraft.rotate_speed:
+            state.passed_rotation = True
+            target_theta = math.radians(aircraft.target_pitch_deg)
+            cg_shaping = max(1.0 - 0.3 * mass_state.cg_offset, 0.0)
+            q_cmd = (
+                math.radians(aircraft.pitch_rate_cmd_deg) * cg_shaping
+                if theta < target_theta
+                else 0.0
+            )
+        else:
+            q_cmd = 0.0
+        response = min(900.0 / inertia, 1.0 / dt)
+        q += (q_cmd - q) * response * dt
+        q = max(min(q, math.radians(30.0)), math.radians(-30.0))
+        theta = max(min(theta + q * dt, math.radians(25.0)), math.radians(-8.0))
 
-            # Summary tracking.
-            if airspeed >= CRITICAL_SPEED_MS:
-                passed_critical = True
-            max_airspeed = max(max_airspeed, airspeed)
-            if not cleared_runway:
-                max_pitch_rate_before_clear = max(
-                    max_pitch_rate_before_clear, abs(q) * _RAD_TO_DEG
-                )
-                if h >= aircraft.runway_clear_height:
-                    cleared_runway = True
-                    distance_at_clear = x
-            if lifted_off and h > 0.5:
-                stall_speed = self._stall_speed(weight)
-                if airspeed < stall_speed:
-                    stalled = True
+        # Summary tracking.
+        if airspeed >= CRITICAL_SPEED_MS:
+            state.passed_critical = True
+        state.max_airspeed = max(state.max_airspeed, airspeed)
+        if not cleared_runway:
+            state.max_pitch_rate_before_clear = max(
+                state.max_pitch_rate_before_clear, abs(q) * _RAD_TO_DEG
+            )
+            if h >= aircraft.runway_clear_height:
+                cleared_runway = True
+                state.distance_at_clear = x
+        if lifted_off and h > 0.5:
+            stall_speed = self._stall_speed(weight)
+            if airspeed < stall_speed:
+                state.stalled = True
 
+        state.v, state.x, state.h, state.vs, state.theta, state.q = (
+            v, x, h, vs, theta, q
+        )
+        state.lifted_off = lifted_off
+        state.cleared_runway = cleared_runway
+        state.iteration = iteration + 1
+        return True
+
+    def finish(self, state: _TakeoffState) -> FailureReport:
+        cleared_runway = state.cleared_runway
         summary = TakeoffSummary(
-            passed_critical_speed=passed_critical,
-            passed_rotation_speed=passed_rotation,
-            max_airspeed=round(max_airspeed, 6),
-            lifted_off=lifted_off,
+            passed_critical_speed=state.passed_critical,
+            passed_rotation_speed=state.passed_rotation,
+            max_airspeed=round(state.max_airspeed, 6),
+            lifted_off=state.lifted_off,
             cleared_runway=cleared_runway,
             distance_at_clear=(
-                round(distance_at_clear, 6) if cleared_runway else math.inf
+                round(state.distance_at_clear, 6) if cleared_runway else math.inf
             ),
-            max_pitch_rate_before_clear=round(max_pitch_rate_before_clear, 6),
-            stalled_during_climb=stalled,
+            max_pitch_rate_before_clear=round(
+                state.max_pitch_rate_before_clear, 6
+            ),
+            stalled_during_climb=state.stalled,
         )
-        return evaluate_takeoff(summary, scenario.mass_lbs)
+        return evaluate_takeoff(summary, state.scenario.mass_lbs)
 
     def _stall_speed(self, weight: float) -> float:
         return aero.stall_speed(self.aircraft, weight)

@@ -26,6 +26,17 @@ from repro.targets.mp3gain.signal import make_batch
 __all__ = ["Mp3GainTarget"]
 
 
+class _BatchState:
+    """One normalisation batch between two tracks: the input tracks,
+    the two modules and the digests of the tracks done so far."""
+
+    def __init__(self, tracks: list) -> None:
+        self.tracks = tracks
+        self.analysis = GAnalysisModule()
+        self.gain = RGainModule()
+        self.digests: list[int] = []
+
+
 class Mp3GainTarget(TargetSystem):
     """Volume normaliser with instrumented ``GAnalysis`` and ``RGain``.
 
@@ -112,18 +123,24 @@ class Mp3GainTarget(TargetSystem):
 
         return (target, analysis, replaygain, signal)
 
-    def run(self, test_case: int, harness: Harness) -> object:
-        tracks = make_batch(
-            test_case, self.n_tracks, self.min_samples, self.max_samples
+    def start(self, test_case: int) -> _BatchState:
+        return _BatchState(
+            make_batch(test_case, self.n_tracks, self.min_samples, self.max_samples)
         )
-        analysis = GAnalysisModule()
-        gain = RGainModule()
-        digests = []
-        for track_index, samples in enumerate(tracks):
-            result = analysis.step(harness, track_index, samples)
-            normalised = gain.step(harness, track_index, samples, result)
-            digests.append(zlib.crc32(normalised.pcm16.tobytes()))
-        return tuple(digests)
+
+    def advance(self, state: _BatchState, harness: Harness) -> bool:
+        """Analyse and normalise the next track."""
+        track_index = len(state.digests)
+        if track_index >= len(state.tracks):
+            return False
+        samples = state.tracks[track_index]
+        result = state.analysis.step(harness, track_index, samples)
+        normalised = state.gain.step(harness, track_index, samples, result)
+        state.digests.append(zlib.crc32(normalised.pcm16.tobytes()))
+        return True
+
+    def finish(self, state: _BatchState) -> object:
+        return tuple(state.digests)
 
     def is_failure(self, golden_output: object, run_output: object) -> bool:
         return golden_output != run_output

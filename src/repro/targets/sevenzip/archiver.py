@@ -54,6 +54,22 @@ def _clamp_int(value: object, lo: int, hi: int) -> int:
     return max(lo, min(hi, v))
 
 
+class _ArchiveState:
+    """One archive-then-recover run between two files.
+
+    ``archive`` fills one entry per compressed file, then ``recovered``
+    one payload per decompressed file; the input ``files`` and the
+    encryption ``key`` are immutable bytes.
+    """
+
+    def __init__(self, files: list[bytes], key: bytes | None) -> None:
+        self.files = files
+        self.key = key
+        self.arch_offset = 0
+        self.archive: list[dict] = []
+        self.recovered: list[bytes] = []
+
+
 class SevenZipTarget(TargetSystem):
     """PZip archiver with instrumented ``FHandle`` and ``LDecode``.
 
@@ -148,19 +164,43 @@ class SevenZipTarget(TargetSystem):
 
         return (archiver, lz77, huffman, xtea)
 
-    def run(self, test_case: int, harness: Harness) -> object:
-        files = self._make_files(test_case)
+    def start(self, test_case: int) -> _ArchiveState:
         key = self._key_for(test_case) if self.encrypt else None
-        archive = self._compress(files, harness, key)
-        recovered = self._decompress(archive, harness, key)
+        return _ArchiveState(self._make_files(test_case), key)
+
+    def advance(self, state: _ArchiveState, harness: Harness) -> bool:
+        """Compress the next file, or once all are archived, recover
+        the next one."""
+        n_archived = len(state.archive)
+        if n_archived < len(state.files):
+            entry, state.arch_offset = self._compress_file(
+                harness,
+                n_archived,
+                state.files[n_archived],
+                state.arch_offset,
+                state.key,
+            )
+            state.archive.append(entry)
+            return True
+        n_recovered = len(state.recovered)
+        if n_recovered < n_archived:
+            state.recovered.append(
+                self._decompress_file(
+                    harness, n_recovered, state.archive[n_recovered], state.key
+                )
+            )
+            return True
+        return False
+
+    def finish(self, state: _ArchiveState) -> object:
         # The observable archive descriptor: sizes and offsets (what an
         # external diff of the archive's file listing sees).  checksum
         # and token_len stay internal to the archive: corrupting them
         # only violates the spec if the *decode* then produces
         # different content -- the software's inherent resilience the
         # paper notes.
-        entries = tuple((e["stored_size"], e["offset"]) for e in archive)
-        digests = tuple(zlib.crc32(data) for data in recovered)
+        entries = tuple((e["stored_size"], e["offset"]) for e in state.archive)
+        digests = tuple(zlib.crc32(data) for data in state.recovered)
         return (entries, digests)
 
     def is_failure(self, golden_output: object, run_output: object) -> bool:
@@ -187,138 +227,136 @@ class SevenZipTarget(TargetSystem):
     # ------------------------------------------------------------------
     # Compression path (FHandle)
     # ------------------------------------------------------------------
-    def _compress(
-        self, files: list[bytes], harness: Harness, key: bytes | None = None
-    ) -> list[dict]:
-        archive: list[dict] = []
-        arch_offset = 0
-        for file_index, data in enumerate(files):
-            state = harness.probe(
-                "FHandle",
-                Location.ENTRY,
-                {
-                    "file_index": file_index,
-                    "file_size": len(data),
-                    "buf_capacity": self.max_size,
-                    "checksum_acc": 0,
-                    "n_files": self.n_files,
-                    "arch_offset": arch_offset,
-                },
-            )
-            # Live control variables read back from the (possibly
-            # corrupted) probe state.
-            file_size = _clamp_int(state["file_size"], 0, len(data))
-            buf_capacity = _clamp_int(state["buf_capacity"], 0, 1 << 30)
-            arch_offset = _clamp_int(state["arch_offset"], -(1 << 30), 1 << 30)
-            # A buffer smaller than the file truncates the input, as a
-            # fixed-size C buffer would.
-            usable = min(file_size, buf_capacity)
-            payload_in = data[:usable]
-            # checksum_acc is a scratch accumulator: recomputed from
-            # scratch here, so entry corruption of it is absorbed.
-            checksum = zlib.crc32(payload_in) & 0x7FFFFFFF
-            tokens = lz77_compress(payload_in)
-            lengths, payload, total_bits = huffman_encode(tokens)
-            if key is not None:
-                from repro.targets.sevenzip.xtea import xtea_ctr
+    def _compress_file(
+        self,
+        harness: Harness,
+        file_index: int,
+        data: bytes,
+        arch_offset: int,
+        key: bytes | None = None,
+    ) -> tuple[dict, int]:
+        """Archive one file: its entry and the next archive offset."""
+        state = harness.probe(
+            "FHandle",
+            Location.ENTRY,
+            {
+                "file_index": file_index,
+                "file_size": len(data),
+                "buf_capacity": self.max_size,
+                "checksum_acc": 0,
+                "n_files": self.n_files,
+                "arch_offset": arch_offset,
+            },
+        )
+        # Live control variables read back from the (possibly
+        # corrupted) probe state.
+        file_size = _clamp_int(state["file_size"], 0, len(data))
+        buf_capacity = _clamp_int(state["buf_capacity"], 0, 1 << 30)
+        arch_offset = _clamp_int(state["arch_offset"], -(1 << 30), 1 << 30)
+        # A buffer smaller than the file truncates the input, as a
+        # fixed-size C buffer would.
+        usable = min(file_size, buf_capacity)
+        payload_in = data[:usable]
+        # checksum_acc is a scratch accumulator: recomputed from
+        # scratch here, so entry corruption of it is absorbed.
+        checksum = zlib.crc32(payload_in) & 0x7FFFFFFF
+        tokens = lz77_compress(payload_in)
+        lengths, payload, total_bits = huffman_encode(tokens)
+        if key is not None:
+            from repro.targets.sevenzip.xtea import xtea_ctr
 
-                payload = xtea_ctr(payload, key, nonce=file_index << 32)
-            ratio = len(payload) / len(payload_in) if payload_in else 1.0
+            payload = xtea_ctr(payload, key, nonce=file_index << 32)
+        ratio = len(payload) / len(payload_in) if payload_in else 1.0
 
-            exit_state = harness.probe(
-                "FHandle",
-                Location.EXIT,
-                {
-                    "file_index": file_index,
-                    "file_size": usable,
-                    "buf_capacity": buf_capacity,
-                    "checksum_acc": checksum,
-                    "n_files": self.n_files,
-                    "arch_offset": arch_offset,
-                    "stored_size": len(payload_in),
-                    "token_len": len(tokens),
-                    "checksum": checksum,
-                    "ratio": ratio,
-                },
-            )
-            stored_size = _clamp_int(exit_state["stored_size"], 0, 1 << 30)
-            token_len = _clamp_int(exit_state["token_len"], 0, 1 << 30)
-            entry_checksum = _clamp_int(
-                exit_state["checksum"], -(1 << 31), (1 << 31) - 1
-            )
-            arch_offset = _clamp_int(
-                exit_state["arch_offset"], -(1 << 30), 1 << 30
-            )
-            archive.append(
-                {
-                    "stored_size": stored_size,
-                    "token_len": token_len,
-                    "checksum": entry_checksum,
-                    "offset": arch_offset,
-                    "lengths": lengths,
-                    "payload": payload,
-                    "total_bits": total_bits,
-                }
-            )
-            arch_offset += len(payload)
-        return archive
+        exit_state = harness.probe(
+            "FHandle",
+            Location.EXIT,
+            {
+                "file_index": file_index,
+                "file_size": usable,
+                "buf_capacity": buf_capacity,
+                "checksum_acc": checksum,
+                "n_files": self.n_files,
+                "arch_offset": arch_offset,
+                "stored_size": len(payload_in),
+                "token_len": len(tokens),
+                "checksum": checksum,
+                "ratio": ratio,
+            },
+        )
+        stored_size = _clamp_int(exit_state["stored_size"], 0, 1 << 30)
+        token_len = _clamp_int(exit_state["token_len"], 0, 1 << 30)
+        entry_checksum = _clamp_int(
+            exit_state["checksum"], -(1 << 31), (1 << 31) - 1
+        )
+        arch_offset = _clamp_int(
+            exit_state["arch_offset"], -(1 << 30), 1 << 30
+        )
+        entry = {
+            "stored_size": stored_size,
+            "token_len": token_len,
+            "checksum": entry_checksum,
+            "offset": arch_offset,
+            "lengths": lengths,
+            "payload": payload,
+            "total_bits": total_bits,
+        }
+        return entry, arch_offset + len(payload)
 
     # ------------------------------------------------------------------
     # Decompression path (LDecode)
     # ------------------------------------------------------------------
-    def _decompress(
-        self, archive: list[dict], harness: Harness, key: bytes | None = None
-    ) -> list[bytes]:
-        recovered: list[bytes] = []
-        for file_index, entry in enumerate(archive):
-            state = harness.probe(
-                "LDecode",
-                Location.ENTRY,
-                {
-                    "file_index": file_index,
-                    "token_len": entry["token_len"],
-                    "total_bits": entry["total_bits"],
-                    "expected_size": entry["stored_size"],
-                    "crc_expected": entry["checksum"],
-                },
-            )
-            token_len = _clamp_int(state["token_len"], 0, _MAX_DECODE_BYTES)
-            total_bits = _clamp_int(state["total_bits"], 0, 8 * len(entry["payload"]))
-            expected_size = _clamp_int(
-                state["expected_size"], 0, _MAX_DECODE_BYTES
-            )
-            crc_expected = _clamp_int(
-                state["crc_expected"], -(1 << 31), (1 << 31) - 1
-            )
+    def _decompress_file(
+        self, harness: Harness, file_index: int, entry: dict, key: bytes | None = None
+    ) -> bytes:
+        """Recover one archived file."""
+        state = harness.probe(
+            "LDecode",
+            Location.ENTRY,
+            {
+                "file_index": file_index,
+                "token_len": entry["token_len"],
+                "total_bits": entry["total_bits"],
+                "expected_size": entry["stored_size"],
+                "crc_expected": entry["checksum"],
+            },
+        )
+        token_len = _clamp_int(state["token_len"], 0, _MAX_DECODE_BYTES)
+        total_bits = _clamp_int(state["total_bits"], 0, 8 * len(entry["payload"]))
+        expected_size = _clamp_int(
+            state["expected_size"], 0, _MAX_DECODE_BYTES
+        )
+        crc_expected = _clamp_int(
+            state["crc_expected"], -(1 << 31), (1 << 31) - 1
+        )
 
-            payload = entry["payload"]
-            if key is not None:
-                from repro.targets.sevenzip.xtea import xtea_ctr
+        payload = entry["payload"]
+        if key is not None:
+            from repro.targets.sevenzip.xtea import xtea_ctr
 
-                payload = xtea_ctr(payload, key, nonce=file_index << 32)
-            tokens = huffman_decode(
-                entry["lengths"], payload, total_bits, token_len
-            )
-            data = lz77_decompress(tokens, expected_size)
-            crc = zlib.crc32(data) & 0x7FFFFFFF
-            ok = crc == crc_expected
+            payload = xtea_ctr(payload, key, nonce=file_index << 32)
+        tokens = huffman_decode(
+            entry["lengths"], payload, total_bits, token_len
+        )
+        data = lz77_decompress(tokens, expected_size)
+        crc = zlib.crc32(data) & 0x7FFFFFFF
+        ok = crc == crc_expected
 
-            exit_state = harness.probe(
-                "LDecode",
-                Location.EXIT,
-                {
-                    "file_index": file_index,
-                    "token_len": token_len,
-                    "total_bits": total_bits,
-                    "expected_size": expected_size,
-                    "crc_expected": crc_expected,
-                    "out_len": len(data),
-                    "crc": crc,
-                    "ok": ok,
-                },
-            )
-            out_len = _clamp_int(exit_state["out_len"], 0, len(data))
-            # crc / ok are diagnostics: consumed by logging only, so
-            # corrupting them at exit does not violate the failure spec.
-            recovered.append(data[:out_len])
-        return recovered
+        exit_state = harness.probe(
+            "LDecode",
+            Location.EXIT,
+            {
+                "file_index": file_index,
+                "token_len": token_len,
+                "total_bits": total_bits,
+                "expected_size": expected_size,
+                "crc_expected": crc_expected,
+                "out_len": len(data),
+                "crc": crc,
+                "ok": ok,
+            },
+        )
+        out_len = _clamp_int(exit_state["out_len"], 0, len(data))
+        # crc / ok are diagnostics: consumed by logging only, so
+        # corrupting them at exit does not violate the failure spec.
+        return data[:out_len]

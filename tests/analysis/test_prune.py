@@ -11,6 +11,8 @@ re-checked, not just sampled).
 """
 
 import dataclasses
+import json
+import pathlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -387,3 +389,41 @@ def test_generated_dead_points_are_empirically_masked(reads):
             record = campaign._run_one(flip, 0, tc, golden)
             assert not record.failed
             assert not record.crashed
+
+
+# ----------------------------------------------------------------------
+# The shipped targets: what the analyzer proves is pinned
+# ----------------------------------------------------------------------
+PRUNE_PINS = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "prune_smoke.json").read_text()
+)
+
+
+@pytest.mark.parametrize("name", sorted(PRUNE_PINS))
+def test_table2_prune_verdicts_pinned(name):
+    """Restructuring a target's run (the loop bodies that moved into
+    the step protocol's ``advance``) must not change what the static
+    analysis proves.  ``data/prune_smoke.json`` pins every smoke
+    dataset's verdict counts and per-point verdicts; regenerate it
+    only for an intentional change to a target's probes or the
+    analyzer, and say so in the commit."""
+    from repro.experiments.datasets import (
+        DATASET_SPECS,
+        build_target,
+        campaign_config,
+    )
+    from repro.experiments.scale import get_scale
+
+    scale = get_scale("smoke")
+    spec = DATASET_SPECS[name]
+    plan = plan_prune(
+        Campaign(build_target(spec.target, scale), campaign_config(spec, scale))
+    )
+    verdicts: dict[str, dict[str, list[int]]] = {}
+    for point in plan.points:
+        assert point.class_id is None and point.representative_bit is None
+        verdicts.setdefault(point.variable, {}).setdefault(
+            point.verdict, []
+        ).append(point.bit)
+    assert plan.counts == PRUNE_PINS[name]["counts"]
+    assert verdicts == PRUNE_PINS[name]["verdicts"]

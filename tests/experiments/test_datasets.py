@@ -7,6 +7,7 @@ from repro.experiments.datasets import (
     DATASET_SPECS,
     build_target,
     campaign_config,
+    dataset_log_path,
     generate_dataset,
 )
 from repro.experiments.scale import SCALES, get_scale
@@ -91,7 +92,9 @@ class TestGeneration:
         ds = generate_dataset("MG-B1", "smoke", cache_dir=tmp_path)
         assert len(ds) > 0
         assert ds.name == "MG-B1"
-        cached = tmp_path / "MG-B1.smoke.log"
+        cached = dataset_log_path("MG-B1", "smoke", cache_dir=tmp_path)
+        assert cached.parent == tmp_path
+        assert cached.name.startswith("MG-B1.smoke.")
         assert cached.exists()
         # Second call loads the cache and yields an identical dataset.
         again = generate_dataset("MG-B1", "smoke", cache_dir=tmp_path)
@@ -100,7 +103,46 @@ class TestGeneration:
 
     def test_no_cache_mode(self, tmp_path):
         generate_dataset("MG-B1", "smoke", cache_dir=tmp_path, use_cache=False)
-        assert not (tmp_path / "MG-B1.smoke.log").exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_target_edit_reinjects(self, tmp_path, monkeypatch):
+        """A cached log is only as fresh as the target source it came
+        from: after an edit to a target module, generate_dataset must
+        run the campaign again instead of returning the old log."""
+        import inspect
+
+        from repro.injection.campaign import Campaign
+        import repro.targets.mp3gain.replaygain as replaygain
+
+        runs = []
+        real_run = Campaign.run
+
+        def counting_run(self, *args, **kwargs):
+            runs.append(self.config.module)
+            return real_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(Campaign, "run", counting_run)
+        first = generate_dataset("MG-B1", "smoke", cache_dir=tmp_path)
+        generate_dataset("MG-B1", "smoke", cache_dir=tmp_path)
+        assert len(runs) == 1
+
+        # Edit RGain's module source as inspect (and so the module
+        # fingerprint) sees it.
+        real_getsource = inspect.getsource
+
+        def edited_getsource(unit):
+            text = real_getsource(unit)
+            if unit is replaygain:
+                text += "\nREFERENCE_LOUDNESS_DB = REFERENCE_LOUDNESS_DB + 0.0\n"
+            return text
+
+        monkeypatch.setattr(inspect, "getsource", edited_getsource)
+        edited = generate_dataset("MG-B1", "smoke", cache_dir=tmp_path)
+        assert len(runs) == 2
+        generate_dataset("MG-B1", "smoke", cache_dir=tmp_path)
+        assert len(runs) == 2
+        assert len(list(tmp_path.glob("MG-B1.smoke.*.log"))) == 2
+        assert np.array_equal(edited.x, first.x)
 
     def test_unknown_dataset(self):
         with pytest.raises(ValueError):

@@ -88,11 +88,11 @@ class TestEncryptedArchiver:
         sealed = SevenZipTarget(n_files=4, min_size=40, max_size=80,
                                 encrypt=True)
         files = plain._make_files(0)
-        archive_plain = plain._compress(files, GoldenHarness())
-        archive_sealed = sealed._compress(
-            files, GoldenHarness(), sealed._key_for(0)
+        entry_plain, _ = plain._compress_file(GoldenHarness(), 0, files[0], 0)
+        entry_sealed, _ = sealed._compress_file(
+            GoldenHarness(), 0, files[0], 0, sealed._key_for(0)
         )
-        assert archive_plain[0]["payload"] != archive_sealed[0]["payload"]
+        assert entry_plain["payload"] != entry_sealed["payload"]
 
     def test_encrypted_target_deterministic(self):
         target = SevenZipTarget(n_files=4, min_size=40, max_size=80,
