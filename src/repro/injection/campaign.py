@@ -21,8 +21,15 @@ An injected run is identical to its golden run up to the injection,
 so for targets that follow the step protocol of
 :mod:`repro.targets.base` it resumes from a snapshot of the fault-free
 run taken at that point (:meth:`Campaign._capture_checkpoints`)
-instead of replaying the test case from its start; the records are
-the same either way.
+instead of replaying the test case from its start.  It also stops as
+soon as it rejoins the golden run: once the flip has fired and the
+sample is taken, a run whose state and probe counts equal the golden
+run's at a unit boundary would finish exactly as the golden run did,
+so it takes the golden output and final counts
+(:meth:`repro.injection.golden.Checkpoint.resume`).  The records are
+the same either way.  Subclasses that override ``_make_harness`` or
+``_after_run`` observe the whole run, so they replay it in full and
+never stop early.
 
 The paper's full scale (250 test cases x all 64 bits x 4 times per
 variable) is supported but configurable; the experiment drivers use a
@@ -34,6 +41,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import struct
+from collections import Counter
 from collections.abc import Mapping
 
 from repro import observability as obs
@@ -648,16 +656,21 @@ class Campaign:
             checkpoints = self._capture_checkpoints()
             records: list[ExperimentRecord] = []
             pairs = 0
+            tally: Counter = Counter()
             for spec in self._targeted_specs():
                 for bit in self._bits_for(spec):
                     flip = BitFlip(spec.name, spec.kind, bit)
-                    records.extend(self._run_pair(flip, golden_runs, checkpoints))
+                    records.extend(
+                        self._run_pair(
+                            flip, golden_runs, checkpoints, tally=tally
+                        )
+                    )
                     pairs += 1
             campaign_span.count("runs", len(records))
             campaign_span.count(
                 "failures", sum(1 for r in records if r.failed)
             )
-            self._count_resumes(campaign_span, checkpoints, pairs)
+            self._count_resumes(campaign_span, checkpoints, pairs, tally)
         return CampaignResult(
             self.target.name,
             self.config,
@@ -821,11 +834,14 @@ class Campaign:
             span.count("checkpoints", len(checkpoints))
         return checkpoints
 
-    def _count_resumes(self, span, checkpoints, pairs: int) -> None:
-        """Count ``pairs`` pairs' resumed and replayed cells on ``span``."""
+    def _count_resumes(self, span, checkpoints, pairs: int, tally) -> None:
+        """Count ``pairs`` pairs' resumed and replayed cells, and the
+        rejoins ``tally`` collected while running them, on ``span``."""
         cells = len(self.config.injection_times) * len(self.config.test_cases)
         span.count(names.COUNTER_RESUMED, len(checkpoints) * pairs)
         span.count(names.COUNTER_REPLAYED, (cells - len(checkpoints)) * pairs)
+        span.count(names.COUNTER_REJOINED, tally[names.COUNTER_REJOINED])
+        span.count(names.COUNTER_UNITS_SKIPPED, tally[names.COUNTER_UNITS_SKIPPED])
 
     def _run_pair(
         self,
@@ -833,6 +849,7 @@ class Campaign:
         golden_runs: dict[int, GoldenRun],
         checkpoints: Mapping[tuple[int, int], Checkpoint],
         hints: Mapping[tuple[int, int], tuple] | None = None,
+        tally: Counter | None = None,
     ) -> list[ExperimentRecord]:
         """Every cell of one (variable, bit) pair in canonical order
         (injection time, then test case), resuming where a checkpoint
@@ -847,6 +864,7 @@ class Campaign:
                 golden_runs[tc],
                 injected_hint=hints.get((injection_time, tc)),
                 checkpoint=checkpoints.get((injection_time, tc)),
+                tally=tally,
             )
             for injection_time in self.config.injection_times
             for tc in self.config.test_cases
@@ -860,9 +878,12 @@ class Campaign:
         golden: GoldenRun,
         injected_hint: tuple | None = None,
         checkpoint: Checkpoint | None = None,
+        tally: Counter | None = None,
     ) -> ExperimentRecord:
         """One injected run; ``checkpoint`` resumes it from the golden
-        prefix instead of replaying the test case from the start."""
+        prefix instead of replaying the test case from the start, and
+        stops it once it rejoins the golden run (counted in
+        ``tally``)."""
         harness = self._make_harness(flip, injection_time)
         if injected_hint is not None and getattr(
             harness, "injected_hint", None
@@ -878,7 +899,12 @@ class Campaign:
             if checkpoint is None:
                 output = self.target.run(test_case, harness)
             else:
-                output = self.target.resume(state, harness)
+                output, skipped = checkpoint.resume(
+                    self.target, state, harness, golden.output
+                )
+                if skipped is not None and tally is not None:
+                    tally[names.COUNTER_REJOINED] += 1
+                    tally[names.COUNTER_UNITS_SKIPPED] += skipped
             failed = self.target.is_failure(golden.output, output)
         except Exception:
             # An injected fault crashed the target: a specification

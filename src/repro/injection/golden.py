@@ -17,23 +17,47 @@ after sampled, pruned after exhaustive, a benchmark's before/after
 pair) reuses the fault-free executions instead of re-deriving them.
 
 :func:`capture_checkpoints` steps a fault-free run of a target that
-follows the resumable step protocol (:mod:`repro.targets.base`) and
-snapshots its state at the unit boundary where each injection time's
-run would diverge from it: an injected run then resumes there instead
-of replaying the fault-free prefix.
+follows the resumable step protocol (:mod:`repro.targets.base`) to
+its end.  It snapshots the state at the unit boundary where each
+injection time's run would diverge from it, so an injected run
+resumes there instead of replaying the fault-free prefix; and it
+keeps a :class:`GoldenTrail`, the probe occurrence counts and a
+digest of the pickled state at every boundary, so the injected run
+can stop as soon as it *rejoins* the golden run
+(:meth:`Checkpoint.resume`).
+
+Stopping is sound because, under the step protocol, the rest of a run
+is determined by its state and probe counts alone: once the harness
+has spent its one flip it returns every probe state unchanged, and
+once it holds the record's sample (the first at or after the
+injection time) nothing later reaches the record.  A run whose state
+and counts equal the golden run's at the same boundary therefore
+finishes exactly as the golden run does -- same output, same final
+counts -- and the campaign takes those instead of executing the
+units.  Campaigns that replay (targets without the protocol, the
+``_make_harness``/``_after_run`` hooks, the prune audit) never stop
+early.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import pickle
 
-from repro.injection.instrument import GoldenHarness, Harness, Probe, StateSample
+from repro.injection.instrument import (
+    GoldenHarness,
+    Harness,
+    InjectionHarness,
+    Probe,
+    StateSample,
+)
 from repro.mining.cache import ContentCache
 
 __all__ = [
     "GoldenRun",
     "Checkpoint",
+    "GoldenTrail",
     "capture_golden_run",
     "capture_checkpoints",
     "golden_runs_for",
@@ -134,21 +158,95 @@ def golden_runs_for(target, test_cases) -> dict[int, GoldenRun]:
 
 
 @dataclasses.dataclass(frozen=True)
+class GoldenTrail:
+    """A fault-free run's path: its state and counts at every boundary.
+
+    After ``i`` units, from the start (``0``) to the final state
+    (``-1``), ``digests[i]`` is the digest of the pickled state
+    (:func:`_digest`) and ``counts[i]`` the probe occurrence counts.
+    The digests are 128-bit BLAKE2b, the trust model of the content
+    addresses the campaign store already relies on: equal digests are
+    taken to mean equal states.  They keep the trail small enough to
+    ship with every shard.
+    """
+
+    digests: tuple[bytes, ...]
+    counts: tuple[dict, ...]
+
+
+def _digest(state: bytes) -> bytes:
+    return hashlib.blake2b(state, digest_size=16).digest()
+
+
+@dataclasses.dataclass(frozen=True)
 class Checkpoint:
     """A fault-free run's state at one unit boundary, ready to resume.
 
     ``state`` is the pickled run state (so every resume starts from a
-    fresh copy); ``occurrences`` the probe occurrence counts at that
-    boundary, which the resumed run's harness continues from.
+    fresh copy); ``unit`` the boundary's index in ``trail``, the
+    golden trail of the same test case.
     """
 
     state: bytes
-    occurrences: dict
+    unit: int
+    trail: GoldenTrail
+
+    @property
+    def occurrences(self) -> dict:
+        """The probe occurrence counts at this boundary, which the
+        resumed run's harness continues from."""
+        return self.trail.counts[self.unit]
 
     def restore(self, harness: Harness) -> object:
         """Seed ``harness``'s occurrence counts; return a fresh state."""
         harness.restore_occurrences(self.occurrences)
         return pickle.loads(self.state)
+
+    def resume(
+        self,
+        target,
+        state: object,
+        harness: InjectionHarness,
+        golden_output: object,
+    ) -> tuple[object, int | None]:
+        """Run an injected run from here; stop once it rejoins the trail.
+
+        ``state`` and ``harness`` are what :meth:`restore` prepared.
+        Returns the run's output and, when it rejoined, the number of
+        golden units it skipped (``None`` when it ran to the end).
+        Checking starts at the first boundary where the flip has fired
+        and the harness holds the record's sample, and compares the
+        run's counts and state digest with the trail 0, 1, 3, 7, ...
+        units later: the stride doubles, so checks cost at most a
+        logarithmic number of state pickles however long the run.  On
+        a match the rest of the run *is* the golden run -- the step
+        protocol makes it a function of state and counts alone, and
+        the harness, its one flip spent and its sample taken, returns
+        every later probe state unchanged -- so the output is
+        ``golden_output`` and the harness takes the trail's final
+        counts, exactly what running to the end would leave.
+        """
+        trail = self.trail
+        unit = self.unit
+        check = None
+        stride = 1
+        while True:
+            if check is None and harness.injected and harness.samples:
+                check = unit
+            if unit == check:
+                # Counts first: comparing them is cheap, pickling is not.
+                if (
+                    unit < len(trail.counts)
+                    and harness.occurrence_counts() == trail.counts[unit]
+                    and _digest(pickle.dumps(state)) == trail.digests[unit]
+                ):
+                    harness.restore_occurrences(trail.counts[-1])
+                    return golden_output, len(trail.counts) - 1 - unit
+                check += stride
+                stride *= 2
+            if not target.advance(state, harness):
+                return target.finish(state), None
+            unit += 1
 
 
 class _CountingHarness(Harness):
@@ -167,41 +265,42 @@ def capture_checkpoints(
 ) -> dict[int, Checkpoint]:
     """Resume points of ``test_case`` for each injection time.
 
-    Steps the fault-free run once (``target`` must be
-    :meth:`~repro.targets.base.TargetSystem.resumable`).  The
-    checkpoint of time ``t`` is the last unit boundary where
-    ``injection_probe`` has fired exactly ``t`` times -- the injection
-    fires at the next occurrence, so everything before it is the
-    golden prefix -- and where ``sample_probe`` has not fired more
-    than ``t`` times (an injected run samples from occurrence ``t``
-    on, so an earlier sample would be lost).  A time past the run's
-    last occurrence resumes from the final state.  A time with no such
-    boundary gets no checkpoint, and its runs replay in full.  The
-    stepping stops once every time is behind the run.
+    Steps the fault-free run once, to its end (``target`` must be
+    :meth:`~repro.targets.base.TargetSystem.resumable`), recording
+    its :class:`GoldenTrail`.  The checkpoint of time ``t`` is the
+    last unit boundary where ``injection_probe`` has fired exactly
+    ``t`` times -- the injection fires at the next occurrence, so
+    everything before it is the golden prefix -- and where
+    ``sample_probe`` has not fired more than ``t`` times (an injected
+    run samples from occurrence ``t`` on, so an earlier sample would
+    be lost).  A time past the run's last occurrence resumes from the
+    final state.  A time with no such boundary gets no checkpoint, and
+    its runs replay in full.  Every checkpoint of the test case shares
+    the one trail, which its resumed runs stop against
+    (:meth:`Checkpoint.resume`).
     """
-    pending = sorted(set(injection_times))
-    checkpoints: dict[int, Checkpoint] = {}
+    times = set(injection_times)
+    snapshots: dict[int, tuple[bytes, int]] = {}
+    digests: list[bytes] = []
+    boundary_counts: list[dict] = []
     harness = _CountingHarness()
     state = target.start(test_case)
     while True:
+        pickled = pickle.dumps(state)
+        counts = harness.occurrence_counts()
+        digests.append(_digest(pickled))
+        boundary_counts.append(counts)
         count = harness.occurrences(injection_probe)
-        while pending and pending[0] < count:
-            pending.pop(0)
-        if not pending:
-            break
         sampled = harness.occurrences(sample_probe)
-        if pending[0] == count and sampled <= count:
-            checkpoints[count] = Checkpoint(
-                pickle.dumps(state), harness.occurrence_counts()
-            )
+        if count in times and sampled <= count:
+            snapshots[count] = (pickled, len(digests) - 1)
         if not target.advance(state, harness):
-            final = None
-            for time in pending:
-                if time > count and sampled <= time:
-                    if final is None:
-                        final = Checkpoint(
-                            pickle.dumps(state), harness.occurrence_counts()
-                        )
-                    checkpoints[time] = final
             break
-    return checkpoints
+    for time in sorted(times):
+        if time > count and sampled <= time:
+            snapshots[time] = (pickled, len(digests) - 1)
+    trail = GoldenTrail(tuple(digests), tuple(boundary_counts))
+    return {
+        time: Checkpoint(pickled, unit, trail)
+        for time, (pickled, unit) in snapshots.items()
+    }

@@ -63,6 +63,8 @@ __all__ = [
     "COUNTER_STORE_STALE",
     "COUNTER_RESUMED",
     "COUNTER_REPLAYED",
+    "COUNTER_REJOINED",
+    "COUNTER_UNITS_SKIPPED",
 ]
 
 # -- pipeline phases (orchestrate.run, serve lifecycles) ---------------
@@ -81,11 +83,13 @@ WORKER_START = "worker.start"
 # -- campaign data plane (repro.orchestration.campaigns) ---------------
 #: One shard's injected runs in a worker (carries ``pairs``; counts
 #: ``runs`` -- every executed cell, resumed or replayed -- plus
-#: ``failures``, ``resumed`` and ``replayed``).
+#: ``failures``, ``resumed``, ``replayed``, ``rejoined`` and
+#: ``units_skipped``).
 CAMPAIGN_SHARD = "campaign.shard"
 #: Stepping each test case's fault-free run once to snapshot the
-#: golden-prefix checkpoints injected runs resume from (carries
-#: ``target``; counts ``checkpoints``).
+#: golden-prefix checkpoints injected runs resume from, and the golden
+#: trail they stop against (carries ``target``; counts
+#: ``checkpoints``).
 CAMPAIGN_CHECKPOINT = "campaign.checkpoint"
 
 # -- serving tier ------------------------------------------------------
@@ -184,3 +188,8 @@ COUNTER_STORE_STALE = "store_stale"
 COUNTER_RESUMED = "resumed"
 #: Injected runs replayed from the start of their test case.
 COUNTER_REPLAYED = "replayed"
+#: Resumed runs stopped early because their (state, counts) rejoined
+#: the golden trail.
+COUNTER_REJOINED = "rejoined"
+#: Golden units the rejoined runs did not execute.
+COUNTER_UNITS_SKIPPED = "units_skipped"

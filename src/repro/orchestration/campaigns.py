@@ -35,6 +35,7 @@ fault.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 
 from repro import observability as obs
 from repro.injection.bitflip import BitFlip, flip_values_batch
@@ -116,6 +117,7 @@ def _execute_shard(
 ) -> list[ExperimentRecord]:
     """Worker body: the serial inner loops for one shard's pairs."""
     records: list[ExperimentRecord] = []
+    tally: Counter = Counter()
     with obs.span(names.CAMPAIGN_SHARD, pairs=len(pairs)) as shard_span:
         for name, kind, bit in pairs:
             records.extend(
@@ -124,11 +126,12 @@ def _execute_shard(
                     golden_runs,
                     checkpoints,
                     _injection_hints(campaign, name, kind, bit, golden_runs),
+                    tally,
                 )
             )
         shard_span.count("runs", len(records))
         shard_span.count("failures", sum(1 for r in records if r.failed))
-        campaign._count_resumes(shard_span, checkpoints, len(pairs))
+        campaign._count_resumes(shard_span, checkpoints, len(pairs), tally)
     return records
 
 
@@ -264,6 +267,16 @@ def run_campaign(
         "target": campaign.target.name,
         "config": fingerprint_config,
     }
+    # The injected module's source closure and the failure spec decide
+    # the records too: with them in the fingerprint, a journal written
+    # before a target edit misses instead of replaying stale shards.
+    # Targets that are not store-eligible keep the config-only key.
+    source_key = store_base
+    if source_key is None and journal is not None:
+        source_key = campaign.store_key_base()
+    if source_key is not None:
+        base["module_fingerprint"] = source_key["module_fingerprint"]
+        base["failure_fingerprint"] = source_key["failure_fingerprint"]
     # Shard ids anchor to the full enumeration (first pair's position),
     # not the shard's position in this run's possibly-restricted pair
     # list: a pruned campaign then hits the same journal entries an

@@ -32,10 +32,10 @@ one Mp3Gain track -- through three methods:
 * :meth:`TargetSystem.finish` ``(state) -> output`` derives the
   observable output.
 
-:meth:`TargetSystem.run` is then the loop over the three (via
-:meth:`TargetSystem.resume`), so a full replay and a resumed run
-execute the same code.  The state must be self-contained and
-picklable: it may share only immutable values with the target, never
+:meth:`TargetSystem.run` is then the loop over the three, and a
+resumed run (:meth:`repro.injection.golden.Checkpoint.resume`) is the
+same loop from a later state, so the two execute the same code.  The
+state must be self-contained and picklable: it may share only immutable values with the target, never
 a mutable object the target holds, so ``pickle.loads`` of a snapshot
 taken between two units continues exactly as the original run would.
 
@@ -59,6 +59,21 @@ its start.  A campaign replays in full instead when
 An injection time past the run's last occurrence resumes from the
 final state: the run finishes without an injection, as its replay
 would.
+
+A resumed run also stops early once it rejoins the golden run
+(:meth:`~repro.injection.golden.Checkpoint.resume`).  The protocol is
+what makes that sound: the remaining units see nothing but ``state``
+and the harness, and an injection harness whose one flip has fired
+returns every probe state unchanged, so all it still carries is its
+probe occurrence counts.  Once the flip has fired and the record's
+sample is taken, a run whose pickled state and counts equal the
+golden run's at the same unit boundary therefore finishes exactly as
+the golden run did, and the campaign takes the golden output and
+final counts instead of executing the rest.  Everything
+that disables resuming disables the stop with it.  A target must
+therefore keep in ``state`` everything a later unit reads; a unit
+that read other mutable data (a global, an attribute it updates on
+the target) would break resuming already.
 """
 
 from __future__ import annotations
@@ -222,10 +237,7 @@ class TargetSystem(abc.ABC):
         target; the campaign treats crashes as failures.  The default
         is the step protocol's loop; a target may override it instead.
         """
-        return self.resume(self.start(test_case), harness)
-
-    def resume(self, state: object, harness: Harness) -> object:
-        """Run the remaining units of ``state`` and return the output."""
+        state = self.start(test_case)
         while self.advance(state, harness):
             pass
         return self.finish(state)

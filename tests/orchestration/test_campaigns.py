@@ -121,6 +121,58 @@ class TestJournalResume:
         assert changed.orchestration["cached"] == 0
 
 
+    def test_target_edit_invalidates_journaled_shards(
+        self, tmp_path, monkeypatch
+    ):
+        """A journal is only as fresh as the target source its shards
+        ran against: after an edit to the injected module's closure,
+        ``--resume`` must re-execute every shard, not replay it."""
+        import dataclasses
+        import inspect
+
+        from repro.experiments.datasets import (
+            DATASET_SPECS,
+            build_target,
+            campaign_config,
+        )
+        from repro.experiments.scale import get_scale
+        import repro.targets.mp3gain.replaygain as replaygain
+
+        scale = get_scale("smoke")
+        spec = DATASET_SPECS["MG-B1"]
+        config = dataclasses.replace(
+            campaign_config(spec, scale), test_cases=(0,), bits=(0, 31)
+        )
+
+        def campaign():
+            return Campaign(build_target(spec.target, scale), config)
+
+        journal = Journal(tmp_path / "c.jsonl")
+        first = campaign().run(pool=SerialPool(), journal=journal)
+        assert first.orchestration["executed"] == first.orchestration["tasks"]
+        again = campaign().run(pool=SerialPool(), journal=journal)
+        assert again.orchestration["cached"] == again.orchestration["tasks"]
+
+        # Edit RGain's module source as inspect (and so the module
+        # fingerprint) sees it.
+        real_getsource = inspect.getsource
+
+        def edited_getsource(unit):
+            text = real_getsource(unit)
+            if unit is replaygain:
+                text += "\nREFERENCE_LOUDNESS_DB = REFERENCE_LOUDNESS_DB + 0.0\n"
+            return text
+
+        monkeypatch.setattr(inspect, "getsource", edited_getsource)
+        edited = campaign().run(pool=SerialPool(), journal=journal)
+        assert edited.orchestration["cached"] == 0
+        assert edited.orchestration["executed"] == edited.orchestration["tasks"]
+        fresh = campaign().run(pool=SerialPool())
+        assert [r.to_dict() for r in edited.records] == [
+            r.to_dict() for r in fresh.records
+        ]
+
+
 class TestQuarantineSynthesis:
     def test_worker_killing_shard_becomes_crash_records(self):
         # Sign-bit flips of acc drive the crashing target to os._exit:
