@@ -3,8 +3,8 @@
 Benchmarks default to the "smoke" scale so ``pytest benchmarks/
 --benchmark-only`` completes in a few minutes on a laptop; set
 ``REPRO_BENCH_SCALE=bench`` to reproduce the EXPERIMENTS.md numbers
-(tens of minutes; campaign logs are cached on disk after the first
-run, so repeated invocations time only the analysis).
+(tens of minutes; campaign shards are kept in the campaign store after
+the first run, so repeated invocations time only the analysis).
 """
 
 from __future__ import annotations

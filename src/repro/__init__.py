@@ -21,8 +21,9 @@ detectors: predicate compilation (vectorised batch + scalar closure),
 a versioned detector registry, a streaming micro-batch evaluation
 engine with fault isolation, and runtime latency/detection metrics.
 :mod:`repro.orchestration` runs the expensive steps -- injection
-campaigns and refinement grids -- sharded across worker processes with
-checkpointed, resumable journals, bit-identical to serial execution.
+campaigns and refinement grids -- sharded across worker processes and
+resumable through the content-addressed campaign store, bit-identical
+to serial execution.
 
 Quickstart::
 
@@ -62,7 +63,7 @@ def __getattr__(name: str):
         from repro.core.predicate import Predicate
 
         return Predicate
-    if name in ("Journal", "ProcessPool", "SerialPool", "make_pool"):
+    if name in ("ProcessPool", "SerialPool", "make_pool"):
         from repro import orchestration
 
         return getattr(orchestration, name)

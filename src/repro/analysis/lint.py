@@ -35,8 +35,6 @@ dead-injection            WARNING   a campaign injects into a variable the
                                     target never reads back
 unbounded-serving-ring    WARNING   a serving topology's ingest ring has no
                                     shed policy (``shed_after_s`` null)
-unjournaled-campaign      WARNING   a campaign estimated above the run budget
-                                    has no checkpoint journal configured
 overbudget-deployment     ERROR     a deployment plan's predicted per-event
                                     cost exceeds its own budget
 redundant-deployment      WARNING   a deployment plan selects a detector
@@ -137,9 +135,6 @@ class LintContext:
     registry: object | None = None  # duck-typed DetectorRegistry
     surface: SurfaceReport | None = None
     campaigns: dict[str, object] = dataclasses.field(default_factory=dict)
-    #: subjects in ``campaigns`` whose document declares a checkpoint
-    #: journal (see repro.orchestration.Journal)
-    journaled: set[str] = dataclasses.field(default_factory=set)
     #: serving-topology configurations (duck-typed
     #: repro.serving.ServeConfig), by subject
     serving: dict[str, object] = dataclasses.field(default_factory=dict)
@@ -374,39 +369,6 @@ class DeadInjectionRule(LintRule):
         for subject, config in context.campaigns.items():
             for problem in check_campaign(config, context.surface):
                 yield Finding(self.name, Severity.WARNING, subject, problem)
-
-
-@register_rule
-class UnjournaledCampaignRule(LintRule):
-    """Campaign configurations whose estimated run count exceeds the
-    budget but have no checkpoint journal configured: a crash near the
-    end loses hours of injection work that
-    :class:`repro.orchestration.Journal` would have made resumable."""
-
-    name = "unjournaled-campaign"
-    budget = 5000
-
-    def check(self, context: LintContext) -> Iterator[Finding]:
-        from repro.orchestration.tasks import estimate_runs
-
-        for subject, config in context.campaigns.items():
-            if subject in context.journaled:
-                continue
-            surface = context.surface
-            n_variables = None
-            if surface is not None and hasattr(config, "injection_probe"):
-                probe = config.injection_probe
-                n_variables = len(
-                    surface.variables_at(probe.module, probe.location)
-                )
-            runs = estimate_runs(config, n_variables=n_variables)
-            if runs is not None and runs > self.budget:
-                yield Finding(
-                    self.name, Severity.WARNING, subject,
-                    f"campaign estimates {runs} runs (budget {self.budget}) "
-                    "with no checkpoint journal; a crash re-runs everything "
-                    "-- configure a journal (repro.orchestration.Journal)",
-                )
 
 
 @register_rule

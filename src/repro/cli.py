@@ -13,7 +13,7 @@ Static analysis from the shell, over published artefacts::
 (``DetectorRegistry.save`` output), single-detector documents
 (``detector_to_json``), bare predicate documents
 (``predicate_to_json``), campaign-configuration documents
-(``CampaignConfig.to_dict``, optionally with a ``journal`` path) and
+(``CampaignConfig.to_dict``) and
 serving-topology configurations (``ServeConfig.to_dict``); the
 document shape is sniffed per file.
 
@@ -24,7 +24,7 @@ The serving tier runs (and load-tests itself) with ``serve``::
 
 The expensive half of the pipeline runs through the orchestrator::
 
-    repro orchestrate 7Z-A1 --scale smoke --jobs 4 --journal run.jsonl
+    repro orchestrate 7Z-A1 --scale smoke --jobs 4 --store store/
     repro orchestrate 7Z-A2 --prune static --audit-fraction 0.1
 
 Campaigns compose across runs through the content-addressed store
@@ -122,8 +122,6 @@ def _load_documents(paths: list[str]) -> LintContext:
                 raise SerializationError(
                     f"{path}: invalid campaign document: {exc}"
                 ) from exc
-            if payload.get("journal"):
-                context.journaled.add(subject)
             if payload.get("sampling") is not None:
                 context.sampling[subject] = payload["sampling"]
             if payload.get("store"):
@@ -142,8 +140,6 @@ def _load_documents(paths: list[str]) -> LintContext:
                 raise SerializationError(
                     f"{path}: invalid campaign configuration: {exc}"
                 ) from exc
-            if payload.get("journal"):
-                context.journaled.add(subject)
         elif (
             isinstance(payload, dict)
             and payload.get("format") == "repro.serving.config"
@@ -360,6 +356,15 @@ def _cmd_prune(args: argparse.Namespace) -> int:
     return 0
 
 
+def _store_arg(args: argparse.Namespace):
+    """The campaign store named by ``--store``, or ``None``."""
+    if not args.store:
+        return None
+    from repro.injection.store import CampaignStore
+
+    return CampaignStore(args.store)
+
+
 def _cmd_sample(args: argparse.Namespace) -> int:
     """Run one dataset's campaign in statistical sampling mode and
     report the per-stratum outcome-class estimates."""
@@ -398,20 +403,15 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     pool = None
-    journal = None
     if args.jobs > 1:
         from repro.orchestration.pool import ProcessPool
 
         pool = ProcessPool(jobs=args.jobs)
-    if args.journal:
-        from repro.orchestration.journal import Journal
-
-        journal = Journal(args.journal)
     start = time.perf_counter()
     try:
         result = Campaign(target, config).run(
             pool=pool,
-            journal=journal,
+            store=_store_arg(args),
             mode="sample",
             sampling=sampling,
             prune=args.prune,
@@ -422,8 +422,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     seconds = time.perf_counter() - start
     if args.out:
         payload = result.to_dict()
-        if args.journal:
-            payload["journal"] = args.journal
+        if args.store:
+            payload["store"] = args.store
         pathlib.Path(args.out).write_text(json.dumps(payload, indent=2))
     report = result.sampling
     if args.format == "json":
@@ -460,7 +460,7 @@ def _cmd_orchestrate(args: argparse.Namespace) -> int:
         args.dataset,
         scale=args.scale,
         jobs=args.jobs,
-        journal_path=args.journal,
+        store=_store_arg(args),
         learner=args.learner,
         prune=args.prune,
         audit_fraction=args.audit_fraction,
@@ -477,7 +477,7 @@ def _cmd_orchestrate(args: argparse.Namespace) -> int:
         f"  campaign: {campaign['runs']} runs, "
         f"{campaign['failures']} failures ({campaign['crashes']} crashes); "
         f"{campaign.get('executed', '?')} shard(s) executed, "
-        f"{campaign.get('cached', 0)} cached, "
+        f"{campaign.get('stored', 0)} from store, "
         f"{len(campaign.get('quarantined', ()))} quarantined"
     )
     prune_info = campaign.get("prune")
@@ -527,20 +527,14 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     config = campaign_config(spec, scale_obj)
     store = CampaignStore(args.store)
     pool = None
-    journal = None
     if args.jobs > 1:
         from repro.orchestration.pool import ProcessPool
 
         pool = ProcessPool(jobs=args.jobs)
-    if args.journal:
-        from repro.orchestration.journal import Journal
-
-        journal = Journal(args.journal)
     start = time.perf_counter()
     try:
         result = Campaign(target, config).run(
             pool=pool,
-            journal=journal,
             prune=args.prune,
             mode=args.mode,
             store=store,
@@ -552,8 +546,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.out:
         payload = result.to_dict()
         payload["store"] = args.store
-        if args.journal:
-            payload["journal"] = args.journal
         pathlib.Path(args.out).write_text(json.dumps(payload, indent=2))
     orchestration = getattr(result, "orchestration", None) or {}
     counters = orchestration.get("store") or {}
@@ -581,7 +573,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     print(
         f"  shards: {orchestration.get('executed', '?')} executed, "
         f"{orchestration.get('stored', 0)} from store, "
-        f"{orchestration.get('cached', 0)} from journal, "
         f"{len(orchestration.get('quarantined', ()))} quarantined"
     )
     if counters:
@@ -939,7 +930,7 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
             args.dataset,
             scale=args.scale,
             jobs=args.jobs,
-            journal_path=args.journal,
+            store=_store_arg(args),
             learner=args.learner,
         )
     spans = obs.load_trace(args.out)
@@ -1108,9 +1099,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (default: serial)",
     )
     sample.add_argument(
-        "--journal", default=None, metavar="PATH",
-        help="checkpoint journal; shards interoperate with exhaustive "
-        "campaigns of the same config",
+        "--store", default=None, metavar="DIR",
+        help="campaign store directory; shards interoperate with "
+        "exhaustive campaigns of the same config",
     )
     sample.add_argument(
         "--prune", choices=("none", "static"), default=None,
@@ -1147,11 +1138,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--jobs", type=int, default=1,
         help="worker processes (default: serial)",
-    )
-    campaign.add_argument(
-        "--journal", default=None, metavar="PATH",
-        help="checkpoint journal; composes with the store (each "
-        "backfills the other)",
     )
     campaign.add_argument(
         "--prune", choices=("none", "static"), default=None,
@@ -1214,8 +1200,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (default: serial)",
     )
     orchestrate.add_argument(
-        "--journal", default=None, metavar="PATH",
-        help="checkpoint journal; an existing one resumes the run",
+        "--store", default=None, metavar="DIR",
+        help="campaign store directory; rerunning against it resumes "
+        "the run",
     )
     orchestrate.add_argument(
         "--learner", default="c45", help="learner name (default: c45)"
@@ -1445,8 +1432,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (default: serial)",
     )
     record.add_argument(
-        "--journal", default=None, metavar="PATH",
-        help="checkpoint journal; an existing one resumes the run",
+        "--store", default=None, metavar="DIR",
+        help="campaign store directory; rerunning against it resumes "
+        "the run",
     )
     record.add_argument(
         "--learner", default="c45", help="learner name (default: c45)"

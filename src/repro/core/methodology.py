@@ -138,18 +138,17 @@ class Methodology:
         target,
         campaign_config: CampaignConfig,
         pool=None,
-        journal=None,
+        store=None,
     ) -> CampaignResult:
         """Run the fault injection campaign (Section V-B).
 
-        ``pool``/``journal`` (see :mod:`repro.orchestration`) run the
-        campaign sharded in parallel and checkpointed; the result is
-        bit-identical to the serial campaign.
+        ``pool``/``store`` (see :mod:`repro.orchestration` and
+        :mod:`repro.injection.store`) run the campaign sharded in
+        parallel and stored; the result is bit-identical to the serial
+        campaign.
         """
         with obs.span("phase.campaign", target=target.name):
-            return Campaign(target, campaign_config).run(
-                pool=pool, journal=journal
-            )
+            return Campaign(target, campaign_config).run(pool=pool, store=store)
 
     # ------------------------------------------------------------------
     # Step 2
@@ -200,12 +199,12 @@ class Methodology:
         dataset: Dataset,
         grid: RefinementGrid | None = None,
         pool=None,
-        journal=None,
+        store=None,
     ) -> RefinementResult:
         """Search sampling parameters for the most effective predicate.
 
         The grid trials are independent; ``pool`` evaluates them in
-        parallel and ``journal`` checkpoints them (see
+        parallel and ``store`` keeps them (see
         :mod:`repro.orchestration`) with bit-identical results.
         """
         grid = grid if grid is not None else RefinementGrid.paper()
@@ -219,7 +218,7 @@ class Methodology:
             complexity=model_complexity,
             positive=self.config.positive,
             pool=pool,
-            journal=journal,
+            store=store,
         )
 
     # ------------------------------------------------------------------
@@ -230,13 +229,14 @@ class Methodology:
         dataset: Dataset,
         grid: RefinementGrid | None = None,
         jobs: int | None = None,
-        journal=None,
+        store=None,
     ) -> MethodologyOutcome:
         """Steps 2-4 on an injection dataset.
 
         ``jobs`` runs the Step 4 grid search on that many worker
-        processes (``None``/1 keeps the serial path); ``journal``
-        checkpoints the trials for resumption.
+        processes (``None``/1 keeps the serial path); ``store`` (a
+        :class:`repro.injection.store.CampaignStore`) keeps the trials
+        for reuse and resumption.
         """
         with obs.span(
             "methodology.run", dataset=dataset.name, learner=self.config.learner
@@ -244,13 +244,13 @@ class Methodology:
             with obs.span("phase.baseline"):
                 baseline = self.step3_generate(dataset)
             with obs.span("phase.refine"):
-                if (jobs is not None and jobs > 1) or journal is not None:
+                if (jobs is not None and jobs > 1) or store is not None:
                     from repro.orchestration.pool import make_pool
 
                     pool = make_pool(jobs)
                     try:
                         refinement = self.step4_refine(
-                            dataset, grid, pool=pool, journal=journal
+                            dataset, grid, pool=pool, store=store
                         )
                     finally:
                         pool.close()

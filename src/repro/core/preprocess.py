@@ -77,7 +77,8 @@ class LearnerFactory:
     Equivalent to ``lambda: make_learner(name)`` but able to cross a
     process boundary (lambdas cannot), so methodology steps can hand
     it to a :class:`repro.orchestration.ProcessPool`.  The
-    ``fingerprint`` names the learner stably for checkpoint journals.
+    ``fingerprint`` names the learner stably in refinement-trial store
+    keys.
     """
 
     name: str

@@ -134,7 +134,7 @@ def refine(
     complexity: Callable[[Classifier], float] | None = None,
     positive: int = 1,
     pool=None,
-    journal=None,
+    store=None,
 ) -> RefinementResult:
     """Evaluate every plan in the grid and return the trials + winner.
 
@@ -144,13 +144,14 @@ def refine(
     folds only, inside the cross-validation.
 
     ``pool`` (a :class:`repro.orchestration.WorkerPool`) evaluates the
-    trials in parallel and ``journal`` checkpoints them; both paths
+    trials in parallel and ``store`` (a
+    :class:`repro.injection.store.CampaignStore`) keeps them; both paths
     produce bit-identical results to the serial loop because every
     trial's RNG is already derived from its own (seed, index) identity.
     A :func:`repro.orchestration.configure`-d default pool is picked up
     automatically when the arguments can cross a process boundary.
     """
-    if pool is None and journal is None:
+    if pool is None and store is None:
         from repro.orchestration.pool import default_pool, picklable
 
         if picklable((dataset, make_classifier, complexity)):
@@ -163,7 +164,7 @@ def refine(
                     )
                 finally:
                     pool.close()
-    if pool is not None or journal is not None:
+    if pool is not None or store is not None:
         from repro.orchestration.grids import run_refinement
 
         return run_refinement(
@@ -175,7 +176,7 @@ def refine(
             complexity=complexity,
             positive=positive,
             pool=pool,
-            journal=journal,
+            store=store,
         )
     # Warm the column presort once for the whole sweep: every trial's
     # training folds (and any append-only resampling) derive their sort

@@ -33,8 +33,9 @@ per-experiment index lives in DESIGN.md):
 
 All drivers are parameterised by an :class:`~repro.experiments.scale.Scale`
 ("smoke" for tests, "bench" for the recorded numbers, "paper" for the
-full-size configuration) and cache campaign logs on disk so the
-expensive Step 1 runs once per (dataset, scale).
+full-size configuration) and keep campaign shards in the campaign
+store so the expensive Step 1 runs once per (dataset, scale, target
+source).
 """
 
 from repro.experiments.scale import Scale, get_scale
@@ -42,8 +43,8 @@ from repro.experiments.datasets import (
     DATASET_SPECS,
     build_target,
     campaign_config,
+    generate_campaign,
     generate_dataset,
-    load_dataset,
 )
 
 __all__ = [
@@ -51,7 +52,7 @@ __all__ = [
     "Scale",
     "build_target",
     "campaign_config",
+    "generate_campaign",
     "generate_dataset",
     "get_scale",
-    "load_dataset",
 ]

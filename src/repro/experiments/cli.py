@@ -110,22 +110,12 @@ def main(argv: list[str] | None = None) -> int:
         help="run campaigns and refinement grids on N worker processes "
         "(results are bit-identical to serial)",
     )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="checkpoint campaign shards under the cache directory and "
-        "resume from existing checkpoints",
-    )
     args = parser.parse_args(argv)
 
-    if args.jobs is not None or args.resume:
-        from repro.experiments.datasets import default_cache_dir
+    if args.jobs is not None:
         from repro.orchestration import configure
 
-        configure(
-            jobs=args.jobs,
-            journal_dir=default_cache_dir() if args.resume else None,
-        )
+        configure(jobs=args.jobs)
 
     if args.experiment == "report":
         from repro.experiments import report

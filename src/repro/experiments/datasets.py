@@ -6,10 +6,10 @@ where M is A/B for the system's two modules and K in 1..3 selects the
 location pair: 1 = entry/entry, 2 = entry/exit, 3 = exit/exit.
 
 :func:`generate_dataset` runs the campaign at a given scale (caching
-the PROPANE-style log on disk so Step 1 runs once per dataset, scale
-and target source) and converts it to a mining dataset via
-:mod:`repro.injection.readout` -- the paper's Step 2 format
-transformation.
+its shards in the content-addressed campaign store, so Step 1 runs
+once per dataset, scale and target source) and converts it to a mining
+dataset via :mod:`repro.injection.readout` -- the paper's Step 2
+format transformation.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import pathlib
 
 from repro.injection.campaign import Campaign, CampaignConfig, CampaignResult
 from repro.injection.instrument import Location
-from repro.injection.logfmt import read_log, write_log
+from repro.injection.store import CampaignStore
 from repro.mining.dataset import Dataset
 from repro.experiments.scale import Scale, get_scale
 from repro.targets import FlightGearTarget, Mp3GainTarget, SevenZipTarget
@@ -31,9 +31,8 @@ __all__ = [
     "DATASET_SPECS",
     "build_target",
     "campaign_config",
+    "generate_campaign",
     "generate_dataset",
-    "load_dataset",
-    "dataset_log_path",
     "default_cache_dir",
 ]
 
@@ -123,37 +122,11 @@ def campaign_config(spec: DatasetSpec, scale: Scale) -> CampaignConfig:
 
 
 def default_cache_dir() -> pathlib.Path:
-    """Campaign log cache location (override with $REPRO_CACHE)."""
+    """Campaign store location (override with $REPRO_CACHE)."""
     env = os.environ.get("REPRO_CACHE")
     if env:
         return pathlib.Path(env)
     return pathlib.Path(__file__).resolve().parents[3] / ".cache" / "repro"
-
-
-def _campaign_for(spec: DatasetSpec, scale: Scale) -> Campaign:
-    return Campaign(build_target(spec.target, scale), campaign_config(spec, scale))
-
-
-def _log_path(
-    campaign: Campaign, name: str, scale: Scale, cache_dir: pathlib.Path
-) -> pathlib.Path | None:
-    """The cached log of ``campaign``, or ``None`` when it cannot be
-    cached.
-
-    The file name carries the fingerprint of the campaign's store key
-    (:meth:`~repro.injection.campaign.Campaign.store_key_base`: the
-    injected module's source closure, the failure spec, the probes)
-    and of its config, so editing a target's code moves the campaign
-    to a new file instead of serving the old log.  A target that is
-    not fingerprintable has no such key and is never cached.
-    """
-    from repro.orchestration.tasks import fingerprint_of
-
-    base = campaign.store_key_base()
-    if base is None:
-        return None
-    key = fingerprint_of({"store": base, "config": campaign.config.to_dict()})
-    return cache_dir / f"{name}.{scale.name}.{key}.log"
 
 
 def _spec_for(name: str) -> DatasetSpec:
@@ -165,18 +138,30 @@ def _spec_for(name: str) -> DatasetSpec:
     return spec
 
 
-def dataset_log_path(
+def generate_campaign(
     name: str,
     scale: Scale | str = "bench",
     cache_dir: pathlib.Path | None = None,
-) -> pathlib.Path | None:
-    """Where :func:`generate_dataset` caches the named dataset's
-    campaign log for the current target sources (``None``: never
-    cached)."""
+    use_cache: bool = True,
+) -> CampaignResult:
+    """Run the named Table II dataset's campaign at the given scale.
+
+    The shards live in the campaign store under ``cache_dir / "store"``
+    (:mod:`repro.injection.store`), addressed by the target's source:
+    later calls load them instead of re-running Step 1 until a target
+    edit changes the address, and a killed call resumes where it
+    stopped.  ``use_cache=False`` runs without the store.
+    """
     if isinstance(scale, str):
         scale = get_scale(scale)
+    spec = _spec_for(name)
+    campaign = Campaign(
+        build_target(spec.target, scale), campaign_config(spec, scale)
+    )
+    if not use_cache:
+        return campaign.run()
     cache_dir = cache_dir if cache_dir is not None else default_cache_dir()
-    return _log_path(_campaign_for(_spec_for(name), scale), name, scale, cache_dir)
+    return campaign.run(store=CampaignStore(cache_dir / "store"))
 
 
 def generate_dataset(
@@ -185,51 +170,6 @@ def generate_dataset(
     cache_dir: pathlib.Path | None = None,
     use_cache: bool = True,
 ) -> Dataset:
-    """Produce the named Table II dataset at the given scale.
-
-    The campaign's PROPANE-style log is cached under ``cache_dir``,
-    keyed by the target's source (:func:`dataset_log_path`); later
-    calls parse the log instead of re-running Step 1 until a target
-    edit changes the key.
-    """
-    if isinstance(scale, str):
-        scale = get_scale(scale)
-    spec = _spec_for(name)
-    campaign = _campaign_for(spec, scale)
-    cache_dir = cache_dir if cache_dir is not None else default_cache_dir()
-    cache_path = _log_path(campaign, name, scale, cache_dir) if use_cache else None
-    if cache_path is not None and cache_path.exists():
-        return load_dataset(cache_path, name)
-
-    result = _run_campaign(campaign, spec, scale)
-    if cache_path is not None:
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        tmp_path = cache_path.with_suffix(".tmp")
-        with open(tmp_path, "w") as fp:
-            write_log(result, fp)
-        tmp_path.replace(cache_path)
-    return result.to_dataset(name)
-
-
-def load_dataset(path: pathlib.Path, name: str | None = None) -> Dataset:
-    """Load a cached campaign log into a mining dataset."""
-    with open(path) as fp:
-        parsed = read_log(fp)
-    return parsed.to_dataset(name)
-
-
-def _run_campaign(
-    campaign: Campaign, spec: DatasetSpec, scale: Scale
-) -> CampaignResult:
-    # When the experiments CLI was invoked with --resume, checkpoint
-    # the campaign shards next to the log cache so a killed run picks
-    # up where it stopped (repro-experiments ... --resume).
-    from repro.orchestration import Journal, default_journal_dir
-
-    journal_dir = default_journal_dir()
-    journal = None
-    if journal_dir is not None:
-        journal = Journal(
-            journal_dir / f"{spec.name}.{scale.name}.journal.jsonl"
-        )
-    return campaign.run(journal=journal)
+    """Produce the named Table II dataset at the given scale (see
+    :func:`generate_campaign` for the store)."""
+    return generate_campaign(name, scale, cache_dir, use_cache).to_dataset(name)

@@ -12,14 +12,9 @@ resilient produce the heavily imbalanced datasets).
 from __future__ import annotations
 
 from repro.analysis.propagation import PropagationReport, analyse_propagation
-from repro.experiments.datasets import (
-    DATASET_SPECS,
-    dataset_log_path,
-    generate_dataset,
-)
+from repro.experiments.datasets import DATASET_SPECS, generate_campaign
 from repro.experiments.reporting import render_table
 from repro.experiments.scale import Scale, get_scale
-from repro.injection.logfmt import read_log
 
 __all__ = ["run", "main"]
 
@@ -36,12 +31,7 @@ def run(scale: Scale | str = "bench", datasets=None) -> list[PropagationReport]:
     for name in names:
         if name not in DATASET_SPECS:
             raise ValueError(f"unknown dataset {name!r}")
-        # Ensure the campaign log exists, then analyse the records.
-        generate_dataset(name, scale)
-        log_path = dataset_log_path(name, scale)
-        with open(log_path) as fp:
-            parsed = read_log(fp)
-        reports.append(analyse_propagation(parsed))
+        reports.append(analyse_propagation(generate_campaign(name, scale)))
     return reports
 
 

@@ -145,7 +145,7 @@ class CampaignConfig:
         return Probe(self.module, self.sample_location)
 
     def to_dict(self) -> dict:
-        """JSON-compatible form (used by journals and ``repro lint``)."""
+        """JSON-compatible form (used by store keys and ``repro lint``)."""
         bits: object
         if isinstance(self.bits, Mapping):
             bits = {kind: list(b) for kind, b in sorted(self.bits.items())}
@@ -476,7 +476,6 @@ class Campaign:
     def run(
         self,
         pool=None,
-        journal=None,
         shard_size: int = 1,
         prune: str | None = None,
         audit_fraction: float | None = None,
@@ -496,12 +495,9 @@ class Campaign:
         :class:`repro.orchestration.WorkerPool`) shards the campaign
         into independent run-batches and executes them in parallel --
         the merged records are bit-identical to the serial path for any
-        worker count.  ``journal`` (a
-        :class:`repro.orchestration.Journal`) checkpoints each
-        completed shard so a killed campaign resumes without
-        re-executing finished work.  When neither is given, a pool
-        configured via :func:`repro.orchestration.configure` (the
-        experiments CLI's ``--jobs``) is picked up automatically.
+        worker count.  When no pool is given, one configured via
+        :func:`repro.orchestration.configure` (the experiments CLI's
+        ``--jobs``) is picked up automatically.
 
         ``prune="static"`` (or ``config.prune``) runs the statically
         pruned campaign: provably dead or class-equivalent injection
@@ -535,12 +531,14 @@ class Campaign:
         (plus failure spec, probes, config slice and pairs), so after
         editing one target module only that module's shards re-execute
         -- everything else loads from the store and merges in canonical
-        order, bit-identical to a fresh exhaustive run.  Targets opt in
-        by declaring per-module source closures
+        order, bit-identical to a fresh exhaustive run.  Each shard is
+        stored as it completes, so re-running a killed campaign against
+        the same store resumes it.  Targets opt in by declaring
+        per-module source closures
         (:meth:`~repro.targets.base.TargetSystem.module_sources`);
         ineligible targets warn and run storeless.  The store composes
-        with journals, pools, ``prune="static"`` and ``mode="sample"``
-        in both directions.
+        with pools, ``prune="static"`` and ``mode="sample"`` in both
+        directions.
 
         Campaign subclasses that observe per-run harness state through
         :meth:`_after_run` (e.g. the validation campaign) are forced
@@ -570,7 +568,7 @@ class Campaign:
                     target_halfwidth=target_halfwidth,
                     seed=sample_seed,
                 )
-            return self._run_sampled(pool, journal, sampling, prune_mode, store)
+            return self._run_sampled(pool, sampling, prune_mode, store)
         if prune_mode == "static":
             if type(self)._after_run is not Campaign._after_run:
                 raise ValueError(
@@ -592,7 +590,7 @@ class Campaign:
                 owns_pool = pool is not None
             try:
                 return self._run_pruned(
-                    pool, journal, shard_size, fraction, seed, store
+                    pool, shard_size, fraction, seed, store
                 )
             finally:
                 if owns_pool:
@@ -602,17 +600,17 @@ class Campaign:
 
             pool = default_pool()
             if pool is None:
-                if journal is None and store is None:
+                if store is None:
                     return self._run_serial()
-                return self._run_orchestrated(None, journal, shard_size, store)
+                return self._run_orchestrated(None, shard_size, store)
             try:
-                return self._run_orchestrated(pool, journal, shard_size, store)
+                return self._run_orchestrated(pool, shard_size, store)
             finally:
                 pool.close()
-        return self._run_orchestrated(pool, journal, shard_size, store)
+        return self._run_orchestrated(pool, shard_size, store)
 
     def _run_sampled(
-        self, pool, journal, spec, prune_mode: str, store=None
+        self, pool, spec, prune_mode: str, store=None
     ) -> CampaignResult:
         """The statistical sampling campaign (optionally prune-composed)."""
         from repro.injection.sampling import run_sampled_campaign
@@ -638,7 +636,6 @@ class Campaign:
                 self,
                 spec,
                 pool=pool,
-                journal=journal,
                 prune_plan=prune_plan,
                 golden_runs=golden_runs,
                 store=store,
@@ -680,7 +677,7 @@ class Campaign:
         )
 
     def _run_orchestrated(
-        self, pool, journal, shard_size: int, store=None
+        self, pool, shard_size: int, store=None
     ) -> CampaignResult:
         from repro.orchestration.campaigns import run_campaign
         from repro.orchestration.pool import SerialPool
@@ -692,14 +689,11 @@ class Campaign:
         ):
             # Observation hooks need the runs in this process.
             pool = SerialPool(metrics=getattr(pool, "metrics", None))
-        return run_campaign(
-            self, pool=pool, journal=journal, shard_size=shard_size, store=store
-        )
+        return run_campaign(self, pool=pool, shard_size=shard_size, store=store)
 
     def _run_pruned(
         self,
         pool,
-        journal,
         shard_size: int,
         audit_fraction: float,
         audit_seed: int,
@@ -718,7 +712,7 @@ class Campaign:
 
         pairs = plan.executed_pairs()
         orchestration = None
-        if pool is None and journal is None and store is None:
+        if pool is None and store is None:
             executed = self._execute_pairs(pairs, golden_runs)
         else:
             from repro.orchestration.campaigns import run_campaign
@@ -726,7 +720,6 @@ class Campaign:
             partial = run_campaign(
                 self,
                 pool=pool,
-                journal=journal,
                 shard_size=shard_size,
                 pairs=pairs,
                 golden_runs=golden_runs,

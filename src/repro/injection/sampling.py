@@ -12,9 +12,9 @@ cost.  This module adds that mode:
   injection variable (the paper's natural outcome-class axis: Table
   III's skew is per-variable).  Draws are made at ``(variable, bit)``
   pair granularity -- one pair is exactly one orchestration shard, so
-  sampled and exhaustive campaigns write and reuse the *same* journal
-  entries (the shard ids stay anchored to the full enumeration, like
-  the pruned campaign's);
+  sampled and exhaustive campaigns write and reuse the *same* store
+  entries (store addresses are pair-anchored, like the pruned
+  campaign's);
 * **online confidence intervals** per (stratum, outcome class):
   Wilson score by default, exact Clopper-Pearson on request, both via
   :func:`repro.analysis.coverage.coverage_estimate`;
@@ -23,7 +23,7 @@ cost.  This module adds that mode:
   (or its population is exhausted, or an explicit cell cap is hit).
   The draw order is derived from the seed and the stratum *identity*
   -- never from worker count or schedule -- so a resumed campaign
-  replays the identical sequence of draws and decisions, with journal
+  replays the identical sequence of draws and decisions, with stored
   shards answering instantly.
 
 Every sampled cell's record is produced by the ordinary shard
@@ -106,7 +106,7 @@ class SamplingSpec:
         fire (guards against a lucky tiny sample stopping a stratum).
     round_cells:
         Cells requested per stratum per round, rounded up to whole
-        ``(variable, bit)`` pairs -- the draw (and journal-shard)
+        ``(variable, bit)`` pairs -- the draw (and store-shard)
         granularity.
     max_cells:
         Optional per-stratum cap; a stratum that hits it reports
@@ -405,7 +405,6 @@ def run_sampled_campaign(
     campaign,
     spec: SamplingSpec,
     pool=None,
-    journal=None,
     prune_plan=None,
     golden_runs: dict[int, GoldenRun] | None = None,
     store=None,
@@ -499,7 +498,6 @@ def run_sampled_campaign(
             partial = run_campaign(
                 campaign,
                 pool=pool,
-                journal=journal,
                 shard_size=1,  # one pair per shard: the anchored unit
                 pairs=batch,
                 golden_runs=golden_runs,
@@ -586,7 +584,7 @@ def _merge_orchestrations(rounds: list[dict]) -> dict | None:
         return None
     merged: dict = {
         key: sum(entry.get(key, 0) for entry in rounds)
-        for key in ("tasks", "executed", "cached", "stored")
+        for key in ("tasks", "executed", "stored")
     }
     merged["quarantined"] = [
         task_id for entry in rounds for task_id in entry.get("quarantined", ())

@@ -35,6 +35,14 @@ each logical id to its latest generation, so the store can tell a
 *cold* miss (slice never ran) from an *invalidated* one (a superseded
 generation exists) and ``gc()`` can drop stale generations.
 
+The store is the one durable layer of the methodology: campaign
+shards, Step 4 refinement trials (keyed by
+:func:`repro.orchestration.grids.run_refinement`, with the mining
+code's fingerprint as their content field) and, through
+:func:`repro.experiments.datasets.generate_dataset`, the Table II
+datasets all persist here.  Resuming a killed run is running it again
+against the same store.
+
 Layout (all writes atomic: temp file + ``os.replace``)::
 
     <root>/index.json            logical id -> latest fingerprint
@@ -65,9 +73,10 @@ SHARD_FORMAT = "repro.injection.store.shard"
 VERSION = 1
 
 #: Key fields that change when a target module (or its failure spec)
-#: is edited.  The remaining fields identify the injection-space slice
-#: itself -- its logical id -- stable across edits.
-CONTENT_FIELDS = ("module_fingerprint", "failure_fingerprint", "probes")
+#: is edited -- or, for refinement trials, the mining code.  The
+#: remaining fields identify the slice itself -- its logical id --
+#: stable across edits.
+CONTENT_FIELDS = ("module_fingerprint", "failure_fingerprint", "probes", "code")
 
 
 class StoreEligibilityWarning(RuntimeWarning):
@@ -199,16 +208,24 @@ class CampaignStore:
             stem, suffix = os.path.splitext(name)
             if suffix != ".json" or stem in skip:
                 continue
-            try:
-                payload = json.loads((self._shards_dir / name).read_text())
-            except (OSError, json.JSONDecodeError):
-                continue
-            if (
-                isinstance(payload, dict)
-                and payload.get("format") == SHARD_FORMAT
-                and payload.get("fingerprint") == stem
-            ):
+            payload = self._read_shard(stem)
+            if payload is not None:
                 yield payload
+
+    def _read_shard(self, fingerprint: str) -> dict | None:
+        """The shard file at ``fingerprint``, or ``None`` when it is
+        absent or not a valid shard (e.g. torn by a killed writer)."""
+        try:
+            payload = json.loads(self.shard_path(fingerprint).read_text())
+        except (OSError, json.JSONDecodeError):
+            return None
+        if (
+            isinstance(payload, dict)
+            and payload.get("format") == SHARD_FORMAT
+            and payload.get("fingerprint") == fingerprint
+        ):
+            return payload
+        return None
 
     def _write_json(self, path: pathlib.Path, payload: dict) -> None:
         # One-shot ``json.dumps`` runs the C encoder; ``json.dump`` to a
@@ -238,9 +255,13 @@ class CampaignStore:
 
     # -- read/write ----------------------------------------------------
     def contains(self, fingerprint: str) -> bool:
-        """Whether a shard with this content address exists (does not
-        touch the counters -- it is the planner's peek, not a lookup)."""
-        return self.shard_path(fingerprint).is_file()
+        """Whether a valid shard with this content address exists (does
+        not touch the counters -- it is the planner's peek, not a
+        lookup).  A torn or corrupt file does not count."""
+        return (
+            self.shard_path(fingerprint).is_file()
+            and self._read_shard(fingerprint) is not None
+        )
 
     def latest(self, logical_id: str) -> str | None:
         """Fingerprint of the newest stored generation of a slice, or
@@ -257,16 +278,8 @@ class CampaignStore:
         stored (the module was edited), ``misses`` when the slice is
         cold.
         """
-        path = self.shard_path(fingerprint)
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            payload = None
-        if (
-            isinstance(payload, dict)
-            and payload.get("format") == SHARD_FORMAT
-            and payload.get("fingerprint") == fingerprint
-        ):
+        payload = self._read_shard(fingerprint)
+        if payload is not None:
             self.counters["hits"] += 1
             return payload["records"]
         latest = self.latest(logical_id_of(key))
@@ -279,9 +292,10 @@ class CampaignStore:
     def put(self, fingerprint: str, key: dict, records: list) -> bool:
         """Store one shard's records under its content address.
 
-        Idempotent: an existing shard is left untouched (content
-        addressing makes overwrites meaningless).  Returns whether a
-        new shard file was written.  Only the shard file is written;
+        Idempotent: an existing valid shard is left untouched (content
+        addressing makes overwrites meaningless); a torn or corrupt file
+        at the address is replaced.  Returns whether a shard file was
+        written.  Only the shard file is written;
         the index update stays in memory until :meth:`flush`, except
         that a store without ``index.json`` gets one at once.
         """
@@ -355,7 +369,9 @@ class CampaignStore:
 
         Live shards (each slice's latest generation) are never
         touched, so a delta run after ``gc()`` behaves identically.
-        The index is brought up to date and flushed as well.
+        The temp files of writers killed mid-write are removed too
+        (the store has a single writer, so none is in flight), and the
+        index is brought up to date and flushed.
         """
         from repro import observability as obs
         from repro.observability import names
@@ -364,9 +380,15 @@ class CampaignStore:
             self._current_index()
             stale = self.stale_entries()
             if not dry_run:
-                for entry in stale:
+                leftovers = [
+                    *self.root.glob("index.json*.tmp"),
+                    *self._shards_dir.glob("*.json*.tmp"),
+                ]
+                for path in leftovers + [
+                    self.shard_path(entry.fingerprint) for entry in stale
+                ]:
                     try:
-                        self.shard_path(entry.fingerprint).unlink()
+                        path.unlink()
                     except OSError:
                         pass
             self.flush()

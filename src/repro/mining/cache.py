@@ -7,7 +7,7 @@ class vector into the same stratified folds.  The caches here memoise
 those artefacts keyed by **content fingerprints** (the same
 sha256-prefix convention as :func:`repro.orchestration.tasks.fingerprint_of`),
 so reuse is driven by what the data *is*, never by where it came from
--- journal/resume and parallel-schedule semantics are untouched because
+-- store/resume and parallel-schedule semantics are untouched because
 a cache hit returns exactly the bytes a recompute would.
 
 Caches are process-local, bounded (LRU), and registered globally so

@@ -9,8 +9,8 @@ are instrumented with one span-based structured tracer:
   the process-global active tracer, and the shared no-op default that
   makes instrumentation near-free when tracing is off;
 * :mod:`~repro.observability.journal` -- append-only JSONL trace
-  journal (torn-tail tolerant, like the orchestration checkpoint
-  journal) plus the deterministic worker-shard merge;
+  journal (torn-tail tolerant) plus the deterministic worker-shard
+  merge;
 * :mod:`~repro.observability.context` -- process-safe activation:
   ``tracing_to`` for the main process, ``TraceSpec``/``ensure_worker``
   for pool workers writing shard-local traces;

@@ -19,8 +19,7 @@ every process writing its own file:
   (:func:`repro.observability.journal.merge_worker_traces`).
 
 A worker that is killed mid-task leaves a torn tail in its shard file;
-the merge tolerates it, mirroring the orchestration journal's
-contract.
+the merge tolerates it.
 """
 
 from __future__ import annotations

@@ -1,7 +1,6 @@
 """Append-only JSONL trace journal, torn-tail tolerant.
 
-The trace journal follows the same durability contract as the
-orchestration checkpoint journal (:mod:`repro.orchestration.journal`):
+The trace journal's durability contract:
 
 * one JSON line per record, appended and flushed as each span
   completes, so a process killed mid-flight keeps every span finished

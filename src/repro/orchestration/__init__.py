@@ -1,24 +1,24 @@
-"""Parallel, checkpointed, fault-tolerant execution of the methodology.
+"""Parallel, resumable, fault-tolerant execution of the methodology.
 
 The expensive steps of the paper's methodology -- the Step 1 fault
 injection campaigns and the Step 4 refinement grids -- are
 embarrassingly parallel.  This package turns them into scheduled
 *tasks* (:mod:`~repro.orchestration.tasks`) executed through worker
 pools that survive worker death (:mod:`~repro.orchestration.pool`),
-checkpointed into resumable JSONL journals
-(:mod:`~repro.orchestration.journal`), with campaign sharding
-(:mod:`~repro.orchestration.campaigns`), grid fan-out
-(:mod:`~repro.orchestration.grids`) and an end-to-end pipeline driver
-(:mod:`~repro.orchestration.orchestrate`).
+each completion stored as it lands in the content-addressed
+:class:`~repro.injection.store.CampaignStore` (the one durable layer:
+re-running a killed run against the same store resumes it), with
+campaign sharding (:mod:`~repro.orchestration.campaigns`), grid
+fan-out (:mod:`~repro.orchestration.grids`) and an end-to-end
+pipeline driver (:mod:`~repro.orchestration.orchestrate`).
 
 Determinism contract: for the same seed and configuration, a merged
 parallel result is bit-identical to the serial one -- any worker
-count, with or without a journal, resumed or not.
+count, with or without a store, resumed or not.
 """
 
 from repro.orchestration.campaigns import plan_pairs, plan_shards, run_campaign
 from repro.orchestration.grids import dataset_fingerprint, run_refinement
-from repro.orchestration.journal import Journal
 from repro.orchestration.orchestrate import OrchestrationReport, run_dataset
 from repro.orchestration.pool import (
     ProcessPool,
@@ -26,7 +26,6 @@ from repro.orchestration.pool import (
     TaskOutcome,
     WorkerPool,
     configure,
-    default_journal_dir,
     default_pool,
     make_pool,
     picklable,
@@ -52,9 +51,7 @@ __all__ = [
     "make_pool",
     "configure",
     "default_pool",
-    "default_journal_dir",
     "picklable",
-    "Journal",
     "plan_pairs",
     "plan_shards",
     "run_campaign",

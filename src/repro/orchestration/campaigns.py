@@ -1,4 +1,4 @@
-"""Sharded, checkpointed execution of fault injection campaigns.
+"""Sharded, stored execution of fault injection campaigns.
 
 A campaign enumerates runs in a fixed canonical order -- variable,
 then bit, then injection time, then test case (the serial loop of
@@ -11,18 +11,18 @@ run has no other randomness, so the merged result is bit-identical to
 the serial campaign for any worker count.
 
 The default shard size is one ``(variable, bit)`` pair per task.  That
-keeps shard boundaries -- and therefore journal fingerprints --
-independent of the worker count, so a campaign journaled at
-``jobs=8`` resumes correctly at ``jobs=2``.
+keeps shard boundaries -- and therefore store addresses --
+independent of the worker count, so a campaign stored at ``jobs=8``
+resumes correctly at ``jobs=2``.
 
 Shard granularity also respects static pruning classes for free:
 :mod:`repro.analysis.prune` verdicts are uniform across injection
 times and test cases, so a pruned point is a whole ``(variable, bit)``
 pair -- exactly the planner's unit.  A pruned campaign passes its
 surviving pairs via ``pairs=``; no shard ever straddles an
-equivalence class, and because per-pair fingerprints ignore the
-config's prune settings, shards journaled by an exhaustive campaign
-are reused verbatim by a pruned one (and vice versa).
+equivalence class, and because store addresses ignore the config's
+prune settings, shards stored by an exhaustive campaign are reused
+verbatim by a pruned one (and vice versa).
 
 A shard whose injected faults keep killing the worker process is
 quarantined by the pool after its retries; the campaign then
@@ -42,7 +42,6 @@ from repro.injection.bitflip import BitFlip, flip_values_batch
 from repro.injection.campaign import Campaign, CampaignResult, ExperimentRecord
 from repro.injection.golden import Checkpoint, GoldenRun, golden_runs_for
 from repro.observability import names
-from repro.orchestration.journal import Journal
 from repro.orchestration.pool import SerialPool, WorkerPool
 from repro.orchestration.tasks import Task, TaskGraph, _chunk, fingerprint_of
 
@@ -162,34 +161,35 @@ def _crash_records(
 def run_campaign(
     campaign: Campaign,
     pool: WorkerPool | None = None,
-    journal: Journal | None = None,
     shard_size: int = 1,
     pairs: list[Pair] | None = None,
     golden_runs: dict[int, GoldenRun] | None = None,
     store=None,
 ) -> CampaignResult:
-    """Execute a campaign through a worker pool, optionally journaled.
+    """Execute a campaign through a worker pool, optionally stored.
 
     Returns a :class:`CampaignResult` bit-identical to
     ``campaign.run()`` serial execution (absent quarantined shards).
     The result additionally carries an ``orchestration`` attribute
-    summarising the schedule: total/executed/cached/stored task counts
-    and the ids of quarantined shards.  ``pairs`` restricts execution
-    to an explicit pair subset (pruned campaigns); ``golden_runs``
-    reuses already-captured golden runs.
+    summarising the schedule: total/executed/stored task counts and
+    the ids of quarantined shards.  ``pairs`` restricts execution to
+    an explicit pair subset (pruned campaigns); ``golden_runs`` reuses
+    already-captured golden runs.
 
     ``store`` (a :class:`repro.injection.store.CampaignStore`) makes
     the run a delta operation: each shard's records are looked up
     under its content address -- module source-closure fingerprint +
     failure-spec fingerprint + probes + config slice + pairs -- and
-    only shards whose address misses execute.  Because the address
-    drops the config's variable/bit selection (the shard's pairs carry
-    those) and shards are pair-anchored, exhaustive, pruned and
-    sampled campaigns of the same slice all share store entries.  A
-    target without declared module source closures
+    only shards whose lookup misses execute, each stored as it
+    completes.  Because the address drops the config's variable/bit
+    selection (the shard's pairs carry those) and shards are
+    pair-anchored, exhaustive, pruned and sampled campaigns of the
+    same slice all share store entries, and re-running a killed
+    campaign against its store resumes it.  A target without declared
+    module source closures
     (:meth:`~repro.targets.base.TargetSystem.module_sources`) is not
     store-eligible; the run warns and proceeds storeless.  When every
-    shard is already stored, golden-run and checkpoint capture are
+    shard loads from the store, golden-run and checkpoint capture are
     skipped entirely -- the warm-path fast lane the delta bench
     measures.
 
@@ -217,128 +217,93 @@ def run_campaign(
             )
             store = None
     counters_before = dict(store.counters) if store is not None else None
+    # Shard arguments share these two mappings; they are filled in
+    # place once the store lookups show that some shard executes.
+    shard_golden: dict[int, GoldenRun] = (
+        golden_runs if golden_runs is not None else {}
+    )
+    checkpoints: dict[tuple[int, int], Checkpoint] = {}
     with obs.span("campaign.plan", target=campaign.target.name):
         shards = plan_shards(campaign, shard_size, pairs)
-        store_fingerprints: list[str | None] = [None] * len(shards)
-        store_keys: list[dict | None] = [None] * len(shards)
-        fully_stored = False
+        keys: list[dict | None] = [None] * len(shards)
+        if store is not None:
+            keys = [
+                {**store_base, "pairs": [list(pair) for pair in shard]}
+                for shard in shards
+            ]
+        # Shard ids anchor to the full enumeration (first pair's
+        # position), not the shard's position in this run's
+        # possibly-restricted pair list, so pruned and sampled runs
+        # name a shard as the exhaustive run does.
+        position = {pair: i for i, pair in enumerate(plan_pairs(campaign))}
+        tasks = [
+            Task(
+                task_id=f"campaign:{position.get(shard[0], index):05d}",
+                fingerprint=None if key is None else fingerprint_of(key),
+                fn=_execute_shard,
+                args=(campaign, shard, shard_golden, checkpoints),
+                weight=len(shard)
+                * len(config.injection_times)
+                * len(config.test_cases),
+                key=key,
+            )
+            for index, (shard, key) in enumerate(zip(shards, keys))
+        ]
+        graph = TaskGraph(
+            tasks,
+            encode=lambda records: [record.to_dict() for record in records],
+            decode=lambda payload: [
+                ExperimentRecord.from_dict(entry) for entry in payload
+            ],
+        )
+        resolved = {}
         if store is not None:
             with obs.span(
                 names.STORE_RESOLVE, target=campaign.target.name
             ) as resolve_span:
-                store_keys = [
-                    {**store_base, "pairs": [list(pair) for pair in shard]}
-                    for shard in shards
-                ]
-                store_fingerprints = [
-                    fingerprint_of(key) for key in store_keys
-                ]
-                contained = sum(
-                    1 for fp in store_fingerprints if store.contains(fp)
-                )
-                fully_stored = bool(shards) and contained == len(shards)
+                resolved = graph.resolve(store)
                 resolve_span.count("shards", len(shards))
-                resolve_span.count(names.COUNTER_STORE_HITS, contained)
-        if golden_runs is None:
-            if fully_stored:
-                # Every shard loads from the store: no run will execute,
-                # so the golden runs would never be consulted.  Skipping
-                # their capture is what makes a warm delta run pay only
-                # for the edited module.
-                golden_runs = {}
-            else:
-                golden_runs = golden_runs_for(
-                    campaign.target, config.test_cases
-                )
-    # Executed cells resume from golden-prefix checkpoints: each test
-    # case's fault-free prefix is stepped once here, not once per cell.
-    checkpoints = (
-        campaign._capture_checkpoints() if shards and not fully_stored else {}
-    )
-    # Per-pair records do not depend on the prune settings (a pair that
-    # executes computes the same records either way), so fingerprints
-    # drop them: journal shards stay shareable between exhaustive and
-    # pruned campaigns.
-    fingerprint_config = config.to_dict()
-    for key in ("prune", "audit_fraction", "audit_seed"):
-        fingerprint_config.pop(key, None)
-    base = {
-        "schema": 1,
-        "target": campaign.target.name,
-        "config": fingerprint_config,
-    }
-    # The injected module's source closure and the failure spec decide
-    # the records too: with them in the fingerprint, a journal written
-    # before a target edit misses instead of replaying stale shards.
-    # Targets that are not store-eligible keep the config-only key.
-    source_key = store_base
-    if source_key is None and journal is not None:
-        source_key = campaign.store_key_base()
-    if source_key is not None:
-        base["module_fingerprint"] = source_key["module_fingerprint"]
-        base["failure_fingerprint"] = source_key["failure_fingerprint"]
-    # Shard ids anchor to the full enumeration (first pair's position),
-    # not the shard's position in this run's possibly-restricted pair
-    # list: a pruned campaign then hits the same journal entries an
-    # exhaustive one wrote, and vice versa.
-    position = {pair: i for i, pair in enumerate(plan_pairs(campaign))}
-    tasks = [
-        Task(
-            task_id=f"campaign:{position.get(pairs[0], index):05d}",
-            fingerprint=fingerprint_of(
-                {**base, "pairs": [list(pair) for pair in pairs]}
-            ),
-            fn=_execute_shard,
-            args=(campaign, pairs, golden_runs, checkpoints),
-            weight=len(pairs)
-            * len(config.injection_times)
-            * len(config.test_cases),
-            store_fingerprint=store_fingerprints[index],
-            store_key=store_keys[index],
-        )
-        for index, pairs in enumerate(shards)
-    ]
-    graph = TaskGraph(
-        tasks,
-        encode=lambda records: [record.to_dict() for record in records],
-        decode=lambda payload: [
-            ExperimentRecord.from_dict(entry) for entry in payload
-        ],
-    )
-    outcomes = graph.run(pool, journal, store=store)
+                resolve_span.count(names.COUNTER_STORE_HITS, len(resolved))
+        # A shard the store could not answer -- absent, or torn by a
+        # killed writer -- executes, and needs the golden runs.  When
+        # every shard loaded, skipping their capture is what makes a
+        # warm delta run pay only for the edited module.
+        executes = len(resolved) < len(tasks)
+        if golden_runs is None and (executes or not tasks):
+            shard_golden.update(
+                golden_runs_for(campaign.target, config.test_cases)
+            )
+    if executes:
+        # Executed cells resume from golden-prefix checkpoints: each
+        # test case's fault-free prefix is stepped once here, not once
+        # per cell.
+        checkpoints.update(campaign._capture_checkpoints())
+    outcomes = graph.run(pool, store=store, resolved=resolved)
 
     records: list[ExperimentRecord] = []
     quarantined: list[str] = []
-    cached = 0
-    stored = 0
     with obs.span("campaign.merge", shards=len(shards)) as merge_span:
-        for task, pairs in zip(tasks, shards):
+        for task, shard in zip(tasks, shards):
             outcome = outcomes[task.task_id]
             if outcome.status == "quarantined":
                 quarantined.append(task.task_id)
-                records.extend(_crash_records(campaign, pairs))
+                records.extend(_crash_records(campaign, shard))
             else:
-                if outcome.status == "cached":
-                    cached += 1
-                elif outcome.status == "stored":
-                    stored += 1
                 records.extend(outcome.result)
         merge_span.count("records", len(records))
-        merge_span.count("cached_shards", cached)
-        merge_span.count("stored_shards", stored)
+        merge_span.count("stored_shards", len(resolved))
         merge_span.count("quarantined_shards", len(quarantined))
     result = CampaignResult(
         campaign.target.name,
         config,
         records,
-        golden_runs,
+        shard_golden,
         campaign.variable_specs,
     )
     result.orchestration = {  # type: ignore[attr-defined]
         "tasks": len(tasks),
-        "executed": len(tasks) - cached - stored - len(quarantined),
-        "cached": cached,
-        "stored": stored,
+        "executed": len(tasks) - len(resolved) - len(quarantined),
+        "stored": len(resolved),
         "quarantined": quarantined,
         "jobs": pool.jobs,
     }

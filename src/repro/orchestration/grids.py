@@ -11,17 +11,22 @@ have used, and trials are collated in plan order, so the winning plan
 (``max`` over trials, first-best-wins) is bit-identical serial or
 parallel.
 
-Trial fingerprints cover the dataset content, the plan, the CV
-protocol and the learner, but *not* the grid as a whole: adding plans
-to a grid re-executes only the new trials against an existing journal,
-and a journal shared with campaign generation reuses every campaign
-shard when only the grid changed (FastFlip-style incremental reuse).
+With a :class:`~repro.injection.store.CampaignStore`, each trial is
+stored under a key over the dataset content, the plan, the CV
+protocol, the learner and complexity callables, and the mining code
+(:func:`code_fingerprint`), but *not* the grid as a whole: adding
+plans to a grid re-executes only the new trials, a store shared with
+campaign generation reuses every campaign shard when only the grid
+changed (FastFlip-style incremental reuse), and an edit to the mining
+code re-executes every trial.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import importlib
+import pkgutil
 from collections.abc import Callable
 
 import numpy as np
@@ -40,11 +45,10 @@ from repro.mining.crossval import (
 )
 from repro.mining.dataset import Dataset
 from repro.mining.metrics import ConfusionMatrix
-from repro.orchestration.journal import Journal
 from repro.orchestration.pool import SerialPool, WorkerPool
 from repro.orchestration.tasks import Task, TaskGraph, fingerprint_of
 
-__all__ = ["dataset_fingerprint", "run_refinement"]
+__all__ = ["code_fingerprint", "dataset_fingerprint", "run_refinement"]
 
 
 def dataset_fingerprint(dataset: Dataset) -> str:
@@ -60,20 +64,89 @@ def dataset_fingerprint(dataset: Dataset) -> str:
     return digest.hexdigest()[:16]
 
 
-def _callable_tag(fn: Callable | None) -> str | None:
-    """Stable identity of a callable for fingerprinting.
+def code_modules() -> list[str]:
+    """The modules whose code decides a trial's result besides the
+    callables it is given: every module of :mod:`repro.mining` and
+    :mod:`repro.core.preprocess` (the preprocessing plans)."""
+    import repro.mining
 
-    Factories that want cache hits across processes should expose a
-    ``fingerprint`` attribute (e.g.
-    :class:`repro.core.preprocess.LearnerFactory`); otherwise the
-    qualified name identifies the code being run.
-    """
-    if fn is None:
+    return [
+        "repro.mining",
+        *sorted(
+            info.name
+            for info in pkgutil.walk_packages(
+                repro.mining.__path__, "repro.mining."
+            )
+        ),
+        "repro.core.preprocess",
+    ]
+
+
+def code_fingerprint(modules: list[str]) -> str | None:
+    """Fingerprint of the AST-normalized sources of ``modules``, or
+    ``None`` when one has no retrievable source."""
+    from repro.targets.base import normalized_source
+
+    sources = {
+        name: normalized_source(importlib.import_module(name))
+        for name in modules
+    }
+    if any(source is None for source in sources.values()):
         return None
+    return fingerprint_of(sources)
+
+
+def _callable_tag(fn: Callable | None, modules: list[str]) -> str | None:
+    """Stable identity of a callable for a trial's store key.
+
+    Factories expose a ``fingerprint`` attribute (e.g.
+    :class:`repro.core.preprocess.LearnerFactory`); a callable defined
+    in one of ``modules`` is named by its qualified name, the code
+    fingerprint covering its source.  Anything else has no stable
+    identity: ``None``, and its trials are not stored.
+    """
     tag = getattr(fn, "fingerprint", None)
     if tag is not None:
         return str(tag)
-    return f"{getattr(fn, '__module__', '?')}.{getattr(fn, '__qualname__', repr(fn))}"
+    if getattr(fn, "__module__", None) in modules:
+        return f"{fn.__module__}.{fn.__qualname__}"
+    return None
+
+
+def _trial_keys(
+    dataset: Dataset,
+    make_classifier: Callable,
+    plans: list,
+    folds: int,
+    seed: int,
+    complexity: Callable | None,
+    positive: int,
+) -> list[dict | None]:
+    """Each trial's store key, or ``None`` for every trial when the
+    learner, the complexity callable or the mining code cannot be
+    fingerprinted."""
+    modules = code_modules()
+    learner = _callable_tag(make_classifier, modules)
+    complexity_tag = _callable_tag(complexity, modules)
+    if learner is None or (complexity is not None and complexity_tag is None):
+        return [None] * len(plans)
+    code = code_fingerprint(modules)
+    if code is None:
+        return [None] * len(plans)
+    base = {
+        "schema": 1,
+        "dataset": dataset_fingerprint(dataset),
+        "folds": folds,
+        "seed": seed,
+        "positive": positive,
+        "learner": learner,
+        "complexity": complexity_tag,
+        "code": code,
+    }
+    return [
+        {**base, "index": index, "plan": dataclasses.asdict(plan)}
+        for index, plan in enumerate(plans)
+    ]
 
 
 def _encode_evaluation(evaluation: CrossValidationResult) -> dict:
@@ -156,37 +229,34 @@ def run_refinement(
     complexity: Callable | None = None,
     positive: int = 1,
     pool: WorkerPool | None = None,
-    journal: Journal | None = None,
+    store=None,
 ) -> RefinementResult:
     """Evaluate a refinement grid through a worker pool.
 
     Bit-identical to :func:`repro.core.refine.refine` for the same
-    arguments, any worker count.  A trial that exhausts its retries
-    raises -- unlike campaign shards there is no meaningful degraded
-    record for a trial, and silently dropping one would bias the
-    winner selection.
+    arguments, any worker count.  ``store`` (a
+    :class:`repro.injection.store.CampaignStore`) loads the trials it
+    holds and stores each fresh one; a learner or complexity callable
+    without a ``fingerprint`` that is defined outside the mining code
+    (:func:`code_modules`) has no stable identity, so its trials always
+    execute.  A trial that exhausts its retries raises -- unlike
+    campaign shards there is no meaningful degraded record for a trial,
+    and silently dropping one would bias the winner selection.
     """
     if pool is None:
         pool = SerialPool()
     plans = list(grid.plans())
     if not plans:
         raise ValueError("refinement grid is empty")
-    dataset_fp = dataset_fingerprint(dataset)
-    base = {
-        "schema": 1,
-        "dataset": dataset_fp,
-        "folds": folds,
-        "seed": seed,
-        "positive": positive,
-        "learner": _callable_tag(make_classifier),
-        "complexity": _callable_tag(complexity),
-    }
+    keys: list[dict | None] = [None] * len(plans)
+    if store is not None:
+        keys = _trial_keys(
+            dataset, make_classifier, plans, folds, seed, complexity, positive
+        )
     tasks = [
         Task(
             task_id=f"trial:{index:05d}",
-            fingerprint=fingerprint_of(
-                {**base, "index": index, "plan": dataclasses.asdict(plan)}
-            ),
+            fingerprint=None if key is None else fingerprint_of(key),
             fn=_evaluate_plan,
             args=(
                 dataset,
@@ -199,11 +269,12 @@ def run_refinement(
                 positive,
             ),
             weight=folds,
+            key=key,
         )
-        for index, plan in enumerate(plans)
+        for index, (plan, key) in enumerate(zip(plans, keys))
     ]
     graph = TaskGraph(tasks, encode=_encode_evaluation, decode=_decode_evaluation)
-    outcomes = graph.run(pool, journal)
+    outcomes = graph.run(pool, store=store)
     trials: list[RefinementTrial] = []
     for task, plan in zip(tasks, plans):
         outcome = outcomes[task.task_id]

@@ -2,21 +2,22 @@
 
 ``repro orchestrate <dataset>`` runs the expensive half of the
 methodology -- the Step 1 injection campaign and the Step 4 refinement
-grid -- through one worker pool and one checkpoint journal:
+grid -- through one worker pool and, optionally, one campaign store:
 
 * the campaign is sharded and executed in parallel, each completed
-  shard journaled as it lands;
+  shard stored as it lands;
 * its records become the mining dataset (Step 2's format
   transformation);
 * the baseline model is cross-validated (Step 3's evaluation) and the
-  refinement grid searched in parallel, trials journaled under the
-  same file;
+  refinement grid searched in parallel, trials stored in the same
+  store;
 * progress and latency flow through one
   :class:`~repro.runtime.metrics.RuntimeMetrics` instance.
 
-Because campaign-shard fingerprints do not involve the grid, rerunning
-with a different grid against the same journal reuses every campaign
-shard and evaluates only the new trials.
+Because campaign-shard addresses do not involve the grid, rerunning
+with a different grid against the same store reuses every campaign
+shard and evaluates only the new trials; rerunning a killed run
+resumes it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import numpy as np
 
 from repro import observability as obs
 from repro.orchestration.grids import run_refinement
-from repro.orchestration.journal import Journal
 from repro.orchestration.pool import WorkerPool, make_pool
 from repro.runtime.metrics import RuntimeMetrics
 
@@ -58,7 +58,7 @@ def run_dataset(
     name: str,
     scale: str = "smoke",
     jobs: int | None = None,
-    journal_path=None,
+    store=None,
     learner: str = "c45",
     pool: WorkerPool | None = None,
     metrics: RuntimeMetrics | None = None,
@@ -72,6 +72,8 @@ def run_dataset(
     and equivalent points are synthesized instead of executed, and
     ``audit_fraction`` of the pruned cells are re-injected for real as
     a soundness check.  The mined dataset is bit-identical either way.
+    ``store`` (a :class:`repro.injection.store.CampaignStore`) holds
+    the campaign shards and refinement trials across runs.
     """
     # Heavy experiment modules are imported lazily; orchestration is a
     # lower layer than the experiment drivers that also call into it.
@@ -96,7 +98,6 @@ def run_dataset(
         )
     scale_obj = get_scale(scale)
     metrics = metrics if metrics is not None else RuntimeMetrics()
-    journal = Journal(journal_path) if journal_path is not None else None
     owns_pool = pool is None
     if owns_pool:
         pool = make_pool(jobs, metrics=metrics)
@@ -110,7 +111,7 @@ def run_dataset(
                 config = campaign_config(spec, scale_obj)
                 result = Campaign(target, config).run(
                     pool=pool,
-                    journal=journal,
+                    store=store,
                     prune=prune,
                     audit_fraction=audit_fraction,
                 )
@@ -136,7 +137,7 @@ def run_dataset(
                     seed=scale_obj.seed,
                     complexity=model_complexity,
                     pool=pool,
-                    journal=journal,
+                    store=store,
                 )
     finally:
         if owns_pool:

@@ -24,17 +24,16 @@ Both pools report per-task latency and fault counters through a
 ``orchestration.<kind>`` names, so campaign and grid progress shows up
 in the same report as detector serving.
 
-:func:`configure` installs process-wide defaults (worker count,
-journal directory) that :meth:`Campaign.run` and :func:`refine` pick
-up when no explicit pool is passed -- this is how the experiments
-CLI's ``--jobs``/``--resume`` flags reach every driver without
-threading parameters through eighteen call sites.
+:func:`configure` installs a process-wide default worker count that
+:meth:`Campaign.run` and :func:`refine` pick up when no explicit pool
+is passed -- this is how the experiments CLI's ``--jobs`` flag reaches
+every driver without threading parameters through eighteen call
+sites.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import pathlib
 import pickle
 import time
 from collections.abc import Callable, Sequence
@@ -53,7 +52,6 @@ __all__ = [
     "make_pool",
     "configure",
     "default_pool",
-    "default_journal_dir",
     "picklable",
 ]
 
@@ -62,11 +60,11 @@ __all__ = [
 class TaskOutcome:
     """Terminal state of one task.
 
-    ``status`` is ``"done"`` (result valid), ``"cached"`` (result
-    restored from a journal without executing), ``"stored"`` (result
+    ``status`` is ``"done"`` (result valid), ``"stored"`` (result
     loaded from a content-addressed campaign store,
-    :mod:`repro.injection.store`) or ``"quarantined"`` (the task
-    exhausted its retries; ``error`` holds the last failure).
+    :mod:`repro.injection.store`, without executing) or
+    ``"quarantined"`` (the task exhausted its retries; ``error`` holds
+    the last failure).
     """
 
     task_id: str
@@ -78,7 +76,7 @@ class TaskOutcome:
 
     @property
     def ok(self) -> bool:
-        return self.status in ("done", "cached", "stored")
+        return self.status in ("done", "stored")
 
 
 def _invoke(
@@ -370,28 +368,20 @@ def picklable(obj: object) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Process-wide defaults (the experiments CLI's --jobs / --resume)
+# Process-wide default (the experiments CLI's --jobs)
 # ----------------------------------------------------------------------
 _DEFAULT_JOBS: int | None = None
-_DEFAULT_JOURNAL_DIR: pathlib.Path | None = None
 
 
-def configure(
-    jobs: int | None = None,
-    journal_dir: str | pathlib.Path | None = None,
-) -> None:
-    """Install process-wide orchestration defaults.
+def configure(jobs: int | None = None) -> None:
+    """Install the process-wide default worker count.
 
     ``jobs`` makes every :meth:`Campaign.run`/:func:`refine` call
-    without an explicit pool run on ``jobs`` workers; ``journal_dir``
-    makes campaign generation checkpoint (and resume) under that
-    directory.  ``configure()`` with no arguments resets both.
+    without an explicit pool run on ``jobs`` workers.  ``configure()``
+    with no arguments resets it.
     """
-    global _DEFAULT_JOBS, _DEFAULT_JOURNAL_DIR
+    global _DEFAULT_JOBS
     _DEFAULT_JOBS = jobs
-    _DEFAULT_JOURNAL_DIR = (
-        pathlib.Path(journal_dir) if journal_dir is not None else None
-    )
 
 
 def default_pool(metrics: RuntimeMetrics | None = None) -> WorkerPool | None:
@@ -402,7 +392,3 @@ def default_pool(metrics: RuntimeMetrics | None = None) -> WorkerPool | None:
     if _DEFAULT_JOBS is None or _DEFAULT_JOBS <= 1:
         return None
     return ProcessPool(_DEFAULT_JOBS, metrics=metrics)
-
-
-def default_journal_dir() -> pathlib.Path | None:
-    return _DEFAULT_JOURNAL_DIR

@@ -1,4 +1,4 @@
-"""Task model: stable identities, fingerprints and the task graph.
+"""Task model: stable identities, store addresses and the task graph.
 
 The expensive paths of the methodology -- thousands of independent
 injection runs per campaign (Step 1), hundreds of independent
@@ -7,21 +7,21 @@ cross-validated trials per refinement grid (Step 4) -- decompose into
 
 * a stable ``task_id`` (``"campaign:00012"``, ``"trial:00040"``) that
   names the unit across runs of the same configuration;
-* a content ``fingerprint`` over everything that determines the task's
-  result, so a checkpoint journal can prove a stored result is still
-  valid (a changed campaign config or refinement plan changes the
-  fingerprint, a changed worker count does not);
+* an optional content ``fingerprint`` -- the task's address in a
+  :class:`~repro.injection.store.CampaignStore` -- over everything that
+  determines its result (the code it runs included), so a stored
+  result is reused exactly when it is still valid;
 * a module-level callable plus arguments, picklable into worker
   processes.
 
 :class:`TaskGraph` executes an ordered set of tasks through a
-:class:`~repro.orchestration.pool.WorkerPool`, skipping tasks whose
-results a :class:`~repro.orchestration.journal.Journal` already holds
-and checkpointing each fresh completion as it lands.  Results are
-always collated in *task order*, never completion order, which is the
-first half of the subsystem's determinism contract (the second half is
-that each task derives any randomness from its own identity, not from
-shared mutable state).
+:class:`~repro.orchestration.pool.WorkerPool`, loading the tasks the
+store already holds and storing each fresh completion as it lands, so
+re-running a killed run against the same store resumes it.  Results
+are always collated in *task order*, never completion order, which is
+the first half of the subsystem's determinism contract (the second
+half is that each task derives any randomness from its own identity,
+not from shared mutable state).
 """
 
 from __future__ import annotations
@@ -67,26 +67,22 @@ def derive_seed(seed: int, task_id: str) -> int:
 class Task:
     """One schedulable unit of work.
 
-    ``fn`` must be a module-level callable (workers import it by
-    reference); ``weight`` is the number of underlying work units
+    ``fingerprint`` is the task's content address in a
+    :class:`repro.injection.store.CampaignStore` (the fingerprint of
+    ``key``); ``None`` means the task is not storable and always
+    executes.  ``key`` is the full store key, kept so the store can
+    classify a miss as cold vs invalidated and persist provenance with
+    the result.  ``fn`` must be a module-level callable (workers import
+    it by reference); ``weight`` is the number of underlying work units
     (injection runs, CV folds) the task covers, reported to metrics.
     """
 
     task_id: str
-    fingerprint: str
+    fingerprint: str | None
     fn: Callable
     args: tuple = ()
     weight: int = 1
-    #: Content address in a :class:`repro.injection.store.CampaignStore`
-    #: (the fingerprint of ``store_key``); ``None`` opts the task out of
-    #: store resolution.  Unlike ``fingerprint`` (journal validity,
-    #: config-scoped), the store address is keyed by module *source*
-    #: fingerprints, so it survives across processes and editions.
-    store_fingerprint: str | None = None
-    #: The full store key (kept alongside the fingerprint so the store
-    #: can classify a miss as cold vs invalidated and persist audit
-    #: provenance with the records).
-    store_key: object = None
+    key: object = None
 
     @property
     def kind(self) -> str:
@@ -95,10 +91,10 @@ class Task:
 
 
 class TaskGraph:
-    """An ordered set of independent tasks with optional checkpointing.
+    """An ordered set of independent tasks, optionally stored.
 
     ``encode``/``decode`` translate task results to/from the
-    JSON-compatible payloads the journal stores; they default to the
+    JSON-compatible payloads the store holds; they default to the
     identity (results must then be JSON-compatible themselves).
     """
 
@@ -120,81 +116,61 @@ class TaskGraph:
     def __len__(self) -> int:
         return len(self.tasks)
 
-    def run(self, pool, journal=None, store=None) -> dict[str, "TaskOutcome"]:
-        """Execute every task, returning outcomes keyed by task id.
+    def resolve(self, store) -> dict[str, "TaskOutcome"]:
+        """``"stored"`` outcomes of the tasks ``store`` holds, by id.
 
-        Resolution order per task: the content-addressed ``store``
-        (tasks carrying a ``store_fingerprint``) answers first with a
-        ``"stored"`` outcome; then the journal's (id, fingerprint)
-        entries answer ``"cached"``; everything else executes.  The
-        two caches backfill each other -- a store hit is appended to
-        the journal (so a later journal-only run resumes instantly)
-        and a journal hit is written to the store (so a later store
-        run hits) -- and each fresh completion checkpoints to both *as
-        it finishes*, so a run killed mid-flight loses nothing
-        completed.  The store's index is flushed once, when the pool
-        returns or raises.  The returned mapping is ordered by task
-        order.
+        Each storable task's entry is read once; a missing or unreadable
+        entry leaves its task out (it will execute).
         """
         from repro.orchestration.pool import TaskOutcome
 
-        entries: dict = journal.load() if journal is not None else {}
         resolved: dict[str, TaskOutcome] = {}
+        if store is None:
+            return resolved
         for task in self.tasks:
-            payload = None
-            status = ""
-            if store is not None and task.store_fingerprint is not None:
-                payload = store.fetch(task.store_fingerprint, task.store_key)
-                if payload is not None:
-                    status = "stored"
-                    if journal is not None:
-                        entry = entries.get(task.task_id)
-                        if (
-                            entry is None
-                            or entry.get("fingerprint") != task.fingerprint
-                        ):
-                            journal.append(
-                                task.task_id, task.fingerprint, payload
-                            )
-            if payload is None:
-                entry = entries.get(task.task_id)
-                if entry is not None and entry.get("fingerprint") == task.fingerprint:
-                    payload = entry.get("result")
-                    status = "cached"
-                    if store is not None and task.store_fingerprint is not None:
-                        store.put(task.store_fingerprint, task.store_key, payload)
+            if task.fingerprint is None:
+                continue
+            payload = store.fetch(task.fingerprint, task.key)
             if payload is not None:
                 resolved[task.task_id] = TaskOutcome(
                     task_id=task.task_id,
-                    status=status,
+                    status="stored",
                     result=self._decode(payload),
                 )
+        return resolved
+
+    def run(
+        self, pool, store=None, resolved: Mapping | None = None
+    ) -> dict[str, "TaskOutcome"]:
+        """Execute every task the store does not hold, returning
+        outcomes keyed by task id, in task order.
+
+        ``resolved`` is a :meth:`resolve` result the caller already
+        looked up; by default the lookup happens here.  Each fresh
+        completion is put to the store *as it finishes*, so a run killed
+        mid-flight loses nothing completed: running it again against
+        the same store resumes it.  The store's index is flushed once,
+        when the pool returns or raises.
+        """
+        if resolved is None:
+            resolved = self.resolve(store)
         to_run = [t for t in self.tasks if t.task_id not in resolved]
 
-        def checkpoint(task: Task, outcome: TaskOutcome) -> None:
-            if outcome.status != "done":
-                return
-            wants_store = store is not None and task.store_fingerprint is not None
-            if journal is None and not wants_store:
-                return
-            payload = self._encode(outcome.result)
-            if journal is not None:
-                journal.append(task.task_id, task.fingerprint, payload)
-            if wants_store:
-                store.put(task.store_fingerprint, task.store_key, payload)
+        def put(task: Task, outcome) -> None:
+            if outcome.status == "done" and task.fingerprint is not None:
+                store.put(task.fingerprint, task.key, self._encode(outcome.result))
 
         try:
-            fresh = pool.run(to_run, on_result=checkpoint)
+            fresh = pool.run(to_run, on_result=put if store is not None else None)
         finally:
-            # Puts (backfills above, checkpoints) leave the store's
-            # index in memory: persist it once per run.
+            # Puts leave the store's index in memory: persist it once
+            # per run.
             if store is not None:
                 store.flush()
-        ordered: dict[str, TaskOutcome] = {}
-        for task in self.tasks:
-            outcome = resolved.get(task.task_id)
-            ordered[task.task_id] = outcome if outcome is not None else fresh[task.task_id]
-        return ordered
+        return {
+            task.task_id: resolved.get(task.task_id) or fresh[task.task_id]
+            for task in self.tasks
+        }
 
 
 def estimate_runs(

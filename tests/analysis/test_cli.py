@@ -147,26 +147,8 @@ class TestCampaignDocuments:
         payload.update(extra)
         return payload
 
-    def test_large_unjournaled_campaign_warns(self, write_doc, capsys):
-        path = write_doc("camp.json", self._campaign_doc())
-        assert main(["lint", path, "--fail-on", "warning"]) == 1
-        assert "unjournaled-campaign" in capsys.readouterr().out
-
-    def test_journal_key_silences_rule(self, write_doc, capsys):
-        # prune + audit quiet the (orthogonal) exhaustive-campaign rule
-        # so this pins the journal opt-out alone.
-        path = write_doc(
-            "camp.json",
-            self._campaign_doc(
-                journal="runs/camp.jsonl",
-                prune="static",
-                audit_fraction=0.05,
-            ),
-        )
-        assert main(["lint", path, "--fail-on", "warning"]) == 0
-        assert "unjournaled-campaign" not in capsys.readouterr().out
-
     def test_unpruned_campaign_warns_despite_journal(self, write_doc, capsys):
+        # Older documents may carry a ``journal`` path; lint ignores it.
         path = write_doc(
             "camp.json", self._campaign_doc(journal="runs/camp.jsonl")
         )
@@ -190,18 +172,18 @@ class TestOrchestrate:
         assert "best plan:" in out
 
     def test_smoke_run_json_with_journal_resume(self, tmp_path, capsys):
-        journal = str(tmp_path / "mg.jsonl")
+        store = str(tmp_path / "store")
         assert main([
             "orchestrate", "MG-B1", "--scale", "smoke",
-            "--journal", journal, "--format", "json",
+            "--store", store, "--format", "json",
         ]) == 0
         first = json.loads(capsys.readouterr().out)
-        assert first["campaign"]["cached"] == 0
+        assert first["campaign"]["stored"] == 0
         assert first["campaign"]["executed"] == first["campaign"]["tasks"]
 
         assert main([
             "orchestrate", "MG-B1", "--scale", "smoke",
-            "--journal", journal, "--format", "json",
+            "--store", store, "--format", "json",
         ]) == 0
         second = json.loads(capsys.readouterr().out)
         assert second["campaign"]["executed"] == 0

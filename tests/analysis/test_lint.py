@@ -103,61 +103,6 @@ class TestDeadInjectionRule:
         assert "dead variable 'b'" in finding.message
 
 
-class TestUnjournaledCampaignRule:
-    def _campaign(self, **overrides):
-        base = dict(
-            module="M",
-            injection_location=Location.ENTRY,
-            sample_location=Location.ENTRY,
-            test_cases=tuple(range(50)),
-            injection_times=(0, 1, 2, 3),
-            variables=("a", "b"),
-            bits=tuple(range(32)),
-        )
-        base.update(overrides)
-        return CampaignConfig(**base)
-
-    def test_flags_large_unjournaled_campaign(self):
-        # 50 x 4 x 2 x 32 = 12800 estimated runs, over the 5000 budget.
-        context = LintContext(campaigns={"big": self._campaign()})
-        findings = Linter(select=["unjournaled-campaign"]).run(context)
-        (finding,) = findings
-        assert finding.severity == Severity.WARNING
-        assert "12800" in finding.message
-        assert "journal" in finding.message
-
-    def test_journaled_campaign_is_fine(self):
-        context = LintContext(
-            campaigns={"big": self._campaign()}, journaled={"big"}
-        )
-        assert Linter(select=["unjournaled-campaign"]).run(context) == []
-
-    def test_small_campaign_is_fine(self):
-        small = self._campaign(test_cases=(0, 1), bits=(0, 1))
-        context = LintContext(campaigns={"small": small})
-        assert Linter(select=["unjournaled-campaign"]).run(context) == []
-
-    def test_unknown_variable_count_stays_quiet_without_surface(self):
-        context = LintContext(campaigns={"c": self._campaign(variables=None)})
-        assert Linter(select=["unjournaled-campaign"]).run(context) == []
-
-    def test_surface_supplies_variable_count(self):
-        source = (
-            'def f(h):\n'
-            '    s = h.probe("M", Location.ENTRY, '
-            '{"a": 1, "b": 2, "c": 3})\n'
-            '    return s["a"] + s["b"] + s["c"]\n'
-        )
-        context = LintContext(
-            surface=analyze_source(source),
-            campaigns={"c": self._campaign(variables=None)},
-        )
-        findings = Linter(select=["unjournaled-campaign"]).run(context)
-        (finding,) = findings
-        # 50 x 4 x 3 x 32 = 19200 with the surface's 3 variables.
-        assert "19200" in finding.message
-
-
 class TestUnprunedExhaustiveCampaignRule:
     def _campaign(self, **overrides):
         base = dict(

@@ -157,7 +157,6 @@ class TestCampaignDocumentLoading:
                 "test_cases": [0],
                 "injection_times": [0],
             },
-            "journal": "journal/mix",
             "sampling": report(
                 [stratum(sampled=12, stopped="capped")]
             ).to_dict(),
@@ -184,7 +183,6 @@ class TestCampaignDocumentLoading:
                 "test_cases": [0],
                 "injection_times": [0],
             },
-            "journal": "journal/mix",
             "sampling": report([stratum()]).to_dict(),
         }
         path = tmp_path / "campaign.json"

@@ -26,7 +26,7 @@ from repro.analysis.prune import (
 )
 from repro.injection.campaign import Campaign, CampaignConfig
 from repro.injection.instrument import Harness, Location, VariableSpec
-from repro.orchestration.journal import Journal
+from repro.injection.store import CampaignStore
 from repro.orchestration.pool import SerialPool
 from repro.targets.base import TargetSystem
 
@@ -77,6 +77,11 @@ class PruneTarget(TargetSystem):
 
     def is_failure(self, golden_output, run_output):
         return golden_output != run_output
+
+    def module_sources(self, module):
+        # Store-eligible: the whole behaviour lives in run/is_failure.
+        self.check_module(module)
+        return (type(self).run, type(self).is_failure)
 
 
 def config(**overrides):
@@ -168,26 +173,24 @@ class TestBitIdentity:
         assert audit["audited"] == audit["population"] > 0
 
     def test_pruned_equals_exhaustive_under_pool_and_journal(self, tmp_path):
-        journal = Journal(tmp_path / "run.jsonl")
         pruned = Campaign(PruneTarget(), config()).run(
-            pool=SerialPool(), journal=journal, prune="static"
+            pool=SerialPool(), store=CampaignStore(tmp_path), prune="static"
         )
         exhaustive = Campaign(PruneTarget(), config()).run()
         assert table(pruned) == table(exhaustive)
         assert pruned.orchestration["quarantined"] == []
 
     def test_journal_shards_shared_with_exhaustive_campaign(self, tmp_path):
-        journal_path = tmp_path / "run.jsonl"
         Campaign(PruneTarget(), config()).run(
-            pool=SerialPool(), journal=Journal(journal_path)
+            pool=SerialPool(), store=CampaignStore(tmp_path)
         )
         pruned = Campaign(PruneTarget(), config()).run(
-            pool=SerialPool(), journal=Journal(journal_path), prune="static"
+            pool=SerialPool(), store=CampaignStore(tmp_path), prune="static"
         )
-        # Every surviving pair was journaled by the exhaustive run:
+        # Every surviving pair was stored by the exhaustive run:
         # nothing re-executes despite the differing prune settings.
         assert pruned.orchestration["executed"] == 0
-        assert pruned.orchestration["cached"] == pruned.orchestration["tasks"]
+        assert pruned.orchestration["stored"] == pruned.orchestration["tasks"]
 
 
 class TestGuards:

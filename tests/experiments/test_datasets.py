@@ -1,4 +1,5 @@
-"""Tests for the Table II dataset registry, scales and caching."""
+"""Tests for the Table II dataset registry, scales and the campaign
+store behind dataset generation."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from repro.experiments.datasets import (
     DATASET_SPECS,
     build_target,
     campaign_config,
-    dataset_log_path,
+    generate_campaign,
     generate_dataset,
 )
 from repro.experiments.scale import SCALES, get_scale
@@ -92,11 +93,8 @@ class TestGeneration:
         ds = generate_dataset("MG-B1", "smoke", cache_dir=tmp_path)
         assert len(ds) > 0
         assert ds.name == "MG-B1"
-        cached = dataset_log_path("MG-B1", "smoke", cache_dir=tmp_path)
-        assert cached.parent == tmp_path
-        assert cached.name.startswith("MG-B1.smoke.")
-        assert cached.exists()
-        # Second call loads the cache and yields an identical dataset.
+        assert list((tmp_path / "store" / "shards").iterdir())
+        # Second call loads the store and yields an identical dataset.
         again = generate_dataset("MG-B1", "smoke", cache_dir=tmp_path)
         assert np.array_equal(again.x, ds.x)
         assert np.array_equal(again.y, ds.y)
@@ -106,25 +104,28 @@ class TestGeneration:
         assert list(tmp_path.iterdir()) == []
 
     def test_target_edit_reinjects(self, tmp_path, monkeypatch):
-        """A cached log is only as fresh as the target source it came
-        from: after an edit to a target module, generate_dataset must
-        run the campaign again instead of returning the old log."""
+        """Stored shards are only as fresh as the target source they
+        came from: after an edit to a target module, generate_dataset
+        must inject again instead of returning the old records."""
         import inspect
 
         from repro.injection.campaign import Campaign
+        from repro.injection.store import CampaignStore
         import repro.targets.mp3gain.replaygain as replaygain
 
-        runs = []
+        executed = []
         real_run = Campaign.run
 
         def counting_run(self, *args, **kwargs):
-            runs.append(self.config.module)
-            return real_run(self, *args, **kwargs)
+            result = real_run(self, *args, **kwargs)
+            executed.append(result.orchestration["executed"])
+            return result
 
         monkeypatch.setattr(Campaign, "run", counting_run)
         first = generate_dataset("MG-B1", "smoke", cache_dir=tmp_path)
         generate_dataset("MG-B1", "smoke", cache_dir=tmp_path)
-        assert len(runs) == 1
+        assert executed[0] > 0
+        assert executed[1] == 0
 
         # Edit RGain's module source as inspect (and so the module
         # fingerprint) sees it.
@@ -138,10 +139,11 @@ class TestGeneration:
 
         monkeypatch.setattr(inspect, "getsource", edited_getsource)
         edited = generate_dataset("MG-B1", "smoke", cache_dir=tmp_path)
-        assert len(runs) == 2
+        assert executed[2] == executed[0]
         generate_dataset("MG-B1", "smoke", cache_dir=tmp_path)
-        assert len(runs) == 2
-        assert len(list(tmp_path.glob("MG-B1.smoke.*.log"))) == 2
+        assert executed[3] == 0
+        stale = CampaignStore(tmp_path / "store").stale_entries()
+        assert len(stale) == executed[0]
         assert np.array_equal(edited.x, first.x)
 
     def test_unknown_dataset(self):
@@ -149,25 +151,21 @@ class TestGeneration:
             generate_dataset("XX-Z9", "smoke")
 
     def test_configured_journal_dir_checkpoints_campaign(self, tmp_path):
-        """The --resume path: a configured journal directory makes the
-        campaign checkpoint (and a repeat run replay) its shards."""
-        from repro.orchestration import configure
-
-        configure(journal_dir=tmp_path)
-        try:
-            ds = generate_dataset(
-                "MG-B1", "smoke", cache_dir=tmp_path / "c", use_cache=False
-            )
-            journal = tmp_path / "MG-B1.smoke.journal.jsonl"
-            assert journal.exists()
-            lines = len(journal.read_text().splitlines())
-            assert lines > 0
-            again = generate_dataset(
-                "MG-B1", "smoke", cache_dir=tmp_path / "c", use_cache=False
-            )
-            # Fully replayed from the journal: no new lines, same data.
-            assert len(journal.read_text().splitlines()) == lines
-            assert np.array_equal(again.x, ds.x)
-            assert np.array_equal(again.y, ds.y)
-        finally:
-            configure()
+        """A killed generation resumes: rerunning it against the same
+        store executes only the shards that never landed, and a
+        repeated generation executes none."""
+        full = generate_campaign("MG-B1", "smoke", cache_dir=tmp_path)
+        shards = sorted((tmp_path / "store" / "shards").iterdir())
+        assert len(shards) == full.orchestration["tasks"]
+        lost = shards[::3]
+        for path in lost:
+            path.unlink()
+        (tmp_path / "store" / "index.json").unlink()
+        resumed = generate_campaign("MG-B1", "smoke", cache_dir=tmp_path)
+        assert resumed.orchestration["executed"] == len(lost)
+        again = generate_campaign("MG-B1", "smoke", cache_dir=tmp_path)
+        assert again.orchestration["executed"] == 0
+        for result in (resumed, again):
+            assert [r.to_dict() for r in result.records] == [
+                r.to_dict() for r in full.records
+            ]

@@ -1,5 +1,5 @@
 """Statistical sampling campaigns: subset soundness, determinism,
-journal interop, interval coverage, and the vectorized data plane.
+store interop, interval coverage, and the vectorized data plane.
 
 The module's contracts, in test order:
 
@@ -10,8 +10,8 @@ The module's contracts, in test order:
   enumeration, deterministically under a fixed seed and invariantly
   under worker count, and every sampled record is bit-identical to
   the exhaustive campaign's record for the same cell;
-* sampled and exhaustive campaigns share journal shards in both
-  directions;
+* sampled and exhaustive campaigns share store shards in both
+  directions, pooled or resumed;
 * golden-run caching never changes a record;
 * the per-stratum intervals achieve at least nominal coverage on a
   synthetic Bernoulli injection space.
@@ -41,7 +41,6 @@ from repro.injection.sampling import (
 )
 from repro.mining.cache import clear_reuse_caches, reuse_caches_disabled
 from repro.orchestration.campaigns import plan_pairs
-from repro.orchestration.journal import Journal
 from repro.orchestration.pool import ProcessPool, SerialPool
 from repro.targets.base import TargetSystem
 
@@ -409,35 +408,46 @@ class TestSampledCampaign:
 
 
 # ----------------------------------------------------------------------
-# Journal interop: sampled and exhaustive shards are the same shards.
+# Resume and pooled interop: sampled shards written by a pool or lost
+# to a kill are the same store shards a serial rerun finds.
 # ----------------------------------------------------------------------
 class TestJournalInterop:
     SPEC = SamplingSpec(target_halfwidth=0.12, min_cells=8, round_cells=8, seed=9)
 
     def test_exhaustive_reuses_sampled_shards(self, tmp_path):
+        from repro.injection.store import CampaignStore
+
         config = mix_config()
-        path = str(tmp_path / "journal")
-        sampled = Campaign(MixTarget(), config).run(
-            mode="sample", sampling=self.SPEC, journal=Journal(path)
-        )
+        with ProcessPool(2, backoff=0) as pool:
+            sampled = Campaign(MixTarget(), config).run(
+                pool=pool, mode="sample", sampling=self.SPEC,
+                store=CampaignStore(tmp_path),
+            )
         runs_per_pair = len(config.injection_times) * len(config.test_cases)
-        exhaustive = Campaign(MixTarget(), config).run(journal=Journal(path))
-        assert exhaustive.orchestration["cached"] == (
+        exhaustive = Campaign(MixTarget(), config).run(
+            store=CampaignStore(tmp_path)
+        )
+        assert exhaustive.orchestration["stored"] == (
             len(sampled.records) // runs_per_pair
         )
-        # ... and the merged exhaustive run is still canonical.
         assert table(exhaustive) == table(Campaign(MixTarget(), config).run())
 
     def test_sampled_reuses_exhaustive_shards_fully(self, tmp_path):
+        from repro.injection.store import CampaignStore
+
         config = mix_config()
-        path = str(tmp_path / "journal")
-        Campaign(MixTarget(), config).run(journal=Journal(path))
-        before = Journal(path).load()
+        with ProcessPool(2, backoff=0) as pool:
+            Campaign(MixTarget(), config).run(
+                pool=pool, store=CampaignStore(tmp_path)
+            )
+        before = sorted(path.name for path in (tmp_path / "shards").iterdir())
         sampled = Campaign(MixTarget(), config).run(
-            mode="sample", sampling=self.SPEC, journal=Journal(path)
+            mode="sample", sampling=self.SPEC, store=CampaignStore(tmp_path)
         )
-        # Every draw was answered from the journal: no new entries.
-        assert Journal(path).load().keys() == before.keys()
+        # Every draw was answered from the store: no new shard files.
+        assert sorted(
+            path.name for path in (tmp_path / "shards").iterdir()
+        ) == before
         exhaustive = {
             record_key(r): r.to_dict()
             for r in Campaign(MixTarget(), config).run().records
@@ -446,14 +456,22 @@ class TestJournalInterop:
             assert record.to_dict() == exhaustive[record_key(record)]
 
     def test_resume_replays_identical_draws(self, tmp_path):
+        from repro.injection.store import CampaignStore
+
         config = mix_config()
-        path = str(tmp_path / "journal")
         first = Campaign(MixTarget(), config).run(
-            mode="sample", sampling=self.SPEC, journal=Journal(path)
+            mode="sample", sampling=self.SPEC, store=CampaignStore(tmp_path)
         )
+        # A kill mid-campaign: some drawn shards never landed and the
+        # index was never flushed.
+        lost = sorted((tmp_path / "shards").iterdir())[1::2]
+        for path in lost:
+            path.unlink()
+        (tmp_path / "index.json").unlink()
         resumed = Campaign(MixTarget(), config).run(
-            mode="sample", sampling=self.SPEC, journal=Journal(path)
+            mode="sample", sampling=self.SPEC, store=CampaignStore(tmp_path)
         )
+        assert resumed.orchestration["executed"] == len(lost)
         assert table(resumed) == table(first)
         assert resumed.sampling.to_dict() == first.sampling.to_dict()
 

@@ -387,6 +387,58 @@ class TestCampaignStore:
         assert store.fetch(fp, key) is None
         assert store.entries() == []
 
+    def test_put_replaces_a_torn_shard(self, tmp_path):
+        store = CampaignStore(tmp_path)
+        key = _key()
+        fp = fingerprint_of(key)
+        store.put(fp, key, [{"r": 1}])
+        store.shard_path(fp).write_text('{"format": "repro.inj')
+        assert not store.contains(fp)
+        assert store.put(fp, key, [{"r": 1}])
+        assert store.contains(fp)
+        assert CampaignStore(tmp_path).fetch(fp, key) == [{"r": 1}]
+
+    def test_corrupt_shard_in_a_full_store_reruns_exactly(self, tmp_path):
+        """A torn shard in an otherwise-full store is not "stored":
+        the rerun must capture golden runs for it, re-execute it (not
+        quarantine it) and rewrite the file."""
+        from tests.orchestration._targets import run_grid_campaign
+
+        fresh = run_grid_campaign()._run_serial()
+        store = CampaignStore(tmp_path)
+        run_grid_campaign().run(store=store)
+        torn = sorted((tmp_path / "shards").iterdir())[3]
+        torn.write_text(torn.read_text()[:40])
+
+        plan = run_grid_campaign().plan_delta(CampaignStore(tmp_path))
+        assert plan["stored"] == plan["shards"] - 1
+        rerun = run_grid_campaign().run(store=CampaignStore(tmp_path))
+        assert rerun.orchestration["quarantined"] == []
+        assert rerun.orchestration["executed"] == 1
+        assert [r.to_dict() for r in rerun.records] == [
+            r.to_dict() for r in fresh.records
+        ]
+        assert CampaignStore(tmp_path).contains(torn.stem)
+        again = run_grid_campaign().plan_delta(CampaignStore(tmp_path))
+        assert again["stored"] == again["shards"]
+
+    def test_gc_removes_killed_writer_temp_files(self, tmp_path):
+        store = CampaignStore(tmp_path)
+        key = _key()
+        fp = fingerprint_of(key)
+        store.put(fp, key, [{"r": 1}])
+        leftovers = [
+            tmp_path / "shards" / f"{fp}.jsonab12cd.tmp",
+            tmp_path / "index.jsonxy34.tmp",
+        ]
+        for path in leftovers:
+            path.write_text("{ torn")
+        assert CampaignStore(tmp_path).gc(dry_run=True) == []
+        assert all(path.exists() for path in leftovers)
+        assert CampaignStore(tmp_path).gc() == []
+        assert not any(path.exists() for path in leftovers)
+        assert CampaignStore(tmp_path).fetch(fp, key) == [{"r": 1}]
+
     def test_gc_removes_only_stale_generations(self, tmp_path):
         store = CampaignStore(tmp_path)
         old_key, new_key = _key(generation=0), _key(generation=1)
@@ -543,8 +595,7 @@ class TestStorePersistence:
                 raise RuntimeError("worker lost")
 
         tasks = [
-            Task(f"t:{n}", f"f{n}", len, store_fingerprint=fingerprint_of(key),
-                 store_key=key)
+            Task(f"t:{n}", fingerprint_of(key), len, key=key)
             for n, key in enumerate([_key(n=0), _key(n=1)])
         ]
         store = CampaignStore(tmp_path)

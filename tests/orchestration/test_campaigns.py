@@ -1,6 +1,6 @@
-"""Campaign orchestration: determinism, resume, quarantine synthesis,
-and campaign-store interop (journal backfill in both directions,
-prune-composition, pooled runs, quarantine exclusion)."""
+"""Campaign orchestration: determinism, resume from the campaign store,
+quarantine synthesis, and campaign-store interop (prune-composition,
+pooled runs, quarantine exclusion)."""
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +10,6 @@ from repro.injection.campaign import Campaign
 from repro.injection.instrument import Location
 from repro.injection.store import CampaignStore
 from repro.orchestration import (
-    Journal,
     ProcessPool,
     SerialPool,
     plan_pairs,
@@ -86,47 +85,57 @@ class TestDeterminism:
 
 
 class TestJournalResume:
+    """Resuming a killed campaign is running it again against its store:
+    every shard file is written as the shard completes, and the store
+    recovers shards its index does not list."""
+
     def test_resume_after_partial_journal(self, tmp_path):
-        journal = Journal(tmp_path / "c.jsonl")
-        full = run_grid_campaign().run(pool=SerialPool(), journal=journal)
+        store = CampaignStore(tmp_path / "store")
+        full = run_grid_campaign().run(pool=SerialPool(), store=store)
         assert full.orchestration["executed"] == full.orchestration["tasks"]
 
-        # Simulate a mid-flight kill: keep half the lines, tear the next.
-        lines = journal.path.read_text().splitlines()
-        keep = len(lines) // 2
-        journal.path.write_text(
-            "\n".join(lines[:keep]) + "\n" + lines[keep][: 25]
+        # Simulate a mid-flight kill: half the shard files never landed
+        # and the index was never flushed.
+        shards = sorted((tmp_path / "store" / "shards").iterdir())
+        lost = shards[::2]
+        for path in lost:
+            path.unlink()
+        (tmp_path / "store" / "index.json").unlink()
+        resumed = run_grid_campaign().run(
+            pool=SerialPool(), store=CampaignStore(tmp_path / "store")
         )
-        resumed = run_grid_campaign().run(pool=SerialPool(), journal=journal)
         assert resumed.records == full.records
-        assert resumed.orchestration["cached"] == keep
-        assert resumed.orchestration["executed"] == (
-            full.orchestration["tasks"] - keep
+        assert resumed.orchestration["executed"] == len(lost)
+        assert resumed.orchestration["stored"] == (
+            full.orchestration["tasks"] - len(lost)
         )
+        assert resumed.orchestration["store"]["writes"] == len(lost)
+        assert sorted(
+            path.name for path in (tmp_path / "store" / "shards").iterdir()
+        ) == [path.name for path in shards]
 
     def test_complete_journal_executes_nothing(self, tmp_path):
-        journal = Journal(tmp_path / "c.jsonl")
-        first = run_grid_campaign().run(pool=SerialPool(), journal=journal)
-        again = run_grid_campaign().run(pool=SerialPool(), journal=journal)
+        store = CampaignStore(tmp_path / "store")
+        first = run_grid_campaign().run(pool=SerialPool(), store=store)
+        again = run_grid_campaign().run(pool=SerialPool(), store=store)
         assert again.records == first.records
         assert again.orchestration["executed"] == 0
-        assert again.orchestration["cached"] == again.orchestration["tasks"]
+        assert again.orchestration["stored"] == again.orchestration["tasks"]
 
     def test_config_change_invalidates_checkpoints(self, tmp_path):
-        journal = Journal(tmp_path / "c.jsonl")
-        run_grid_campaign().run(pool=SerialPool(), journal=journal)
+        store = CampaignStore(tmp_path / "store")
+        run_grid_campaign().run(pool=SerialPool(), store=store)
         changed = run_grid_campaign(injection_times=(1, 3)).run(
-            pool=SerialPool(), journal=journal
+            pool=SerialPool(), store=store
         )
-        assert changed.orchestration["cached"] == 0
-
+        assert changed.orchestration["stored"] == 0
 
     def test_target_edit_invalidates_journaled_shards(
         self, tmp_path, monkeypatch
     ):
-        """A journal is only as fresh as the target source its shards
-        ran against: after an edit to the injected module's closure,
-        ``--resume`` must re-execute every shard, not replay it."""
+        """A store is only as fresh as the target source its shards
+        ran against: after an edit to the injected module's closure, a
+        rerun must re-execute every shard, not replay it."""
         import dataclasses
         import inspect
 
@@ -147,11 +156,11 @@ class TestJournalResume:
         def campaign():
             return Campaign(build_target(spec.target, scale), config)
 
-        journal = Journal(tmp_path / "c.jsonl")
-        first = campaign().run(pool=SerialPool(), journal=journal)
+        store = CampaignStore(tmp_path / "store")
+        first = campaign().run(pool=SerialPool(), store=store)
         assert first.orchestration["executed"] == first.orchestration["tasks"]
-        again = campaign().run(pool=SerialPool(), journal=journal)
-        assert again.orchestration["cached"] == again.orchestration["tasks"]
+        again = campaign().run(pool=SerialPool(), store=store)
+        assert again.orchestration["stored"] == again.orchestration["tasks"]
 
         # Edit RGain's module source as inspect (and so the module
         # fingerprint) sees it.
@@ -164,8 +173,8 @@ class TestJournalResume:
             return text
 
         monkeypatch.setattr(inspect, "getsource", edited_getsource)
-        edited = campaign().run(pool=SerialPool(), journal=journal)
-        assert edited.orchestration["cached"] == 0
+        edited = campaign().run(pool=SerialPool(), store=store)
+        assert edited.orchestration["stored"] == 0
         assert edited.orchestration["executed"] == edited.orchestration["tasks"]
         fresh = campaign().run(pool=SerialPool())
         assert [r.to_dict() for r in edited.records] == [
@@ -216,58 +225,11 @@ class TestValidationGuard:
 
 
 class TestStoreInterop:
-    """The campaign store composes with every other shard source:
-    journal checkpoints backfill the store and vice versa, pruned and
-    exhaustive campaigns of the same slice share shards (the config
-    slice drops the variable/bit selection; ``pairs`` carry it), and
+    """The campaign store composes with every way of running a
+    campaign: pruned and exhaustive campaigns of the same slice share
+    shards (the config slice drops the variable/bit selection;
+    ``pairs`` carry it), pooled runs store what serial runs load, and
     quarantined shards are never persisted."""
-
-    def test_journal_shards_backfill_the_store(self, tmp_path):
-        journal = Journal(tmp_path / "c.jsonl")
-        full = run_grid_campaign().run(pool=SerialPool(), journal=journal)
-
-        store = CampaignStore(tmp_path / "store")
-        merged = run_grid_campaign().run(
-            pool=SerialPool(), journal=journal, store=store
-        )
-        assert merged.records == full.records
-        assert merged.orchestration["cached"] == merged.orchestration["tasks"]
-        # Every journal hit was written through to the (cold) store.
-        assert merged.orchestration["store"]["misses"] == (
-            merged.orchestration["tasks"]
-        )
-        assert merged.orchestration["store"]["writes"] == (
-            merged.orchestration["tasks"]
-        )
-
-        # The backfilled store now serves a journal-less run entirely.
-        warm = run_grid_campaign().run(store=CampaignStore(tmp_path / "store"))
-        assert warm.records == full.records
-        assert warm.orchestration["stored"] == warm.orchestration["tasks"]
-        assert warm.orchestration["executed"] == 0
-
-    def test_store_shards_backfill_a_fresh_journal(self, tmp_path):
-        store = CampaignStore(tmp_path / "store")
-        full = run_grid_campaign().run(store=store)
-        assert full.orchestration["store"]["writes"] == (
-            full.orchestration["tasks"]
-        )
-
-        journal = Journal(tmp_path / "c.jsonl")
-        merged = run_grid_campaign().run(
-            pool=SerialPool(), journal=journal, store=store
-        )
-        assert merged.records == full.records
-        assert merged.orchestration["stored"] == merged.orchestration["tasks"]
-        assert merged.orchestration["executed"] == 0
-
-        # ... and each store hit checkpointed into the journal, which
-        # now resumes the campaign on its own.
-        resumed = run_grid_campaign().run(pool=SerialPool(), journal=journal)
-        assert resumed.records == full.records
-        assert resumed.orchestration["cached"] == (
-            resumed.orchestration["tasks"]
-        )
 
     def test_exhaustive_store_serves_pruned_campaign(self, tmp_path):
         store = CampaignStore(tmp_path / "store")

@@ -1,4 +1,5 @@
-"""Refinement-grid orchestration: parity, resume, incremental reuse."""
+"""Refinement-grid orchestration: parity, stored trials, incremental
+reuse."""
 
 import dataclasses
 
@@ -6,14 +7,14 @@ import pytest
 
 from repro.core.preprocess import LearnerFactory, model_complexity
 from repro.core.refine import RefinementGrid, refine
+from repro.injection.store import CampaignStore
 from repro.orchestration import (
-    Journal,
     ProcessPool,
     SerialPool,
     dataset_fingerprint,
     run_refinement,
 )
-from repro.orchestration.grids import _callable_tag
+from repro.orchestration.grids import _callable_tag, code_modules
 
 from tests.orchestration._targets import run_grid_campaign
 
@@ -87,88 +88,100 @@ class TestParity:
             )
 
 
+def _stored(dataset, store, grid=GRID, seed=3, learner=None):
+    return run_refinement(
+        dataset, learner or LearnerFactory("c45"), grid,
+        folds=3, seed=seed, complexity=model_complexity,
+        pool=SerialPool(), store=store,
+    )
+
+
 class TestJournalledRefinement:
+    """Trials stored in the campaign store: reused while their key --
+    dataset, plan, CV protocol, callables and mining code -- holds."""
+
     def test_second_run_fully_cached(self, dataset, tmp_path):
-        journal = Journal(tmp_path / "g.jsonl")
-        first = run_refinement(
-            dataset, LearnerFactory("c45"), GRID,
-            folds=3, seed=3, complexity=model_complexity,
-            pool=SerialPool(), journal=journal,
-        )
-        entries_before = len(journal.load())
-        assert entries_before == GRID.size()
-        again = run_refinement(
-            dataset, LearnerFactory("c45"), GRID,
-            folds=3, seed=3, complexity=model_complexity,
-            pool=SerialPool(), journal=journal,
-        )
+        store = CampaignStore(tmp_path / "store")
+        first = _stored(dataset, store)
+        assert store.counters["writes"] == GRID.size()
+        again = _stored(dataset, CampaignStore(tmp_path / "store"))
         _assert_trials_equal(first, again)
-        # No new journal lines: nothing was re-executed.
-        assert len(journal.path.read_text().splitlines()) == entries_before
+        _assert_trials_equal(_serial(dataset), again)
+        # No new shards: nothing was re-executed.
+        assert len(CampaignStore(tmp_path / "store").entries()) == GRID.size()
 
     def test_grid_growth_reuses_existing_trials(self, dataset, tmp_path):
-        journal = Journal(tmp_path / "g.jsonl")
-        run_refinement(
-            dataset, LearnerFactory("c45"), GRID,
-            folds=3, seed=3, complexity=model_complexity,
-            pool=SerialPool(), journal=journal,
-        )
-        lines_before = len(journal.path.read_text().splitlines())
+        store = CampaignStore(tmp_path / "store")
+        _stored(dataset, store)
         # Oversample levels enumerate last, so appending one keeps every
-        # earlier plan's (index, plan) identity: their checkpoints are
+        # earlier plan's (index, plan) identity: their stored trials are
         # reused and only the new trials execute.
         grown = dataclasses.replace(GRID, oversample_levels=(200.0, 400.0))
-        run_refinement(
-            dataset, LearnerFactory("c45"), grown,
-            folds=3, seed=3, complexity=model_complexity,
-            pool=SerialPool(), journal=journal,
-        )
-        lines_after = len(journal.path.read_text().splitlines())
-        assert lines_after - lines_before == grown.size() - GRID.size()
+        regrown = CampaignStore(tmp_path / "store")
+        _stored(dataset, regrown, grid=grown)
+        assert regrown.counters["hits"] == GRID.size()
+        assert regrown.counters["writes"] == grown.size() - GRID.size()
 
     def test_seed_change_invalidates_trials(self, dataset, tmp_path):
-        journal = Journal(tmp_path / "g.jsonl")
-        run_refinement(
-            dataset, LearnerFactory("c45"), GRID,
-            folds=3, seed=3, complexity=model_complexity,
-            pool=SerialPool(), journal=journal,
-        )
-        lines_before = len(journal.path.read_text().splitlines())
-        run_refinement(
-            dataset, LearnerFactory("c45"), GRID,
-            folds=3, seed=4, complexity=model_complexity,
-            pool=SerialPool(), journal=journal,
-        )
-        assert (
-            len(journal.path.read_text().splitlines())
-            == lines_before + GRID.size()
-        )
+        store = CampaignStore(tmp_path / "store")
+        _stored(dataset, store)
+        reseeded = CampaignStore(tmp_path / "store")
+        _stored(dataset, reseeded, seed=4)
+        assert reseeded.counters["hits"] == 0
+        assert reseeded.counters["writes"] == GRID.size()
+
+    def test_mining_code_edit_reexecutes_every_trial(
+        self, dataset, tmp_path, monkeypatch
+    ):
+        """The learner's fingerprint names it, not its code: an edit to
+        a ``repro.mining`` module must miss every stored trial."""
+        import inspect
+
+        import repro.mining.crossval as crossval
+
+        store = CampaignStore(tmp_path / "store")
+        _stored(dataset, store)
+        real_getsource = inspect.getsource
+
+        def edited_getsource(unit):
+            text = real_getsource(unit)
+            if unit is crossval:
+                text += "\nEDITED = True\n"
+            return text
+
+        monkeypatch.setattr(inspect, "getsource", edited_getsource)
+        edited = CampaignStore(tmp_path / "store")
+        result = _stored(dataset, edited)
+        assert edited.counters["hits"] == 0
+        assert edited.counters["invalidated"] == GRID.size()
+        assert edited.counters["writes"] == GRID.size()
+        _assert_trials_equal(_serial(dataset), result)
+
+    def test_unfingerprinted_learner_is_never_stored(self, dataset, tmp_path):
+        store = CampaignStore(tmp_path / "store")
+        factory = LearnerFactory("c45")
+        result = _stored(dataset, store, learner=lambda: factory())
+        assert store.counters["writes"] == 0
+        assert store.counters["hits"] + store.counters["misses"] == 0
+        _assert_trials_equal(_serial(dataset), result)
 
 
 class TestSharedJournalIncremental:
     def test_campaign_shards_survive_grid_changes(self, tmp_path):
-        """The FastFlip property: one journal, campaign + trials; when
+        """The FastFlip property: one store, campaign + trials; when
         only the grid changes, every campaign shard is reused."""
-        journal = Journal(tmp_path / "shared.jsonl")
-        campaign = run_grid_campaign().run(pool=SerialPool(), journal=journal)
+        store = CampaignStore(tmp_path / "store")
+        campaign = run_grid_campaign().run(pool=SerialPool(), store=store)
         dataset = campaign.to_dataset("GT-ds")
-        run_refinement(
-            dataset, LearnerFactory("c45"), GRID,
-            folds=3, seed=3, complexity=model_complexity,
-            pool=SerialPool(), journal=journal,
-        )
-        # Re-run the campaign against the shared journal: all cached.
-        again = run_grid_campaign().run(pool=SerialPool(), journal=journal)
+        _stored(dataset, store)
+        # Re-run the campaign against the shared store: all stored.
+        again = run_grid_campaign().run(pool=SerialPool(), store=store)
         assert again.orchestration["executed"] == 0
         assert again.records == campaign.records
         # A different grid re-executes trials but no campaign shards.
         other = dataclasses.replace(GRID, neighbour_counts=(5,))
-        run_refinement(
-            dataset, LearnerFactory("c45"), other,
-            folds=3, seed=3, complexity=model_complexity,
-            pool=SerialPool(), journal=journal,
-        )
-        final = run_grid_campaign().run(pool=SerialPool(), journal=journal)
+        _stored(dataset, store, grid=other)
+        final = run_grid_campaign().run(pool=SerialPool(), store=store)
         assert final.orchestration["executed"] == 0
 
 
@@ -179,7 +192,12 @@ class TestFingerprints:
         assert dataset_fingerprint(dataset) != dataset_fingerprint(other)
 
     def test_callable_tag_prefers_fingerprint(self):
+        modules = code_modules()
         factory = LearnerFactory("c45")
-        assert _callable_tag(factory) == "learner:c45"
-        assert _callable_tag(model_complexity).endswith("model_complexity")
-        assert _callable_tag(None) is None
+        assert _callable_tag(factory, modules) == "learner:c45"
+        assert _callable_tag(model_complexity, modules).endswith(
+            "model_complexity"
+        )
+        assert _callable_tag(None, modules) is None
+        # Outside the mining code nothing vouches for a callable's body.
+        assert _callable_tag(lambda: None, modules) is None

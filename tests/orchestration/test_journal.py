@@ -1,94 +1,73 @@
-"""Tests for the JSONL checkpoint journal and TaskGraph resumption."""
+"""TaskGraph resumption through the campaign store: completed tasks load
+instead of re-executing, as long as their store address holds."""
 
-from repro.orchestration import Journal, SerialPool, Task, TaskGraph
+from repro.injection.store import CampaignStore
+from repro.orchestration import SerialPool, Task, TaskGraph, fingerprint_of
 
 from tests.orchestration._targets import record_call, square
 
 
-class TestJournal:
-    def test_round_trip(self, tmp_path):
-        journal = Journal(tmp_path / "j.jsonl")
-        assert not journal.exists()
-        journal.append("t:00", "fp0", {"value": 1})
-        journal.append("t:01", "fp1", [1.5, None])
-        entries = journal.load()
-        assert entries["t:00"]["fingerprint"] == "fp0"
-        assert entries["t:00"]["result"] == {"value": 1}
-        assert entries["t:01"]["result"] == [1.5, None]
-
-    def test_missing_file_loads_empty(self, tmp_path):
-        assert Journal(tmp_path / "nope.jsonl").load() == {}
-
-    def test_torn_tail_line_skipped(self, tmp_path):
-        journal = Journal(tmp_path / "j.jsonl")
-        journal.append("t:00", "fp0", 1)
-        journal.append("t:01", "fp1", 2)
-        text = journal.path.read_text()
-        lines = text.splitlines()
-        journal.path.write_text(lines[0] + "\n" + lines[1][: len(lines[1]) // 2])
-        entries = journal.load()
-        assert set(entries) == {"t:00"}
-
-    def test_last_line_wins(self, tmp_path):
-        journal = Journal(tmp_path / "j.jsonl")
-        journal.append("t:00", "old", 1)
-        journal.append("t:00", "new", 2)
-        assert journal.load()["t:00"]["result"] == 2
-
-    def test_clear(self, tmp_path):
-        journal = Journal(tmp_path / "j.jsonl")
-        journal.append("t:00", "fp", 1)
-        journal.clear()
-        assert not journal.exists()
-        journal.clear()  # idempotent
+def _task(task_id: str, version: str, fn, args) -> Task:
+    key = {"task": task_id, "version": version}
+    return Task(task_id, fingerprint_of(key), fn, args, key=key)
 
 
 class TestTaskGraphCheckpointing:
     def test_completed_tasks_not_reexecuted(self, tmp_path):
-        journal = Journal(tmp_path / "j.jsonl")
         counter = tmp_path / "calls"
         tasks = [
-            Task(f"t:{i}", f"fp{i}", record_call, (str(counter), i))
+            _task(f"t:{i}", "v1", record_call, (str(counter), i))
             for i in range(4)
         ]
-        first = TaskGraph(tasks).run(SerialPool(), journal)
+        first = TaskGraph(tasks).run(SerialPool(), CampaignStore(tmp_path / "s"))
         assert all(o.status == "done" for o in first.values())
         assert counter.read_text().count("\n") == 4
 
-        second = TaskGraph(tasks).run(SerialPool(), journal)
-        assert all(o.status == "cached" for o in second.values())
+        second = TaskGraph(tasks).run(SerialPool(), CampaignStore(tmp_path / "s"))
+        assert all(o.status == "stored" for o in second.values())
         assert [o.result for o in second.values()] == [0, 1, 2, 3]
         assert counter.read_text().count("\n") == 4  # nothing re-ran
 
     def test_fingerprint_mismatch_reexecutes(self, tmp_path):
-        journal = Journal(tmp_path / "j.jsonl")
+        store = CampaignStore(tmp_path / "s")
         counter = tmp_path / "calls"
-        old = [Task("t:0", "fp-old", record_call, (str(counter), 5))]
-        TaskGraph(old).run(SerialPool(), journal)
-        new = [Task("t:0", "fp-new", record_call, (str(counter), 6))]
-        outcomes = TaskGraph(new).run(SerialPool(), journal)
+        old = _task("t:0", "old", record_call, (str(counter), 5))
+        TaskGraph([old]).run(SerialPool(), store)
+        new = _task("t:0", "new", record_call, (str(counter), 6))
+        outcomes = TaskGraph([new]).run(SerialPool(), store)
         assert outcomes["t:0"].status == "done"
         assert outcomes["t:0"].result == 6
-        # The re-run checkpoints under the new fingerprint.
-        assert journal.load()["t:0"]["fingerprint"] == "fp-new"
+        # The re-run is stored under the new address.
+        assert store.contains(new.fingerprint)
+        assert store.contains(old.fingerprint)
 
     def test_quarantined_tasks_not_checkpointed(self, tmp_path):
         from tests.orchestration._targets import boom
 
-        journal = Journal(tmp_path / "j.jsonl")
-        tasks = [Task("t:0", "fp", boom, ())]
-        outcomes = TaskGraph(tasks).run(SerialPool(max_retries=0, backoff=0), journal)
+        store = CampaignStore(tmp_path / "s")
+        tasks = [_task("t:0", "v1", boom, ())]
+        outcomes = TaskGraph(tasks).run(SerialPool(max_retries=0, backoff=0), store)
         assert outcomes["t:0"].status == "quarantined"
-        assert journal.load() == {}
+        assert store.entries() == []
 
     def test_encode_decode_applied(self, tmp_path):
-        journal = Journal(tmp_path / "j.jsonl")
-        tasks = [Task("t:0", "fp", square, (3,))]
+        store = CampaignStore(tmp_path / "s")
+        task = _task("t:0", "v1", square, (3,))
         graph = TaskGraph(
-            tasks, encode=lambda r: {"wrapped": r}, decode=lambda p: p["wrapped"]
+            [task], encode=lambda r: {"wrapped": r}, decode=lambda p: p["wrapped"]
         )
-        graph.run(SerialPool(), journal)
-        assert journal.load()["t:0"]["result"] == {"wrapped": 9}
-        cached = graph.run(SerialPool(), journal)
-        assert cached["t:0"].status == "cached"
+        graph.run(SerialPool(), store)
+        assert store.fetch(task.fingerprint, task.key) == {"wrapped": 9}
+        cached = graph.run(SerialPool(), store)
+        assert cached["t:0"].status == "stored"
         assert cached["t:0"].result == 9
+
+    def test_unstorable_tasks_always_execute(self, tmp_path):
+        store = CampaignStore(tmp_path / "s")
+        counter = tmp_path / "calls"
+        tasks = [Task("t:0", None, record_call, (str(counter), 1))]
+        for _ in range(2):
+            outcomes = TaskGraph(tasks).run(SerialPool(), store)
+            assert outcomes["t:0"].status == "done"
+        assert counter.read_text().count("\n") == 2
+        assert store.entries() == []

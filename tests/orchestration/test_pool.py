@@ -7,7 +7,6 @@ from repro.orchestration import (
     SerialPool,
     Task,
     configure,
-    default_journal_dir,
     default_pool,
     make_pool,
     picklable,
@@ -137,17 +136,15 @@ class TestConfigure:
     def test_default_pool_none_when_unconfigured(self):
         configure()
         assert default_pool() is None
-        assert default_journal_dir() is None
 
-    def test_default_pool_reflects_jobs(self, tmp_path):
-        configure(jobs=2, journal_dir=tmp_path)
+    def test_default_pool_reflects_jobs(self):
+        configure(jobs=2)
         pool = default_pool()
         try:
             assert isinstance(pool, ProcessPool)
             assert pool.jobs == 2
         finally:
             pool.close()
-        assert default_journal_dir() == tmp_path
 
     def test_serial_jobs_give_no_pool(self):
         configure(jobs=1)
