@@ -2,7 +2,7 @@
 
 Times one synthetic wide campaign -- 8 int64 variables x 64 bits x 196
 test cases = 100,352 cells -- exhaustively and under
-``mode="sample"`` at a 0.02 CI half-width stop target.  The sampled
+``sampling=SPEC`` at a 0.02 CI half-width stop target.  The sampled
 run pays for the stratified draw plan, the per-round interval updates
 and the batched flip-mask generation; the speedup measures the whole
 sampled pipeline against the whole exhaustive loop.
@@ -94,7 +94,7 @@ def test_bench_sampling_speedup(benchmark):
     assert cells_total >= 100_000
 
     sampled_s, sampled = benchmark.pedantic(
-        lambda: _timed(mode="sample", sampling=SPEC), rounds=1, iterations=1
+        lambda: _timed(sampling=SPEC), rounds=1, iterations=1
     )
     report = sampled.sampling
 

@@ -41,7 +41,7 @@ from repro.analysis.dataflow.analyzer import analyze_dataflow_package
 from repro.analysis.dataflow.lattice import signature
 from repro.injection.bitflip import BitFlip, flip_bits_batch
 from repro.injection.campaign import Campaign, CampaignConfig, ExperimentRecord
-from repro.injection.golden import GoldenRun, golden_runs_for
+from repro.injection.golden import Checkpoint, GoldenRun, golden_runs_for
 from repro.injection.instrument import Probe, StateSample
 
 __all__ = [
@@ -478,17 +478,21 @@ def assemble_records(
 ) -> list[ExperimentRecord]:
     """Merge executed and synthesized records in canonical order.
 
-    ``executed`` maps ``(variable, bit)`` of every live/representative
-    point to its records in (injection time, test case) order -- the
-    shard execution order, so pruned and exhaustive campaigns emit
-    their record lists in the identical canonical order.
+    ``executed`` maps ``(variable, bit)`` of executed live and
+    representative points to their records in (injection time, test
+    case) order -- the shard execution order, so pruned and exhaustive
+    campaigns emit their record lists in the identical canonical
+    order.  It may be partial (a sampled campaign's draws): a live or
+    representative point missing from it is skipped, and so is a
+    member whose representative is missing.  Dead points are always
+    synthesized.
     """
     config = campaign.config
     records: list[ExperimentRecord] = []
     for point in plan.points:
         flip = BitFlip(point.variable, point.kind, point.bit)
         if point.verdict in EXECUTED_VERDICTS:
-            records.extend(executed[(point.variable, point.bit)])
+            records.extend(executed.get((point.variable, point.bit), ()))
             continue
         if point.verdict == "dead":
             for injection_time in config.injection_times:
@@ -500,7 +504,9 @@ def assemble_records(
                         )
                     )
             continue
-        rep_records = executed[(point.variable, point.representative_bit)]
+        rep_records = executed.get((point.variable, point.representative_bit))
+        if rep_records is None:
+            continue
         index = 0
         for injection_time in config.injection_times:
             for tc in config.test_cases:
@@ -523,6 +529,7 @@ def audit_records(
     records: list[ExperimentRecord],
     fraction: float,
     seed: int = 0,
+    checkpoints: Mapping[tuple[int, int], Checkpoint] | None = None,
 ) -> dict:
     """Re-inject a seeded random sample of pruned cells for real.
 
@@ -531,7 +538,13 @@ def audit_records(
     record must match the synthesized one exactly (``to_dict()``
     equality -- float bits included); any mismatch raises
     :class:`PruneContradiction` naming the offending points.
+    ``checkpoints`` (``(injection time, test case) -> checkpoint``,
+    see :meth:`Campaign._capture_checkpoints`) lets audited cells
+    resume from the golden prefix like executed cells; without it
+    each replays its test case from the start.  The records are the
+    same either way.
     """
+    checkpoints = checkpoints or {}
     config = campaign.config
     times = config.injection_times
     test_cases = config.test_cases
@@ -555,7 +568,11 @@ def audit_records(
         tc = test_cases[case_index]
         flip = BitFlip(point.variable, point.kind, point.bit)
         actual = campaign._run_one(
-            flip, injection_time, tc, plan.golden_runs[tc]
+            flip,
+            injection_time,
+            tc,
+            plan.golden_runs[tc],
+            checkpoint=checkpoints.get((injection_time, tc)),
         )
         synthesized = records[
             point_index * runs_per_point

@@ -54,6 +54,7 @@ Traces are recorded, summarized and exported with ``trace``::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import pathlib
 import sys
@@ -389,7 +390,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         return 2
     scale_obj = get_scale(args.scale)
     target = build_target(spec.target, scale_obj)
-    config = campaign_config(spec, scale_obj)
+    config = _with_prune_flag(campaign_config(spec, scale_obj), args.prune)
     try:
         sampling = SamplingSpec(
             ci=args.ci,
@@ -410,11 +411,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     try:
         result = Campaign(target, config).run(
-            pool=pool,
-            store=_store_arg(args),
-            mode="sample",
-            sampling=sampling,
-            prune=args.prune,
+            pool=pool, sampling=sampling, store=_store_arg(args)
         )
     finally:
         if pool is not None:
@@ -451,6 +448,13 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             f"{exact} ({stratum.stopped}): {rates}"
         )
     return 0
+
+
+def _with_prune_flag(config, prune: str | None):
+    """``config`` under a ``--prune`` flag (``None``: flag not given)."""
+    if prune is None:
+        return config
+    return dataclasses.replace(config, prune=None if prune == "none" else prune)
 
 
 def _cmd_orchestrate(args: argparse.Namespace) -> int:
@@ -512,6 +516,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     )
     from repro.experiments.scale import get_scale
     from repro.injection.campaign import Campaign
+    from repro.injection.sampling import SamplingSpec
     from repro.injection.store import CampaignStore
 
     spec = DATASET_SPECS.get(args.dataset)
@@ -524,7 +529,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         return 2
     scale_obj = get_scale(args.scale)
     target = build_target(spec.target, scale_obj)
-    config = campaign_config(spec, scale_obj)
+    config = _with_prune_flag(campaign_config(spec, scale_obj), args.prune)
     store = CampaignStore(args.store)
     pool = None
     if args.jobs > 1:
@@ -535,8 +540,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     try:
         result = Campaign(target, config).run(
             pool=pool,
-            prune=args.prune,
-            mode=args.mode,
+            sampling=SamplingSpec() if args.mode == "sample" else None,
             store=store,
         )
     finally:

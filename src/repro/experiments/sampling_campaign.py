@@ -1,7 +1,7 @@
 """Experiment R-9: statistical sampling campaigns vs exhaustive.
 
 For every Table II dataset, run the injection campaign twice -- once
-exhaustively and once under ``Campaign.run(mode="sample")`` -- and
+exhaustively and once under ``Campaign.run(sampling=...)`` -- and
 compare what the sample *estimated* against what the full enumeration
 *measured*: per-stratum outcome-class rates, whether each confidence
 interval contains the exhaustive truth, the fraction of the space
@@ -77,7 +77,7 @@ def run(scale: Scale | str = "smoke", datasets=None, spec=DEFAULT_SPEC):
         clear_reuse_caches()
         started = time.perf_counter()
         sampled = Campaign(build_target(dataset.target, scale), config).run(
-            mode="sample", sampling=spec
+            sampling=spec
         )
         sampled_s = time.perf_counter() - started
 

@@ -416,7 +416,7 @@ class Campaign:
             "config": config,
         }
 
-    def plan_delta(self, store, shard_size: int = 1) -> dict:
+    def plan_delta(self, store) -> dict:
         """Classify this campaign's shards against a store, running
         nothing: how much of the campaign a ``run(store=...)`` would
         load versus execute.  ``stored``/``invalidated``/``missing``
@@ -437,7 +437,7 @@ class Campaign:
         }
         if base is None:
             return plan
-        for shard in plan_shards(self, shard_size):
+        for shard in plan_shards(self):
             key = {**base, "pairs": [list(pair) for pair in shard]}
             fingerprint = fingerprint_of(key)
             plan["shards"] += 1
@@ -473,62 +473,49 @@ class Campaign:
             sample_probe=self.config.sample_probe,
         )
 
-    def run(
-        self,
-        pool=None,
-        shard_size: int = 1,
-        prune: str | None = None,
-        audit_fraction: float | None = None,
-        audit_seed: int | None = None,
-        mode: str = "exhaustive",
-        ci: str = "wilson",
-        target_halfwidth: float = 0.05,
-        confidence: float = 0.95,
-        sample_seed: int = 0,
-        sampling=None,
-        store=None,
-    ) -> CampaignResult:
-        """Execute the full campaign and return its records.
+    def run(self, pool=None, sampling=None, store=None) -> CampaignResult:
+        """Execute the campaign and return its records.
 
-        With no arguments the campaign runs serially in-process, as the
-        paper's loop does.  ``pool`` (a
-        :class:`repro.orchestration.WorkerPool`) shards the campaign
-        into independent run-batches and executes them in parallel --
-        the merged records are bit-identical to the serial path for any
-        worker count.  When no pool is given, one configured via
+        Every executed cell runs through one shard loop
+        (:func:`repro.orchestration.campaigns.run_campaign`); the
+        campaign's mode only decides which ``(variable, bit)`` pairs
+        run and which records are synthesized around them.
+
+        ``pool`` (a :class:`repro.orchestration.WorkerPool`) executes
+        the shards -- one pair each -- in parallel; the merged records
+        are bit-identical to the serial run for any worker count.
+        Without a pool, one configured via
         :func:`repro.orchestration.configure` (the experiments CLI's
-        ``--jobs``) is picked up automatically.
+        ``--jobs``) is picked up, else the run is serial in-process,
+        as the paper's loop is.
 
-        ``prune="static"`` (or ``config.prune``) runs the statically
-        pruned campaign: provably dead or class-equivalent injection
-        points synthesize their records from golden runs and class
+        ``config.prune == "static"`` runs the statically pruned
+        campaign: provably dead or class-equivalent injection points
+        synthesize their records from golden runs and class
         representatives instead of executing, then a seeded
-        ``audit_fraction`` of the pruned cells is re-injected for real
-        and checked against the synthesized records (see
+        ``config.audit_fraction`` of the pruned cells is re-injected
+        for real and checked against the synthesized records (see
         :mod:`repro.analysis.prune`).  The record list stays
         bit-identical to the exhaustive campaign's.
 
-        ``mode="sample"`` runs a statistical sampling campaign instead
-        of the exhaustive enumeration (see
-        :mod:`repro.injection.sampling`): stratified seeded draws over
-        the same cell space, with online ``ci`` intervals
-        (``"wilson"`` or ``"clopper-pearson"``) at ``confidence`` and
-        an early-stop once every stratum's class intervals are within
-        ``target_halfwidth``.  The result's ``sampling`` field carries
-        the per-stratum estimates; its records are the sampled subset
-        in canonical order, each bit-identical to the exhaustive
-        campaign's record for the same cell.  ``sampling`` (a
-        :class:`~repro.injection.sampling.SamplingSpec`) overrides the
-        individual knobs for full control.  Sampling composes with
-        ``prune="static"``: draws are restricted to the statically
-        live classes, dead and member cells are synthesized exactly
-        (the prune audit does not run in sample mode -- pruned cells
-        are already a separate exactness tier).
+        ``sampling`` (a :class:`~repro.injection.sampling.SamplingSpec`)
+        runs a statistical sampling campaign instead of the exhaustive
+        enumeration (see :mod:`repro.injection.sampling`): stratified
+        seeded draws over the same cell space, with online intervals
+        and an early stop once every stratum's class intervals are
+        narrow enough.  The result's ``sampling`` field carries the
+        per-stratum estimates; its records are the sampled subset in
+        canonical order, each bit-identical to the exhaustive
+        campaign's record for the same cell.  Sampling composes with
+        static pruning: draws are restricted to the statically live
+        classes, dead and member cells are synthesized exactly (the
+        prune audit does not run in sample mode -- pruned cells are
+        already a separate exactness tier).
 
         ``store`` (a :class:`repro.injection.store.CampaignStore`)
         makes the run *compositional*: every shard's records are
         addressed by the injected module's source-closure fingerprint
-        (plus failure spec, probes, config slice and pairs), so after
+        (plus failure spec, probes, config slice and pair), so after
         editing one target module only that module's shards re-execute
         -- everything else loads from the store and merges in canonical
         order, bit-identical to a fresh exhaustive run.  Each shard is
@@ -537,8 +524,7 @@ class Campaign:
         per-module source closures
         (:meth:`~repro.targets.base.TargetSystem.module_sources`);
         ineligible targets warn and run storeless.  The store composes
-        with pools, ``prune="static"`` and ``mode="sample"`` in both
-        directions.
+        with pools, pruning and sampling in both directions.
 
         Campaign subclasses that observe per-run harness state through
         :meth:`_after_run` (e.g. the validation campaign) are forced
@@ -548,205 +534,103 @@ class Campaign:
         undrawn run never executes, so the hook would silently miss
         it.
         """
-        if mode not in ("exhaustive", "sample"):
-            raise ValueError(f"unknown campaign mode {mode!r}")
-        prune_mode = prune if prune is not None else (self.config.prune or "none")
-        if prune_mode not in ("none", "static"):
-            raise ValueError(f"unknown prune mode {prune_mode!r}")
-        if mode == "sample":
-            if type(self)._after_run is not Campaign._after_run:
-                raise ValueError(
-                    "campaigns observing per-run harness state via "
-                    "_after_run cannot sample: undrawn runs never execute"
-                )
-            if sampling is None:
-                from repro.injection.sampling import SamplingSpec
-
-                sampling = SamplingSpec(
-                    ci=ci,
-                    confidence=confidence,
-                    target_halfwidth=target_halfwidth,
-                    seed=sample_seed,
-                )
-            return self._run_sampled(pool, sampling, prune_mode, store)
-        if prune_mode == "static":
-            if type(self)._after_run is not Campaign._after_run:
-                raise ValueError(
-                    "campaigns observing per-run harness state via "
-                    "_after_run cannot prune: synthesized runs never "
-                    "execute"
-                )
-            fraction = (
-                self.config.audit_fraction
-                if audit_fraction is None
-                else audit_fraction
-            )
-            seed = self.config.audit_seed if audit_seed is None else audit_seed
-            owns_pool = False
-            if pool is None:
-                from repro.orchestration.pool import default_pool
-
-                pool = default_pool()
-                owns_pool = pool is not None
-            try:
-                return self._run_pruned(
-                    pool, shard_size, fraction, seed, store
-                )
-            finally:
-                if owns_pool:
-                    pool.close()
-        if pool is None:
-            from repro.orchestration.pool import default_pool
-
-            pool = default_pool()
-            if pool is None:
-                if store is None:
-                    return self._run_serial()
-                return self._run_orchestrated(None, shard_size, store)
-            try:
-                return self._run_orchestrated(pool, shard_size, store)
-            finally:
-                pool.close()
-        return self._run_orchestrated(pool, shard_size, store)
-
-    def _run_sampled(
-        self, pool, spec, prune_mode: str, store=None
-    ) -> CampaignResult:
-        """The statistical sampling campaign (optionally prune-composed)."""
-        from repro.injection.sampling import run_sampled_campaign
-
-        golden_runs = golden_runs_for(self.target, self.config.test_cases)
-        prune_plan = None
-        if prune_mode == "static":
-            from repro.analysis import prune as prune_mod
-
-            with obs.span(names.PRUNE_PLAN, target=self.target.name) as span:
-                prune_plan = prune_mod.plan_prune(self, golden_runs=golden_runs)
-                counts = prune_plan.counts
-                span.count("points", len(prune_plan.points))
-                span.count(names.COUNTER_PRUNED, counts["dead"] + counts["member"])
-        owns_pool = False
-        if pool is None:
-            from repro.orchestration.pool import default_pool
-
-            pool = default_pool()
-            owns_pool = pool is not None
-        try:
-            return run_sampled_campaign(
-                self,
-                spec,
-                pool=pool,
-                prune_plan=prune_plan,
-                golden_runs=golden_runs,
-                store=store,
-            )
-        finally:
-            if owns_pool:
-                pool.close()
-
-    def _run_serial(self) -> CampaignResult:
-        """The paper's experiment loop, serially in this process."""
-        with obs.span(
-            "campaign.serial", target=self.target.name
-        ) as campaign_span:
-            golden_runs = golden_runs_for(self.target, self.config.test_cases)
-            checkpoints = self._capture_checkpoints()
-            records: list[ExperimentRecord] = []
-            pairs = 0
-            tally: Counter = Counter()
-            for spec in self._targeted_specs():
-                for bit in self._bits_for(spec):
-                    flip = BitFlip(spec.name, spec.kind, bit)
-                    records.extend(
-                        self._run_pair(
-                            flip, golden_runs, checkpoints, tally=tally
-                        )
-                    )
-                    pairs += 1
-            campaign_span.count("runs", len(records))
-            campaign_span.count(
-                "failures", sum(1 for r in records if r.failed)
-            )
-            self._count_resumes(campaign_span, checkpoints, pairs, tally)
-        return CampaignResult(
-            self.target.name,
-            self.config,
-            records,
-            golden_runs,
-            self.variable_specs,
-        )
-
-    def _run_orchestrated(
-        self, pool, shard_size: int, store=None
-    ) -> CampaignResult:
+        from repro.injection.sampling import SamplingSpec, run_sampled_campaign
         from repro.orchestration.campaigns import run_campaign
-        from repro.orchestration.pool import SerialPool
+        from repro.orchestration.pool import SerialPool, default_pool
 
-        if (
-            pool is not None
-            and getattr(pool, "jobs", 1) > 1
-            and type(self)._after_run is not Campaign._after_run
-        ):
+        if sampling is not None and not isinstance(sampling, SamplingSpec):
+            raise ValueError(
+                f"unknown campaign mode {sampling!r}: sampling takes a "
+                "SamplingSpec, or None for the exhaustive campaign"
+            )
+        prune = self.config.prune or "none"
+        if prune not in ("none", "static"):
+            raise ValueError(f"unknown prune mode {prune!r}")
+        observes = type(self)._after_run is not Campaign._after_run
+        if observes and sampling is not None:
+            raise ValueError(
+                "campaigns observing per-run harness state via "
+                "_after_run cannot sample: undrawn runs never execute"
+            )
+        if observes and prune == "static":
+            raise ValueError(
+                "campaigns observing per-run harness state via "
+                "_after_run cannot prune: synthesized runs never execute"
+            )
+        owned = default_pool() if pool is None else None
+        if owned is not None:
+            pool = owned
+        if pool is None or (observes and pool.jobs > 1):
             # Observation hooks need the runs in this process.
             pool = SerialPool(metrics=getattr(pool, "metrics", None))
-        return run_campaign(self, pool=pool, shard_size=shard_size, store=store)
+        try:
+            if sampling is None and prune == "none":
+                return run_campaign(self, pool=pool, store=store)
+            golden_runs = golden_runs_for(self.target, self.config.test_cases)
+            plan = None if prune == "none" else self._plan_prune(golden_runs)
+            if sampling is not None:
+                return run_sampled_campaign(
+                    self,
+                    sampling,
+                    pool=pool,
+                    prune_plan=plan,
+                    golden_runs=golden_runs,
+                    store=store,
+                )
+            return self._run_pruned(plan, pool, store)
+        finally:
+            if owned is not None:
+                owned.close()
 
-    def _run_pruned(
-        self,
-        pool,
-        shard_size: int,
-        audit_fraction: float,
-        audit_seed: int,
-        store=None,
-    ) -> CampaignResult:
-        """The statically pruned campaign: plan, execute the remainder,
-        synthesize the rest, audit.  Bit-identical to `_run_serial`."""
+    def _plan_prune(self, golden_runs: dict[int, GoldenRun]):
+        """The static prune plan (:func:`repro.analysis.prune.plan_prune`)."""
         from repro.analysis import prune as prune_mod
 
-        with obs.span(names.PRUNE_PLAN, target=self.target.name) as plan_span:
-            golden_runs = golden_runs_for(self.target, self.config.test_cases)
+        with obs.span(names.PRUNE_PLAN, target=self.target.name) as span:
             plan = prune_mod.plan_prune(self, golden_runs=golden_runs)
             counts = plan.counts
-            plan_span.count("points", len(plan.points))
-            plan_span.count(names.COUNTER_PRUNED, counts["dead"] + counts["member"])
+            span.count("points", len(plan.points))
+            span.count(names.COUNTER_PRUNED, counts["dead"] + counts["member"])
+        return plan
+
+    def _run_pruned(self, plan, pool, store) -> CampaignResult:
+        """The statically pruned campaign: execute the surviving pairs,
+        synthesize the rest, audit.  Bit-identical to the exhaustive
+        campaign."""
+        from repro.analysis import prune as prune_mod
+        from repro.orchestration.campaigns import records_by_pair, run_campaign
 
         pairs = plan.executed_pairs()
-        orchestration = None
-        if pool is None and store is None:
-            executed = self._execute_pairs(pairs, golden_runs)
-        else:
-            from repro.orchestration.campaigns import run_campaign
-
-            partial = run_campaign(
-                self,
-                pool=pool,
-                shard_size=shard_size,
-                pairs=pairs,
-                golden_runs=golden_runs,
-                store=store,
-            )
-            orchestration = getattr(partial, "orchestration", None)
-            runs_per_pair = len(self.config.injection_times) * len(
-                self.config.test_cases
-            )
-            executed = {
-                (name, bit): partial.records[
-                    index * runs_per_pair : (index + 1) * runs_per_pair
-                ]
-                for index, (name, _kind, bit) in enumerate(pairs)
-            }
+        # Filled by run_campaign when a shard executes, so the audit's
+        # re-injections resume from the same checkpoints.
+        checkpoints: dict[tuple[int, int], Checkpoint] = {}
+        partial = run_campaign(
+            self,
+            pool=pool,
+            pairs=pairs,
+            golden_runs=plan.golden_runs,
+            checkpoints=checkpoints,
+            store=store,
+        )
+        executed = records_by_pair(self, pairs, partial.records)
 
         with obs.span(
             names.PRUNE_SYNTHESIZE, target=self.target.name
         ) as synth_span:
             records = prune_mod.assemble_records(self, plan, executed)
             synth_span.count(
-                "synthesized", len(records) - len(pairs) * plan.runs_per_point
+                "synthesized", len(records) - len(partial.records)
             )
 
+        config = self.config
         with obs.span(names.PRUNE_AUDIT, target=self.target.name) as audit_span:
             audit = prune_mod.audit_records(
-                self, plan, records, audit_fraction, audit_seed
+                self,
+                plan,
+                records,
+                config.audit_fraction,
+                config.audit_seed,
+                checkpoints,
             )
             audit_span.count(names.COUNTER_AUDITED, audit["audited"])
             audit_span.count(
@@ -755,37 +639,22 @@ class Campaign:
 
         result = CampaignResult(
             self.target.name,
-            self.config,
+            config,
             records,
-            golden_runs,
+            plan.golden_runs,
             self.variable_specs,
         )
         result.prune = {  # type: ignore[attr-defined]
             "mode": "static",
-            **counts,
+            **plan.counts,
             "runs_planned": plan.runs_planned,
             "runs_executed": plan.runs_executed,
             "runs_pruned": plan.runs_pruned,
             "pruned_fraction": plan.pruned_fraction,
             "audit": audit,
         }
-        if orchestration is not None:
-            result.orchestration = orchestration  # type: ignore[attr-defined]
+        result.orchestration = partial.orchestration  # type: ignore[attr-defined]
         return result
-
-    def _execute_pairs(
-        self,
-        pairs,
-        golden_runs: dict[int, GoldenRun],
-    ) -> dict[tuple[str, int], list[ExperimentRecord]]:
-        """Serial inner loops for an explicit (variable, kind, bit) list."""
-        checkpoints = self._capture_checkpoints()
-        return {
-            (name, bit): self._run_pair(
-                BitFlip(name, kind, bit), golden_runs, checkpoints
-            )
-            for name, kind, bit in pairs
-        }
 
     def _resumes(self) -> bool:
         """Whether injected runs resume from golden-prefix checkpoints.
@@ -846,8 +715,8 @@ class Campaign:
     ) -> list[ExperimentRecord]:
         """Every cell of one (variable, bit) pair in canonical order
         (injection time, then test case), resuming where a checkpoint
-        exists.  The one inner loop of the serial, pruned and shard
-        paths."""
+        exists.  The inner loop of every shard
+        (:func:`repro.orchestration.campaigns.run_campaign`)."""
         hints = hints or {}
         return [
             self._run_one(

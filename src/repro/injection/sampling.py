@@ -433,8 +433,11 @@ def run_sampled_campaign(
     ``sampling`` field.
     """
     from repro.injection.campaign import CampaignResult
-    from repro.orchestration.campaigns import plan_pairs, run_campaign
-    from repro.orchestration.pool import SerialPool
+    from repro.orchestration.campaigns import (
+        plan_pairs,
+        records_by_pair,
+        run_campaign,
+    )
 
     config = campaign.config
     if golden_runs is None:
@@ -462,8 +465,9 @@ def run_sampled_campaign(
         variable: [] for variable in strata
     }
     executed: dict[tuple[str, int], list[ExperimentRecord]] = {}
-    if pool is None:
-        pool = SerialPool()
+    # Shared across rounds: checkpoints are captured once, by the
+    # first round that executes a shard.
+    checkpoints: dict = {}
 
     rounds = 0
     round_orchestrations: list[dict] = []
@@ -498,20 +502,16 @@ def run_sampled_campaign(
             partial = run_campaign(
                 campaign,
                 pool=pool,
-                shard_size=1,  # one pair per shard: the anchored unit
                 pairs=batch,
                 golden_runs=golden_runs,
+                checkpoints=checkpoints,
                 store=store,
             )
-            round_orchestrations.append(
-                getattr(partial, "orchestration", None) or {}
-            )
-            for index, (name, _kind, bit) in enumerate(batch):
-                records = partial.records[
-                    index * runs_per_pair:(index + 1) * runs_per_pair
-                ]
-                executed[(name, bit)] = records
+            round_orchestrations.append(partial.orchestration)
+            drawn = records_by_pair(campaign, batch, partial.records)
+            for (name, _bit), records in drawn.items():
                 stratum_records[name].extend(records)
+            executed.update(drawn)
             round_span.count(
                 names.COUNTER_SAMPLED_CELLS, len(batch) * runs_per_pair
             )
@@ -531,9 +531,28 @@ def run_sampled_campaign(
     with obs.span(
         names.SAMPLE_ESTIMATE, target=campaign.target.name
     ) as estimate_span:
-        records, exact_by_stratum = _assemble(
-            campaign, full_pairs, executed, prune_plan, golden_runs
-        )
+        exact_by_stratum: dict[str, list[ExperimentRecord]] = {}
+        if prune_plan is None:
+            records = [
+                record
+                for name, _kind, bit in full_pairs
+                for record in executed.get((name, bit), ())
+            ]
+        else:
+            from repro.analysis.prune import PRUNED_VERDICTS, assemble_records
+
+            records = assemble_records(campaign, prune_plan, executed)
+            # Synthesized cells are exact, reported beside the estimates.
+            pruned = {
+                (point.variable, point.bit)
+                for point in prune_plan.points
+                if point.verdict in PRUNED_VERDICTS
+            }
+            for record in records:
+                if (record.flip.variable, record.flip.bit) in pruned:
+                    exact_by_stratum.setdefault(
+                        record.flip.variable, []
+                    ).append(record)
         # Report every variable of the full enumeration, including
         # fully-pruned ones whose stratum has an empty sampling frame
         # (population 0) and only exact synthesized cells.
@@ -598,63 +617,3 @@ def _merge_orchestrations(rounds: list[dict]) -> dict | None:
         }
     return merged
 
-
-def _assemble(
-    campaign,
-    full_pairs,
-    executed: dict[tuple[str, int], list[ExperimentRecord]],
-    prune_plan,
-    golden_runs: dict[int, GoldenRun],
-):
-    """Record list in canonical enumeration order, restricted to the
-    sampled subset (plus synthesized prune cells), and the synthesized
-    records grouped by stratum."""
-    config = campaign.config
-    records: list[ExperimentRecord] = []
-    exact_by_stratum: dict[str, list[ExperimentRecord]] = {}
-    if prune_plan is None:
-        for name, _kind, bit in full_pairs:
-            chunk = executed.get((name, bit))
-            if chunk is not None:
-                records.extend(chunk)
-        return records, exact_by_stratum
-
-    from repro.analysis.prune import _synthesize_dead, _synthesize_member
-    from repro.injection.bitflip import BitFlip
-
-    for point in prune_plan.points:
-        if point.verdict in ("live", "representative"):
-            chunk = executed.get((point.variable, point.bit))
-            if chunk is not None:
-                records.extend(chunk)
-            continue
-        flip = BitFlip(point.variable, point.kind, point.bit)
-        synthesized: list[ExperimentRecord] = []
-        if point.verdict == "dead":
-            for injection_time in config.injection_times:
-                for tc in config.test_cases:
-                    synthesized.append(
-                        _synthesize_dead(
-                            campaign, flip, injection_time, tc, golden_runs[tc]
-                        )
-                    )
-        else:  # member: exact only when its representative was drawn
-            rep = executed.get((point.variable, point.representative_bit))
-            if rep is None:
-                continue
-            index = 0
-            for injection_time in config.injection_times:
-                for tc in config.test_cases:
-                    synthesized.append(
-                        _synthesize_member(
-                            campaign,
-                            flip,
-                            injection_time,
-                            golden_runs[tc],
-                            rep[index],
-                        )
-                    )
-                    index += 1
-        records.extend(synthesized)
-        exact_by_stratum.setdefault(point.variable, []).extend(synthesized)
-    return records, exact_by_stratum

@@ -1,19 +1,23 @@
 """Sharded, stored execution of fault injection campaigns.
 
-A campaign enumerates runs in a fixed canonical order -- variable,
-then bit, then injection time, then test case (the serial loop of
-:meth:`repro.injection.campaign.Campaign._run_serial`).  The shard
-planner cuts that enumeration at ``(variable, bit)`` granularity into
-consecutive batches, so concatenating shard results *in shard order*
-reproduces the serial record order exactly, whatever order the shards
-actually finished in.  Targets are deterministic per test case and a
-run has no other randomness, so the merged result is bit-identical to
-the serial campaign for any worker count.
+:func:`run_campaign` is the one executor of every campaign mode:
+exhaustive, pruned and sampled campaigns differ only in which
+``(variable, bit)`` pairs they hand it and which records they
+synthesize around its results.
 
-The default shard size is one ``(variable, bit)`` pair per task.  That
-keeps shard boundaries -- and therefore store addresses --
-independent of the worker count, so a campaign stored at ``jobs=8``
-resumes correctly at ``jobs=2``.
+A campaign enumerates runs in a fixed canonical order -- variable,
+then bit, then injection time, then test case (the paper's loop).
+The shard planner cuts that enumeration into one shard per
+``(variable, bit)`` pair, so concatenating shard results *in shard
+order* reproduces the canonical record order exactly, whatever order
+the shards actually finished in.  Targets are deterministic per test
+case and a run has no other randomness, so the merged result is
+bit-identical for any worker count.
+
+One pair per shard keeps shard boundaries -- and therefore store
+addresses -- independent of the worker count and of the pair subset
+a run selects, so a campaign stored at ``jobs=8`` resumes correctly
+at ``jobs=2``.
 
 Shard granularity also respects static pruning classes for free:
 :mod:`repro.analysis.prune` verdicts are uniform across injection
@@ -43,9 +47,9 @@ from repro.injection.campaign import Campaign, CampaignResult, ExperimentRecord
 from repro.injection.golden import Checkpoint, GoldenRun, golden_runs_for
 from repro.observability import names
 from repro.orchestration.pool import SerialPool, WorkerPool
-from repro.orchestration.tasks import Task, TaskGraph, _chunk, fingerprint_of
+from repro.orchestration.tasks import Task, TaskGraph, fingerprint_of
 
-__all__ = ["plan_pairs", "plan_shards", "run_campaign"]
+__all__ = ["plan_pairs", "plan_shards", "records_by_pair", "run_campaign"]
 
 #: pair = (variable name, kind, bit position)
 Pair = tuple[str, str, int]
@@ -61,16 +65,28 @@ def plan_pairs(campaign: Campaign) -> list[Pair]:
 
 
 def plan_shards(
-    campaign: Campaign,
-    shard_size: int = 1,
-    pairs: list[Pair] | None = None,
+    campaign: Campaign, pairs: list[Pair] | None = None
 ) -> list[tuple[Pair, ...]]:
-    """Cut the pair enumeration into consecutive run-batches.
+    """One shard per pair of the enumeration, in canonical order.
 
     ``pairs`` restricts the plan to an explicit subset (a prune plan's
-    surviving pairs) while keeping the canonical order.
+    surviving pairs, a sampling round's draws).
     """
-    return _chunk(plan_pairs(campaign) if pairs is None else list(pairs), shard_size)
+    return [(pair,) for pair in (plan_pairs(campaign) if pairs is None else pairs)]
+
+
+def records_by_pair(
+    campaign: Campaign, pairs: list[Pair], records: list[ExperimentRecord]
+) -> dict[tuple[str, int], list[ExperimentRecord]]:
+    """``(variable, bit) -> records`` of a :func:`run_campaign` over
+    ``pairs``: each pair's cells are consecutive, in (injection time,
+    test case) order."""
+    config = campaign.config
+    n = len(config.injection_times) * len(config.test_cases)
+    return {
+        (name, bit): records[index * n:(index + 1) * n]
+        for index, (name, _kind, bit) in enumerate(pairs)
+    }
 
 
 def _injection_hints(
@@ -161,19 +177,20 @@ def _crash_records(
 def run_campaign(
     campaign: Campaign,
     pool: WorkerPool | None = None,
-    shard_size: int = 1,
     pairs: list[Pair] | None = None,
     golden_runs: dict[int, GoldenRun] | None = None,
+    checkpoints: dict[tuple[int, int], Checkpoint] | None = None,
     store=None,
 ) -> CampaignResult:
     """Execute a campaign through a worker pool, optionally stored.
 
-    Returns a :class:`CampaignResult` bit-identical to
-    ``campaign.run()`` serial execution (absent quarantined shards).
-    The result additionally carries an ``orchestration`` attribute
-    summarising the schedule: total/executed/stored task counts and
-    the ids of quarantined shards.  ``pairs`` restricts execution to
-    an explicit pair subset (pruned campaigns); ``golden_runs`` reuses
+    Returns a :class:`CampaignResult` whose records are bit-identical
+    for any pool (absent quarantined shards); without a pool the run
+    is serial in-process.  The result additionally carries an
+    ``orchestration`` attribute summarising the schedule:
+    total/executed/stored task counts and the ids of quarantined
+    shards.  ``pairs`` restricts execution to an explicit pair subset
+    (pruned and sampled campaigns); ``golden_runs`` reuses
     already-captured golden runs.
 
     ``store`` (a :class:`repro.injection.store.CampaignStore`) makes
@@ -194,10 +211,12 @@ def run_campaign(
     measures.
 
     Executed cells resume from golden-prefix checkpoints
-    (:meth:`Campaign._capture_checkpoints`, captured once per call and
-    handed to every shard like the golden runs) instead of replaying
-    their test case from the start; the records are bit-identical
-    either way.
+    (:meth:`Campaign._capture_checkpoints`, handed to every shard like
+    the golden runs) instead of replaying their test case from the
+    start; the records are bit-identical either way.  They are
+    captured once, when the first shard executes, into
+    ``checkpoints`` if given: callers that run several pair subsets
+    (sampling rounds, the prune audit) share one capture.
     """
     if pool is None:
         pool = SerialPool()
@@ -222,9 +241,10 @@ def run_campaign(
     shard_golden: dict[int, GoldenRun] = (
         golden_runs if golden_runs is not None else {}
     )
-    checkpoints: dict[tuple[int, int], Checkpoint] = {}
+    if checkpoints is None:
+        checkpoints = {}
     with obs.span("campaign.plan", target=campaign.target.name):
-        shards = plan_shards(campaign, shard_size, pairs)
+        shards = plan_shards(campaign, pairs)
         keys: list[dict | None] = [None] * len(shards)
         if store is not None:
             keys = [
@@ -273,7 +293,7 @@ def run_campaign(
             shard_golden.update(
                 golden_runs_for(campaign.target, config.test_cases)
             )
-    if executes:
+    if executes and not checkpoints:
         # Executed cells resume from golden-prefix checkpoints: each
         # test case's fault-free prefix is stepped once here, not once
         # per cell.

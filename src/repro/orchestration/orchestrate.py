@@ -71,7 +71,10 @@ def run_dataset(
     injection-space pruner (:mod:`repro.analysis.prune`): proven-dead
     and equivalent points are synthesized instead of executed, and
     ``audit_fraction`` of the pruned cells are re-injected for real as
-    a soundness check.  The mined dataset is bit-identical either way.
+    a soundness check.  Both set the dataset's
+    :class:`~repro.injection.campaign.CampaignConfig` fields of the
+    same names (``prune="none"`` clears it; ``None`` keeps the
+    config's own).  The mined dataset is bit-identical either way.
     ``store`` (a :class:`repro.injection.store.CampaignStore`) holds
     the campaign shards and refinement trials across runs.
     """
@@ -109,12 +112,15 @@ def run_dataset(
             with obs.span("phase.campaign", target=spec.target):
                 target = build_target(spec.target, scale_obj)
                 config = campaign_config(spec, scale_obj)
-                result = Campaign(target, config).run(
-                    pool=pool,
-                    store=store,
-                    prune=prune,
-                    audit_fraction=audit_fraction,
-                )
+                if prune is not None:
+                    config = dataclasses.replace(
+                        config, prune=None if prune == "none" else prune
+                    )
+                if audit_fraction is not None:
+                    config = dataclasses.replace(
+                        config, audit_fraction=audit_fraction
+                    )
+                result = Campaign(target, config).run(pool=pool, store=store)
                 dataset = result.to_dataset(name)
 
             factory = LearnerFactory(learner)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping
 
 __all__ = [
     "Task",
@@ -205,12 +205,3 @@ def estimate_runs(
         len(config.test_cases) * len(config.injection_times) * n_vars * n_bits
     )
 
-
-def _chunk(items: Sequence, size: int) -> list[tuple]:
-    """Split ``items`` into consecutive tuples of at most ``size``."""
-    if size < 1:
-        raise ValueError(f"shard size must be >= 1, got {size}")
-    return [
-        tuple(items[start:start + size])
-        for start in range(0, len(items), size)
-    ]

@@ -1,8 +1,9 @@
 """Static injection-space pruning: verdicts, synthesis, audit.
 
-The module's one contract is bit-identity: ``run(prune="static")``
-must produce the exact record list of the exhaustive campaign --
-``to_dict()`` equality, canonical order included -- while executing
+The module's one contract is bit-identity: ``run()`` under
+``prune="static"`` must produce the exact record list of the
+exhaustive campaign -- ``to_dict()`` equality, canonical order
+included -- while executing
 only the live and representative points.  These tests check it on a
 hand-built target exhibiting every verdict, then property-test it on
 randomly generated straight-line and branchy target functions with the
@@ -17,6 +18,7 @@ import pathlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import observability as obs
 from repro.analysis.prune import (
     PruneContradiction,
     assemble_records,
@@ -27,6 +29,8 @@ from repro.analysis.prune import (
 from repro.injection.campaign import Campaign, CampaignConfig
 from repro.injection.instrument import Harness, Location, VariableSpec
 from repro.injection.store import CampaignStore
+from repro.observability import names
+from repro.orchestration.campaigns import records_by_pair, run_campaign
 from repro.orchestration.pool import SerialPool
 from repro.targets.base import TargetSystem
 
@@ -101,6 +105,13 @@ def table(result):
     return [record.to_dict() for record in result.records]
 
 
+def execute(campaign, plan):
+    """``(variable, bit) -> records`` of the plan's executed pairs."""
+    pairs = plan.executed_pairs()
+    result = run_campaign(campaign, pairs=pairs, golden_runs=plan.golden_runs)
+    return records_by_pair(campaign, pairs, result.records)
+
+
 class TestPlan:
     def test_every_verdict_appears(self):
         plan = prune_campaign(config(), PruneTarget())
@@ -153,7 +164,7 @@ class TestPlan:
 class TestBitIdentity:
     def test_pruned_equals_exhaustive(self):
         exhaustive = Campaign(PruneTarget(), config()).run()
-        pruned = Campaign(PruneTarget(), config()).run(prune="static")
+        pruned = Campaign(PruneTarget(), config(prune="static")).run()
         assert table(pruned) == table(exhaustive)
         info = pruned.prune
         assert info["mode"] == "static"
@@ -166,26 +177,38 @@ class TestBitIdentity:
         assert table(pruned) == table(exhaustive)
 
     def test_full_audit_passes(self):
-        result = Campaign(PruneTarget(), config()).run(
-            prune="static", audit_fraction=1.0
-        )
+        result = Campaign(
+            PruneTarget(), config(prune="static", audit_fraction=1.0)
+        ).run()
         audit = result.prune["audit"]
         assert audit["audited"] == audit["population"] > 0
 
     def test_pruned_equals_exhaustive_under_pool_and_journal(self, tmp_path):
-        pruned = Campaign(PruneTarget(), config()).run(
-            pool=SerialPool(), store=CampaignStore(tmp_path), prune="static"
+        pruned = Campaign(PruneTarget(), config(prune="static")).run(
+            pool=SerialPool(), store=CampaignStore(tmp_path)
         )
         exhaustive = Campaign(PruneTarget(), config()).run()
         assert table(pruned) == table(exhaustive)
         assert pruned.orchestration["quarantined"] == []
 
+    def test_storeless_run_counts_executed_cells(self):
+        campaign = Campaign(PruneTarget(), config(prune="static"))
+        with obs.tracing() as tracer:
+            result = campaign.run()
+        shards = [s for s in tracer.spans if s.name == names.CAMPAIGN_SHARD]
+        assert sum(s.counters["runs"] for s in shards) == (
+            result.prune["runs_executed"]
+        )
+        assert result.prune["runs_executed"] == (
+            prune_campaign(config(), PruneTarget()).runs_executed
+        )
+
     def test_journal_shards_shared_with_exhaustive_campaign(self, tmp_path):
         Campaign(PruneTarget(), config()).run(
             pool=SerialPool(), store=CampaignStore(tmp_path)
         )
-        pruned = Campaign(PruneTarget(), config()).run(
-            pool=SerialPool(), store=CampaignStore(tmp_path), prune="static"
+        pruned = Campaign(PruneTarget(), config(prune="static")).run(
+            pool=SerialPool(), store=CampaignStore(tmp_path)
         )
         # Every surviving pair was stored by the exhaustive run:
         # nothing re-executes despite the differing prune settings.
@@ -196,7 +219,7 @@ class TestBitIdentity:
 class TestGuards:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown prune mode"):
-            Campaign(PruneTarget(), config()).run(prune="aggressive")
+            Campaign(PruneTarget(), config(prune="aggressive")).run()
 
     def test_after_run_subclass_refuses_pruning(self):
         class Observing(Campaign):
@@ -204,7 +227,7 @@ class TestGuards:
                 pass
 
         with pytest.raises(ValueError, match="cannot prune"):
-            Observing(PruneTarget(), config()).run(prune="static")
+            Observing(PruneTarget(), config(prune="static")).run()
 
     def test_prune_campaign_requires_a_target(self):
         with pytest.raises(TypeError, match="target is required"):
@@ -235,9 +258,7 @@ class TestAudit:
             for p in plan.points
         ]
         plan.points = lying
-        executed = campaign._execute_pairs(
-            plan.executed_pairs(), plan.golden_runs
-        )
+        executed = execute(campaign, plan)
         records = assemble_records(campaign, plan, executed)
         with pytest.raises(PruneContradiction, match=r"raw\[bit 0\]"):
             audit_records(campaign, plan, records, fraction=1.0)
@@ -245,9 +266,7 @@ class TestAudit:
     def test_zero_fraction_audits_nothing(self):
         campaign = Campaign(PruneTarget(), config())
         plan = plan_prune(campaign)
-        executed = campaign._execute_pairs(
-            plan.executed_pairs(), plan.golden_runs
-        )
+        executed = execute(campaign, plan)
         records = assemble_records(campaign, plan, executed)
         audit = audit_records(campaign, plan, records, fraction=0.0)
         assert audit["audited"] == 0
@@ -255,9 +274,7 @@ class TestAudit:
     def test_audit_is_seeded(self):
         campaign = Campaign(PruneTarget(), config())
         plan = plan_prune(campaign)
-        executed = campaign._execute_pairs(
-            plan.executed_pairs(), plan.golden_runs
-        )
+        executed = execute(campaign, plan)
         records = assemble_records(campaign, plan, executed)
         first = audit_records(campaign, plan, records, 0.5, seed=3)
         second = audit_records(campaign, plan, records, 0.5, seed=3)
@@ -363,7 +380,7 @@ def test_generated_targets_prune_bit_identically(reads, branchy):
     exhaustive = Campaign(compile_target(source), GENERATED_CONFIG).run()
     campaign = Campaign(compile_target(source), GENERATED_CONFIG)
     plan = plan_prune(campaign, source=source)
-    executed = campaign._execute_pairs(plan.executed_pairs(), plan.golden_runs)
+    executed = execute(campaign, plan)
     records = assemble_records(campaign, plan, executed)
     audit_records(campaign, plan, records, fraction=1.0)
     assert [r.to_dict() for r in records] == table(exhaustive)

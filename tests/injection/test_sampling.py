@@ -283,7 +283,7 @@ class TestSampledCampaign:
             for r in Campaign(MixTarget(), config).run().records
         }
         sampled = Campaign(MixTarget(), config).run(
-            mode="sample", sampling=self.SPEC
+            sampling=self.SPEC
         )
         keys = [record_key(r) for r in sampled.records]
         assert len(keys) == len(set(keys))            # no duplicates
@@ -298,19 +298,18 @@ class TestSampledCampaign:
             for i, r in enumerate(Campaign(MixTarget(), config).run().records)
         }
         sampled = Campaign(MixTarget(), config).run(
-            mode="sample", sampling=self.SPEC
+            sampling=self.SPEC
         )
         positions = [order[record_key(r)] for r in sampled.records]
         assert positions == sorted(positions)
 
     def test_same_seed_same_draws_different_seed_different(self):
         config = mix_config()
-        first = Campaign(MixTarget(), config).run(mode="sample", sampling=self.SPEC)
-        second = Campaign(MixTarget(), config).run(mode="sample", sampling=self.SPEC)
+        first = Campaign(MixTarget(), config).run(sampling=self.SPEC)
+        second = Campaign(MixTarget(), config).run(sampling=self.SPEC)
         assert table(first) == table(second)
         assert first.sampling.to_dict() == second.sampling.to_dict()
         reseeded = Campaign(MixTarget(), config).run(
-            mode="sample",
             sampling=SamplingSpec(
                 target_halfwidth=0.12, min_cells=8, round_cells=8, seed=10
             ),
@@ -322,13 +321,13 @@ class TestSampledCampaign:
     def test_worker_count_invariance(self):
         config = mix_config()
         serial = Campaign(MixTarget(), config).run(
-            mode="sample", sampling=self.SPEC, pool=SerialPool()
+            sampling=self.SPEC, pool=SerialPool()
         )
         clear_reuse_caches()
         pool = ProcessPool(jobs=3)
         try:
             parallel = Campaign(MixTarget(), config).run(
-                mode="sample", sampling=self.SPEC, pool=pool
+                sampling=self.SPEC, pool=pool
             )
         finally:
             pool.close()
@@ -338,7 +337,6 @@ class TestSampledCampaign:
     def test_early_stop_saves_runs_and_reports_convergence(self):
         config = mix_config(bits=tuple(range(16)), test_cases=(0, 1, 2))
         result = Campaign(MixTarget(), config).run(
-            mode="sample",
             sampling=SamplingSpec(
                 target_halfwidth=0.2, min_cells=12, round_cells=12, seed=1
             ),
@@ -358,7 +356,6 @@ class TestSampledCampaign:
     def test_max_cells_caps_a_stratum(self):
         config = mix_config()
         result = Campaign(MixTarget(), config).run(
-            mode="sample",
             sampling=SamplingSpec(
                 target_halfwidth=0.01,  # unreachable: forces the cap
                 min_cells=4,
@@ -374,7 +371,7 @@ class TestSampledCampaign:
     def test_report_round_trips_through_json(self):
         config = mix_config()
         result = Campaign(MixTarget(), config).run(
-            mode="sample", sampling=self.SPEC
+            sampling=self.SPEC
         )
         payload = json.loads(json.dumps(result.to_dict()))
         back = CampaignResult.from_dict(payload)
@@ -388,11 +385,11 @@ class TestSampledCampaign:
                 pass
 
         with pytest.raises(ValueError, match="cannot sample"):
-            Observing(MixTarget(), mix_config()).run(mode="sample")
+            Observing(MixTarget(), mix_config()).run(sampling=SamplingSpec())
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown campaign mode"):
-            Campaign(MixTarget(), mix_config()).run(mode="stochastic")
+            Campaign(MixTarget(), mix_config()).run(sampling="stochastic")
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -420,7 +417,7 @@ class TestJournalInterop:
         config = mix_config()
         with ProcessPool(2, backoff=0) as pool:
             sampled = Campaign(MixTarget(), config).run(
-                pool=pool, mode="sample", sampling=self.SPEC,
+                pool=pool, sampling=self.SPEC,
                 store=CampaignStore(tmp_path),
             )
         runs_per_pair = len(config.injection_times) * len(config.test_cases)
@@ -442,7 +439,7 @@ class TestJournalInterop:
             )
         before = sorted(path.name for path in (tmp_path / "shards").iterdir())
         sampled = Campaign(MixTarget(), config).run(
-            mode="sample", sampling=self.SPEC, store=CampaignStore(tmp_path)
+            sampling=self.SPEC, store=CampaignStore(tmp_path)
         )
         # Every draw was answered from the store: no new shard files.
         assert sorted(
@@ -460,7 +457,7 @@ class TestJournalInterop:
 
         config = mix_config()
         first = Campaign(MixTarget(), config).run(
-            mode="sample", sampling=self.SPEC, store=CampaignStore(tmp_path)
+            sampling=self.SPEC, store=CampaignStore(tmp_path)
         )
         # A kill mid-campaign: some drawn shards never landed and the
         # index was never flushed.
@@ -469,7 +466,7 @@ class TestJournalInterop:
             path.unlink()
         (tmp_path / "index.json").unlink()
         resumed = Campaign(MixTarget(), config).run(
-            mode="sample", sampling=self.SPEC, store=CampaignStore(tmp_path)
+            sampling=self.SPEC, store=CampaignStore(tmp_path)
         )
         assert resumed.orchestration["executed"] == len(lost)
         assert table(resumed) == table(first)
@@ -490,7 +487,7 @@ class TestStoreInterop:
         config = mix_config()
         store = CampaignStore(tmp_path / "store")
         sampled = Campaign(MixTarget(), config).run(
-            mode="sample", sampling=self.SPEC, store=store
+            sampling=self.SPEC, store=store
         )
         runs_per_pair = len(config.injection_times) * len(config.test_cases)
         exhaustive = Campaign(MixTarget(), config).run(store=store)
@@ -511,7 +508,7 @@ class TestStoreInterop:
         writes_before = store.counters["writes"]
         hits_before = store.counters["hits"]
         sampled = Campaign(MixTarget(), config).run(
-            mode="sample", sampling=self.SPEC, store=store
+            sampling=self.SPEC, store=store
         )
         # Every draw was answered from the store: no new shards.
         assert store.counters["writes"] == writes_before
@@ -529,10 +526,10 @@ class TestStoreInterop:
         config = mix_config()
         store = CampaignStore(tmp_path / "store")
         first = Campaign(MixTarget(), config).run(
-            mode="sample", sampling=self.SPEC, store=store
+            sampling=self.SPEC, store=store
         )
         resumed = Campaign(MixTarget(), config).run(
-            mode="sample", sampling=self.SPEC, store=store
+            sampling=self.SPEC, store=store
         )
         assert table(resumed) == table(first)
         assert resumed.sampling.to_dict() == first.sampling.to_dict()
@@ -627,7 +624,6 @@ def test_interval_coverage_is_at_least_nominal(ci, floor):
 def test_estimates_match_true_rates_on_full_exhaustion():
     """A stratum that exhausts its space reports the exact rates."""
     result = Campaign(BernoulliTarget(), BERNOULLI_CONFIG).run(
-        mode="sample",
         sampling=SamplingSpec(target_halfwidth=0.01, min_cells=64, round_cells=64),
     )
     stratum = result.sampling.stratum("x")

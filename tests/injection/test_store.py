@@ -282,7 +282,7 @@ def golden_fingerprints() -> dict:
         base = campaign.store_key_base()
         keys = [
             {**base, "pairs": [list(pair) for pair in shard]}
-            for shard in plan_shards(campaign, 1)
+            for shard in plan_shards(campaign)
         ]
         payload[module] = {
             "base": fingerprint_of(base),
@@ -404,7 +404,7 @@ class TestCampaignStore:
         quarantine it) and rewrite the file."""
         from tests.orchestration._targets import run_grid_campaign
 
-        fresh = run_grid_campaign()._run_serial()
+        fresh = run_grid_campaign().run()
         store = CampaignStore(tmp_path)
         run_grid_campaign().run(store=store)
         torn = sorted((tmp_path / "shards").iterdir())[3]
@@ -505,7 +505,7 @@ def _probe_keys() -> dict:
         for module in ("alpha", "beta"):
             campaign = Campaign(SourcedTarget(srcs), config_for(module))
             base = campaign.store_key_base()
-            for n, shard in enumerate(plan_shards(campaign, 1)):
+            for n, shard in enumerate(plan_shards(campaign)):
                 keys[f"{label}/{module}/{n}"] = {
                     **base, "pairs": [list(pair) for pair in shard],
                 }

@@ -2,7 +2,6 @@
 quarantine synthesis, and campaign-store interop (prune-composition,
 pooled runs, quarantine exclusion)."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +32,7 @@ class TestDeterminism:
         assert first.records == second.records
 
     def test_serial_pool_matches_plain_serial(self):
-        serial = run_grid_campaign()._run_serial()
+        serial = run_grid_campaign().run()
         pooled = run_grid_campaign().run(pool=SerialPool())
         assert pooled.records == serial.records
         assert pooled.golden_runs.keys() == serial.golden_runs.keys()
@@ -43,15 +42,7 @@ class TestDeterminism:
             a = run_grid_campaign().run(pool=one)
             b = run_grid_campaign().run(pool=four)
         assert a.records == b.records
-        assert a.records == run_grid_campaign()._run_serial().records
-
-    def test_shard_size_does_not_change_records(self):
-        serial = run_grid_campaign()._run_serial()
-        for shard_size in (1, 2, 5, 100):
-            result = run_grid_campaign().run(
-                pool=SerialPool(), shard_size=shard_size
-            )
-            assert result.records == serial.records
+        assert a.records == run_grid_campaign().run().records
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -67,20 +58,15 @@ class TestDeterminism:
             st.integers(min_value=0, max_value=31), min_size=1, max_size=3,
             unique=True,
         ),
-        shard_size=st.integers(min_value=1, max_value=7),
     )
-    def test_property_parallel_equals_serial(
-        self, test_cases, times, bits, shard_size
-    ):
+    def test_property_parallel_equals_serial(self, test_cases, times, bits):
         config = grid_config(
             test_cases=tuple(test_cases),
             injection_times=tuple(times),
             bits=tuple(bits),
         )
-        serial = Campaign(GridTarget(), config)._run_serial()
-        merged = Campaign(GridTarget(), config).run(
-            pool=SerialPool(), shard_size=shard_size
-        )
+        serial = Campaign(GridTarget(), config).run()
+        merged = Campaign(GridTarget(), config).run(pool=SerialPool())
         assert merged.records == serial.records
 
 
@@ -235,7 +221,7 @@ class TestStoreInterop:
         store = CampaignStore(tmp_path / "store")
         exhaustive = run_grid_campaign().run(store=store)
 
-        pruned = run_grid_campaign().run(prune="static", store=store)
+        pruned = run_grid_campaign(prune="static").run(store=store)
         # Static pruning drops the dead ``scratch`` pairs; every
         # surviving shard was already stored by the exhaustive run.
         assert 0 < pruned.orchestration["tasks"] < (
@@ -249,7 +235,7 @@ class TestStoreInterop:
 
     def test_pruned_store_partially_serves_exhaustive(self, tmp_path):
         store = CampaignStore(tmp_path / "store")
-        pruned = run_grid_campaign().run(prune="static", store=store)
+        pruned = run_grid_campaign(prune="static").run(store=store)
         survivors = pruned.orchestration["tasks"]
 
         exhaustive = run_grid_campaign().run(store=store)
@@ -257,7 +243,7 @@ class TestStoreInterop:
         assert exhaustive.orchestration["executed"] == (
             exhaustive.orchestration["tasks"] - survivors
         )
-        assert exhaustive.records == run_grid_campaign()._run_serial().records
+        assert exhaustive.records == run_grid_campaign().run().records
 
     def test_pooled_store_run_is_bit_identical(self, tmp_path):
         store = CampaignStore(tmp_path / "store")
@@ -268,7 +254,7 @@ class TestStoreInterop:
         )
         warm = run_grid_campaign().run(store=store)
         assert warm.orchestration["stored"] == warm.orchestration["tasks"]
-        serial = run_grid_campaign()._run_serial()
+        serial = run_grid_campaign().run()
         assert cold.records == serial.records
         assert warm.records == serial.records
 
@@ -295,9 +281,5 @@ class TestStoreInterop:
 class TestRunCampaignDirect:
     def test_default_pool_is_serial(self):
         result = run_campaign(run_grid_campaign())
-        assert result.records == run_grid_campaign()._run_serial().records
+        assert result.records == run_grid_campaign().run().records
         assert result.orchestration["jobs"] == 1
-
-    def test_rejects_bad_shard_size(self):
-        with pytest.raises(ValueError):
-            run_campaign(run_grid_campaign(), shard_size=0)

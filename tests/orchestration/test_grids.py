@@ -21,7 +21,7 @@ from tests.orchestration._targets import run_grid_campaign
 
 @pytest.fixture(scope="module")
 def dataset():
-    return run_grid_campaign()._run_serial().to_dataset("GT-ds")
+    return run_grid_campaign().run().to_dataset("GT-ds")
 
 
 GRID = RefinementGrid(
@@ -188,7 +188,7 @@ class TestSharedJournalIncremental:
 class TestFingerprints:
     def test_dataset_fingerprint_stable_and_sensitive(self, dataset):
         assert dataset_fingerprint(dataset) == dataset_fingerprint(dataset)
-        other = run_grid_campaign(test_cases=(0, 2))._run_serial().to_dataset("x")
+        other = run_grid_campaign(test_cases=(0, 2)).run().to_dataset("x")
         assert dataset_fingerprint(dataset) != dataset_fingerprint(other)
 
     def test_callable_tag_prefers_fingerprint(self):

@@ -12,7 +12,6 @@ from repro.orchestration import (
     estimate_runs,
     fingerprint_of,
 )
-from repro.orchestration.tasks import _chunk
 
 from tests.orchestration._targets import square
 
@@ -94,14 +93,3 @@ class TestEstimateRuns:
         assert estimate_runs(self._config(variables=None), n_variables=5) == (
             3 * 2 * 5 * 4
         )
-
-
-class TestChunk:
-    def test_even_and_ragged(self):
-        assert _chunk([1, 2, 3, 4], 2) == [(1, 2), (3, 4)]
-        assert _chunk([1, 2, 3], 2) == [(1, 2), (3,)]
-        assert _chunk([], 2) == []
-
-    def test_rejects_bad_size(self):
-        with pytest.raises(ValueError):
-            _chunk([1], 0)
