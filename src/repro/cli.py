@@ -54,7 +54,6 @@ Traces are recorded, summarized and exported with ``trace``::
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import pathlib
 import sys
@@ -390,7 +389,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         return 2
     scale_obj = get_scale(args.scale)
     target = build_target(spec.target, scale_obj)
-    config = _with_prune_flag(campaign_config(spec, scale_obj), args.prune)
+    config = campaign_config(spec, scale_obj).with_prune(args.prune)
     try:
         sampling = SamplingSpec(
             ci=args.ci,
@@ -448,13 +447,6 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             f"{exact} ({stratum.stopped}): {rates}"
         )
     return 0
-
-
-def _with_prune_flag(config, prune: str | None):
-    """``config`` under a ``--prune`` flag (``None``: flag not given)."""
-    if prune is None:
-        return config
-    return dataclasses.replace(config, prune=None if prune == "none" else prune)
 
 
 def _cmd_orchestrate(args: argparse.Namespace) -> int:
@@ -529,7 +521,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         return 2
     scale_obj = get_scale(args.scale)
     target = build_target(spec.target, scale_obj)
-    config = _with_prune_flag(campaign_config(spec, scale_obj), args.prune)
+    config = campaign_config(spec, scale_obj).with_prune(args.prune)
     store = CampaignStore(args.store)
     pool = None
     if args.jobs > 1:

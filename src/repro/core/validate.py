@@ -155,11 +155,6 @@ class ValidationCampaign(Campaign):
         monitor_all_probes: bool = False,
     ) -> None:
         super().__init__(target, config)
-        # Checked here, not only by the harness: a harness error inside
-        # a campaign shard is quarantined into crash records rather
-        # than raised.
-        if mode not in ("single", "continuous"):
-            raise ValueError(f"unknown validation mode {mode!r}")
         self.detector = detector
         self.mode = mode
         self.monitor_all_probes = monitor_all_probes

@@ -171,6 +171,21 @@ class CampaignConfig:
             payload["audit_seed"] = self.audit_seed
         return payload
 
+    def with_prune(
+        self, prune: str | None = None, audit_fraction: float | None = None
+    ) -> "CampaignConfig":
+        """This config under the ``--prune``/``--audit-fraction`` flags:
+        ``None`` keeps the config's own setting, ``prune="none"``
+        clears it."""
+        config = self
+        if prune is not None:
+            config = dataclasses.replace(
+                config, prune=None if prune == "none" else prune
+            )
+        if audit_fraction is not None:
+            config = dataclasses.replace(config, audit_fraction=audit_fraction)
+        return config
+
     @classmethod
     def from_dict(cls, payload: Mapping) -> "CampaignConfig":
         bits = payload.get("bits")
@@ -487,7 +502,9 @@ class Campaign:
         Without a pool, one configured via
         :func:`repro.orchestration.configure` (the experiments CLI's
         ``--jobs``) is picked up, else the run is serial in-process,
-        as the paper's loop is.
+        as the paper's loop is: an exception raised by campaign code
+        (a harness factory, a hook) propagates rather than turning
+        into crash records.
 
         ``config.prune == "static"`` runs the statically pruned
         campaign: provably dead or class-equivalent injection points
@@ -528,8 +545,9 @@ class Campaign:
 
         Campaign subclasses that observe per-run harness state through
         :meth:`_after_run` (e.g. the validation campaign) are forced
-        onto in-process execution, since a worker process's harness
-        observations would be lost with the worker.  For the same
+        onto in-process execution without retries, since a worker
+        process's harness observations would be lost with the worker
+        and a retried shard would observe its runs twice.  For the same
         reason they refuse pruning and sampling: a synthesized or
         undrawn run never executes, so the hook would silently miss
         it.
@@ -560,9 +578,14 @@ class Campaign:
         owned = default_pool() if pool is None else None
         if owned is not None:
             pool = owned
-        if pool is None or (observes and pool.jobs > 1):
-            # Observation hooks need the runs in this process.
-            pool = SerialPool(metrics=getattr(pool, "metrics", None))
+        if pool is None or observes:
+            # The paper's plain loop: in this process, and an exception
+            # raised by campaign code propagates instead of being
+            # retried into crash records.  Observation hooks need
+            # exactly that -- every run once, here.
+            pool = SerialPool(
+                metrics=getattr(pool, "metrics", None), isolate=False
+            )
         try:
             if sampling is None and prune == "none":
                 return run_campaign(self, pool=pool, store=store)

@@ -33,7 +33,8 @@ quarantined by the pool after its retries; the campaign then
 synthesises one crash record per planned run in the shard
 (``crashed=True``/``failed=True``, the campaign's standing definition
 of a crash) rather than losing the whole campaign to one pathological
-fault.
+fault.  Without a pool the run has no such boundary: it is the plain
+in-process loop, and an exception raised by campaign code propagates.
 """
 
 from __future__ import annotations
@@ -186,7 +187,7 @@ def run_campaign(
 
     Returns a :class:`CampaignResult` whose records are bit-identical
     for any pool (absent quarantined shards); without a pool the run
-    is serial in-process.  The result additionally carries an
+    is serial in-process and a raising shard raises.  The result additionally carries an
     ``orchestration`` attribute summarising the schedule:
     total/executed/stored task counts and the ids of quarantined
     shards.  ``pairs`` restricts execution to an explicit pair subset
@@ -219,7 +220,7 @@ def run_campaign(
     (sampling rounds, the prune audit) share one capture.
     """
     if pool is None:
-        pool = SerialPool()
+        pool = SerialPool(isolate=False)
     config = campaign.config
     store_base = None
     if store is not None:

@@ -111,15 +111,9 @@ def run_dataset(
         ):
             with obs.span("phase.campaign", target=spec.target):
                 target = build_target(spec.target, scale_obj)
-                config = campaign_config(spec, scale_obj)
-                if prune is not None:
-                    config = dataclasses.replace(
-                        config, prune=None if prune == "none" else prune
-                    )
-                if audit_fraction is not None:
-                    config = dataclasses.replace(
-                        config, audit_fraction=audit_fraction
-                    )
+                config = campaign_config(spec, scale_obj).with_prune(
+                    prune, audit_fraction
+                )
                 result = Campaign(target, config).run(pool=pool, store=store)
                 dataset = result.to_dataset(name)
 

@@ -156,9 +156,28 @@ class WorkerPool:
 
 
 class SerialPool(WorkerPool):
-    """In-process execution in task order: the reference schedule."""
+    """In-process execution in task order: the reference schedule.
+
+    ``isolate=False`` drops the retry/quarantine boundary: a task that
+    raises propagates its exception out of :meth:`run`, as a plain
+    loop would.  In-process, an exception is a bug in the calling
+    code, not a fault that killed a worker, so retrying it (and
+    re-running its side effects) or turning it into a quarantined
+    outcome would only hide the bug.
+    """
 
     jobs = 1
+
+    def __init__(
+        self,
+        max_retries: int = 2,
+        backoff: float = 0.05,
+        max_backoff: float = 2.0,
+        metrics: RuntimeMetrics | None = None,
+        isolate: bool = True,
+    ) -> None:
+        super().__init__(max_retries, backoff, max_backoff, metrics)
+        self.isolate = isolate
 
     def run(
         self,
@@ -177,6 +196,8 @@ class SerialPool(WorkerPool):
                         )
                     except Exception as exc:  # noqa: BLE001 -- isolation boundary
                         self._record_fault(task)
+                        if not self.isolate:
+                            raise
                         if attempts > self.max_retries:
                             outcome = TaskOutcome(
                                 task_id=task.task_id,

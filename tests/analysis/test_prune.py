@@ -172,9 +172,18 @@ class TestBitIdentity:
         assert info["audit"]["contradictions"] == 0
 
     def test_config_prune_field_selects_the_mode(self):
+        """The config field alone selects pruning, and the selection
+        travels with the config: the result records it, its JSON round
+        trip prunes again, and the flag override clears it."""
         pruned = Campaign(PruneTarget(), config(prune="static")).run()
-        exhaustive = Campaign(PruneTarget(), config()).run()
-        assert table(pruned) == table(exhaustive)
+        assert pruned.config.prune == "static"
+        again = Campaign(
+            PruneTarget(), CampaignConfig.from_dict(pruned.config.to_dict())
+        ).run()
+        assert again.prune["runs_pruned"] == pruned.prune["runs_pruned"] > 0
+        cleared = config(prune="static").with_prune("none", 0.5)
+        assert (cleared.prune, cleared.audit_fraction) == (None, 0.5)
+        assert not hasattr(Campaign(PruneTarget(), cleared).run(), "prune")
 
     def test_full_audit_passes(self):
         result = Campaign(

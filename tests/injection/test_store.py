@@ -402,9 +402,10 @@ class TestCampaignStore:
         """A torn shard in an otherwise-full store is not "stored":
         the rerun must capture golden runs for it, re-execute it (not
         quarantine it) and rewrite the file."""
+        from tests.injection._replay import replay_records
         from tests.orchestration._targets import run_grid_campaign
 
-        fresh = run_grid_campaign().run()
+        fresh = replay_records(run_grid_campaign())
         store = CampaignStore(tmp_path)
         run_grid_campaign().run(store=store)
         torn = sorted((tmp_path / "shards").iterdir())[3]
@@ -416,7 +417,7 @@ class TestCampaignStore:
         assert rerun.orchestration["quarantined"] == []
         assert rerun.orchestration["executed"] == 1
         assert [r.to_dict() for r in rerun.records] == [
-            r.to_dict() for r in fresh.records
+            r.to_dict() for r in fresh
         ]
         assert CampaignStore(tmp_path).contains(torn.stem)
         again = run_grid_campaign().plan_delta(CampaignStore(tmp_path))

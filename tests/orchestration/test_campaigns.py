@@ -2,11 +2,12 @@
 quarantine synthesis, and campaign-store interop (prune-composition,
 pooled runs, quarantine exclusion)."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.injection.campaign import Campaign
-from repro.injection.instrument import Location
+from repro.injection.sampling import SamplingSpec
 from repro.injection.store import CampaignStore
 from repro.orchestration import (
     ProcessPool,
@@ -15,12 +16,23 @@ from repro.orchestration import (
     run_campaign,
 )
 
+from tests.injection._replay import replay_records
 from tests.orchestration._targets import (
     CrashingGridTarget,
     GridTarget,
     grid_config,
     run_grid_campaign,
 )
+
+
+def _dicts(records):
+    return [record.to_dict() for record in records]
+
+
+def _replayed(campaign):
+    """The reference: the independent full-replay loop, not the
+    orchestrated path under test."""
+    return _dicts(replay_records(campaign))
 
 
 class TestDeterminism:
@@ -34,6 +46,7 @@ class TestDeterminism:
     def test_serial_pool_matches_plain_serial(self):
         serial = run_grid_campaign().run()
         pooled = run_grid_campaign().run(pool=SerialPool())
+        assert _dicts(pooled.records) == _replayed(run_grid_campaign())
         assert pooled.records == serial.records
         assert pooled.golden_runs.keys() == serial.golden_runs.keys()
 
@@ -42,7 +55,7 @@ class TestDeterminism:
             a = run_grid_campaign().run(pool=one)
             b = run_grid_campaign().run(pool=four)
         assert a.records == b.records
-        assert a.records == run_grid_campaign().run().records
+        assert _dicts(a.records) == _replayed(run_grid_campaign())
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -65,9 +78,10 @@ class TestDeterminism:
             injection_times=tuple(times),
             bits=tuple(bits),
         )
-        serial = Campaign(GridTarget(), config).run()
         merged = Campaign(GridTarget(), config).run(pool=SerialPool())
-        assert merged.records == serial.records
+        assert _dicts(merged.records) == _replayed(
+            Campaign(GridTarget(), config)
+        )
 
 
 class TestJournalResume:
@@ -210,6 +224,82 @@ class TestValidationGuard:
         assert result.orchestration["jobs"] == 1
 
 
+class Boom(RuntimeError):
+    pass
+
+
+class HarnessBug(Campaign):
+    """A campaign whose harness factory fails on the third run."""
+
+    calls = 0
+
+    def _make_harness(self, flip, injection_time):
+        type(self).calls += 1
+        if type(self).calls == 3:
+            raise Boom("harness factory bug")
+        return super()._make_harness(flip, injection_time)
+
+
+class TestInProcessErrors:
+    """Without a pool the run is the plain in-process loop: an
+    exception raised by campaign code propagates once, unretried,
+    instead of becoming quarantined crash records."""
+
+    @pytest.mark.parametrize(
+        "overrides, sampling",
+        [({}, None), ({"prune": "static"}, None), ({}, SamplingSpec())],
+        ids=["exhaustive", "pruned", "sampled"],
+    )
+    def test_harness_error_propagates(self, overrides, sampling, tmp_path):
+        for store in (None, CampaignStore(tmp_path / "store")):
+            HarnessBug.calls = 0
+            campaign = HarnessBug(GridTarget(), grid_config(**overrides))
+            with pytest.raises(Boom):
+                campaign.run(sampling=sampling, store=store)
+            assert HarnessBug.calls == 3
+
+    def test_after_run_error_propagates_from_any_pool(self):
+        seen = []
+
+        class Observing(Campaign):
+            def _after_run(self, harness, record):
+                seen.append(record)
+                raise Boom("hook bug")
+
+        with ProcessPool(2, backoff=0) as pool:
+            for chosen in (None, SerialPool(backoff=0), pool):
+                seen.clear()
+                with pytest.raises(Boom):
+                    Observing(GridTarget(), grid_config()).run(pool=chosen)
+                assert len(seen) == 1
+
+    def test_validation_error_propagates_without_duplicate_verdicts(self):
+        from repro.core.detector import Detector
+        from repro.core.predicate import TruePredicate
+        from repro.core.validate import ValidationCampaign
+
+        class Failing(ValidationCampaign):
+            def _after_run(self, harness, record):
+                super()._after_run(harness, record)
+                if len(self._verdicts) == 2:
+                    raise Boom("verdict bug")
+
+        campaign = Failing(GridTarget(), grid_config(), Detector(TruePredicate()))
+        with pytest.raises(Boom):
+            campaign.validate()
+        assert len(campaign._verdicts) == 2
+
+    def test_explicit_pool_still_isolates(self):
+        HarnessBug.calls = 0
+        result = HarnessBug(GridTarget(), grid_config()).run(
+            pool=SerialPool(max_retries=1, backoff=0)
+        )
+        # The failing shard is retried (the retry succeeds) and the
+        # run completes.
+        assert result.orchestration["quarantined"] == []
+        assert HarnessBug.calls > result.n_runs
+
+
 class TestStoreInterop:
     """The campaign store composes with every way of running a
     campaign: pruned and exhaustive campaigns of the same slice share
@@ -243,7 +333,7 @@ class TestStoreInterop:
         assert exhaustive.orchestration["executed"] == (
             exhaustive.orchestration["tasks"] - survivors
         )
-        assert exhaustive.records == run_grid_campaign().run().records
+        assert _dicts(exhaustive.records) == _replayed(run_grid_campaign())
 
     def test_pooled_store_run_is_bit_identical(self, tmp_path):
         store = CampaignStore(tmp_path / "store")
@@ -254,9 +344,9 @@ class TestStoreInterop:
         )
         warm = run_grid_campaign().run(store=store)
         assert warm.orchestration["stored"] == warm.orchestration["tasks"]
-        serial = run_grid_campaign().run()
-        assert cold.records == serial.records
-        assert warm.records == serial.records
+        serial = _replayed(run_grid_campaign())
+        assert _dicts(cold.records) == serial
+        assert _dicts(warm.records) == serial
 
     def test_quarantined_shards_never_stored(self, tmp_path):
         store = CampaignStore(tmp_path / "store")
@@ -281,5 +371,5 @@ class TestStoreInterop:
 class TestRunCampaignDirect:
     def test_default_pool_is_serial(self):
         result = run_campaign(run_grid_campaign())
-        assert result.records == run_grid_campaign().run().records
+        assert _dicts(result.records) == _replayed(run_grid_campaign())
         assert result.orchestration["jobs"] == 1
