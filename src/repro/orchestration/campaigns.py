@@ -187,10 +187,10 @@ def run_campaign(
 
     Returns a :class:`CampaignResult` whose records are bit-identical
     for any pool (absent quarantined shards); without a pool the run
-    is serial in-process and a raising shard raises.  The result additionally carries an
-    ``orchestration`` attribute summarising the schedule:
-    total/executed/stored task counts and the ids of quarantined
-    shards.  ``pairs`` restricts execution to an explicit pair subset
+    is serial in-process and a raising shard raises.  The result
+    additionally carries an ``orchestration`` attribute summarising
+    the schedule: total/executed/stored task counts and the ids of
+    quarantined shards.  ``pairs`` restricts execution to an explicit pair subset
     (pruned and sampled campaigns); ``golden_runs`` reuses
     already-captured golden runs.
 
