@@ -357,12 +357,14 @@ def _cmd_prune(args: argparse.Namespace) -> int:
 
 
 def _store_arg(args: argparse.Namespace):
-    """The campaign store named by ``--store``, or ``None``."""
+    """The campaign store named by ``--store``, or ``None``.  A command
+    runs one campaign against it, so no sibling campaign would take
+    records handed over by a dual run: hand-off is off."""
     if not args.store:
         return None
     from repro.injection.store import CampaignStore
 
-    return CampaignStore(args.store)
+    return CampaignStore(args.store, hand_off=False)
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
@@ -522,7 +524,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     scale_obj = get_scale(args.scale)
     target = build_target(spec.target, scale_obj)
     config = campaign_config(spec, scale_obj).with_prune(args.prune)
-    store = CampaignStore(args.store)
+    store = CampaignStore(args.store, hand_off=False)
     pool = None
     if args.jobs > 1:
         from repro.orchestration.pool import ProcessPool

@@ -76,7 +76,7 @@ class _AssertingHarness(InjectionHarness):
     def _on_probe(self, key, occurrence, state):
         state = super()._on_probe(key, occurrence, state)
         at_monitored_probe = self._monitor_all or (
-            self._sample_key is not None and key == self._sample_key
+            self._sample_keys is not None and key in self._sample_keys
         )
         if (
             not at_monitored_probe

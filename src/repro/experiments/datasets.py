@@ -138,6 +138,12 @@ def _spec_for(name: str) -> DatasetSpec:
     return spec
 
 
+#: One store instance per store directory: an X2 dataset generated after
+#: its X1 sibling in the same process takes the records the X1 run
+#: handed over instead of executing (:mod:`repro.orchestration.campaigns`).
+_STORES: dict[pathlib.Path, CampaignStore] = {}
+
+
 def generate_campaign(
     name: str,
     scale: Scale | str = "bench",
@@ -150,7 +156,10 @@ def generate_campaign(
     (:mod:`repro.injection.store`), addressed by the target's source:
     later calls load them instead of re-running Step 1 until a target
     edit changes the address, and a killed call resumes where it
-    stopped.  ``use_cache=False`` runs without the store.
+    stopped.  Calls share one store instance per directory, so an
+    ``entry/exit`` dataset generated after its ``entry/entry``
+    sibling reuses that campaign's injected runs.  ``use_cache=False``
+    runs without the store.
     """
     if isinstance(scale, str):
         scale = get_scale(scale)
@@ -161,7 +170,11 @@ def generate_campaign(
     if not use_cache:
         return campaign.run()
     cache_dir = cache_dir if cache_dir is not None else default_cache_dir()
-    return campaign.run(store=CampaignStore(cache_dir / "store"))
+    root = cache_dir / "store"
+    store = _STORES.get(root)
+    if store is None:
+        store = _STORES[root] = CampaignStore(root)
+    return campaign.run(store=store)
 
 
 def generate_dataset(

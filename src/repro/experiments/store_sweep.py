@@ -114,7 +114,10 @@ def run(scale: Scale | str = "smoke", datasets=None):
                     "edited": edited,
                     "shards": orchestration["tasks"],
                     "reused": orchestration["stored"],
-                    "executed": orchestration["executed"],
+                    # A shard a sibling's dual run answered was
+                    # re-executed there.
+                    "executed": orchestration["executed"]
+                    + orchestration["sibling"],
                     "reused_fraction": (
                         orchestration["stored"] / orchestration["tasks"]
                         if orchestration["tasks"]

@@ -31,6 +31,15 @@ the same either way.  Subclasses that override ``_make_harness`` or
 ``_after_run`` observe the whole run, so they replay it in full and
 never stop early.
 
+Table II's X1 (entry/entry) and X2 (entry/exit) datasets of a module
+inject the same faults at the same times; only the sampling location
+differs, so their injected runs are the same runs.  A campaign that
+injects at the entry and keeps the default hooks therefore has a
+*sibling* (:meth:`Campaign._sibling`), and a store-backed run samples
+both probes in one execution and hands the sibling's records over
+(:func:`repro.orchestration.campaigns.run_campaign`); each record is
+still picked and compared by its own campaign.
+
 The paper's full scale (250 test cases x all 64 bits x 4 times per
 variable) is supported but configurable; the experiment drivers use a
 documented reduced scale (see EXPERIMENTS.md).
@@ -412,6 +421,11 @@ class Campaign:
         failure_fp = self.target.failure_fingerprint()
         if module_fp is None or failure_fp is None:
             return None
+        return self._store_key_base(module_fp, failure_fp)
+
+    def _store_key_base(self, module_fp: str, failure_fp: str) -> dict:
+        """:meth:`store_key_base` from the two content fingerprints,
+        which a sibling campaign (:meth:`_sibling`) shares."""
         config = self.config.to_dict()
         for key in ("prune", "audit_fraction", "audit_seed", "variables", "bits"):
             config.pop(key, None)
@@ -679,6 +693,15 @@ class Campaign:
         result.orchestration = partial.orchestration  # type: ignore[attr-defined]
         return result
 
+    def _default_hooks(self) -> bool:
+        """Whether the campaign keeps the default ``_make_harness`` and
+        ``_after_run``: a subclass hooking either sees the whole run."""
+        cls = type(self)
+        return (
+            cls._make_harness is Campaign._make_harness
+            and cls._after_run is Campaign._after_run
+        )
+
     def _resumes(self) -> bool:
         """Whether injected runs resume from golden-prefix checkpoints.
 
@@ -687,21 +710,45 @@ class Campaign:
         observes it after the run (``_after_run``): those hooks see
         the whole run, prefix included.
         """
-        cls = type(self)
         resumable = getattr(self.target, "resumable", None)
-        return (
-            cls._make_harness is Campaign._make_harness
-            and cls._after_run is Campaign._after_run
-            and resumable is not None
-            and resumable()
+        return self._default_hooks() and resumable is not None and resumable()
+
+    def _sibling(self) -> "Campaign | None":
+        """The campaign whose injected runs are this one's, step for step.
+
+        It is the same target and config sampled at the other location:
+        Table II's X1 (entry/entry) and X2 (entry/exit) datasets are
+        siblings, and one run sampling both probes yields both records
+        (:func:`repro.orchestration.campaigns.run_campaign` hands the
+        sibling's over).  Only a campaign that injects at the entry
+        (the Table II pairs) and keeps the default harness hooks (a
+        hooked harness is not the plain one a dual run uses) has one.
+        """
+        config = self.config
+        if config.injection_location is not Location.ENTRY or not self._default_hooks():
+            return None
+        other = (
+            Location.EXIT
+            if config.sample_location is Location.ENTRY
+            else Location.ENTRY
+        )
+        return Campaign(
+            self.target, dataclasses.replace(config, sample_location=other)
         )
 
-    def _capture_checkpoints(self) -> dict[tuple[int, int], Checkpoint]:
+    def _capture_checkpoints(
+        self, sibling: "Campaign | None" = None
+    ) -> dict[tuple[int, int], Checkpoint]:
         """``(injection time, test case) -> checkpoint`` for every cell
-        that can resume; empty when the campaign replays."""
+        that can resume; empty when the campaign replays.  With
+        ``sibling`` the checkpoints also suit runs that sample the
+        sibling's probe."""
         if not self._resumes():
             return {}
         config = self.config
+        sample_probes = (config.sample_probe,)
+        if sibling is not None:
+            sample_probes += (sibling.config.sample_probe,)
         checkpoints: dict[tuple[int, int], Checkpoint] = {}
         with obs.span(
             names.CAMPAIGN_CHECKPOINT, target=self.target.name
@@ -711,7 +758,7 @@ class Campaign:
                     self.target,
                     tc,
                     config.injection_probe,
-                    config.sample_probe,
+                    sample_probes,
                     config.injection_times,
                 )
                 for injection_time, checkpoint in captured.items():
@@ -735,13 +782,17 @@ class Campaign:
         checkpoints: Mapping[tuple[int, int], Checkpoint],
         hints: Mapping[tuple[int, int], tuple] | None = None,
         tally: Counter | None = None,
-    ) -> list[ExperimentRecord]:
+        sibling: "Campaign | None" = None,
+    ):
         """Every cell of one (variable, bit) pair in canonical order
         (injection time, then test case), resuming where a checkpoint
         exists.  The inner loop of every shard
-        (:func:`repro.orchestration.campaigns.run_campaign`)."""
+        (:func:`repro.orchestration.campaigns.run_campaign`).  With
+        ``sibling`` (:meth:`_sibling`) every run also yields the
+        sibling's record, and the result is ``(records, sibling's
+        records)``."""
         hints = hints or {}
-        return [
+        cells = [
             self._run_one(
                 flip,
                 injection_time,
@@ -750,10 +801,14 @@ class Campaign:
                 injected_hint=hints.get((injection_time, tc)),
                 checkpoint=checkpoints.get((injection_time, tc)),
                 tally=tally,
+                sibling=sibling,
             )
             for injection_time in self.config.injection_times
             for tc in self.config.test_cases
         ]
+        if sibling is None:
+            return cells
+        return [own for own, _ in cells], [other for _, other in cells]
 
     def _run_one(
         self,
@@ -764,12 +819,26 @@ class Campaign:
         injected_hint: tuple | None = None,
         checkpoint: Checkpoint | None = None,
         tally: Counter | None = None,
-    ) -> ExperimentRecord:
+        sibling: "Campaign | None" = None,
+    ):
         """One injected run; ``checkpoint`` resumes it from the golden
         prefix instead of replaying the test case from the start, and
         stops it once it rejoins the golden run (counted in
-        ``tally``)."""
-        harness = self._make_harness(flip, injection_time)
+        ``tally``).  With ``sibling`` the harness samples both
+        campaigns' probes and the run returns ``(record, sibling's
+        record)``, each picked and compared by its own campaign."""
+        if sibling is None:
+            harness = self._make_harness(flip, injection_time)
+        else:
+            harness = InjectionHarness(
+                self.config.injection_probe,
+                flip,
+                injection_time,
+                sample_probe=(
+                    self.config.sample_probe,
+                    sibling.config.sample_probe,
+                ),
+            )
         if injected_hint is not None and getattr(
             harness, "injected_hint", None
         ) is None:
@@ -796,11 +865,30 @@ class Campaign:
             # violation by definition (no valid output was produced).
             crashed = True
             failed = True
-        sample = self._pick_sample(harness, injection_time)
         temporal_impact = max(
             0, harness.occurrences(self.config.injection_probe) - injection_time
         )
-        record = ExperimentRecord(
+        run = (harness, flip, injection_time, test_case, golden, failed, crashed)
+        record = self._record(*run, temporal_impact)
+        self._after_run(harness, record)
+        if sibling is None:
+            return record
+        return record, sibling._record(*run, temporal_impact)
+
+    def _record(
+        self,
+        harness: InjectionHarness,
+        flip: BitFlip,
+        injection_time: int,
+        test_case: int,
+        golden: GoldenRun,
+        failed: bool,
+        crashed: bool,
+        temporal_impact: int,
+    ) -> ExperimentRecord:
+        """This campaign's record of a finished run."""
+        sample = self._pick_sample(harness, injection_time)
+        return ExperimentRecord(
             test_case=test_case,
             flip=flip,
             injection_time=injection_time,
@@ -810,8 +898,6 @@ class Campaign:
             temporal_impact=temporal_impact,
             deviated=self._deviated(golden, sample),
         )
-        self._after_run(harness, record)
-        return record
 
     def _deviated(self, golden: GoldenRun, sample: StateSample | None) -> bool:
         """Golden-diff of the sampled state itself (Discussion §VIII)."""
@@ -835,9 +921,12 @@ class Campaign:
         occurrence index with the injection probe, so "at or after the
         injection occurrence" selects the state right after the fault
         was introduced in all three Table II location combinations.
+        Only this campaign's probe counts: a dual run's harness holds
+        its sibling's samples too.
         """
+        probe = self.config.sample_probe
         for sample in harness.samples:
-            if sample.occurrence >= injection_time:
+            if sample.probe == probe and sample.occurrence >= injection_time:
                 return sample
         return None
 

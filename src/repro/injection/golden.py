@@ -30,7 +30,8 @@ Stopping is sound because, under the step protocol, the rest of a run
 is determined by its state and probe counts alone: once the harness
 has spent its one flip it returns every probe state unchanged, and
 once it holds the record's sample (the first at or after the
-injection time) nothing later reaches the record.  A run whose state
+injection time) of every probe it samples, nothing later reaches a
+record.  A run whose state
 and counts equal the golden run's at the same boundary therefore
 finishes exactly as the golden run does -- same output, same final
 counts -- and the campaign takes those instead of executing the
@@ -215,13 +216,14 @@ class Checkpoint:
         Returns the run's output and, when it rejoined, the number of
         golden units it skipped (``None`` when it ran to the end).
         Checking starts at the first boundary where the flip has fired
-        and the harness holds the record's sample, and compares the
-        run's counts and state digest with the trail 0, 1, 3, 7, ...
-        units later: the stride doubles, so checks cost at most a
+        and the harness holds a sample of every probe it samples (a
+        dual run feeds two records), and compares the run's counts
+        and state digest with the trail 0, 1, 3, 7, ... units later:
+        the stride doubles, so checks cost at most a
         logarithmic number of state pickles however long the run.  On
         a match the rest of the run *is* the golden run -- the step
         protocol makes it a function of state and counts alone, and
-        the harness, its one flip spent and its sample taken, returns
+        the harness, its one flip spent and its samples taken, returns
         every later probe state unchanged -- so the output is
         ``golden_output`` and the harness takes the trail's final
         counts, exactly what running to the end would leave.
@@ -231,7 +233,7 @@ class Checkpoint:
         check = None
         stride = 1
         while True:
-            if check is None and harness.injected and harness.samples:
+            if check is None and harness.injected and harness.holds_samples():
                 check = unit
             if unit == check:
                 # Counts first: comparing them is cheap, pickling is not.
@@ -260,7 +262,7 @@ def capture_checkpoints(
     target,
     test_case: int,
     injection_probe: Probe,
-    sample_probe: Probe,
+    sample_probes: tuple[Probe, ...],
     injection_times,
 ) -> dict[int, Checkpoint]:
     """Resume points of ``test_case`` for each injection time.
@@ -270,10 +272,10 @@ def capture_checkpoints(
     its :class:`GoldenTrail`.  The checkpoint of time ``t`` is the
     last unit boundary where ``injection_probe`` has fired exactly
     ``t`` times -- the injection fires at the next occurrence, so
-    everything before it is the golden prefix -- and where
-    ``sample_probe`` has not fired more than ``t`` times (an injected
-    run samples from occurrence ``t`` on, so an earlier sample would
-    be lost).  A time past the run's last occurrence resumes from the
+    everything before it is the golden prefix -- and where no probe of
+    ``sample_probes`` has fired more than ``t`` times (an injected run
+    samples from occurrence ``t`` on, so an earlier sample would be
+    lost).  A time past the run's last occurrence resumes from the
     final state.  A time with no such boundary gets no checkpoint, and
     its runs replay in full.  Every checkpoint of the test case shares
     the one trail, which its resumed runs stop against
@@ -291,7 +293,7 @@ def capture_checkpoints(
         digests.append(_digest(pickled))
         boundary_counts.append(counts)
         count = harness.occurrences(injection_probe)
-        sampled = harness.occurrences(sample_probe)
+        sampled = max(harness.occurrences(probe) for probe in sample_probes)
         if count in times and sampled <= count:
             snapshots[count] = (pickled, len(digests) - 1)
         if not target.advance(state, harness):

@@ -20,16 +20,19 @@ The two concrete harnesses are:
   occurrence index is the paper's "injection time": a control-loop
   iteration for FlightGear, a file index for 7-Zip/Mp3Gain).  To keep
   long-loop targets cheap it only records samples from the injection
-  time onwards, up to a configurable budget -- the campaign uses the
-  first sample at/after the injection.
+  time onwards, up to a configurable budget per sampled probe -- the
+  campaign uses the first sample at/after the injection.
 
-Sampling is restricted to a configured probe so that each dataset
+Sampling is restricted to configured probes so that each dataset
 corresponds to one (injection location, sampling location) pair as in
-Table II.
+Table II.  A harness may sample several probes at once: one injected
+run then yields the instance of every dataset that shares its
+injection, as PROPANE logs several locations in one run.
 
 The probe call is the hot path of every campaign (a FlightGear run
 crosses it ~10,000 times), so occurrence bookkeeping uses plain
-``(module, location)`` tuples internally.
+``(module, location)`` tuples internally, and an injection harness
+whose flip is spent and whose sample budgets are full only counts.
 """
 
 from __future__ import annotations
@@ -110,15 +113,22 @@ class Harness:
     """Base harness: counts probe occurrences and records samples.
 
     ``sample_probe`` selects which probe is logged (one per dataset, as
-    in Table II); ``None`` records every probe, which golden runs use
-    so any sampling location can be read off later.
+    in Table II), or is a tuple of probes to log several; ``None``
+    records every probe, which golden runs use so any sampling
+    location can be read off later.
     """
 
-    def __init__(self, sample_probe: Probe | None = None) -> None:
+    def __init__(self, sample_probe: Probe | tuple[Probe, ...] | None = None) -> None:
         self.sample_probe = sample_probe
-        self._sample_key = None if sample_probe is None else sample_probe.key
+        probes = (sample_probe,) if isinstance(sample_probe, Probe) else sample_probe
+        #: Keys of the sampled probes (``None``: every probe).  A tuple:
+        #: membership compares the one or two keys without hashing.
+        self._sample_keys = None if probes is None else tuple(p.key for p in probes)
         self.samples: list[StateSample] = []
         self._occurrences: dict[tuple[str, Location], int] = {}
+        #: Set once no later probe can change a state or take a sample:
+        #: probes then only count (:class:`InjectionHarness`).
+        self._counting = False
 
     def probe(
         self,
@@ -130,10 +140,11 @@ class Harness:
         key = (module, location)
         occurrence = self._occurrences.get(key, 0)
         self._occurrences[key] = occurrence + 1
-        state = dict(variables)
-        state = self._on_probe(key, occurrence, state)
+        if self._counting:
+            return dict(variables)
+        state = self._on_probe(key, occurrence, dict(variables))
         if (
-            self._sample_key is None or key == self._sample_key
+            self._sample_keys is None or key in self._sample_keys
         ) and self._should_sample(key, occurrence):
             self.samples.append(
                 StateSample(Probe(module, location), occurrence, dict(state))
@@ -149,6 +160,8 @@ class Harness:
         return state
 
     def _should_sample(self, key: tuple[str, Location], occurrence: int) -> bool:
+        """Whether to record this occurrence of a sampled probe; a
+        ``True`` answer is always followed by the recording."""
         return True
 
     def occurrences(self, probe: Probe) -> int:
@@ -187,12 +200,13 @@ class InjectionHarness(Harness):
         flip is applied.
     sample_probe:
         Which probe's states to record (the dataset's sampling
-        location).
+        location), or a tuple of probes (one run feeding several
+        datasets).
     sample_budget:
-        How many samples to keep, starting at the injection time (the
-        campaign consumes the first; a larger budget supports latency
-        analyses).  ``None`` keeps every sample from the injection time
-        onwards.
+        How many samples to keep per sampled probe, starting at the
+        injection time (the campaign consumes the first; a larger
+        budget supports latency analyses).  ``None`` keeps every
+        sample from the injection time onwards.
     injected_hint:
         Optional ``(expected_original, injected_value)`` pair
         precomputed by the shard data plane (one vectorized XOR over
@@ -202,6 +216,11 @@ class InjectionHarness(Harness):
         bit pattern as ``expected_original``; any mismatch falls back
         to :meth:`BitFlip.apply`, so the hint can never change a
         record.
+
+    Once the flip has fired and every sampled probe's budget is full,
+    nothing a later probe does can reach a record or change a state,
+    so probes only count their occurrences from then on.  Subclasses
+    that override ``_on_probe`` keep seeing every probe.
     """
 
     def __init__(
@@ -209,7 +228,7 @@ class InjectionHarness(Harness):
         injection_probe: Probe,
         flip: BitFlip,
         injection_time: int,
-        sample_probe: Probe | None = None,
+        sample_probe: Probe | tuple[Probe, ...] | None = None,
         sample_budget: int | None = 4,
         injected_hint: tuple | None = None,
     ) -> None:
@@ -223,6 +242,31 @@ class InjectionHarness(Harness):
         self.injected = False
         self.injected_value: float | int | bool | None = None
         self.original_value: float | int | bool | None = None
+        #: Samples recorded so far, per sampled probe key.
+        self._taken: dict[tuple[str, Location], int] = {}
+        #: Sampled probes whose budget is full.
+        self._full = 0
+        self._may_count = (
+            type(self)._on_probe is InjectionHarness._on_probe
+            and self._sample_keys is not None
+            and sample_budget is not None
+        )
+
+    def holds_samples(self) -> bool:
+        """Whether every sampled probe has recorded a sample (some
+        probe has, when every probe is sampled)."""
+        if self._sample_keys is None:
+            return bool(self.samples)
+        return len(self._taken) == len(self._sample_keys)
+
+    def _settle(self) -> None:
+        """Switch to counting once the flip is spent and the budgets
+        are full."""
+        self._counting = (
+            self._may_count
+            and self.injected
+            and self._full == len(self._sample_keys)
+        )
 
     def _apply_flip(self, original):
         """The precomputed injected value when it provably applies."""
@@ -262,11 +306,17 @@ class InjectionHarness(Harness):
             self.injected_value = self._apply_flip(self.original_value)
             state[self.flip.variable] = self.injected_value
             self.injected = True
+            self._settle()
         return state
 
     def _should_sample(self, key: tuple[str, Location], occurrence: int) -> bool:
         if occurrence < self.injection_time:
             return False
-        if self.sample_budget is not None and len(self.samples) >= self.sample_budget:
+        taken = self._taken.get(key, 0)
+        if self.sample_budget is not None and taken >= self.sample_budget:
             return False
+        self._taken[key] = taken + 1
+        if taken + 1 == self.sample_budget:
+            self._full += 1
+            self._settle()
         return True

@@ -603,7 +603,7 @@ def _merge_orchestrations(rounds: list[dict]) -> dict | None:
         return None
     merged: dict = {
         key: sum(entry.get(key, 0) for entry in rounds)
-        for key in ("tasks", "executed", "stored")
+        for key in ("tasks", "executed", "stored", "sibling")
     }
     merged["quarantined"] = [
         task_id for entry in rounds for task_id in entry.get("quarantined", ())

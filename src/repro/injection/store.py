@@ -129,13 +129,20 @@ class CampaignStore:
     ``hits + misses + invalidated`` is the number of lookups.
     """
 
-    def __init__(self, root: str | os.PathLike) -> None:
+    def __init__(self, root: str | os.PathLike, hand_off: bool = True) -> None:
         self.root = pathlib.Path(root)
         self.counters = {"hits": 0, "misses": 0, "invalidated": 0, "writes": 0}
         #: The index, loaded on first use and kept current by ``put``.
         self._index: dict | None = None
         #: Whether ``_index`` holds puts that ``index.json`` lacks.
         self._dirty = False
+        #: Records a dual campaign run computed for its sibling, by the
+        #: sibling shard's content address: in memory only, taken (and
+        #: only then put) when the sibling campaign runs against this
+        #: instance (:mod:`repro.orchestration.campaigns`).  ``None``
+        #: (``hand_off=False``) turns dual runs off: a caller that runs
+        #: one campaign per instance would pay for records nobody takes.
+        self.siblings: dict[str, list] | None = {} if hand_off else None
 
     # -- paths ---------------------------------------------------------
     @property

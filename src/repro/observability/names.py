@@ -65,6 +65,7 @@ __all__ = [
     "COUNTER_REPLAYED",
     "COUNTER_REJOINED",
     "COUNTER_UNITS_SKIPPED",
+    "COUNTER_SIBLING",
 ]
 
 # -- pipeline phases (orchestrate.run, serve lifecycles) ---------------
@@ -131,8 +132,9 @@ SAMPLE_ESTIMATE = "campaign.sample.estimate"
 
 # -- compositional campaign store (repro.injection.store) --------------
 #: Deriving the per-shard store keys and peeking containment during
-#: campaign planning (carries ``target``; counts ``shards`` and
-#: ``store_hits`` for the fully-stored fast path decision).
+#: campaign planning (carries ``target``; counts ``shards``,
+#: ``store_hits`` and ``sibling`` for the fully-stored fast path
+#: decision).
 STORE_RESOLVE = "campaign.store.resolve"
 #: Post-run reconciliation of one campaign against its store (carries
 #: ``target``, ``root``; counts ``store_hits``/``store_misses``/
@@ -193,3 +195,6 @@ COUNTER_REPLAYED = "replayed"
 COUNTER_REJOINED = "rejoined"
 #: Golden units the rejoined runs did not execute.
 COUNTER_UNITS_SKIPPED = "units_skipped"
+#: Campaign shards answered by a sibling campaign's dual run (records
+#: handed over in memory, then stored) instead of executing.
+COUNTER_SIBLING = "sibling"

@@ -28,6 +28,19 @@ equivalence class, and because store addresses ignore the config's
 prune settings, shards stored by an exhaustive campaign are reused
 verbatim by a pruned one (and vice versa).
 
+A store-backed campaign that injects at the entry executes its shards
+*dual* when it has a sibling (:meth:`Campaign._sibling`: the same
+runs sampled at the other location, Table II's X1/X2 pairs) whose
+shard is neither stored nor already handed over: one harness samples
+both probes, and the shard returns the sibling's records next to its
+own.  The parent keeps them on the store instance
+(``CampaignStore.siblings``) under the sibling shard's content
+address; when the sibling campaign runs against the same store
+instance, those shards take the records instead of executing and
+are put to the store before any shard executes.  Nothing is written
+for a sibling that never runs, and a store opened with
+``hand_off=False`` never runs dual.
+
 A shard whose injected faults keep killing the worker process is
 quarantined by the pool after its retries; the campaign then
 synthesises one crash record per planned run in the shard
@@ -39,6 +52,7 @@ in-process loop, and an exception raised by campaign code propagates.
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from collections import Counter
 
@@ -47,7 +61,7 @@ from repro.injection.bitflip import BitFlip, flip_values_batch
 from repro.injection.campaign import Campaign, CampaignResult, ExperimentRecord
 from repro.injection.golden import Checkpoint, GoldenRun, golden_runs_for
 from repro.observability import names
-from repro.orchestration.pool import SerialPool, WorkerPool
+from repro.orchestration.pool import SerialPool, TaskOutcome, WorkerPool
 from repro.orchestration.tasks import Task, TaskGraph, fingerprint_of
 
 __all__ = ["plan_pairs", "plan_shards", "records_by_pair", "run_campaign"]
@@ -125,30 +139,50 @@ def _injection_hints(
     }
 
 
+#: A shard's result: its records, and its sibling's records when it
+#: ran dual (else ``None``).
+ShardResult = tuple[list[ExperimentRecord], list[ExperimentRecord] | None]
+
+
 def _execute_shard(
     campaign: Campaign,
     pairs: tuple[Pair, ...],
     golden_runs: dict[int, GoldenRun],
     checkpoints: dict[tuple[int, int], Checkpoint],
-) -> list[ExperimentRecord]:
-    """Worker body: the serial inner loops for one shard's pairs."""
+    sibling: Campaign | None = None,
+) -> ShardResult:
+    """Worker body: the serial inner loops for one shard's pairs; with
+    ``sibling`` every run also yields the sibling's record."""
     records: list[ExperimentRecord] = []
+    sibling_records = None if sibling is None else []
     tally: Counter = Counter()
     with obs.span(names.CAMPAIGN_SHARD, pairs=len(pairs)) as shard_span:
         for name, kind, bit in pairs:
-            records.extend(
-                campaign._run_pair(
-                    BitFlip(name, kind, bit),
-                    golden_runs,
-                    checkpoints,
-                    _injection_hints(campaign, name, kind, bit, golden_runs),
-                    tally,
-                )
+            cells = campaign._run_pair(
+                BitFlip(name, kind, bit),
+                golden_runs,
+                checkpoints,
+                _injection_hints(campaign, name, kind, bit, golden_runs),
+                tally,
+                sibling,
             )
+            if sibling is None:
+                records.extend(cells)
+            else:
+                records.extend(cells[0])
+                sibling_records.extend(cells[1])
         shard_span.count("runs", len(records))
         shard_span.count("failures", sum(1 for r in records if r.failed))
         campaign._count_resumes(shard_span, checkpoints, len(pairs), tally)
-    return records
+    return records, sibling_records
+
+
+def _encode_shard(result: ShardResult) -> list[dict]:
+    return [record.to_dict() for record in result[0]]
+
+
+def _decode_shard(payload: list[dict]) -> ShardResult:
+    return [ExperimentRecord.from_dict(entry) for entry in payload], None
 
 
 def _crash_records(
@@ -175,6 +209,33 @@ def _crash_records(
     return records
 
 
+def _make_dual(
+    tasks: list[Task],
+    resolved: dict,
+    sibling: Campaign,
+    store_base: dict,
+    store,
+) -> dict[str, str]:
+    """Make each executing task run dual whose sibling shard is neither
+    stored nor handed over yet (``tasks`` is updated in place); returns
+    ``task id -> sibling shard fingerprint`` of those tasks."""
+    # The sibling shares the target and module, so it shares the
+    # content fingerprints; only the sample side of its key differs.
+    sibling_base = sibling._store_key_base(
+        store_base["module_fingerprint"], store_base["failure_fingerprint"]
+    )
+    fingerprints: dict[str, str] = {}
+    for index, task in enumerate(tasks):
+        if task.task_id in resolved:
+            continue
+        fingerprint = fingerprint_of({**sibling_base, "pairs": task.key["pairs"]})
+        if fingerprint in store.siblings or store.contains(fingerprint):
+            continue
+        fingerprints[task.task_id] = fingerprint
+        tasks[index] = dataclasses.replace(task, args=task.args + (sibling,))
+    return fingerprints
+
+
 def run_campaign(
     campaign: Campaign,
     pool: WorkerPool | None = None,
@@ -189,10 +250,10 @@ def run_campaign(
     for any pool (absent quarantined shards); without a pool the run
     is serial in-process and a raising shard raises.  The result
     additionally carries an ``orchestration`` attribute summarising
-    the schedule: total/executed/stored task counts and the ids of
-    quarantined shards.  ``pairs`` restricts execution to an explicit pair subset
-    (pruned and sampled campaigns); ``golden_runs`` reuses
-    already-captured golden runs.
+    the schedule: total/executed/stored/sibling task counts and the
+    ids of quarantined shards.  ``pairs`` restricts execution to an
+    explicit pair subset (pruned and sampled campaigns);
+    ``golden_runs`` reuses already-captured golden runs.
 
     ``store`` (a :class:`repro.injection.store.CampaignStore`) makes
     the run a delta operation: each shard's records are looked up
@@ -210,6 +271,14 @@ def run_campaign(
     shard loads from the store, golden-run and checkpoint capture are
     skipped entirely -- the warm-path fast lane the delta bench
     measures.
+
+    With a store that hands off (the default), a campaign that has a
+    sibling (:meth:`Campaign._sibling`) hands records over in both
+    directions: its executing shards run dual unless the sibling's
+    shard is stored or handed over already, and the sibling's
+    records wait in ``store.siblings``; its own shards that the store
+    lacks take records a sibling run left there (``"sibling"`` in the
+    summary) and are put at once.
 
     Executed cells resume from golden-prefix checkpoints
     (:meth:`Campaign._capture_checkpoints`, handed to every shard like
@@ -237,6 +306,12 @@ def run_campaign(
             )
             store = None
     counters_before = dict(store.counters) if store is not None else None
+    sibling = (
+        campaign._sibling()
+        if store is not None and store.siblings is not None
+        else None
+    )
+    stored = 0
     # Shard arguments share these two mappings; they are filled in
     # place once the store lookups show that some shard executes.
     shard_golden: dict[int, GoldenRun] = (
@@ -270,21 +345,31 @@ def run_campaign(
             )
             for index, (shard, key) in enumerate(zip(shards, keys))
         ]
-        graph = TaskGraph(
-            tasks,
-            encode=lambda records: [record.to_dict() for record in records],
-            decode=lambda payload: [
-                ExperimentRecord.from_dict(entry) for entry in payload
-            ],
-        )
+        graph = TaskGraph(tasks, encode=_encode_shard, decode=_decode_shard)
         resolved = {}
         if store is not None:
             with obs.span(
                 names.STORE_RESOLVE, target=campaign.target.name
             ) as resolve_span:
                 resolved = graph.resolve(store)
+                stored = len(resolved)
+                # A sibling campaign's dual run may already hold the
+                # records of shards the store lacks: put them now, as
+                # if they had just executed.
+                for task in tasks:
+                    if task.task_id in resolved or not store.siblings:
+                        continue
+                    handed = store.siblings.pop(task.fingerprint, None)
+                    if handed is not None:
+                        store.put(
+                            task.fingerprint, task.key, _encode_shard((handed, None))
+                        )
+                        resolved[task.task_id] = TaskOutcome(
+                            task.task_id, "stored", (handed, None)
+                        )
                 resolve_span.count("shards", len(shards))
-                resolve_span.count(names.COUNTER_STORE_HITS, len(resolved))
+                resolve_span.count(names.COUNTER_STORE_HITS, stored)
+                resolve_span.count(names.COUNTER_SIBLING, len(resolved) - stored)
         # A shard the store could not answer -- absent, or torn by a
         # killed writer -- executes, and needs the golden runs.  When
         # every shard loaded, skipping their capture is what makes a
@@ -294,11 +379,18 @@ def run_campaign(
             shard_golden.update(
                 golden_runs_for(campaign.target, config.test_cases)
             )
+        sibling_fingerprints: dict[str, str] = {}
+        if executes and sibling is not None:
+            sibling_fingerprints = _make_dual(
+                tasks, resolved, sibling, store_base, store
+            )
+            graph = TaskGraph(tasks, encode=_encode_shard, decode=_decode_shard)
     if executes and not checkpoints:
         # Executed cells resume from golden-prefix checkpoints: each
         # test case's fault-free prefix is stepped once here, not once
-        # per cell.
-        checkpoints.update(campaign._capture_checkpoints())
+        # per cell.  A campaign with a sibling captures them for both
+        # sample probes, so any of its shards may run dual.
+        checkpoints.update(campaign._capture_checkpoints(sibling))
     outcomes = graph.run(pool, store=store, resolved=resolved)
 
     records: list[ExperimentRecord] = []
@@ -309,10 +401,13 @@ def run_campaign(
             if outcome.status == "quarantined":
                 quarantined.append(task.task_id)
                 records.extend(_crash_records(campaign, shard))
-            else:
-                records.extend(outcome.result)
+                continue
+            own, handed = outcome.result
+            records.extend(own)
+            if handed is not None:
+                store.siblings[sibling_fingerprints[task.task_id]] = handed
         merge_span.count("records", len(records))
-        merge_span.count("stored_shards", len(resolved))
+        merge_span.count("stored_shards", stored)
         merge_span.count("quarantined_shards", len(quarantined))
     result = CampaignResult(
         campaign.target.name,
@@ -324,7 +419,8 @@ def run_campaign(
     result.orchestration = {  # type: ignore[attr-defined]
         "tasks": len(tasks),
         "executed": len(tasks) - len(resolved) - len(quarantined),
-        "stored": len(resolved),
+        "stored": stored,
+        "sibling": len(resolved) - stored,
         "quarantined": quarantined,
         "jobs": pool.jobs,
     }
