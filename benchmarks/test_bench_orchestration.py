@@ -15,6 +15,8 @@ wall-clock speedup on the wait-bound workload.
 
 import time
 
+import pytest
+
 from repro.injection.campaign import Campaign, CampaignConfig
 from repro.injection.instrument import Harness, Location, VariableSpec
 from repro.orchestration import ProcessPool
@@ -66,6 +68,7 @@ def _timed_run(pool=None):
     return time.perf_counter() - started, result
 
 
+@pytest.mark.bench_smoke
 def test_bench_orchestration_speedup(benchmark):
     serial_seconds, serial = _timed_run()
 

@@ -3,9 +3,9 @@
 Times one synthetic wide campaign -- 8 int64 variables x 64 bits x 196
 test cases = 100,352 cells -- exhaustively and under
 ``sampling=SPEC`` at a 0.02 CI half-width stop target.  The sampled
-run pays for the stratified draw plan, the per-round interval updates
-and the batched flip-mask generation; the speedup measures the whole
-sampled pipeline against the whole exhaustive loop.
+run pays for the stratified draw plan and the per-round interval
+updates; the speedup measures the whole sampled pipeline against the
+whole exhaustive loop.
 
 The assertions encode the subsystem's contract *before* the speedup
 bar is judged: every sampled record is bit-identical to the exhaustive

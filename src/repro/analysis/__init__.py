@@ -84,7 +84,6 @@ from repro.analysis.prune import (
     PruneContradiction,
     PrunePlan,
     plan_prune,
-    prune_campaign,
 )
 from repro.analysis.surface import (
     ProbeSite,
@@ -154,7 +153,6 @@ __all__ = [
     "latency_statistics",
     "paired_t_test",
     "plan_prune",
-    "prune_campaign",
     "register_rule",
     "render_json",
     "render_text",

@@ -49,7 +49,7 @@ __all__ = [
     "PrunePlan",
     "PruneContradiction",
     "plan_prune",
-    "prune_campaign",
+    "all_live",
     "assemble_records",
     "audit_records",
 ]
@@ -358,22 +358,17 @@ def plan_prune(
     )
 
 
-def prune_campaign(
-    config: CampaignConfig | Campaign,
-    target=None,
-    **kwargs,
-) -> PrunePlan:
-    """Public entry point: a :class:`PrunePlan` for one campaign.
-
-    Accepts either a ready :class:`Campaign` or a
-    :class:`CampaignConfig` plus the target system to run it against.
-    Keyword arguments are forwarded to :func:`plan_prune`.
-    """
-    if isinstance(config, Campaign):
-        return plan_prune(config, **kwargs)
-    if target is None:
-        raise TypeError("prune_campaign(config, target): target is required")
-    return plan_prune(Campaign(target, config), **kwargs)
+def all_live(campaign: Campaign) -> PrunePlan:
+    """The plan of an unpruned campaign: every ``(variable, bit)`` pair
+    executes.  It needs no dataflow analysis and no golden runs, and
+    :func:`assemble_records` over it is the concatenation of the
+    executed pairs' records in canonical order."""
+    points = [
+        PointPlan(spec.name, spec.kind, bit, "live", "not pruned")
+        for spec in campaign._targeted_specs()
+        for bit in campaign._bits_for(spec)
+    ]
+    return PrunePlan(campaign.target.name, campaign.config, points, {})
 
 
 def _synthesize_dead(
@@ -490,10 +485,10 @@ def assemble_records(
     config = campaign.config
     records: list[ExperimentRecord] = []
     for point in plan.points:
-        flip = BitFlip(point.variable, point.kind, point.bit)
         if point.verdict in EXECUTED_VERDICTS:
             records.extend(executed.get((point.variable, point.bit), ()))
             continue
+        flip = BitFlip(point.variable, point.kind, point.bit)
         if point.verdict == "dead":
             for injection_time in config.injection_times:
                 for tc in config.test_cases:

@@ -41,7 +41,6 @@ from repro.injection.bitflip import (
     bit_width,
     flip_bit,
     flip_bits_batch,
-    flip_values_batch,
 )
 from repro.injection.golden import GoldenRun, golden_runs_for
 from repro.injection.campaign import Campaign, CampaignConfig, ExperimentRecord
@@ -49,7 +48,6 @@ from repro.injection.sampling import (
     SamplingReport,
     SamplingSpec,
     StratumEstimate,
-    run_sampled_campaign,
 )
 from repro.injection.store import CampaignStore, StoreEligibilityWarning
 
@@ -74,7 +72,5 @@ __all__ = [
     "bit_width",
     "flip_bit",
     "flip_bits_batch",
-    "flip_values_batch",
     "golden_runs_for",
-    "run_sampled_campaign",
 ]

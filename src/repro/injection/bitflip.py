@@ -30,7 +30,6 @@ __all__ = [
     "bit_width",
     "flip_bit",
     "flip_bits_batch",
-    "flip_values_batch",
 ]
 
 
@@ -101,9 +100,10 @@ def _unpack(bits: np.ndarray, kind: str) -> list:
 def flip_bits_batch(value: float | int | bool, kind: str, bits) -> list:
     """``[flip_bit(value, kind, b) for b in bits]`` as one packed XOR.
 
-    The whole-shard data plane: instead of one struct pack/unpack per
-    cell, the value's bit pattern is packed once and every requested
-    position is flipped by a single vectorized XOR over a uint64 view.
+    Static prune classification flips one golden value at every bit
+    position: instead of one struct pack/unpack per bit, the value's
+    bit pattern is packed once and every requested position is flipped
+    by a single vectorized XOR over a uint64 view.
     Bit-identical to :func:`flip_bit` for every kind, including NaN
     payloads, signed zeros and two's-complement wrap.
     """
@@ -120,25 +120,6 @@ def flip_bits_batch(value: float | int | bool, kind: str, bits) -> list:
         return [not bool(value)] * len(positions)
     packed = _pack([value], kind)[0]
     flipped = packed ^ (np.uint64(1) << positions.astype(np.uint64))
-    return _unpack(flipped, kind)
-
-
-def flip_values_batch(values, kind: str, bit: int) -> list:
-    """``[flip_bit(v, kind, bit) for v in values]`` as one packed XOR.
-
-    The companion shape: one bit position applied to a whole vector of
-    golden values (a (variable, bit) pair across every test case and
-    injection time at once).
-    """
-    width = bit_width(kind)
-    if not 0 <= bit < width:
-        raise FaultModelError(f"bit {bit} out of range for {kind} (width {width})")
-    values = list(values)
-    if not values:
-        return []
-    if kind == "bool":
-        return [not bool(v) for v in values]
-    flipped = _pack(values, kind) ^ np.uint64(1 << bit)
     return _unpack(flipped, kind)
 
 

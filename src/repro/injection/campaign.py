@@ -9,7 +9,12 @@ every injected run is checked against the failure specification, and
 the module state sampled at the configured sampling location becomes a
 labelled instance: *failure-inducing* or *non-failure-inducing*.
 
-:class:`Campaign` reproduces that loop.  The sampled instance of a run
+:class:`Campaign` reproduces that loop, one body for every mode
+(:meth:`Campaign.run`): a per-pair plan (every pair live, or the
+static prune plan), batches of the plan's executed pairs drawn from it
+(all at once, or a sampling policy's rounds), each batch executed
+through :func:`repro.orchestration.campaigns.run_campaign`, and one
+assembly of the records.  The sampled instance of a run
 is the state recorded at the sampling probe occurrence closest after
 the injection (for entry-injection/entry-sampling this is the corrupted
 state itself, "sampled straight after the injection" as in the paper's
@@ -59,7 +64,6 @@ from repro.injection.golden import (
     Checkpoint,
     GoldenRun,
     capture_checkpoints,
-    golden_runs_for,
 )
 from repro.injection.instrument import (
     InjectionHarness,
@@ -505,10 +509,22 @@ class Campaign:
     def run(self, pool=None, sampling=None, store=None) -> CampaignResult:
         """Execute the campaign and return its records.
 
-        Every executed cell runs through one shard loop
-        (:func:`repro.orchestration.campaigns.run_campaign`); the
-        campaign's mode only decides which ``(variable, bit)`` pairs
-        run and which records are synthesized around them.
+        Every mode runs one loop, the paper's Step 1 over (variable,
+        bit, injection time, test case):
+
+        1. **plan** -- one verdict per ``(variable, bit)`` pair: the
+           static prune plan when ``config.prune == "static"``, else
+           every pair live (no dataflow analysis, no golden runs);
+        2. **draw** -- batches of the plan's executed pairs: one batch
+           holding all of them, or the seeded rounds of a sampling
+           policy (:class:`~repro.injection.sampling.StratifiedDraws`);
+        3. **execute** -- every batch through
+           :func:`repro.orchestration.campaigns.run_campaign`, sharing
+           golden runs and checkpoints;
+        4. **assemble** -- executed and synthesized records merged in
+           canonical order (:func:`repro.analysis.prune.assemble_records`),
+           then the prune audit or the sampling estimates, and one
+           ``orchestration`` summary summed over the batches.
 
         ``pool`` (a :class:`repro.orchestration.WorkerPool`) executes
         the shards -- one pair each -- in parallel; the merged records
@@ -526,22 +542,22 @@ class Campaign:
         representatives instead of executing, then a seeded
         ``config.audit_fraction`` of the pruned cells is re-injected
         for real and checked against the synthesized records (see
-        :mod:`repro.analysis.prune`).  The record list stays
-        bit-identical to the exhaustive campaign's.
+        :mod:`repro.analysis.prune`); the result's ``prune`` attribute
+        carries the plan's counts and the audit.  The record list
+        stays bit-identical to the exhaustive campaign's.
 
         ``sampling`` (a :class:`~repro.injection.sampling.SamplingSpec`)
-        runs a statistical sampling campaign instead of the exhaustive
-        enumeration (see :mod:`repro.injection.sampling`): stratified
-        seeded draws over the same cell space, with online intervals
-        and an early stop once every stratum's class intervals are
-        narrow enough.  The result's ``sampling`` field carries the
-        per-stratum estimates; its records are the sampled subset in
-        canonical order, each bit-identical to the exhaustive
-        campaign's record for the same cell.  Sampling composes with
-        static pruning: draws are restricted to the statically live
-        classes, dead and member cells are synthesized exactly (the
-        prune audit does not run in sample mode -- pruned cells are
-        already a separate exactness tier).
+        draws stratified seeded rounds over the same cell space
+        instead of every pair (see :mod:`repro.injection.sampling`),
+        with online intervals and an early stop once every stratum's
+        class intervals are narrow enough.  The result's ``sampling``
+        field carries the per-stratum estimates; its records are the
+        sampled subset in canonical order, each bit-identical to the
+        exhaustive campaign's record for the same cell.  Sampling
+        composes with static pruning: draws are restricted to the
+        statically live classes, dead and member cells are synthesized
+        exactly (the prune audit does not run in sample mode --
+        pruned cells are already a separate exactness tier).
 
         ``store`` (a :class:`repro.injection.store.CampaignStore`)
         makes the run *compositional*: every shard's records are
@@ -555,7 +571,10 @@ class Campaign:
         per-module source closures
         (:meth:`~repro.targets.base.TargetSystem.module_sources`);
         ineligible targets warn and run storeless.  The store composes
-        with pools, pruning and sampling in both directions.
+        with pools, pruning and sampling in both directions.  Golden
+        runs are captured up front only for a prune plan; otherwise the
+        first batch that executes a shard captures them, so a run whose
+        shards are all stored captures nothing.
 
         Campaign subclasses that observe per-run harness state through
         :meth:`_after_run` (e.g. the validation campaign) are forced
@@ -566,8 +585,9 @@ class Campaign:
         undrawn run never executes, so the hook would silently miss
         it.
         """
-        from repro.injection.sampling import SamplingSpec, run_sampled_campaign
-        from repro.orchestration.campaigns import run_campaign
+        from repro.analysis import prune as prune_mod
+        from repro.injection.sampling import SamplingSpec, StratifiedDraws
+        from repro.orchestration.campaigns import records_by_pair, run_campaign
         from repro.orchestration.pool import SerialPool, default_pool
 
         if sampling is not None and not isinstance(sampling, SamplingSpec):
@@ -578,13 +598,14 @@ class Campaign:
         prune = self.config.prune or "none"
         if prune not in ("none", "static"):
             raise ValueError(f"unknown prune mode {prune!r}")
+        pruned = prune == "static"
         observes = type(self)._after_run is not Campaign._after_run
         if observes and sampling is not None:
             raise ValueError(
                 "campaigns observing per-run harness state via "
                 "_after_run cannot sample: undrawn runs never execute"
             )
-        if observes and prune == "static":
+        if observes and pruned:
             raise ValueError(
                 "campaigns observing per-run harness state via "
                 "_after_run cannot prune: synthesized runs never execute"
@@ -601,63 +622,88 @@ class Campaign:
                 metrics=getattr(pool, "metrics", None), isolate=False
             )
         try:
-            if sampling is None and prune == "none":
-                return run_campaign(self, pool=pool, store=store)
-            golden_runs = golden_runs_for(self.target, self.config.test_cases)
-            plan = None if prune == "none" else self._plan_prune(golden_runs)
-            if sampling is not None:
-                return run_sampled_campaign(
+            plan = self._plan_prune() if pruned else prune_mod.all_live(self)
+            pairs = plan.executed_pairs()
+            draws = (
+                None if sampling is None
+                else StratifiedDraws(self, sampling, pairs)
+            )
+            # Shared by every batch: golden runs (the plan's, or
+            # captured by the first batch that executes a shard) and
+            # checkpoints (captured into this mapping on first use).
+            golden_runs = plan.golden_runs
+            checkpoints: dict[tuple[int, int], Checkpoint] = {}
+            executed: dict[tuple[str, int], list[ExperimentRecord]] = {}
+            summaries: list[dict] = []
+
+            def execute(batch):
+                partial = run_campaign(
                     self,
-                    sampling,
                     pool=pool,
-                    prune_plan=plan,
-                    golden_runs=golden_runs,
+                    pairs=batch,
+                    golden_runs=golden_runs or None,
+                    checkpoints=checkpoints,
                     store=store,
                 )
-            return self._run_pruned(plan, pool, store)
+                golden_runs.update(partial.golden_runs)
+                summaries.append(partial.orchestration)
+                drawn = records_by_pair(self, batch, partial.records)
+                executed.update(drawn)
+                return drawn
+
+            if draws is None:
+                execute(pairs)
+            else:
+                draws.run(execute)
+
+            if pruned:
+                with obs.span(
+                    names.PRUNE_SYNTHESIZE, target=self.target.name
+                ) as synth_span:
+                    records = prune_mod.assemble_records(self, plan, executed)
+                    synth_span.count(
+                        "synthesized",
+                        len(records) - sum(map(len, executed.values())),
+                    )
+            else:
+                records = prune_mod.assemble_records(self, plan, executed)
+            result = CampaignResult(
+                self.target.name,
+                self.config,
+                records,
+                golden_runs,
+                self.variable_specs,
+                sampling=None if draws is None else draws.report(plan, records),
+            )
+            result.orchestration = _merge_summaries(  # type: ignore[attr-defined]
+                summaries, pool.jobs
+            )
+            if pruned and draws is None:
+                result.prune = self._audit(  # type: ignore[attr-defined]
+                    plan, records, checkpoints
+                )
+            return result
         finally:
             if owned is not None:
                 owned.close()
 
-    def _plan_prune(self, golden_runs: dict[int, GoldenRun]):
-        """The static prune plan (:func:`repro.analysis.prune.plan_prune`)."""
+    def _plan_prune(self):
+        """The static prune plan (:func:`repro.analysis.prune.plan_prune`),
+        with the golden runs it classifies against."""
         from repro.analysis import prune as prune_mod
 
         with obs.span(names.PRUNE_PLAN, target=self.target.name) as span:
-            plan = prune_mod.plan_prune(self, golden_runs=golden_runs)
+            plan = prune_mod.plan_prune(self)
             counts = plan.counts
             span.count("points", len(plan.points))
             span.count(names.COUNTER_PRUNED, counts["dead"] + counts["member"])
         return plan
 
-    def _run_pruned(self, plan, pool, store) -> CampaignResult:
-        """The statically pruned campaign: execute the surviving pairs,
-        synthesize the rest, audit.  Bit-identical to the exhaustive
-        campaign."""
+    def _audit(self, plan, records, checkpoints) -> dict:
+        """Re-inject the seeded audit sample of a pruned run's
+        synthesized cells (:func:`repro.analysis.prune.audit_records`);
+        returns the ``result.prune`` summary."""
         from repro.analysis import prune as prune_mod
-        from repro.orchestration.campaigns import records_by_pair, run_campaign
-
-        pairs = plan.executed_pairs()
-        # Filled by run_campaign when a shard executes, so the audit's
-        # re-injections resume from the same checkpoints.
-        checkpoints: dict[tuple[int, int], Checkpoint] = {}
-        partial = run_campaign(
-            self,
-            pool=pool,
-            pairs=pairs,
-            golden_runs=plan.golden_runs,
-            checkpoints=checkpoints,
-            store=store,
-        )
-        executed = records_by_pair(self, pairs, partial.records)
-
-        with obs.span(
-            names.PRUNE_SYNTHESIZE, target=self.target.name
-        ) as synth_span:
-            records = prune_mod.assemble_records(self, plan, executed)
-            synth_span.count(
-                "synthesized", len(records) - len(partial.records)
-            )
 
         config = self.config
         with obs.span(names.PRUNE_AUDIT, target=self.target.name) as audit_span:
@@ -673,15 +719,7 @@ class Campaign:
             audit_span.count(
                 names.COUNTER_CONTRADICTIONS, audit["contradictions"]
             )
-
-        result = CampaignResult(
-            self.target.name,
-            config,
-            records,
-            plan.golden_runs,
-            self.variable_specs,
-        )
-        result.prune = {  # type: ignore[attr-defined]
+        return {
             "mode": "static",
             **plan.counts,
             "runs_planned": plan.runs_planned,
@@ -690,8 +728,6 @@ class Campaign:
             "pruned_fraction": plan.pruned_fraction,
             "audit": audit,
         }
-        result.orchestration = partial.orchestration  # type: ignore[attr-defined]
-        return result
 
     def _default_hooks(self) -> bool:
         """Whether the campaign keeps the default ``_make_harness`` and
@@ -780,7 +816,6 @@ class Campaign:
         flip: BitFlip,
         golden_runs: dict[int, GoldenRun],
         checkpoints: Mapping[tuple[int, int], Checkpoint],
-        hints: Mapping[tuple[int, int], tuple] | None = None,
         tally: Counter | None = None,
         sibling: "Campaign | None" = None,
     ):
@@ -791,14 +826,12 @@ class Campaign:
         ``sibling`` (:meth:`_sibling`) every run also yields the
         sibling's record, and the result is ``(records, sibling's
         records)``."""
-        hints = hints or {}
         cells = [
             self._run_one(
                 flip,
                 injection_time,
                 tc,
                 golden_runs[tc],
-                injected_hint=hints.get((injection_time, tc)),
                 checkpoint=checkpoints.get((injection_time, tc)),
                 tally=tally,
                 sibling=sibling,
@@ -816,7 +849,6 @@ class Campaign:
         injection_time: int,
         test_case: int,
         golden: GoldenRun,
-        injected_hint: tuple | None = None,
         checkpoint: Checkpoint | None = None,
         tally: Counter | None = None,
         sibling: "Campaign | None" = None,
@@ -839,14 +871,6 @@ class Campaign:
                     sibling.config.sample_probe,
                 ),
             )
-        if injected_hint is not None and getattr(
-            harness, "injected_hint", None
-        ) is None:
-            # Precomputed (golden value, flipped value) from the shard
-            # data plane's vectorized XOR; the harness verifies the
-            # live value matches before using it, so the hint can only
-            # skip work, never change a record.
-            harness.injected_hint = injected_hint
         state = None if checkpoint is None else checkpoint.restore(harness)
         crashed = False
         try:
@@ -944,3 +968,26 @@ def _states_equal(
         if value != other:
             return False
     return True
+
+
+def _merge_summaries(summaries: list[dict], jobs: int) -> dict:
+    """One ``orchestration`` summary over a run's batches: task counts
+    summed, quarantined shard ids concatenated, and the store traffic
+    summed when a batch ran against a store.  A run that drew no batch
+    (every pair of a sampled run pruned dead) reports zero tasks."""
+    merged: dict = {
+        "tasks": 0,
+        "executed": 0,
+        "stored": 0,
+        "sibling": 0,
+        "quarantined": [],
+        "jobs": jobs,
+    }
+    for summary in summaries:
+        for key in ("tasks", "executed", "stored", "sibling", "quarantined"):
+            merged[key] += summary[key]
+        if "store" in summary:
+            store = merged.setdefault("store", dict.fromkeys(summary["store"], 0))
+            for key, value in summary["store"].items():
+                store[key] += value
+    return merged

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import math
 from collections.abc import Mapping
 
 from repro.injection.bitflip import BitFlip, bit_width
@@ -207,15 +206,6 @@ class InjectionHarness(Harness):
         injection time (the campaign consumes the first; a larger
         budget supports latency analyses).  ``None`` keeps every
         sample from the injection time onwards.
-    injected_hint:
-        Optional ``(expected_original, injected_value)`` pair
-        precomputed by the shard data plane (one vectorized XOR over
-        the golden values of a whole shard, see
-        :func:`repro.injection.bitflip.flip_values_batch`).  The hint
-        is used only when the live state's value provably has the same
-        bit pattern as ``expected_original``; any mismatch falls back
-        to :meth:`BitFlip.apply`, so the hint can never change a
-        record.
 
     Once the flip has fired and every sampled probe's budget is full,
     nothing a later probe does can reach a record or change a state,
@@ -230,7 +220,6 @@ class InjectionHarness(Harness):
         injection_time: int,
         sample_probe: Probe | tuple[Probe, ...] | None = None,
         sample_budget: int | None = 4,
-        injected_hint: tuple | None = None,
     ) -> None:
         super().__init__(sample_probe)
         self.injection_probe = injection_probe
@@ -238,7 +227,6 @@ class InjectionHarness(Harness):
         self.flip = flip
         self.injection_time = injection_time
         self.sample_budget = sample_budget
-        self.injected_hint = injected_hint
         self.injected = False
         self.injected_value: float | int | bool | None = None
         self.original_value: float | int | bool | None = None
@@ -268,24 +256,6 @@ class InjectionHarness(Harness):
             and self._full == len(self._sample_keys)
         )
 
-    def _apply_flip(self, original):
-        """The precomputed injected value when it provably applies."""
-        hint = self.injected_hint
-        if hint is not None:
-            expected, injected = hint
-            if type(original) is type(expected):
-                if isinstance(original, float):
-                    # Equal non-zero floats share one bit pattern; the
-                    # copysign check separates 0.0 from -0.0 and NaN
-                    # (never ==) always falls through to the flip.
-                    if original == expected and math.copysign(
-                        1.0, original
-                    ) == math.copysign(1.0, expected):
-                        return injected
-                elif original == expected:
-                    return injected
-        return self.flip.apply(original)
-
     def _on_probe(
         self,
         key: tuple[str, Location],
@@ -303,7 +273,7 @@ class InjectionHarness(Harness):
                     f"{key[0]}@{key[1]}"
                 )
             self.original_value = state[self.flip.variable]
-            self.injected_value = self._apply_flip(self.original_value)
+            self.injected_value = self.flip.apply(self.original_value)
             state[self.flip.variable] = self.injected_value
             self.injected = True
             self._settle()

@@ -6,7 +6,11 @@ large a campaign can be.  ZOFI-style statistical fault injection shows
 the quantities the methodology actually consumes (per-variable outcome
 -class rates, failure skew, crash fractions) can be estimated to tight
 confidence intervals from a randomized sample at a fraction of the
-cost.  This module adds that mode:
+cost.  This module adds that mode as a *draw policy*: a sampled
+campaign runs through the same :meth:`Campaign.run
+<repro.injection.campaign.Campaign.run>` loop as an exhaustive or
+pruned one (plan, draw, execute, assemble), and
+:class:`StratifiedDraws` only decides which pairs each batch holds:
 
 * **stratified draws** over the full cell enumeration, strata keyed by
   injection variable (the paper's natural outcome-class axis: Table
@@ -29,7 +33,8 @@ cost.  This module adds that mode:
 Every sampled cell's record is produced by the ordinary shard
 executor, so it is bit-identical to the record the exhaustive campaign
 would have produced for that cell.  The assembled record list keeps
-the canonical enumeration order restricted to the sampled subset.
+the canonical enumeration order restricted to the sampled subset
+(plus the cells a static prune plan synthesizes).
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ from collections.abc import Mapping
 
 from repro import observability as obs
 from repro.injection.campaign import ExperimentRecord
-from repro.injection.golden import GoldenRun, golden_runs_for
 from repro.observability import names
 
 __all__ = [
@@ -53,7 +57,7 @@ __all__ = [
     "outcome_class",
     "proportion_interval",
     "plan_strata",
-    "run_sampled_campaign",
+    "StratifiedDraws",
 ]
 
 #: Canonical outcome classes of one injected run, the estimands of a
@@ -401,219 +405,129 @@ def _converged(records: list[ExperimentRecord], spec: SamplingSpec) -> bool:
     return True
 
 
-def run_sampled_campaign(
-    campaign,
-    spec: SamplingSpec,
-    pool=None,
-    prune_plan=None,
-    golden_runs: dict[int, GoldenRun] | None = None,
-    store=None,
-):
-    """Execute a stratified sampling campaign and return its result.
+class StratifiedDraws:
+    """The draw policy of a sampled campaign: which pairs each round runs.
 
-    ``store`` (a :class:`repro.injection.store.CampaignStore`) is
-    threaded through every per-round :func:`run_campaign` call: drawn
-    pairs whose shards an earlier campaign -- exhaustive, pruned or
-    sampled -- already stored load instead of executing, and freshly
-    executed draws are stored for later campaigns.  Store addresses
-    are pair-anchored, so the seeded draw order composes with the
-    store without affecting which records a cell produces.
-
-    ``prune_plan`` (a :class:`repro.analysis.prune.PrunePlan`)
-    restricts draws to the statically live classes: dead points are
-    synthesized outright, equivalence-class members are synthesized
-    whenever their representative was drawn, and only live +
-    representative pairs consume sampling budget.  Synthesized cells
-    are *exact* (the prune contract), so they are reported separately
-    from the sampled estimates.
-
-    The returned :class:`~repro.injection.campaign.CampaignResult`
-    carries the records of every sampled (and synthesized) cell in
-    canonical enumeration order, plus a :class:`SamplingReport` in its
-    ``sampling`` field.
+    Strata are the injection variables of the plan's executed pairs,
+    each drawn in its seeded order (:func:`plan_strata`).  A round
+    takes up to ``spec.round_cells`` cells' worth of whole pairs from
+    every open stratum; after it, a stratum stops once its intervals
+    are narrow enough (:func:`_converged`), its pairs are exhausted,
+    or it reached ``spec.max_cells``.  :meth:`Campaign.run
+    <repro.injection.campaign.Campaign.run>` executes the rounds and
+    assembles their records like any other batch of pairs; the policy
+    only picks the pairs and, at the end, estimates (:meth:`report`).
     """
-    from repro.injection.campaign import CampaignResult
-    from repro.orchestration.campaigns import (
-        plan_pairs,
-        records_by_pair,
-        run_campaign,
-    )
 
-    config = campaign.config
-    if golden_runs is None:
-        golden_runs = golden_runs_for(campaign.target, config.test_cases)
-    full_pairs = plan_pairs(campaign)
-    runs_per_pair = len(config.injection_times) * len(config.test_cases)
-    if runs_per_pair == 0:
-        raise ValueError("campaign has no injection times or test cases")
+    def __init__(self, campaign, spec: SamplingSpec, pairs) -> None:
+        config = campaign.config
+        self.campaign = campaign
+        self.spec = spec
+        self.runs_per_pair = len(config.injection_times) * len(config.test_cases)
+        if self.runs_per_pair == 0:
+            raise ValueError("campaign has no injection times or test cases")
+        with obs.span(
+            names.SAMPLE_PLAN, target=campaign.target.name, ci=spec.ci
+        ) as plan_span:
+            self.strata = plan_strata(campaign, spec, pairs=pairs)
+            plan_span.count("strata", len(self.strata))
+            plan_span.count("cells", len(pairs) * self.runs_per_pair)
+        self.stopped: dict[str, str] = {}
+        self.sampled: dict[str, list[ExperimentRecord]] = {
+            variable: [] for variable in self.strata
+        }
+        self.rounds = 0
 
-    with obs.span(
-        names.SAMPLE_PLAN, target=campaign.target.name, ci=spec.ci
-    ) as plan_span:
-        if prune_plan is not None:
-            executable = prune_plan.executed_pairs()
-        else:
-            executable = list(full_pairs)
-        strata = plan_strata(campaign, spec, pairs=executable)
-        plan_span.count("strata", len(strata))
-        plan_span.count("cells", len(executable) * runs_per_pair)
-
-    pairs_per_round = max(1, math.ceil(spec.round_cells / runs_per_pair))
-    taken = {variable: 0 for variable in strata}
-    stopped: dict[str, str] = {}
-    stratum_records: dict[str, list[ExperimentRecord]] = {
-        variable: [] for variable in strata
-    }
-    executed: dict[tuple[str, int], list[ExperimentRecord]] = {}
-    # Shared across rounds: checkpoints are captured once, by the
-    # first round that executes a shard.
-    checkpoints: dict = {}
-
-    rounds = 0
-    round_orchestrations: list[dict] = []
-    while len(stopped) < len(strata):
-        batch: list[tuple[str, str, int]] = []
-        drawn_by_stratum: dict[str, list] = {}
-        for variable in sorted(strata):
-            if variable in stopped:
-                continue
-            order = strata[variable]
-            start = taken[variable]
-            draw = order[start:start + pairs_per_round]
-            if spec.max_cells is not None:
-                room = spec.max_cells - start * runs_per_pair
-                draw = draw[: max(0, math.ceil(room / runs_per_pair))]
-            drawn_by_stratum[variable] = draw
-            batch.extend(draw)
-        if not batch:
-            # Every open stratum is out of budget or population.
-            for variable in sorted(strata):
-                if variable not in stopped:
-                    stopped[variable] = (
+    def run(self, execute) -> None:
+        """Draw rounds until every stratum stops.  ``execute(pairs)``
+        runs one round's pairs and returns their records by
+        ``(variable, bit)`` (:func:`repro.orchestration.campaigns.records_by_pair`)."""
+        spec, n = self.spec, self.runs_per_pair
+        pairs_per_round = max(1, math.ceil(spec.round_cells / n))
+        taken = {variable: 0 for variable in self.strata}
+        while len(self.stopped) < len(self.strata):
+            drawn: dict[str, list] = {}
+            for variable in sorted(self.strata):
+                if variable in self.stopped:
+                    continue
+                start = taken[variable]
+                draw = self.strata[variable][start:start + pairs_per_round]
+                if spec.max_cells is not None:
+                    room = spec.max_cells - start * n
+                    draw = draw[: max(0, math.ceil(room / n))]
+                drawn[variable] = draw
+            batch = [pair for draw in drawn.values() for pair in draw]
+            if not batch:
+                # Every open stratum is out of budget or population.
+                for variable in drawn:
+                    self.stopped[variable] = (
                         "exhausted"
-                        if taken[variable] >= len(strata[variable])
+                        if taken[variable] >= len(self.strata[variable])
                         else "capped"
                     )
-            break
-        rounds += 1
+                return
+            self.rounds += 1
+            with obs.span(
+                names.SAMPLE_ROUND, round=self.rounds, pairs=len(batch)
+            ) as round_span:
+                records = execute(batch)
+                round_span.count(names.COUNTER_SAMPLED_CELLS, len(batch) * n)
+            for variable, draw in drawn.items():
+                taken[variable] += len(draw)
+                sampled = self.sampled[variable]
+                for name, _kind, bit in draw:
+                    sampled.extend(records[(name, bit)])
+                if _converged(sampled, spec):
+                    self.stopped[variable] = "converged"
+                elif taken[variable] >= len(self.strata[variable]):
+                    self.stopped[variable] = "exhausted"
+                elif spec.max_cells is not None and len(sampled) >= spec.max_cells:
+                    self.stopped[variable] = "capped"
+
+    def report(self, plan, records: list[ExperimentRecord]) -> SamplingReport:
+        """Per-stratum estimates over every variable of ``plan`` (a
+        :class:`repro.analysis.prune.PrunePlan`), with the assembled
+        ``records``' prune-synthesized cells reported beside them as
+        exact counts."""
+        from repro.analysis.prune import PRUNED_VERDICTS
+
+        spec, n = self.spec, self.runs_per_pair
         with obs.span(
-            names.SAMPLE_ROUND, round=rounds, pairs=len(batch)
-        ) as round_span:
-            partial = run_campaign(
-                campaign,
-                pool=pool,
-                pairs=batch,
-                golden_runs=golden_runs,
-                checkpoints=checkpoints,
-                store=store,
-            )
-            round_orchestrations.append(partial.orchestration)
-            drawn = records_by_pair(campaign, batch, partial.records)
-            for (name, _bit), records in drawn.items():
-                stratum_records[name].extend(records)
-            executed.update(drawn)
-            round_span.count(
-                names.COUNTER_SAMPLED_CELLS, len(batch) * runs_per_pair
-            )
-        for variable, draw in drawn_by_stratum.items():
-            taken[variable] += len(draw)
-            sampled_cells = len(stratum_records[variable])
-            if _converged(stratum_records[variable], spec):
-                stopped[variable] = "converged"
-            elif taken[variable] >= len(strata[variable]):
-                stopped[variable] = "exhausted"
-            elif (
-                spec.max_cells is not None
-                and sampled_cells >= spec.max_cells
-            ):
-                stopped[variable] = "capped"
-
-    with obs.span(
-        names.SAMPLE_ESTIMATE, target=campaign.target.name
-    ) as estimate_span:
-        exact_by_stratum: dict[str, list[ExperimentRecord]] = {}
-        if prune_plan is None:
-            records = [
-                record
-                for name, _kind, bit in full_pairs
-                for record in executed.get((name, bit), ())
-            ]
-        else:
-            from repro.analysis.prune import PRUNED_VERDICTS, assemble_records
-
-            records = assemble_records(campaign, prune_plan, executed)
-            # Synthesized cells are exact, reported beside the estimates.
+            names.SAMPLE_ESTIMATE, target=self.campaign.target.name
+        ) as estimate_span:
             pruned = {
                 (point.variable, point.bit)
-                for point in prune_plan.points
+                for point in plan.points
                 if point.verdict in PRUNED_VERDICTS
             }
+            exact: dict[str, list[ExperimentRecord]] = {}
             for record in records:
                 if (record.flip.variable, record.flip.bit) in pruned:
-                    exact_by_stratum.setdefault(
-                        record.flip.variable, []
-                    ).append(record)
-        # Report every variable of the full enumeration, including
-        # fully-pruned ones whose stratum has an empty sampling frame
-        # (population 0) and only exact synthesized cells.
-        strata_estimates = [
-            _estimate_stratum(
-                variable,
-                len(strata.get(variable, ())) * runs_per_pair,
-                stratum_records.get(variable, []),
-                spec,
-                stopped.get(variable, "exhausted"),
-                exact_by_stratum.get(variable),
+                    exact.setdefault(record.flip.variable, []).append(record)
+            # Every variable of the plan is reported, including fully
+            # pruned ones whose stratum has an empty sampling frame
+            # (population 0) and only exact synthesized cells.
+            strata = [
+                _estimate_stratum(
+                    variable,
+                    len(self.strata.get(variable, ())) * n,
+                    self.sampled.get(variable, []),
+                    spec,
+                    self.stopped.get(variable, "exhausted"),
+                    exact.get(variable),
+                )
+                for variable in sorted({point.variable for point in plan.points})
+            ]
+            cells_sampled = sum(len(r) for r in self.sampled.values())
+            estimate_span.count(names.COUNTER_SAMPLED_CELLS, cells_sampled)
+            estimate_span.count(
+                names.COUNTER_CONVERGED_STRATA,
+                sum(1 for s in strata if s.stopped == "converged"),
             )
-            for variable in sorted({pair[0] for pair in full_pairs})
-        ]
-        cells_sampled = sum(len(r) for r in stratum_records.values())
-        report = SamplingReport(
+        return SamplingReport(
             spec=spec,
-            strata=strata_estimates,
-            cells_total=len(full_pairs) * runs_per_pair,
+            strata=strata,
+            cells_total=len(plan.points) * n,
             cells_sampled=cells_sampled,
-            rounds=rounds,
+            rounds=self.rounds,
         )
-        estimate_span.count(names.COUNTER_SAMPLED_CELLS, cells_sampled)
-        estimate_span.count(
-            names.COUNTER_CONVERGED_STRATA,
-            sum(1 for s in strata_estimates if s.stopped == "converged"),
-        )
-
-    result = CampaignResult(
-        campaign.target.name,
-        config,
-        records,
-        golden_runs,
-        campaign.variable_specs,
-        sampling=report,
-    )
-    orchestration = _merge_orchestrations(round_orchestrations)
-    if orchestration is not None:
-        result.orchestration = orchestration  # type: ignore[attr-defined]
-    return result
-
-
-def _merge_orchestrations(rounds: list[dict]) -> dict | None:
-    """Round-by-round orchestration summaries folded into one (counts
-    summed, quarantined ids concatenated, store deltas summed)."""
-    rounds = [entry for entry in rounds if entry]
-    if not rounds:
-        return None
-    merged: dict = {
-        key: sum(entry.get(key, 0) for entry in rounds)
-        for key in ("tasks", "executed", "stored", "sibling")
-    }
-    merged["quarantined"] = [
-        task_id for entry in rounds for task_id in entry.get("quarantined", ())
-    ]
-    merged["jobs"] = max(entry.get("jobs", 1) for entry in rounds)
-    deltas = [entry["store"] for entry in rounds if "store" in entry]
-    if deltas:
-        merged["store"] = {
-            key: sum(delta.get(key, 0) for delta in deltas)
-            for key in ("hits", "misses", "invalidated", "writes")
-        }
-    return merged
-

@@ -112,8 +112,8 @@ SERVE_DEPLOY = "serve.deploy"
 #: Dataflow analysis + golden capture + per-point classification
 #: (carries ``target``; counts ``points`` and ``pruned``).
 PRUNE_PLAN = "prune.plan"
-#: Merging executed records with synthesized dead/member records
-#: (counts ``synthesized``).
+#: Merging executed records with synthesized dead/member records,
+#: once per pruned run, sampled or not (counts ``synthesized``).
 PRUNE_SYNTHESIZE = "prune.synthesize"
 #: Seeded re-injection of pruned cells against synthesized records
 #: (counts ``audited`` and ``contradictions``).
@@ -126,8 +126,8 @@ SAMPLE_PLAN = "campaign.sample.plan"
 #: One synchronized sampling round across every open stratum (carries
 #: ``round``, ``pairs``; counts ``sampled_cells``).
 SAMPLE_ROUND = "campaign.sample.round"
-#: Final per-stratum interval estimation and record assembly (counts
-#: ``sampled_cells`` and ``converged_strata``).
+#: Final per-stratum interval estimation over the assembled records
+#: (counts ``sampled_cells`` and ``converged_strata``).
 SAMPLE_ESTIMATE = "campaign.sample.estimate"
 
 # -- compositional campaign store (repro.injection.store) --------------

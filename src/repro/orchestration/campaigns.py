@@ -1,9 +1,11 @@
 """Sharded, stored execution of fault injection campaigns.
 
-:func:`run_campaign` is the one executor of every campaign mode:
-exhaustive, pruned and sampled campaigns differ only in which
-``(variable, bit)`` pairs they hand it and which records they
-synthesize around its results.
+:func:`run_campaign` executes every batch of the one campaign loop,
+:meth:`Campaign.run <repro.injection.campaign.Campaign.run>` (plan,
+draw, execute, assemble): an exhaustive or pruned run hands it one
+batch of pairs, a sampled run one batch per round, and the loop then
+merges the batches' records with the synthesized ones and sums their
+``orchestration`` summaries.
 
 A campaign enumerates runs in a fixed canonical order -- variable,
 then bit, then injection time, then test case (the paper's loop).
@@ -57,7 +59,7 @@ import warnings
 from collections import Counter
 
 from repro import observability as obs
-from repro.injection.bitflip import BitFlip, flip_values_batch
+from repro.injection.bitflip import BitFlip
 from repro.injection.campaign import Campaign, CampaignResult, ExperimentRecord
 from repro.injection.golden import Checkpoint, GoldenRun, golden_runs_for
 from repro.observability import names
@@ -104,41 +106,6 @@ def records_by_pair(
     }
 
 
-def _injection_hints(
-    campaign: Campaign,
-    name: str,
-    kind: str,
-    bit: int,
-    golden_runs: dict[int, GoldenRun],
-) -> dict[tuple[int, int], tuple]:
-    """``(time, test_case) -> (golden value, flipped value)`` for one pair.
-
-    The shard data plane: the golden value of the injected variable at
-    every (injection time, test case) cell of the pair is known before
-    any run starts, so all the cells' flips are computed by one
-    vectorized XOR (:func:`flip_values_batch`) instead of one
-    pack/unpack per run.  The harness still verifies the live value
-    matches the golden one before using a hint, so cells where the two
-    diverge (or where the variable is absent) simply fall back.
-    """
-    config = campaign.config
-    probe = config.injection_probe
-    cells: list[tuple[int, int]] = []
-    values: list = []
-    for injection_time in config.injection_times:
-        for tc in config.test_cases:
-            sample = golden_runs[tc].sample_at(probe, injection_time)
-            if sample is None or name not in sample.variables:
-                continue
-            cells.append((injection_time, tc))
-            values.append(sample.variables[name])
-    flipped = flip_values_batch(values, kind, bit)
-    return {
-        cell: (value, injected)
-        for cell, value, injected in zip(cells, values, flipped)
-    }
-
-
 #: A shard's result: its records, and its sibling's records when it
 #: ran dual (else ``None``).
 ShardResult = tuple[list[ExperimentRecord], list[ExperimentRecord] | None]
@@ -159,12 +126,7 @@ def _execute_shard(
     with obs.span(names.CAMPAIGN_SHARD, pairs=len(pairs)) as shard_span:
         for name, kind, bit in pairs:
             cells = campaign._run_pair(
-                BitFlip(name, kind, bit),
-                golden_runs,
-                checkpoints,
-                _injection_hints(campaign, name, kind, bit, golden_runs),
-                tally,
-                sibling,
+                BitFlip(name, kind, bit), golden_runs, checkpoints, tally, sibling
             )
             if sibling is None:
                 records.extend(cells)

@@ -24,7 +24,6 @@ from repro.analysis.prune import (
     assemble_records,
     audit_records,
     plan_prune,
-    prune_campaign,
 )
 from repro.injection.campaign import Campaign, CampaignConfig
 from repro.injection.instrument import Harness, Location, VariableSpec
@@ -114,7 +113,7 @@ def execute(campaign, plan):
 
 class TestPlan:
     def test_every_verdict_appears(self):
-        plan = prune_campaign(config(), PruneTarget())
+        plan = plan_prune(Campaign(PruneTarget(), config()))
         counts = plan.counts
         assert counts["live"] >= 4  # all of raw, plus clip bits 0/1
         assert counts["dead"] >= 5  # junk entirely, flag masked bits
@@ -122,7 +121,7 @@ class TestPlan:
         assert counts["member"] == 1
 
     def test_member_names_its_representative(self):
-        plan = prune_campaign(config(), PruneTarget())
+        plan = plan_prune(Campaign(PruneTarget(), config()))
         member = plan.point("clip", 3)
         representative = plan.point("clip", 2)
         assert member.verdict == "member"
@@ -131,13 +130,13 @@ class TestPlan:
         assert representative.verdict == "representative"
 
     def test_junk_is_dead_with_provenance(self):
-        plan = prune_campaign(config(), PruneTarget())
+        plan = plan_prune(Campaign(PruneTarget(), config()))
         point = plan.point("junk", 0)
         assert point.verdict == "dead"
         assert "never read" in point.reason
 
     def test_executed_pairs_keep_canonical_order(self):
-        plan = prune_campaign(config(), PruneTarget())
+        plan = plan_prune(Campaign(PruneTarget(), config()))
         pairs = plan.executed_pairs()
         assert pairs == sorted(
             pairs,
@@ -150,7 +149,7 @@ class TestPlan:
         )
 
     def test_to_dict_round_trips_summary(self):
-        plan = prune_campaign(config(), PruneTarget())
+        plan = plan_prune(Campaign(PruneTarget(), config()))
         payload = plan.to_dict()
         assert payload["format"] == "repro.analysis.prune"
         assert payload["summary"]["runs_planned"] == 16 * 2
@@ -209,7 +208,7 @@ class TestBitIdentity:
             result.prune["runs_executed"]
         )
         assert result.prune["runs_executed"] == (
-            prune_campaign(config(), PruneTarget()).runs_executed
+            plan_prune(Campaign(PruneTarget(), config())).runs_executed
         )
 
     def test_journal_shards_shared_with_exhaustive_campaign(self, tmp_path):
@@ -237,10 +236,6 @@ class TestGuards:
 
         with pytest.raises(ValueError, match="cannot prune"):
             Observing(PruneTarget(), config(prune="static")).run()
-
-    def test_prune_campaign_requires_a_target(self):
-        with pytest.raises(TypeError, match="target is required"):
-            prune_campaign(config())
 
     def test_config_round_trip_without_prune_keys(self):
         payload = config().to_dict()

@@ -3,7 +3,7 @@ store interop, interval coverage, and the vectorized data plane.
 
 The module's contracts, in test order:
 
-* the batch flip helpers are bit-identical to ``flip_bit`` for every
+* the batch flip helper is bit-identical to ``flip_bit`` for every
   kind, including NaN payloads, signed zeros and two's-complement
   wrap;
 * a sampled campaign draws a duplicate-free subset of the exhaustive
@@ -28,7 +28,6 @@ from repro.injection.bitflip import (
     FaultModelError,
     flip_bit,
     flip_bits_batch,
-    flip_values_batch,
 )
 from repro.injection.campaign import Campaign, CampaignConfig, CampaignResult
 from repro.injection.golden import GOLDEN_CACHE, golden_runs_for
@@ -37,7 +36,6 @@ from repro.injection.sampling import (
     SamplingReport,
     SamplingSpec,
     plan_strata,
-    run_sampled_campaign,
 )
 from repro.mining.cache import clear_reuse_caches, reuse_caches_disabled
 from repro.orchestration.campaigns import plan_pairs
@@ -208,28 +206,17 @@ class TestBatchFlips:
                     "<d", flip_bit(value, "float64", bit)
                 )
 
-    def test_values_batch_matches_scalar(self):
-        values = [0, 1, -1, 7, 2**31 - 1, -(2**31), 12345]
-        for bit in (0, 5, 31):
-            assert flip_values_batch(values, "int32", bit) == [
-                flip_bit(v, "int32", bit) for v in values
-            ]
-
     def test_bool_batches(self):
         assert flip_bits_batch(True, "bool", [0]) == [False]
-        assert flip_values_batch([True, False], "bool", 0) == [False, True]
 
     def test_out_of_range_bits_raise(self):
         with pytest.raises(FaultModelError):
             flip_bits_batch(1, "int32", [0, 32])
         with pytest.raises(FaultModelError):
             flip_bits_batch(1, "int32", [-1])
-        with pytest.raises(FaultModelError):
-            flip_values_batch([1], "int32", 32)
 
     def test_empty_batches(self):
         assert flip_bits_batch(1, "int32", []) == []
-        assert flip_values_batch([], "int32", 0) == []
 
 
 # ----------------------------------------------------------------------
@@ -602,9 +589,8 @@ def test_interval_coverage_is_at_least_nominal(ci, floor):
     trials = 40
     hits = 0
     for seed in range(trials):
-        result = run_sampled_campaign(
-            Campaign(BernoulliTarget(), BERNOULLI_CONFIG),
-            SamplingSpec(
+        result = Campaign(BernoulliTarget(), BERNOULLI_CONFIG).run(
+            sampling=SamplingSpec(
                 ci=ci,
                 target_halfwidth=0.01,  # unreachable at n=24: cap decides
                 min_cells=24,

@@ -368,6 +368,48 @@ class TestStoreInterop:
         )
 
 
+class TestReconciledSummary:
+    """Every ``Campaign.run`` result carries one ``orchestration``
+    summary whose shard outcomes add up to its task count, however
+    many batches the run drew."""
+
+    @pytest.mark.parametrize("stored", [False, True], ids=["storeless", "store"])
+    @pytest.mark.parametrize(
+        "overrides, sampling",
+        [
+            ({}, None),
+            ({"prune": "static"}, None),
+            ({}, SamplingSpec(min_cells=2, round_cells=2)),
+            ({"prune": "static"}, SamplingSpec(min_cells=2, round_cells=2)),
+            # Every pair of ``scratch`` is statically dead: nothing is
+            # drawn, and the summary still reports zero tasks.
+            (
+                {"prune": "static", "variables": ("scratch",)},
+                SamplingSpec(),
+            ),
+        ],
+        ids=["exhaustive", "pruned", "sampled", "pruned-sampled", "all-dead"],
+    )
+    def test_summary_adds_up(self, overrides, sampling, stored, tmp_path):
+        store = CampaignStore(tmp_path / "store") if stored else None
+        campaign = run_grid_campaign(**overrides)
+        result = campaign.run(sampling=sampling, store=store)
+        summary = result.orchestration
+        assert summary["executed"] + summary["stored"] + summary["sibling"] + (
+            len(summary["quarantined"])
+        ) == summary["tasks"]
+        assert summary["jobs"] == 1
+        if not stored:
+            assert "store" not in summary
+        elif summary["tasks"]:
+            assert summary["store"]["writes"] == summary["executed"]
+        if "variables" in overrides:
+            assert summary["tasks"] == 0
+            assert result.records, "dead cells are synthesized"
+        else:
+            assert summary["tasks"] > 0
+
+
 class TestRunCampaignDirect:
     def test_default_pool_is_serial(self):
         result = run_campaign(run_grid_campaign())
