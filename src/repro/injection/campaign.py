@@ -31,7 +31,10 @@ soon as it rejoins the golden run: once the flip has fired and the
 sample is taken, a run whose state and probe counts equal the golden
 run's at a unit boundary would finish exactly as the golden run did,
 so it takes the golden output and final counts
-(:meth:`repro.injection.golden.Checkpoint.resume`).  The records are
+(:meth:`repro.injection.golden.Checkpoint.resume`).  By the same
+argument it stops where an earlier injected run of the same
+:func:`~repro.orchestration.campaigns.run_campaign` call already went
+(the suffix memo), and takes that run's outcome.  The records are
 the same either way.  Subclasses that override ``_make_harness`` or
 ``_after_run`` observe the whole run, so they replay it in full and
 never stop early.
@@ -804,12 +807,16 @@ class Campaign:
 
     def _count_resumes(self, span, checkpoints, pairs: int, tally) -> None:
         """Count ``pairs`` pairs' resumed and replayed cells, and the
-        rejoins ``tally`` collected while running them, on ``span``."""
+        early stops ``tally`` collected while running them, on ``span``."""
         cells = len(self.config.injection_times) * len(self.config.test_cases)
         span.count(names.COUNTER_RESUMED, len(checkpoints) * pairs)
         span.count(names.COUNTER_REPLAYED, (cells - len(checkpoints)) * pairs)
-        span.count(names.COUNTER_REJOINED, tally[names.COUNTER_REJOINED])
-        span.count(names.COUNTER_UNITS_SKIPPED, tally[names.COUNTER_UNITS_SKIPPED])
+        for counter in (
+            names.COUNTER_REJOINED,
+            names.COUNTER_CONVERGED,
+            names.COUNTER_UNITS_SKIPPED,
+        ):
+            span.count(counter, tally[counter])
 
     def _run_pair(
         self,
@@ -818,6 +825,7 @@ class Campaign:
         checkpoints: Mapping[tuple[int, int], Checkpoint],
         tally: Counter | None = None,
         sibling: "Campaign | None" = None,
+        memo: dict | None = None,
     ):
         """Every cell of one (variable, bit) pair in canonical order
         (injection time, then test case), resuming where a checkpoint
@@ -825,7 +833,8 @@ class Campaign:
         (:func:`repro.orchestration.campaigns.run_campaign`).  With
         ``sibling`` (:meth:`_sibling`) every run also yields the
         sibling's record, and the result is ``(records, sibling's
-        records)``."""
+        records)``.  ``memo`` is the calling ``run_campaign``'s suffix
+        memo (test case -> :meth:`Checkpoint.resume` memo)."""
         cells = [
             self._run_one(
                 flip,
@@ -835,6 +844,7 @@ class Campaign:
                 checkpoint=checkpoints.get((injection_time, tc)),
                 tally=tally,
                 sibling=sibling,
+                memo=None if memo is None else memo.setdefault(tc, {}),
             )
             for injection_time in self.config.injection_times
             for tc in self.config.test_cases
@@ -852,13 +862,15 @@ class Campaign:
         checkpoint: Checkpoint | None = None,
         tally: Counter | None = None,
         sibling: "Campaign | None" = None,
+        memo: dict | None = None,
     ):
         """One injected run; ``checkpoint`` resumes it from the golden
         prefix instead of replaying the test case from the start, and
-        stops it once it rejoins the golden run (counted in
-        ``tally``).  With ``sibling`` the harness samples both
-        campaigns' probes and the run returns ``(record, sibling's
-        record)``, each picked and compared by its own campaign."""
+        stops it once it rejoins the golden run or reaches a boundary
+        of the test case's suffix ``memo`` (counted in ``tally``).
+        With ``sibling`` the harness samples both campaigns' probes
+        and the run returns ``(record, sibling's record)``, each
+        picked and compared by its own campaign."""
         if sibling is None:
             harness = self._make_harness(flip, injection_time)
         else:
@@ -877,12 +889,9 @@ class Campaign:
             if checkpoint is None:
                 output = self.target.run(test_case, harness)
             else:
-                output, skipped = checkpoint.resume(
-                    self.target, state, harness, golden.output
+                output = checkpoint.resume(
+                    self.target, state, harness, golden.output, memo, tally
                 )
-                if skipped is not None and tally is not None:
-                    tally[names.COUNTER_REJOINED] += 1
-                    tally[names.COUNTER_UNITS_SKIPPED] += skipped
             failed = self.target.is_failure(golden.output, output)
         except Exception:
             # An injected fault crashed the target: a specification

@@ -35,9 +35,16 @@ record.  A run whose state
 and counts equal the golden run's at the same boundary therefore
 finishes exactly as the golden run does -- same output, same final
 counts -- and the campaign takes those instead of executing the
-units.  Campaigns that replay (targets without the protocol, the
-``_make_harness``/``_after_run`` hooks, the prune audit) never stop
-early.
+units.  The same argument stops a run that reaches a boundary an
+earlier injected run of the same test case already checked: a
+*suffix memo* (:meth:`Checkpoint.resume`) maps each checked
+``(unit, counts, state digest)`` to how that earlier run ended --
+its output, or that it crashed, and its final counts.  Checks fall
+on an aligned schedule (multiples of a stride that doubles up to
+:data:`CHECK_STRIDE_CAP`), so runs diverging at different units
+still check the same units and can meet.  Campaigns that replay
+(targets without the protocol, the ``_make_harness``/``_after_run``
+hooks, the prune audit) never stop early.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import pickle
+from collections import Counter
 
 from repro.injection.instrument import (
     GoldenHarness,
@@ -54,6 +62,7 @@ from repro.injection.instrument import (
     StateSample,
 )
 from repro.mining.cache import ContentCache
+from repro.observability import names
 
 __all__ = [
     "GoldenRun",
@@ -179,6 +188,27 @@ def _digest(state: bytes) -> bytes:
     return hashlib.blake2b(state, digest_size=16).digest()
 
 
+#: The widest gap between two checks of a resumed run
+#: (:meth:`Checkpoint.resume`): the stride doubles from 1 up to it.
+CHECK_STRIDE_CAP = 16
+
+
+class _MemoisedCrash(Exception):
+    """Raised by a run that reached a suffix-memo key whose earlier run
+    crashed: the rest of this run crashes too (:meth:`Checkpoint.resume`)."""
+
+
+@dataclasses.dataclass(frozen=True)
+class _Outcome:
+    """How a run ended: its output (or that it crashed), its final
+    probe counts and the unit boundary it ended at."""
+
+    crashed: bool
+    output: object
+    counts: dict
+    unit: int
+
+
 @dataclasses.dataclass(frozen=True)
 class Checkpoint:
     """A fault-free run's state at one unit boundary, ready to resume.
@@ -209,46 +239,95 @@ class Checkpoint:
         state: object,
         harness: InjectionHarness,
         golden_output: object,
-    ) -> tuple[object, int | None]:
-        """Run an injected run from here; stop once it rejoins the trail.
+        memo: dict | None = None,
+        tally: Counter | None = None,
+    ) -> object:
+        """Run an injected run from here; stop once it rejoins the trail
+        or reaches a boundary an earlier run already checked.
 
         ``state`` and ``harness`` are what :meth:`restore` prepared.
-        Returns the run's output and, when it rejoined, the number of
-        golden units it skipped (``None`` when it ran to the end).
+        Returns the run's output; a run that stops early counts itself
+        in ``tally`` (``rejoined`` or ``converged``) with the units it
+        skipped (``units_skipped``).
+
         Checking starts at the first boundary where the flip has fired
         and the harness holds a sample of every probe it samples (a
-        dual run feeds two records), and compares the run's counts
-        and state digest with the trail 0, 1, 3, 7, ... units later:
-        the stride doubles, so checks cost at most a
-        logarithmic number of state pickles however long the run.  On
-        a match the rest of the run *is* the golden run -- the step
-        protocol makes it a function of state and counts alone, and
-        the harness, its one flip spent and its samples taken, returns
+        dual run feeds two records).  The next check is the next
+        multiple of a stride that doubles from 1 up to
+        :data:`CHECK_STRIDE_CAP`, so a check costs one state pickle
+        every few units however long the run, and every run checks
+        the same units once its stride is capped.  A check compares
+        the run's counts and state digest with the trail; on a match
+        the rest of the run *is* the golden run -- the step protocol
+        makes it a function of state and counts alone, and the
+        harness, its one flip spent and its samples taken, returns
         every later probe state unchanged -- so the output is
         ``golden_output`` and the harness takes the trail's final
         counts, exactly what running to the end would leave.
+
+        ``memo`` (one test case's suffix memo, owned by the caller) is
+        the same argument across runs: it maps ``(unit, counts, state
+        digest)`` to how an earlier run that checked that boundary
+        ended.  A check that finds its key restores the stored final
+        counts and returns the stored output -- or raises
+        :class:`_MemoisedCrash` when that run crashed -- without
+        executing the rest; when the run ends, every key it checked
+        takes its outcome, whether it rejoined, finished, crashed or
+        hit the memo.  A hit is exactly what running would return.
         """
         trail = self.trail
         unit = self.unit
         check = None
         stride = 1
-        while True:
-            if check is None and harness.injected and harness.holds_samples():
-                check = unit
-            if unit == check:
-                # Counts first: comparing them is cheap, pickling is not.
-                if (
-                    unit < len(trail.counts)
-                    and harness.occurrence_counts() == trail.counts[unit]
-                    and _digest(pickle.dumps(state)) == trail.digests[unit]
-                ):
-                    harness.restore_occurrences(trail.counts[-1])
-                    return golden_output, len(trail.counts) - 1 - unit
-                check += stride
-                stride *= 2
-            if not target.advance(state, harness):
-                return target.finish(state), None
-            unit += 1
+        checked: list[tuple] = []
+        stop = None
+        try:
+            while True:
+                if check is None and harness.injected and harness.holds_samples():
+                    check = unit
+                if unit == check:
+                    counts = harness.occurrence_counts()
+                    # Counts first: comparing them is cheap, pickling
+                    # is not -- and without a memo only a count match
+                    # needs the digest.
+                    on_trail = unit < len(trail.counts) and counts == trail.counts[unit]
+                    if on_trail or memo is not None:
+                        digest = _digest(pickle.dumps(state))
+                    if on_trail and digest == trail.digests[unit]:
+                        stop = names.COUNTER_REJOINED
+                        outcome = _Outcome(
+                            False, golden_output, trail.counts[-1], len(trail.counts) - 1
+                        )
+                        break
+                    if memo is not None:
+                        key = (unit, frozenset(counts.items()), digest)
+                        outcome = memo.get(key)
+                        if outcome is not None:
+                            stop = names.COUNTER_CONVERGED
+                            break
+                        checked.append(key)
+                    stride = min(2 * stride, CHECK_STRIDE_CAP)
+                    check = (unit // stride + 1) * stride
+                if not target.advance(state, harness):
+                    outcome = _Outcome(
+                        False, target.finish(state), harness.occurrence_counts(), unit
+                    )
+                    break
+                unit += 1
+        except Exception:
+            if memo is not None:
+                crash = _Outcome(True, None, harness.occurrence_counts(), unit)
+                memo.update(dict.fromkeys(checked, crash))
+            raise
+        if memo is not None:
+            memo.update(dict.fromkeys(checked, outcome))
+        harness.restore_occurrences(outcome.counts)
+        if stop is not None and tally is not None:
+            tally[stop] += 1
+            tally[names.COUNTER_UNITS_SKIPPED] += outcome.unit - unit
+        if outcome.crashed:
+            raise _MemoisedCrash(f"converged at unit {unit} on a run that crashed")
+        return outcome.output
 
 
 class _CountingHarness(Harness):

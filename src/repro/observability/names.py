@@ -64,6 +64,7 @@ __all__ = [
     "COUNTER_RESUMED",
     "COUNTER_REPLAYED",
     "COUNTER_REJOINED",
+    "COUNTER_CONVERGED",
     "COUNTER_UNITS_SKIPPED",
     "COUNTER_SIBLING",
 ]
@@ -84,8 +85,8 @@ WORKER_START = "worker.start"
 # -- campaign data plane (repro.orchestration.campaigns) ---------------
 #: One shard's injected runs in a worker (carries ``pairs``; counts
 #: ``runs`` -- every executed cell, resumed or replayed -- plus
-#: ``failures``, ``resumed``, ``replayed``, ``rejoined`` and
-#: ``units_skipped``).
+#: ``failures``, ``resumed``, ``replayed``, ``rejoined``,
+#: ``converged`` and ``units_skipped``).
 CAMPAIGN_SHARD = "campaign.shard"
 #: Stepping each test case's fault-free run once to snapshot the
 #: golden-prefix checkpoints injected runs resume from, and the golden
@@ -193,7 +194,11 @@ COUNTER_REPLAYED = "replayed"
 #: Resumed runs stopped early because their (state, counts) rejoined
 #: the golden trail.
 COUNTER_REJOINED = "rejoined"
-#: Golden units the rejoined runs did not execute.
+#: Resumed runs stopped early because their (state, counts) reached a
+#: boundary an earlier injected run of the same ``run_campaign`` call
+#: checked (the suffix memo of ``Checkpoint.resume``).
+COUNTER_CONVERGED = "converged"
+#: Units the rejoined and converged runs did not execute.
 COUNTER_UNITS_SKIPPED = "units_skipped"
 #: Campaign shards answered by a sibling campaign's dual run (records
 #: handed over in memory, then stored) instead of executing.

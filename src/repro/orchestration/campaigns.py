@@ -55,6 +55,8 @@ in-process loop, and an exception raised by campaign code propagates.
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import os
 import warnings
 from collections import Counter
 
@@ -110,23 +112,56 @@ def records_by_pair(
 #: ran dual (else ``None``).
 ShardResult = tuple[list[ExperimentRecord], list[ExperimentRecord] | None]
 
+#: Identifies a :func:`run_campaign` call in its shard arguments.
+_CALLS = itertools.count()
+
+#: This process's suffix memo: ``(call token, test case -> memo)``.
+#: One slot, so a worker process keeps only the memo of the call
+#: whose shards it ran last.
+_MEMO: tuple[tuple[int, int], dict] | None = None
+
+
+def _suffix_memo(token: tuple[int, int]) -> dict:
+    """The suffix memo of call ``token`` in this process, fresh on the
+    call's first shard here (:meth:`Checkpoint.resume`)."""
+    global _MEMO
+    if _MEMO is None or _MEMO[0] != token:
+        _MEMO = (token, {})
+    return _MEMO[1]
+
+
+def _drop_memo(token: tuple[int, int]) -> None:
+    """End call ``token``'s suffix memo in this process."""
+    global _MEMO
+    if _MEMO is not None and _MEMO[0] == token:
+        _MEMO = None
+
 
 def _execute_shard(
     campaign: Campaign,
     pairs: tuple[Pair, ...],
     golden_runs: dict[int, GoldenRun],
     checkpoints: dict[tuple[int, int], Checkpoint],
+    token: tuple[int, int],
     sibling: Campaign | None = None,
 ) -> ShardResult:
     """Worker body: the serial inner loops for one shard's pairs; with
-    ``sibling`` every run also yields the sibling's record."""
+    ``sibling`` every run also yields the sibling's record.  Resumed
+    runs share the suffix memo of call ``token`` with every shard of
+    the call that runs in this process."""
     records: list[ExperimentRecord] = []
     sibling_records = None if sibling is None else []
     tally: Counter = Counter()
+    memo = _suffix_memo(token)
     with obs.span(names.CAMPAIGN_SHARD, pairs=len(pairs)) as shard_span:
         for name, kind, bit in pairs:
             cells = campaign._run_pair(
-                BitFlip(name, kind, bit), golden_runs, checkpoints, tally, sibling
+                BitFlip(name, kind, bit),
+                golden_runs,
+                checkpoints,
+                tally,
+                sibling,
+                memo,
             )
             if sibling is None:
                 records.extend(cells)
@@ -274,6 +309,7 @@ def run_campaign(
         else None
     )
     stored = 0
+    token = (os.getpid(), next(_CALLS))
     # Shard arguments share these two mappings; they are filled in
     # place once the store lookups show that some shard executes.
     shard_golden: dict[int, GoldenRun] = (
@@ -299,7 +335,7 @@ def run_campaign(
                 task_id=f"campaign:{position.get(shard[0], index):05d}",
                 fingerprint=None if key is None else fingerprint_of(key),
                 fn=_execute_shard,
-                args=(campaign, shard, shard_golden, checkpoints),
+                args=(campaign, shard, shard_golden, checkpoints, token),
                 weight=len(shard)
                 * len(config.injection_times)
                 * len(config.test_cases),
@@ -353,7 +389,10 @@ def run_campaign(
         # per cell.  A campaign with a sibling captures them for both
         # sample probes, so any of its shards may run dual.
         checkpoints.update(campaign._capture_checkpoints(sibling))
-    outcomes = graph.run(pool, store=store, resolved=resolved)
+    try:
+        outcomes = graph.run(pool, store=store, resolved=resolved)
+    finally:
+        _drop_memo(token)
 
     records: list[ExperimentRecord] = []
     quarantined: list[str] = []

@@ -12,16 +12,20 @@ that covers injection at the first and last occurrence and past the
 end, crashes after the injection, sampling at the other location,
 probes that skip their exit, units that overwrite the corrupted
 variable (so runs rejoin or stay diverged), a masked flip that still
-re-enters the module (equal state, different counts), and a
-two-phase run whose injected module only fires after another phase.
-The checkpoint positions and the units each resumed run executes are
-pinned against an independent stepping of the runs, so a checkpoint
-one boundary early or late, or a rejoin check at the wrong boundary,
-fails even where its records would still agree.
+re-enters the module (equal state, different counts), a two-phase
+run whose injected module only fires after another phase, and a
+saturating unit that makes different flips converge with one another
+without rejoining the golden run (the suffix memo of
+:meth:`~repro.injection.golden.Checkpoint.resume`).  The checkpoint
+positions and the units each resumed run executes are pinned against
+an independent stepping of the runs, so a checkpoint one boundary
+early or late, or a check at the wrong boundary, fails even where its
+records would still agree.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 from collections import Counter
 
@@ -33,10 +37,12 @@ from repro.experiments.datasets import DATASET_SPECS, build_target, campaign_con
 from repro.experiments.scale import get_scale
 from repro.injection.bitflip import BitFlip
 from repro.injection.campaign import Campaign, CampaignConfig
-from repro.injection.golden import golden_runs_for
+from repro.injection.golden import CHECK_STRIDE_CAP, golden_runs_for
 from repro.injection.instrument import Harness, InjectionHarness, Location, Probe, VariableSpec
 from repro.observability import names
+from repro.orchestration import campaigns
 from repro.orchestration.campaigns import run_campaign
+from repro.orchestration.pool import ProcessPool, SerialPool
 from repro.targets.base import TargetSystem
 
 from tests.injection._replay import replay_records
@@ -60,10 +66,16 @@ class StepTarget(TargetSystem):
     high-bit flip crashes the run after the injection.  Every
     ``reset_every``-th ``Acc`` unit overwrites the accumulator with a
     value that depends only on the test case and the step, masking an
-    earlier flip of it.  ``scratch`` is read by nothing, so a flip of
+    earlier flip of it.  With ``clamp``, every ``Acc`` unit saturates
+    an accumulator above ``clamp`` to ``clamp`` (after the crash
+    check): the golden runs stay below it, so flips that push the
+    accumulator over it converge with one another, never with the
+    golden run.  ``scratch`` is read by nothing, so a flip of
     it is masked at once -- but with ``reenter`` a non-zero scratch at
-    the entry probe makes the unit enter ``Acc`` a second time, so
-    the state rejoins the golden run while the probe counts do not.
+    the entry probe makes the unit enter ``Acc`` again, once or twice
+    (scratch mod 3), so the state rejoins the golden run while the
+    probe counts do not, and flips of different scratch bits reach
+    equal states with different counts.
     ``UNITS`` counts every unit executed, across instances, so tests
     can see how much of a run was executed.
     """
@@ -79,6 +91,7 @@ class StepTarget(TargetSystem):
         crash_above=1 << 40,
         reset_every=0,
         reenter=False,
+        clamp=0,
     ):
         self.pre_units = pre_units
         self.units = units
@@ -86,6 +99,7 @@ class StepTarget(TargetSystem):
         self.crash_above = crash_above
         self.reset_every = reset_every
         self.reenter = reenter
+        self.clamp = clamp
 
     @property
     def modules(self):
@@ -116,13 +130,15 @@ class StepTarget(TargetSystem):
             probed = harness.probe(
                 "Acc", Location.ENTRY, {"acc": state["acc"], "scratch": 0}
             )
-            if self.reenter and probed["scratch"] != 0:
+            for _ in range(probed["scratch"] % 3 if self.reenter else 0):
                 harness.probe(
                     "Acc", Location.ENTRY, {"acc": state["acc"], "scratch": 0}
                 )
             acc = int(probed["acc"]) + step
             if abs(acc) > self.crash_above:
                 raise OverflowError(f"accumulator {acc} out of range")
+            if self.clamp and acc > self.clamp:
+                acc = self.clamp
             if self.reset_every and step % self.reset_every == self.reset_every - 1:
                 acc = state["base"] + step
             state["step"] = step + 1
@@ -211,6 +227,8 @@ def step_campaigns(draw, crashes=True):
         crash_above=draw(st.sampled_from((1 << 40, 64) if crashes else (1 << 40,))),
         reset_every=draw(st.sampled_from((0, 1, 2, 3))),
         reenter=draw(st.booleans()),
+        # Golden accumulators stay below 50 (at most 2 + 0 + ... + 8).
+        clamp=draw(st.sampled_from((0, 50))),
     )
     # Always the first occurrence, the last and one past the end.
     drawn = draw(st.lists(st.integers(0, units + 2), max_size=3))
@@ -249,34 +267,43 @@ class TestStepProperty:
         target = campaign.target
         golden_runs = golden_runs_for(target, config.test_cases)
         checkpoints = campaign._capture_checkpoints()
-        expected_units = expected_rejoins = 0
+        expected_units = 0
+        expected = Counter()
         pairs = [
             BitFlip(spec.name, spec.kind, bit)
             for spec in campaign._targeted_specs()
             for bit in campaign._bits_for(spec)
         ]
-        for tc in config.test_cases:
-            boundaries = _boundaries(target, tc)
-            index = {state: i for i, (state, _) in enumerate(boundaries)}
+        boundaries = {tc: _boundaries(target, tc) for tc in config.test_cases}
+        index = {
+            tc: {state: i for i, (state, _) in enumerate(seen)}
+            for tc, seen in boundaries.items()
+        }
+        # The model's memo: test case -> checked key -> end boundary.
+        model = {tc: {} for tc in config.test_cases}
+        for flip in pairs:  # canonical order: the memo depends on it
             for time in config.injection_times:
-                got = checkpoints.get((time, tc))
-                for flip in pairs:
+                for tc in config.test_cases:
+                    got = checkpoints.get((time, tc))
                     if got is None:
-                        expected_units += len(boundaries) - 1
+                        expected_units += len(boundaries[tc]) - 1
                         continue
-                    units, rejoined = _expected_resume(
-                        boundaries,
+                    units, stop = _expected_resume(
+                        boundaries[tc],
                         _injected_boundaries(target, config, flip, time, tc),
-                        index[got.state],
+                        index[tc][got.state],
+                        model[tc],
                     )
                     expected_units += units
-                    expected_rejoins += rejoined
+                    expected[stop] += 1
         tally = Counter()
+        memo = {}
         before = StepTarget.UNITS
         for flip in pairs:
-            campaign._run_pair(flip, golden_runs, checkpoints, tally=tally)
+            campaign._run_pair(flip, golden_runs, checkpoints, tally=tally, memo=memo)
         assert StepTarget.UNITS - before == expected_units
-        assert tally[names.COUNTER_REJOINED] == expected_rejoins
+        assert tally[names.COUNTER_REJOINED] == expected[names.COUNTER_REJOINED]
+        assert tally[names.COUNTER_CONVERGED] == expected[names.COUNTER_CONVERGED]
 
 
 def _injected_boundaries(target, config, flip, time, test_case):
@@ -300,22 +327,37 @@ def _injected_boundaries(target, config, flip, time, test_case):
             return seen
 
 
-def _expected_resume(golden, injected, start):
-    """``(units executed, rejoined)`` of a run resumed at boundary
-    ``start``: checks begin at the first checkable boundary and land
-    0, 1, 3, 7, ... boundaries after it; the first whose (state,
-    counts) equals the golden run's at the same boundary stops it."""
-    first = next(
+def _expected_resume(golden, injected, start, memo):
+    """``(units executed, how it stopped)`` of a run resumed at
+    boundary ``start``.  Checks begin at the first checkable boundary;
+    each next check is the next multiple of a stride that doubles from
+    1 up to the cap.  The first check whose (state, counts) equals the
+    golden run's at the same boundary stops it (``rejoined``), as does
+    the first that ``memo`` holds (``converged``; ``memo`` maps the
+    boundaries earlier runs of the test case checked to the boundary
+    they ended at).  Every boundary the run checked then takes the
+    boundary it ended at; ``None`` means it ran to the end."""
+    final = len(injected) - 1
+    check = next(
         (i for i in range(start, len(injected)) if injected[i][2]), None
     )
-    if first is not None:
-        check, stride = first, 1
-        while check < min(len(golden), len(injected)):
-            if injected[check][:2] == golden[check]:
-                return check - start, 1
-            check += stride
-            stride *= 2
-    return len(injected) - 1 - start, 0
+    stride = 1
+    checked = []
+    executed, end, stop = final - start, final, None
+    while check is not None and check <= final:
+        state, counts, _ = injected[check]
+        if check < len(golden) and (state, counts) == golden[check]:
+            executed, end, stop = check - start, len(golden) - 1, names.COUNTER_REJOINED
+            break
+        key = (check, state, frozenset(counts.items()))
+        if key in memo:
+            executed, end, stop = check - start, memo[key], names.COUNTER_CONVERGED
+            break
+        checked.append(key)
+        stride = min(2 * stride, CHECK_STRIDE_CAP)
+        check = (check // stride + 1) * stride
+    memo.update(dict.fromkeys(checked, end))
+    return executed, stop
 
 
 class TestReplayConditions:
@@ -468,6 +510,112 @@ class TestRejoin:
         assert total(names.COUNTER_UNITS_SKIPPED) == 12 * 4
 
 
+class _PicklingPool(SerialPool):
+    """An in-process pool that pickles every task's arguments before
+    and after running the tasks."""
+
+    def __init__(self):
+        super().__init__(isolate=False)
+        self.before: list[bytes] = []
+        self.after: list[bytes] = []
+
+    def run(self, tasks, on_result=None):
+        self.before += [pickle.dumps(task.args) for task in tasks]
+        outcomes = super().run(tasks, on_result)
+        self.after += [pickle.dumps(task.args) for task in tasks]
+        return outcomes
+
+
+def _converging_campaign():
+    """Accumulator flips of bit 8 push it over the clamp at once, so
+    the runs injected at times 0, 3 and 5 of a test case all sit at the
+    clamp from their injection on: later ones meet earlier ones at a
+    checked boundary, never the golden run."""
+    return Campaign(StepTarget(units=9, clamp=50), _config((0, 3, 5), LOCATIONS[0]))
+
+
+def _shard_total(tracer, counter):
+    return sum(
+        s.counters[counter] for s in tracer.spans if s.name == names.CAMPAIGN_SHARD
+    )
+
+
+@pytest.fixture(scope="class")
+def two_workers():
+    with ProcessPool(2, backoff=0) as pool:
+        yield pool
+
+
+class TestConvergence:
+    """Runs that stop where an earlier run of the same call went."""
+
+    @given(step_campaigns())
+    @settings(max_examples=25, deadline=None)
+    def test_serial_and_pooled_runs_match_replay(self, two_workers, campaign):
+        expected = _dicts(replay_records(campaign))
+        assert _dicts(run_campaign(campaign).records) == expected
+        assert _dicts(run_campaign(campaign, pool=two_workers).records) == expected
+
+    def test_converging_runs_match_replay(self, two_workers):
+        campaign = _converging_campaign()
+        expected = _dicts(replay_records(campaign))
+        with obs.tracing() as tracer:
+            assert _dicts(run_campaign(campaign).records) == expected
+        assert _shard_total(tracer, names.COUNTER_CONVERGED) > 0
+        assert _shard_total(tracer, names.COUNTER_REJOINED) > 0  # scratch flips
+        assert _dicts(run_campaign(campaign, pool=two_workers).records) == expected
+
+    def test_crash_after_converging(self):
+        # Bit 5 (+32) at time 5 lifts the accumulator to 47 + test case,
+        # over the clamp one unit later; at time 6 it is over at once.
+        # Both runs then sit at the clamp until step 9 overflows.  The
+        # time-6 runs reach boundary 8, which the time-5 runs checked
+        # on their way to the crash, and take the crash.
+        target = StepTarget(units=10, clamp=50, crash_above=58)
+        config = dataclasses.replace(
+            _config((5, 6), LOCATIONS[0]), variables=("acc",), bits=(5,)
+        )
+        campaign = Campaign(target, config)
+        flip = BitFlip("acc", "int32", 5)
+        golden_runs = golden_runs_for(target, campaign.config.test_cases)
+        checkpoints = campaign._capture_checkpoints()
+        tally, memo = Counter(), {}
+        records = campaign._run_pair(
+            flip, golden_runs, checkpoints, tally=tally, memo=memo
+        )
+        assert _dicts(records) == _dicts(_replayed(campaign, flip))
+        assert all(r.crashed and r.failed for r in records)
+        assert tally[names.COUNTER_CONVERGED] == 3
+        assert tally[names.COUNTER_REJOINED] == 0
+        # The memo keeps that the runs crashed, not their exceptions.
+        outcomes = [o for cells in memo.values() for o in cells.values()]
+        assert outcomes and all(o.crashed and o.output is None for o in outcomes)
+
+    def test_equal_state_with_different_counts_does_not_converge(self):
+        # Scratch bit 0 re-enters Acc once, bit 3 (8 mod 3) twice: both
+        # runs are back in the golden state one unit in, with entry
+        # counts one and two ahead -- two different suffixes.
+        target = StepTarget(units=4, reenter=True)
+        config = dataclasses.replace(
+            _config((1,), LOCATIONS[0]), variables=("scratch",), bits=(0, 3)
+        )
+        campaign = Campaign(target, config)
+        with obs.tracing() as tracer:
+            records = run_campaign(campaign).records
+        assert _dicts(records) == _dicts(replay_records(campaign))
+        assert [r.temporal_impact for r in records] == [4] * 3 + [5] * 3
+        assert _shard_total(tracer, names.COUNTER_CONVERGED) == 0
+
+    def test_memo_is_not_in_shard_args(self):
+        campaign = _converging_campaign()
+        pool = _PicklingPool()
+        with obs.tracing() as tracer:
+            run_campaign(campaign, pool=pool)
+        assert _shard_total(tracer, names.COUNTER_CONVERGED) > 0
+        assert pool.before and pool.after == pool.before
+        assert campaigns._MEMO is None  # the in-process memo ends with the call
+
+
 # ----------------------------------------------------------------------
 # The Table II datasets
 # ----------------------------------------------------------------------
@@ -488,6 +636,8 @@ def test_table2_shard_path_matches_replay(name):
         assert rejoined > 0
     elif name == "FG-B1":
         assert rejoined == 0
+    if name in ("7Z-A1", "FG-A1"):
+        assert sum(s.counters[names.COUNTER_CONVERGED] for s in shards) > 0
     (capture,) = [s for s in tracer.spans if s.name == names.CAMPAIGN_CHECKPOINT]
     assert capture.counters["checkpoints"] == len(campaign.config.test_cases) * len(
         campaign.config.injection_times
@@ -497,8 +647,6 @@ def test_table2_shard_path_matches_replay(name):
 def test_checkpoints_cross_process_boundaries():
     """Worker processes receive the checkpoints with the shard's
     arguments and resume from them to the same records."""
-    from repro.orchestration.pool import ProcessPool
-
     scale = get_scale("smoke")
     spec = DATASET_SPECS["MG-B1"]
     campaign = Campaign(build_target(spec.target, scale), campaign_config(spec, scale))
