@@ -16,14 +16,16 @@ the target's configuration fingerprint -- a campaign re-run (exhaustive
 after sampled, pruned after exhaustive, a benchmark's before/after
 pair) reuses the fault-free executions instead of re-deriving them.
 
-:func:`capture_checkpoints` steps a fault-free run of a target that
-follows the resumable step protocol (:mod:`repro.targets.base`) to
-its end.  It snapshots the state at the unit boundary where each
-injection time's run would diverge from it, so an injected run
-resumes there instead of replaying the fault-free prefix; and it
-keeps a :class:`GoldenTrail`, the probe occurrence counts and a
-digest of the pickled state at every boundary, so the injected run
-can stop as soon as it *rejoins* the golden run
+A fault-free run of a target that follows the resumable step protocol
+(:mod:`repro.targets.base`) is stepped to its end once per target
+fingerprint and test case, and memoised the same way
+(:data:`STEPPING_CACHE`): the pickled state at every unit boundary,
+and a :class:`GoldenTrail` of the probe occurrence counts and a
+digest of that state at every boundary.  :func:`capture_checkpoints`
+selects from it, for one campaign, the boundary where each injection
+time's run would diverge from the fault-free run, so an injected run
+resumes there instead of replaying the fault-free prefix, and it can
+stop as soon as it *rejoins* the golden run
 (:meth:`Checkpoint.resume`).
 
 Stopping is sound because, under the step protocol, the rest of a run
@@ -141,6 +143,13 @@ def capture_golden_run(target, test_case: int) -> GoldenRun:
 GOLDEN_CACHE = ContentCache(maxsize=64, name="golden")
 
 
+def _fingerprint(target) -> str | None:
+    """The target's configuration fingerprint, or ``None`` when it has
+    none (duck-typed targets) or is not content-addressable."""
+    fingerprinter = getattr(target, "fingerprint", None)
+    return fingerprinter() if fingerprinter is not None else None
+
+
 def golden_runs_for(target, test_cases) -> dict[int, GoldenRun]:
     """Golden runs for every test case, through the content cache.
 
@@ -150,8 +159,7 @@ def golden_runs_for(target, test_cases) -> dict[int, GoldenRun]:
     it is.  A hit returns the exact object a fresh capture would
     produce, so cached and uncached campaigns stay bit-identical.
     """
-    fingerprinter = getattr(target, "fingerprint", None)
-    fingerprint = fingerprinter() if fingerprinter is not None else None
+    fingerprint = _fingerprint(target)
     if fingerprint is None:
         # Duck-typed target without the protocol, or one whose state
         # is not content-addressable: capture directly, never cache.
@@ -331,10 +339,51 @@ class Checkpoint:
 
 
 class _CountingHarness(Harness):
-    """Counts probe occurrences and records nothing."""
+    """Counts probe occurrences and records nothing: it is counting
+    from the first probe, on the harness's no-copy fast path."""
 
-    def _should_sample(self, key, occurrence: int) -> bool:
-        return False
+    def __init__(self) -> None:
+        super().__init__()
+        self._counting = True
+
+
+#: Process-local memo of fault-free steppings (:func:`_stepping`),
+#: keyed like :data:`GOLDEN_CACHE` by ``(target.fingerprint(),
+#: test_case)`` and governed by the same registry.
+STEPPING_CACHE = ContentCache(maxsize=64, name="golden.stepping")
+
+
+def _stepping(target, test_case: int) -> tuple[GoldenTrail, tuple[bytes, ...]]:
+    """The fault-free run of ``test_case`` stepped to its end: its
+    :class:`GoldenTrail` and the pickled state at every boundary.
+
+    Pure in (target, test case), so it is memoised in
+    :data:`STEPPING_CACHE` under the target's fingerprint, and every
+    campaign on the target steps each test case once; a target that is
+    not fingerprintable is stepped on every call.
+    """
+    fingerprint = _fingerprint(target)
+    key = None if fingerprint is None else (fingerprint, test_case)
+    if key is not None:
+        cached = STEPPING_CACHE.get(key)
+        if cached is not None:
+            return cached
+    states: list[bytes] = []
+    digests: list[bytes] = []
+    boundary_counts: list[dict] = []
+    harness = _CountingHarness()
+    state = target.start(test_case)
+    while True:
+        pickled = pickle.dumps(state)
+        states.append(pickled)
+        digests.append(_digest(pickled))
+        boundary_counts.append(harness.occurrence_counts())
+        if not target.advance(state, harness):
+            break
+    stepped = (GoldenTrail(tuple(digests), tuple(boundary_counts)), tuple(states))
+    if key is not None:
+        STEPPING_CACHE.put(key, stepped)
+    return stepped
 
 
 def capture_checkpoints(
@@ -346,42 +395,36 @@ def capture_checkpoints(
 ) -> dict[int, Checkpoint]:
     """Resume points of ``test_case`` for each injection time.
 
-    Steps the fault-free run once, to its end (``target`` must be
-    :meth:`~repro.targets.base.TargetSystem.resumable`), recording
-    its :class:`GoldenTrail`.  The checkpoint of time ``t`` is the
-    last unit boundary where ``injection_probe`` has fired exactly
-    ``t`` times -- the injection fires at the next occurrence, so
-    everything before it is the golden prefix -- and where no probe of
-    ``sample_probes`` has fired more than ``t`` times (an injected run
-    samples from occurrence ``t`` on, so an earlier sample would be
-    lost).  A time past the run's last occurrence resumes from the
+    Selects them from the fault-free run stepped to its end
+    (``target`` must be :meth:`~repro.targets.base.TargetSystem.resumable`)
+    with its :class:`GoldenTrail` and the state at every boundary --
+    stepped once per target fingerprint and test case, however many
+    campaigns ask (:data:`STEPPING_CACHE`).  The checkpoint of time
+    ``t`` is the last unit boundary where ``injection_probe`` has fired
+    exactly ``t`` times -- the injection fires at the next occurrence,
+    so everything before it is the golden prefix -- and where no probe
+    of ``sample_probes`` has fired more than ``t`` times (an injected
+    run samples from occurrence ``t`` on, so an earlier sample would
+    be lost).  A time past the run's last occurrence resumes from the
     final state.  A time with no such boundary gets no checkpoint, and
     its runs replay in full.  Every checkpoint of the test case shares
     the one trail, which its resumed runs stop against
     (:meth:`Checkpoint.resume`).
     """
+    trail, states = _stepping(target, test_case)
     times = set(injection_times)
-    snapshots: dict[int, tuple[bytes, int]] = {}
-    digests: list[bytes] = []
-    boundary_counts: list[dict] = []
-    harness = _CountingHarness()
-    state = target.start(test_case)
-    while True:
-        pickled = pickle.dumps(state)
-        counts = harness.occurrence_counts()
-        digests.append(_digest(pickled))
-        boundary_counts.append(counts)
-        count = harness.occurrences(injection_probe)
-        sampled = max(harness.occurrences(probe) for probe in sample_probes)
+    injection_key = injection_probe.key
+    sample_keys = [probe.key for probe in sample_probes]
+    snapshots: dict[int, int] = {}
+    for unit, counts in enumerate(trail.counts):
+        count = counts.get(injection_key, 0)
+        sampled = max(counts.get(key, 0) for key in sample_keys)
         if count in times and sampled <= count:
-            snapshots[count] = (pickled, len(digests) - 1)
-        if not target.advance(state, harness):
-            break
+            snapshots[count] = unit
     for time in sorted(times):
         if time > count and sampled <= time:
-            snapshots[time] = (pickled, len(digests) - 1)
-    trail = GoldenTrail(tuple(digests), tuple(boundary_counts))
+            snapshots[time] = unit
     return {
-        time: Checkpoint(pickled, unit, trail)
-        for time, (pickled, unit) in snapshots.items()
+        time: Checkpoint(states[unit], unit, trail)
+        for time, unit in snapshots.items()
     }

@@ -31,8 +31,14 @@ injection, as PROPANE logs several locations in one run.
 
 The probe call is the hot path of every campaign (a FlightGear run
 crosses it ~10,000 times), so occurrence bookkeeping uses plain
-``(module, location)`` tuples internally, and an injection harness
-whose flip is spent and whose sample budgets are full only counts.
+``(module, location)`` tuples internally (:class:`Location` hashes by
+identity, in C), and an injection harness whose flip is spent and
+whose sample budgets are full only counts.  A counting harness returns
+the caller's own dict, not a copy, so every probe call must pass a
+fresh mapping (a dict display) that the target does not hold on to:
+the returned dict may be the one it passed.  A harness that can still
+inject or sample returns a copy, so a flip never writes into the
+caller's mapping.
 """
 
 from __future__ import annotations
@@ -64,6 +70,10 @@ class Location(enum.Enum):
 
     ENTRY = "entry"
     EXIT = "exit"
+
+    # Members are singletons, so identity hashing agrees with equality;
+    # it is C-level, where Enum's own hash is a Python call per probe.
+    __hash__ = object.__hash__
 
     def __str__(self) -> str:
         return self.value
@@ -135,12 +145,16 @@ class Harness:
         location: Location,
         variables: Mapping[str, float | int | bool],
     ) -> dict[str, float | int | bool]:
-        """Called by instrumented targets at module boundaries."""
+        """Called by instrumented targets at module boundaries.
+
+        Returns ``variables`` itself while counting, else a copy.
+        """
         key = (module, location)
-        occurrence = self._occurrences.get(key, 0)
-        self._occurrences[key] = occurrence + 1
+        occurrences = self._occurrences
+        occurrence = occurrences.get(key, 0)
+        occurrences[key] = occurrence + 1
         if self._counting:
-            return dict(variables)
+            return variables
         state = self._on_probe(key, occurrence, dict(variables))
         if (
             self._sample_keys is None or key in self._sample_keys

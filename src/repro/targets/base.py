@@ -60,6 +60,13 @@ An injection time past the run's last occurrence resumes from the
 final state: the run finishes without an injection, as its replay
 would.
 
+A state may define its own pickled form (FlightGear's is flat
+scalars, since every check pickles the state), but that form must
+carry every field a later unit can read: two states that pickle to
+equal bytes are taken to be equal states.
+``tests/injection/test_snapshot.py`` checks this for every shipped
+target.
+
 A resumed run also stops early once it rejoins the golden run
 (:meth:`~repro.injection.golden.Checkpoint.resume`).  The protocol is
 what makes that sound: the remaining units see nothing but ``state``
@@ -85,12 +92,18 @@ import re
 import textwrap
 
 from repro.injection.instrument import Harness, Location, VariableSpec
+from repro.mining.cache import ContentCache
 
 __all__ = ["TargetSystem", "TargetError", "normalized_source"]
 
 #: Memory-address tokens in a repr (``<function f at 0x7f...>``):
 #: evidence the repr is identity-based and proves nothing about content.
 _IDENTITY_REPR = re.compile(r"0x[0-9a-fA-F]{4,}")
+
+#: :func:`normalized_source` results keyed by source text; a registered
+#: reuse cache, so ``clear_reuse_caches()`` and
+#: ``reuse_caches_disabled()`` govern it.
+_NORMALIZED_SOURCES = ContentCache(maxsize=128, name="source")
 
 
 def normalized_source(unit: object) -> str | None:
@@ -106,6 +119,12 @@ def normalized_source(unit: object) -> str | None:
     ``None`` means the source is unavailable (built-ins, ``exec``'d
     code) or unparsable -- callers must treat the unit as not
     fingerprintable.
+
+    Normalizing is a parse and an unparse, and every store key asks
+    for its closure's sources, so results are memoised in
+    :data:`_NORMALIZED_SOURCES` under the exact source text -- never
+    the module's name, path or mtime, so an edited tree can never hit
+    an entry of the old one.
     """
     if isinstance(unit, str):
         text = unit
@@ -114,11 +133,16 @@ def normalized_source(unit: object) -> str | None:
             text = inspect.getsource(unit)
         except (OSError, TypeError):
             return None
+    normalized = _NORMALIZED_SOURCES.get(text)
+    if normalized is not None:
+        return normalized
     try:
         tree = ast.parse(textwrap.dedent(text))
     except (SyntaxError, ValueError):
         return None
-    return ast.unparse(tree)
+    normalized = ast.unparse(tree)
+    _NORMALIZED_SOURCES.put(text, normalized)
+    return normalized
 
 
 def _encode_state(value: object) -> object | None:

@@ -30,7 +30,21 @@ class GearForces:
 
 
 class GearModule:
-    """Stateful gear model (strut compression persists across calls)."""
+    """Stateful gear model (strut compression persists across calls).
+
+    Slotted: the fields below are the module's whole state, which a
+    run state snapshot pickles as flat scalars (:mod:`.takeoff`).
+    """
+
+    __slots__ = (
+        "spring_k",
+        "damping",
+        "mu_roll",
+        "drag_coeff",
+        "compression",
+        "damaged",
+        "_prev_compression",
+    )
 
     #: Ground reaction beyond which the gear structure fails; the
     #: golden loads stay well below (max ~9.5 kN at the heaviest mass).

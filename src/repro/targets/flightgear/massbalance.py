@@ -30,10 +30,25 @@ class MassState:
 
 
 class MassModule:
-    """Stateful mass & balance model."""
+    """Stateful mass & balance model.
+
+    Slotted: the fields below are the module's whole state, which a
+    run state snapshot pickles as flat scalars (:mod:`.takeoff`).  It
+    copies the one aircraft constant a step reads, ``gravity``, rather
+    than holding the aircraft.
+    """
+
+    __slots__ = (
+        "gravity",
+        "dry_mass",
+        "fuel",
+        "burn_rate",
+        "cg_offset",
+        "inertia_base",
+    )
 
     def __init__(self, aircraft: Aircraft, scenario: Scenario) -> None:
-        self._aircraft = aircraft
+        self.gravity = aircraft.gravity
         self.dry_mass = aircraft.dry_mass_lbs * LBS_TO_KG
         self.fuel = scenario.fuel_kg
         self.burn_rate = aircraft.fuel_burn_rate
@@ -61,7 +76,7 @@ class MassModule:
 
         fuel = max(fuel - burn_rate * throttle * dt, 0.0)
         mass_total = dry_mass + fuel
-        weight = mass_total * self._aircraft.gravity
+        weight = mass_total * self.gravity
         inertia_eff = inertia_base * (1.0 + 0.1 * cg_offset)
 
         exit_state = harness.probe(

@@ -20,6 +20,7 @@ like "600 iterations after initialisation" translate directly.
 from __future__ import annotations
 
 import math
+import operator
 
 from repro.injection.instrument import Harness, Location, VariableSpec
 from repro.targets.base import TargetSystem
@@ -51,24 +52,49 @@ class _TakeoffState:
     """One takeoff between two control-loop iterations.
 
     Holds the scenario, the two stateful modules, the flight state and
-    the trajectory summary accumulators; it shares only the immutable
-    :class:`Aircraft` with the target, so a pickled copy resumes the
-    takeoff exactly.
+    the trajectory summary accumulators, and nothing of the target: a
+    unit reads the aircraft constants from the target, and the mass
+    module copied the ones it needs into scalars at the start.  A state
+    pickles as flat scalars (:meth:`__reduce__`): the test case number,
+    then every other slot of the state and of both modules, so a
+    snapshot, a check digest and a restore hold no ``Scenario`` or
+    ``Aircraft`` object.
     """
+
+    __slots__ = (
+        "scenario",
+        "gear",
+        "mass",
+        "iteration",
+        # Flight state.
+        "v",      # ground speed, m/s
+        "x",      # distance along runway, m
+        "h",      # altitude, m
+        "vs",     # vertical speed, m/s
+        "theta",  # pitch attitude, rad
+        "q",      # pitch rate, rad/s
+        # Trajectory summary accumulators.
+        "passed_critical",
+        "passed_rotation",
+        "max_airspeed",
+        "lifted_off",
+        "cleared_runway",
+        "distance_at_clear",
+        "max_pitch_rate_before_clear",
+        "stalled",
+    )
 
     def __init__(self, scenario: Scenario, aircraft: Aircraft) -> None:
         self.scenario = scenario
         self.gear = GearModule()
         self.mass = MassModule(aircraft, scenario)
         self.iteration = 0
-        # Flight state.
-        self.v = 0.0        # ground speed, m/s
-        self.x = 0.0        # distance along runway, m
-        self.h = 0.0        # altitude, m
-        self.vs = 0.0       # vertical speed, m/s
-        self.theta = 0.0    # pitch attitude, rad
-        self.q = 0.0        # pitch rate, rad/s
-        # Trajectory summary accumulators.
+        self.v = 0.0
+        self.x = 0.0
+        self.h = 0.0
+        self.vs = 0.0
+        self.theta = 0.0
+        self.q = 0.0
         self.passed_critical = False
         self.passed_rotation = False
         self.max_airspeed = 0.0
@@ -77,6 +103,43 @@ class _TakeoffState:
         self.distance_at_clear = math.inf
         self.max_pitch_rate_before_clear = 0.0
         self.stalled = False
+
+    def __reduce__(self):
+        # The scenario is a function of the test case, so the number
+        # stands for it; every other field is a scalar.
+        return (
+            _restore_state,
+            (
+                self.scenario.test_case,
+                _flight_fields(self),
+                _gear_fields(self.gear),
+                _mass_fields(self.mass),
+            ),
+        )
+
+
+#: The scalar slots of a run state and of its modules, in pickled order.
+_FLIGHT_SLOTS = _TakeoffState.__slots__[3:]
+_flight_fields = operator.attrgetter(*_FLIGHT_SLOTS)
+_gear_fields = operator.attrgetter(*GearModule.__slots__)
+_mass_fields = operator.attrgetter(*MassModule.__slots__)
+
+
+def _filled(obj, slots: tuple[str, ...], values: tuple) -> object:
+    for name, value in zip(slots, values):
+        setattr(obj, name, value)
+    return obj
+
+
+def _restore_state(
+    test_case: int, flight: tuple, gear: tuple, mass: tuple
+) -> _TakeoffState:
+    """Unpickle a :class:`_TakeoffState` from its flat scalars."""
+    state = _filled(_TakeoffState.__new__(_TakeoffState), _FLIGHT_SLOTS, flight)
+    state.scenario = scenario_for(test_case)
+    state.gear = _filled(GearModule.__new__(GearModule), GearModule.__slots__, gear)
+    state.mass = _filled(MassModule.__new__(MassModule), MassModule.__slots__, mass)
+    return state
 
 
 class FlightGearTarget(TargetSystem):

@@ -1,6 +1,10 @@
 """Tests for probes and harnesses."""
 
+import ast
+
 import pytest
+
+from repro.analysis.dataflow.probes import iter_target_sources, probe_parts
 
 from repro.injection.bitflip import BitFlip
 from repro.injection.instrument import (
@@ -137,3 +141,49 @@ class TestProbe:
         assert ENTRY.key == ("M", Location.ENTRY)
         assert str(ENTRY) == "M@entry"
         assert str(Location.EXIT) == "exit"
+
+
+class TestProbeAliasing:
+    """A counting harness hands the caller's own dict back, so targets
+    must pass a fresh one on every call."""
+
+    def flip(self):
+        return BitFlip("v", "float64", 63)
+
+    def test_counting_harness_returns_the_callers_dict(self):
+        harness = InjectionHarness(ENTRY, self.flip(), injection_time=0,
+                                   sample_probe=ENTRY, sample_budget=1)
+        harness.probe("M", Location.ENTRY, {"v": 1.0})  # flip + sample
+        variables = {"v": 1.0}
+        assert harness.probe("M", Location.ENTRY, variables) is variables
+        assert harness.occurrences(ENTRY) == 2
+
+    def test_non_counting_harness_returns_a_copy(self):
+        harness = InjectionHarness(ENTRY, self.flip(), injection_time=1,
+                                   sample_probe=ENTRY, sample_budget=1)
+        variables = {"v": 1.0}
+        out = harness.probe("M", Location.ENTRY, variables)
+        assert out is not variables
+        out["v"] = 9.0
+        assert variables == {"v": 1.0}
+        flipped = harness.probe("M", Location.ENTRY, variables)
+        assert flipped["v"] == -1.0 and variables == {"v": 1.0}
+
+    @pytest.mark.parametrize("package", ["flightgear", "sevenzip", "mp3gain"])
+    def test_shipped_targets_pass_a_dict_display(self, package):
+        sites = 0
+        for module, source in iter_target_sources(package):
+            for node in ast.walk(ast.parse(source)):
+                if not (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "probe"
+                ):
+                    continue
+                parts = probe_parts(node)
+                assert parts is not None, f"{module}:{node.lineno}: unrecognised probe call"
+                assert isinstance(parts[2], ast.Dict), (
+                    f"{module}:{node.lineno}: probe state is not a dict display"
+                )
+                sites += 1
+        assert sites == 4  # entry and exit of both instrumented modules

@@ -39,6 +39,7 @@ from repro.injection.bitflip import BitFlip
 from repro.injection.campaign import Campaign, CampaignConfig
 from repro.injection.golden import CHECK_STRIDE_CAP, golden_runs_for
 from repro.injection.instrument import Harness, InjectionHarness, Location, Probe, VariableSpec
+from repro.mining.cache import clear_reuse_caches, reuse_caches_disabled
 from repro.observability import names
 from repro.orchestration import campaigns
 from repro.orchestration.campaigns import run_campaign
@@ -614,6 +615,52 @@ class TestConvergence:
         assert _shard_total(tracer, names.COUNTER_CONVERGED) > 0
         assert pool.before and pool.after == pool.before
         assert campaigns._MEMO is None  # the in-process memo ends with the call
+
+
+# ----------------------------------------------------------------------
+# One fault-free stepping per (target, test case)
+# ----------------------------------------------------------------------
+class StartCounter(StepTarget):
+    """``StepTarget`` counting its runs started, per test case.  The
+    count is a class attribute: an instance attribute would enter the
+    target's fingerprint and change it."""
+
+    STARTS: Counter = Counter()
+
+    def start(self, test_case):
+        type(self).STARTS[test_case] += 1
+        return super().start(test_case)
+
+
+class TestOneStepping:
+    def test_a_second_campaign_does_not_step_again(self):
+        target = StartCounter(pre_units=2, units=5, skip_exit=3)
+        first = Campaign(target, _config((1, 3), LOCATIONS[0]))
+        second = Campaign(target, _config((0, 2, 7), LOCATIONS[2]))
+        clear_reuse_caches()
+        StartCounter.STARTS.clear()
+        first_checkpoints = first._capture_checkpoints()
+        assert StartCounter.STARTS == Counter({0: 1, 1: 1, 2: 1})
+        second_checkpoints = second._capture_checkpoints()
+        assert StartCounter.STARTS == Counter({0: 1, 1: 1, 2: 1})
+        trails = {tc: cp.trail for (_, tc), cp in first_checkpoints.items()}
+        assert all(cp.trail is trails[tc] for (_, tc), cp in second_checkpoints.items())
+        # The selected checkpoints are those of an independent stepping.
+        for (time, tc), checkpoint in second_checkpoints.items():
+            state, counts = _expected_checkpoint(
+                _boundaries(target, tc), second.config, time
+            )
+            assert (checkpoint.state, checkpoint.occurrences) == (state, counts)
+        assert _dicts(second.run().records) == _dicts(replay_records(second))
+
+    def test_disabled_caches_step_every_time(self):
+        target = StartCounter(units=4)
+        campaign = Campaign(target, _config((1,), LOCATIONS[0]))
+        StartCounter.STARTS.clear()
+        with reuse_caches_disabled():
+            campaign._capture_checkpoints()
+            campaign._capture_checkpoints()
+        assert StartCounter.STARTS == Counter({0: 2, 1: 2, 2: 2})
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ cannot change any other module's records.
 
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import os
 import pathlib
@@ -30,6 +31,8 @@ from repro.injection.store import (
 )
 from repro.orchestration.campaigns import plan_shards
 from repro.orchestration.tasks import fingerprint_of
+from repro.mining.cache import clear_reuse_caches, reuse_caches_disabled
+from repro.targets import base
 from repro.targets.base import TargetSystem, normalized_source
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
@@ -734,6 +737,52 @@ class TestFingerprintIdentityRepr:
         b = _KnobbedTarget({"k": [_Knobs(1.0, 1)]})
         assert a.fingerprint() == b.fingerprint()
 
+
+
+class TestNormalizedSourceMemo:
+    """``normalized_source`` is memoised by the exact source text."""
+
+    ONE = "def f(x):\n    return x + 1\n"
+    TWO = "def f(x):\n    return x + 2\n"
+
+    def test_different_texts_never_share_an_entry(self):
+        clear_reuse_caches()
+        one, two = normalized_source(self.ONE), normalized_source(self.TWO)
+        assert one != two
+        assert normalized_source(self.TWO) == two
+        assert normalized_source(self.ONE) == one
+        commented = "# a comment\n" + self.ONE
+        assert normalized_source(commented) == one
+        assert len(base._NORMALIZED_SOURCES) == 3  # one entry per text
+
+    def test_an_edited_module_file_is_a_new_entry(self, tmp_path):
+        clear_reuse_caches()
+        path = tmp_path / "edited_unit.py"
+        path.write_text(self.ONE)
+        spec = importlib.util.spec_from_file_location("edited_unit", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        before = normalized_source(module)
+        # Same module object, name and path; only the text changes.
+        path.write_text(self.TWO)
+        stat = path.stat()
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+        assert normalized_source(module) == normalized_source(self.TWO) != before
+
+    def test_disabled_caches_normalize_every_time(self, monkeypatch):
+        parses = []
+        parse = base.ast.parse
+        monkeypatch.setattr(
+            base.ast, "parse", lambda text: parses.append(text) or parse(text)
+        )
+        clear_reuse_caches()
+        with reuse_caches_disabled():
+            normalized_source(self.ONE)
+            normalized_source(self.ONE)
+        assert len(parses) == 2 and len(base._NORMALIZED_SOURCES) == 0
+        normalized_source(self.ONE)
+        normalized_source(self.ONE)
+        assert len(parses) == 3 and len(base._NORMALIZED_SOURCES) == 1
 
 if __name__ == "__main__":
     # Regenerate the golden fixtures (see
