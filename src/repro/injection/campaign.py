@@ -806,8 +806,9 @@ class Campaign:
         return checkpoints
 
     def _count_resumes(self, span, checkpoints, pairs: int, tally) -> None:
-        """Count ``pairs`` pairs' resumed and replayed cells, and the
-        early stops ``tally`` collected while running them, on ``span``."""
+        """Count ``pairs`` pairs' resumed and replayed cells, and what
+        ``tally`` collected while running them -- early stops, executed
+        units, checks and restores -- on ``span``."""
         cells = len(self.config.injection_times) * len(self.config.test_cases)
         span.count(names.COUNTER_RESUMED, len(checkpoints) * pairs)
         span.count(names.COUNTER_REPLAYED, (cells - len(checkpoints)) * pairs)
@@ -815,6 +816,10 @@ class Campaign:
             names.COUNTER_REJOINED,
             names.COUNTER_CONVERGED,
             names.COUNTER_UNITS_SKIPPED,
+            names.COUNTER_UNITS,
+            names.COUNTER_CHECKS,
+            names.COUNTER_RESTORES,
+            names.COUNTER_CHECK_BYTES,
         ):
             span.count(counter, tally[counter])
 
@@ -883,7 +888,11 @@ class Campaign:
                     sibling.config.sample_probe,
                 ),
             )
-        state = None if checkpoint is None else checkpoint.restore(harness)
+        state = None
+        if checkpoint is not None:
+            state = checkpoint.restore(harness)
+            if tally is not None:
+                tally[names.COUNTER_RESTORES] += 1
         crashed = False
         try:
             if checkpoint is None:

@@ -254,9 +254,11 @@ class Checkpoint:
         or reaches a boundary an earlier run already checked.
 
         ``state`` and ``harness`` are what :meth:`restore` prepared.
-        Returns the run's output; a run that stops early counts itself
-        in ``tally`` (``rejoined`` or ``converged``) with the units it
-        skipped (``units_skipped``).
+        Returns the run's output.  Every run counts in ``tally`` the
+        units it executed (``units``), its state digests (``checks``)
+        and their pickled bytes (``check_bytes``), once when it ends;
+        a run that stops early also counts itself (``rejoined`` or
+        ``converged``) with the units it skipped (``units_skipped``).
 
         Checking starts at the first boundary where the flip has fired
         and the harness holds a sample of every probe it samples (a
@@ -289,6 +291,7 @@ class Checkpoint:
         stride = 1
         checked: list[tuple] = []
         stop = None
+        checks = check_bytes = 0
         try:
             while True:
                 if check is None and harness.injected and harness.holds_samples():
@@ -300,7 +303,10 @@ class Checkpoint:
                     # needs the digest.
                     on_trail = unit < len(trail.counts) and counts == trail.counts[unit]
                     if on_trail or memo is not None:
-                        digest = _digest(pickle.dumps(state))
+                        pickled = pickle.dumps(state)
+                        digest = _digest(pickled)
+                        checks += 1
+                        check_bytes += len(pickled)
                     if on_trail and digest == trail.digests[unit]:
                         stop = names.COUNTER_REJOINED
                         outcome = _Outcome(
@@ -327,6 +333,11 @@ class Checkpoint:
                 crash = _Outcome(True, None, harness.occurrence_counts(), unit)
                 memo.update(dict.fromkeys(checked, crash))
             raise
+        finally:
+            if tally is not None:
+                tally[names.COUNTER_UNITS] += unit - self.unit
+                tally[names.COUNTER_CHECKS] += checks
+                tally[names.COUNTER_CHECK_BYTES] += check_bytes
         if memo is not None:
             memo.update(dict.fromkeys(checked, outcome))
         harness.restore_occurrences(outcome.counts)

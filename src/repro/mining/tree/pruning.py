@@ -31,30 +31,34 @@ __all__ = ["prune_tree", "pessimistic_errors", "added_errors"]
 
 def prune_tree(node: TreeNode, confidence_factor: float) -> TreeNode:
     """Return the pessimistically pruned version of ``node``."""
-    if isinstance(node, LeafNode):
-        return node
-    assert isinstance(node, DecisionNode)
-    node.children = [
-        prune_tree(child, confidence_factor) for child in node.children
-    ]
-    leaf_estimate = pessimistic_errors(
-        node.total_weight, node.training_errors, confidence_factor
-    )
-    subtree_estimate = _subtree_errors(node, confidence_factor)
-    # Replace when the collapsed leaf's pessimistic error is no worse;
-    # the 0.1 slack matches C4.5's implementation.
-    if leaf_estimate <= subtree_estimate + 0.1:
-        return LeafNode(node.class_weights)
-    return node
+    return _prune(node, confidence_factor)[0]
 
 
-def _subtree_errors(node: TreeNode, confidence_factor: float) -> float:
+def _prune(node: TreeNode, confidence_factor: float) -> tuple[TreeNode, float]:
+    """The pruned ``node`` and the pessimistic error estimate of what it
+    became: a leaf's own estimate, or the sum of its children's in
+    child order.  Each subtree returns its estimate to its parent, so
+    a pass visits every node once and reads each node's weights once.
+    """
+    total_weight = node.total_weight
+    training_errors = node.training_errors
     if isinstance(node, LeafNode):
-        return pessimistic_errors(
-            node.total_weight, node.training_errors, confidence_factor
+        return node, pessimistic_errors(
+            total_weight, training_errors, confidence_factor
         )
     assert isinstance(node, DecisionNode)
-    return sum(_subtree_errors(child, confidence_factor) for child in node.children)
+    pruned = [_prune(child, confidence_factor) for child in node.children]
+    node.children = [child for child, _ in pruned]
+    leaf_estimate = pessimistic_errors(
+        total_weight, training_errors, confidence_factor
+    )
+    subtree_estimate = sum(estimate for _, estimate in pruned)
+    # Replace when the collapsed leaf's pessimistic error is no worse;
+    # the 0.1 slack matches C4.5's implementation.  The leaf shares the
+    # node's class weights, so its estimate is ``leaf_estimate``.
+    if leaf_estimate <= subtree_estimate + 0.1:
+        return LeafNode(node.class_weights), leaf_estimate
+    return node, subtree_estimate
 
 
 def pessimistic_errors(n: float, e: float, confidence_factor: float) -> float:

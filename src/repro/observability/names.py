@@ -66,6 +66,10 @@ __all__ = [
     "COUNTER_REJOINED",
     "COUNTER_CONVERGED",
     "COUNTER_UNITS_SKIPPED",
+    "COUNTER_UNITS",
+    "COUNTER_CHECKS",
+    "COUNTER_RESTORES",
+    "COUNTER_CHECK_BYTES",
     "COUNTER_SIBLING",
 ]
 
@@ -83,10 +87,12 @@ ORCHESTRATION_TASK = "orchestration.task"
 WORKER_START = "worker.start"
 
 # -- campaign data plane (repro.orchestration.campaigns) ---------------
-#: One shard's injected runs in a worker (carries ``pairs``; counts
-#: ``runs`` -- every executed cell, resumed or replayed -- plus
-#: ``failures``, ``resumed``, ``replayed``, ``rejoined``,
-#: ``converged`` and ``units_skipped``).
+#: One shard's injected runs in a worker (carries ``target`` and
+#: ``pairs``; counts ``runs`` -- every executed cell, resumed or
+#: replayed -- plus ``failures``, ``resumed``, ``replayed``,
+#: ``rejoined``, ``converged``, ``units_skipped``, ``units``,
+#: ``checks``, ``restores`` and ``check_bytes``).  The span's self
+#: time over ``units`` is the target's cost per executed unit.
 CAMPAIGN_SHARD = "campaign.shard"
 #: Stepping each test case's fault-free run once to snapshot the
 #: golden-prefix checkpoints injected runs resume from, and the golden
@@ -200,6 +206,17 @@ COUNTER_REJOINED = "rejoined"
 COUNTER_CONVERGED = "converged"
 #: Units the rejoined and converged runs did not execute.
 COUNTER_UNITS_SKIPPED = "units_skipped"
+#: Units the resumed runs executed: each run's end boundary minus its
+#: checkpoint's, counted once per run (the unit loop counts nothing).
+COUNTER_UNITS = "units"
+#: Boundary checks of resumed runs that pickled and digested the state
+#: (:meth:`repro.injection.golden.Checkpoint.resume`).
+COUNTER_CHECKS = "checks"
+#: Checkpoint restores: resumed runs' states unpickled from a
+#: golden-prefix snapshot.
+COUNTER_RESTORES = "restores"
+#: Pickled state bytes those checks digested.
+COUNTER_CHECK_BYTES = "check_bytes"
 #: Campaign shards answered by a sibling campaign's dual run (records
 #: handed over in memory, then stored) instead of executing.
 COUNTER_SIBLING = "sibling"

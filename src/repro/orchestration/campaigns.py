@@ -153,7 +153,9 @@ def _execute_shard(
     sibling_records = None if sibling is None else []
     tally: Counter = Counter()
     memo = _suffix_memo(token)
-    with obs.span(names.CAMPAIGN_SHARD, pairs=len(pairs)) as shard_span:
+    with obs.span(
+        names.CAMPAIGN_SHARD, target=campaign.target.name, pairs=len(pairs)
+    ) as shard_span:
         for name, kind, bit in pairs:
             cells = campaign._run_pair(
                 BitFlip(name, kind, bit),

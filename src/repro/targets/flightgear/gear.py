@@ -12,16 +12,15 @@ propagate into the trajectory.
 
 from __future__ import annotations
 
-import dataclasses
+from typing import NamedTuple
 
 from repro.injection.instrument import Harness, Location
 
 __all__ = ["GearModule", "GearForces"]
 
 
-@dataclasses.dataclass
-class GearForces:
-    """Forces returned to the flight dynamics loop."""
+class GearForces(NamedTuple):
+    """Forces returned to the flight dynamics loop, which unpacks them."""
 
     normal: float     # N upward ground reaction
     friction: float   # N rearward rolling friction
@@ -96,18 +95,23 @@ class GearModule:
             mu_roll = mu_roll * 6.0
             drag_coeff = drag_coeff * 4.0
 
+        # Clamps are written out as max()/min() would pick, NaN included.
         if on_ground:
-            load = max(weight - lift, 0.0)
+            load = weight - lift
+            if 0.0 > load:
+                load = 0.0
             # Static strut compression under the current load, with a
             # guard against a corrupted (zero/negative) stiffness.
             target = load / spring_k if spring_k > 1.0 else 0.0
-            rate = (target - compression) * min(damping, 1e6) * 1e-4
+            rate = (target - compression) * (1e6 if 1e6 < damping else damping) * 1e-4
             compression = compression + rate * dt
             normal = load
             friction = mu_roll * normal
             drag = 0.5 * rho * airspeed * airspeed * drag_coeff * 0.1
         else:
-            compression = max(compression - 0.5 * dt, 0.0)  # strut extends
+            compression = compression - 0.5 * dt  # strut extends
+            if 0.0 > compression:
+                compression = 0.0
             normal = 0.0
             friction = 0.0
             drag = 0.5 * rho * airspeed * airspeed * drag_coeff * 0.05
@@ -135,18 +139,23 @@ class GearModule:
         self.spring_k = spring_k
         self.damping = damping
         self.drag_coeff = drag_coeff
-        forces = GearForces(
-            normal=float(exit_state["normal_force"]),
-            friction=float(exit_state["friction"]),
-            drag=float(exit_state["gear_drag"]),
-            on_ground=bool(exit_state["on_ground"]),
-        )
+        normal = float(exit_state["normal_force"])
         # Structural damage latches when the reported ground reaction
         # exceeds what the gear can carry (the exit state is what the
         # airframe's load monitor would see).
-        if abs(forces.normal) > self.STRUCTURAL_LIMIT:
+        if abs(normal) > self.STRUCTURAL_LIMIT:
             self.damaged = True
-        return forces
+        # tuple.__new__ builds the NamedTuple without its Python-level
+        # constructor call.
+        return tuple.__new__(
+            GearForces,
+            (
+                normal,
+                float(exit_state["friction"]),
+                float(exit_state["gear_drag"]),
+                bool(exit_state["on_ground"]),
+            ),
+        )
 
     @staticmethod
     def entry_variables() -> tuple[str, ...]:

@@ -11,7 +11,7 @@ every exposed variable is on a live path.
 
 from __future__ import annotations
 
-import dataclasses
+from typing import NamedTuple
 
 from repro.injection.instrument import Harness, Location
 from repro.targets.flightgear.aircraft import Aircraft, Scenario, LBS_TO_KG
@@ -19,9 +19,9 @@ from repro.targets.flightgear.aircraft import Aircraft, Scenario, LBS_TO_KG
 __all__ = ["MassModule", "MassState"]
 
 
-@dataclasses.dataclass
-class MassState:
-    """Mass properties returned to the flight dynamics loop."""
+class MassState(NamedTuple):
+    """Mass properties returned to the flight dynamics loop, which
+    unpacks them."""
 
     mass: float      # kg total
     weight: float    # N
@@ -74,7 +74,9 @@ class MassModule:
         cg_offset = float(state["cg_offset"])
         inertia_base = float(state["inertia_base"])
 
-        fuel = max(fuel - burn_rate * throttle * dt, 0.0)
+        fuel = fuel - burn_rate * throttle * dt
+        if 0.0 > fuel:  # max(fuel, 0.0), NaN included
+            fuel = 0.0
         mass_total = dry_mass + fuel
         weight = mass_total * self.gravity
         inertia_eff = inertia_base * (1.0 + 0.1 * cg_offset)
@@ -96,11 +98,16 @@ class MassModule:
         self.fuel = float(exit_state["fuel"])
         self.burn_rate = burn_rate
         self.dry_mass = dry_mass
-        self.cg_offset = float(exit_state["cg_offset"])
+        self.cg_offset = cg_offset = float(exit_state["cg_offset"])
         self.inertia_base = inertia_base
-        return MassState(
-            mass=float(exit_state["mass_total"]),
-            weight=float(exit_state["weight"]),
-            inertia=float(exit_state["inertia_eff"]),
-            cg_offset=float(exit_state["cg_offset"]),
+        # tuple.__new__ builds the NamedTuple without its Python-level
+        # constructor call.
+        return tuple.__new__(
+            MassState,
+            (
+                float(exit_state["mass_total"]),
+                float(exit_state["weight"]),
+                float(exit_state["inertia_eff"]),
+                cg_offset,
+            ),
         )

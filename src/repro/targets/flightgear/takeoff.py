@@ -15,12 +15,27 @@ weight, and climb-out to the runway-clear height.  The ``Gear`` and
 ``Mass`` modules are probed at entry and exit on every iteration, so
 probe occurrence indices are control-loop iterations -- injection times
 like "600 iterations after initialisation" translate directly.
+
+A control-loop iteration is the unit an injected run executes (it
+resumes from a golden-prefix checkpoint and runs to the end unless it
+rejoins or converges), so :meth:`FlightGearTarget.advance` keeps the
+unit lean without changing a bit of it: loop invariants (the
+iteration count, ``1/dt``, the pitch target and rotation-rate command
+in radians, the :class:`~repro.targets.flightgear.aero.Wing` products)
+are computed once per target and the clamps are module constants; the
+aerodynamics are one :meth:`~repro.targets.flightgear.aero.Wing.forces`
+call; the module results are ``NamedTuple`` objects the unit unpacks; every
+``min``/``max`` clamp is written out the way the builtin would pick.
+``tests/targets/test_fg_unit.py`` holds it to the law-by-law unit it
+replaced (``tests/targets/_fg_reference.py``), state bytes and probe
+dicts, from arbitrary states.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from math import isfinite
 
 from repro.injection.instrument import Harness, Location, VariableSpec
 from repro.targets.base import TargetSystem
@@ -43,9 +58,15 @@ _RAD_TO_DEG = 180.0 / math.pi
 #: clears the runway (just above the V2 of the failure spec).
 CLIMB_SPEED_TARGET_MS = 34.0
 
-
-def _finite(value: float, fallback: float = 0.0) -> float:
-    return value if math.isfinite(value) else fallback
+#: Clamps of the control loop (rad, rad/s): the climb-out pitch-rate
+#: command (+-2.5 deg/s), the pitch rate (+-30 deg/s) and the attitude
+#: (-8 to 25 deg).
+_CLIMB_RATE_MAX = math.radians(2.5)
+_CLIMB_RATE_MIN = math.radians(-2.5)
+_RATE_MAX = math.radians(30.0)
+_RATE_MIN = math.radians(-30.0)
+_PITCH_MAX = math.radians(25.0)
+_PITCH_MIN = math.radians(-8.0)
 
 
 class _TakeoffState:
@@ -170,7 +191,13 @@ class FlightGearTarget(TargetSystem):
         self.init_iterations = init_iterations
         self.run_iterations = run_iterations
         self.dt = dt
-        self.aircraft = Aircraft()
+        self.aircraft = aircraft = Aircraft()
+        # Loop invariants of advance(), computed once.
+        self._iterations = init_iterations + run_iterations
+        self._inverse_dt = 1.0 / dt
+        self._wing = aero.wing_of(aircraft)
+        self._target_pitch = math.radians(aircraft.target_pitch_deg)
+        self._pitch_rate_cmd = math.radians(aircraft.pitch_rate_cmd_deg)
 
     # ------------------------------------------------------------------
     # TargetSystem protocol
@@ -243,46 +270,61 @@ class FlightGearTarget(TargetSystem):
         return _TakeoffState(scenario_for(test_case), self.aircraft)
 
     def advance(self, state: _TakeoffState, harness: Harness) -> bool:
-        """One control-loop iteration."""
+        """One control-loop iteration.
+
+        Every clamp is written out as the ``min``/``max`` it stands
+        for would pick -- the first argument unless the second compares
+        strictly beyond it -- so NaN, signed zeros and infinities take
+        the same path they would through the builtins.
+        """
         iteration = state.iteration
-        if iteration >= self.init_iterations + self.run_iterations:
+        if iteration >= self._iterations:
             return False
-        scenario = state.scenario
         aircraft = self.aircraft
         dt = self.dt
-        v, x, h, vs, theta, q = (
-            state.v, state.x, state.h, state.vs, state.theta, state.q
-        )
+        v = state.v
+        h = state.h
+        vs = state.vs
+        theta = state.theta
+        q = state.q
         lifted_off = state.lifted_off
         cleared_runway = state.cleared_runway
 
         throttle = 0.0 if iteration < self.init_iterations else 1.0
-        airspeed = max(v + scenario.headwind_ms * throttle, 0.0)
+        airspeed = v + state.scenario.headwind_ms * throttle
+        if 0.0 > airspeed:
+            airspeed = 0.0
 
-        mass_state = state.mass.step(harness, dt, throttle)
-        m = max(_finite(mass_state.mass, 1.0), 1.0)
-        weight = _finite(mass_state.weight, m * aircraft.gravity)
-        inertia = max(_finite(mass_state.inertia, aircraft.pitch_inertia), 1.0)
+        m, weight, inertia, cg_offset = state.mass.step(harness, dt, throttle)
+        # Guards against corrupted mass results: a non-finite value
+        # falls back to a sane one.
+        if not (isfinite(m) and m >= 1.0):
+            m = 1.0
+        if not isfinite(weight):
+            weight = m * aircraft.gravity
+        if not isfinite(inertia):
+            inertia = aircraft.pitch_inertia
+        if 1.0 > inertia:
+            inertia = 1.0
 
         # Angle of attack = attitude minus flight-path angle; this
         # is what makes the climb self-stabilising (as speed bleeds
         # the path shallows, alpha and lift recover).
-        gamma = math.atan2(vs, max(v, 1.0)) if h > 0.0 else 0.0
-        alpha = aero.angle_of_attack(theta, vs, v, h)
-        cl = aero.lift_coefficient(aircraft, alpha)
-        lift = aero.lift(aircraft, airspeed, cl)
-        drag = aero.drag(aircraft, airspeed, cl)
+        gamma, _, lift, drag = self._wing.forces(theta, vs, v, h, airspeed)
 
-        forces = state.gear.step(
+        _, friction, gear_drag, gear_on_ground = state.gear.step(
             harness, weight, lift, airspeed, aircraft.rho, h, dt
         )
         thrust = aircraft.thrust(airspeed) * throttle
 
-        on_ground = forces.on_ground and h <= 0.0
-        if on_ground:
-            accel = (thrust - drag - forces.friction - forces.drag) / m
-            v = max(v + _finite(accel) * dt, 0.0)
-            x += v * dt
+        if gear_on_ground and h <= 0.0:
+            accel = (thrust - drag - friction - gear_drag) / m
+            if not isfinite(accel):
+                accel = 0.0
+            v = v + accel * dt
+            if 0.0 > v:
+                v = 0.0
+            x = state.x + v * dt
             vs = 0.0
             if lift >= weight and theta > 0.01:
                 lifted_off = True
@@ -291,10 +333,20 @@ class FlightGearTarget(TargetSystem):
         else:
             lifted_off = True
             az = (lift - weight) / m
-            vs = max(min(vs + _finite(az) * dt, 12.0), -12.0)
+            if not isfinite(az):
+                az = 0.0
+            vs = vs + az * dt
+            if 12.0 < vs:
+                vs = 12.0
+            if -12.0 > vs:
+                vs = -12.0
             accel = (thrust - drag - weight * math.sin(gamma)) / m
-            v = max(v + _finite(accel) * dt, 0.0)
-            x += v * dt
+            if not isfinite(accel):
+                accel = 0.0
+            v = v + accel * dt
+            if 0.0 > v:
+                v = 0.0
+            x = state.x + v * dt
             h = h + vs * dt
             if h <= 0.0:
                 h = 0.0
@@ -308,49 +360,63 @@ class FlightGearTarget(TargetSystem):
             # Climb-out attitude hold with stall protection: lower
             # the commanded attitude when airspeed decays towards
             # the climb target.
-            theta_cmd_deg = aircraft.target_pitch_deg - max(
-                CLIMB_SPEED_TARGET_MS - airspeed, 0.0
-            )
-            theta_cmd = math.radians(max(theta_cmd_deg, 0.0))
-            q_cmd = max(
-                min(2.0 * (theta_cmd - theta), math.radians(2.5)),
-                math.radians(-2.5),
-            )
+            shortfall = CLIMB_SPEED_TARGET_MS - airspeed
+            if 0.0 > shortfall:
+                shortfall = 0.0
+            theta_cmd_deg = aircraft.target_pitch_deg - shortfall
+            if 0.0 > theta_cmd_deg:
+                theta_cmd_deg = 0.0
+            q_cmd = 2.0 * (math.radians(theta_cmd_deg) - theta)
+            if _CLIMB_RATE_MAX < q_cmd:
+                q_cmd = _CLIMB_RATE_MAX
+            if _CLIMB_RATE_MIN > q_cmd:
+                q_cmd = _CLIMB_RATE_MIN
         elif throttle > 0.0 and airspeed >= aircraft.rotate_speed:
             state.passed_rotation = True
-            target_theta = math.radians(aircraft.target_pitch_deg)
-            cg_shaping = max(1.0 - 0.3 * mass_state.cg_offset, 0.0)
-            q_cmd = (
-                math.radians(aircraft.pitch_rate_cmd_deg) * cg_shaping
-                if theta < target_theta
-                else 0.0
-            )
+            if theta < self._target_pitch:
+                cg_shaping = 1.0 - 0.3 * cg_offset
+                if 0.0 > cg_shaping:
+                    cg_shaping = 0.0
+                q_cmd = self._pitch_rate_cmd * cg_shaping
+            else:
+                q_cmd = 0.0
         else:
             q_cmd = 0.0
-        response = min(900.0 / inertia, 1.0 / dt)
+        response = 900.0 / inertia
+        if self._inverse_dt < response:
+            response = self._inverse_dt
         q += (q_cmd - q) * response * dt
-        q = max(min(q, math.radians(30.0)), math.radians(-30.0))
-        theta = max(min(theta + q * dt, math.radians(25.0)), math.radians(-8.0))
+        if _RATE_MAX < q:
+            q = _RATE_MAX
+        if _RATE_MIN > q:
+            q = _RATE_MIN
+        theta = theta + q * dt
+        if _PITCH_MAX < theta:
+            theta = _PITCH_MAX
+        if _PITCH_MIN > theta:
+            theta = _PITCH_MIN
 
         # Summary tracking.
         if airspeed >= CRITICAL_SPEED_MS:
             state.passed_critical = True
-        state.max_airspeed = max(state.max_airspeed, airspeed)
+        if airspeed > state.max_airspeed:
+            state.max_airspeed = airspeed
         if not cleared_runway:
-            state.max_pitch_rate_before_clear = max(
-                state.max_pitch_rate_before_clear, abs(q) * _RAD_TO_DEG
-            )
+            pitch_rate_deg = abs(q) * _RAD_TO_DEG
+            if pitch_rate_deg > state.max_pitch_rate_before_clear:
+                state.max_pitch_rate_before_clear = pitch_rate_deg
             if h >= aircraft.runway_clear_height:
                 cleared_runway = True
                 state.distance_at_clear = x
-        if lifted_off and h > 0.5:
-            stall_speed = self._stall_speed(weight)
-            if airspeed < stall_speed:
-                state.stalled = True
+        if lifted_off and h > 0.5 and airspeed < self._wing.stall_speed(weight):
+            state.stalled = True
 
-        state.v, state.x, state.h, state.vs, state.theta, state.q = (
-            v, x, h, vs, theta, q
-        )
+        state.v = v
+        state.x = x
+        state.h = h
+        state.vs = vs
+        state.theta = theta
+        state.q = q
         state.lifted_off = lifted_off
         state.cleared_runway = cleared_runway
         state.iteration = iteration + 1
@@ -373,9 +439,6 @@ class FlightGearTarget(TargetSystem):
             stalled_during_climb=state.stalled,
         )
         return evaluate_takeoff(summary, state.scenario.mass_lbs)
-
-    def _stall_speed(self, weight: float) -> float:
-        return aero.stall_speed(self.aircraft, weight)
 
     def is_failure(self, golden_output: object, run_output: object) -> bool:
         """FG's spec is absolute: the run fails if any category fires."""

@@ -26,6 +26,7 @@ records would still agree.
 from __future__ import annotations
 
 import dataclasses
+import os
 import pickle
 from collections import Counter
 
@@ -615,6 +616,127 @@ class TestConvergence:
         assert _shard_total(tracer, names.COUNTER_CONVERGED) > 0
         assert pool.before and pool.after == pool.before
         assert campaigns._MEMO is None  # the in-process memo ends with the call
+
+
+# ----------------------------------------------------------------------
+# The per-run cost counters reconcile with a full replay
+# ----------------------------------------------------------------------
+def _replay_units(target, config, flip, time, test_case) -> int:
+    """The boundary an injected run replayed from its start ends at:
+    the final one, or the one whose unit crashed."""
+    harness = InjectionHarness(
+        config.injection_probe, flip, time, sample_probe=config.sample_probe
+    )
+    state = target.start(test_case)
+    unit = 0
+    try:
+        while target.advance(state, harness):
+            unit += 1
+    except Exception:
+        pass
+    return unit
+
+
+_COST = (
+    names.COUNTER_UNITS,
+    names.COUNTER_UNITS_SKIPPED,
+    names.COUNTER_RESTORES,
+    names.COUNTER_RESUMED,
+    names.COUNTER_CHECKS,
+)
+
+
+def _cost_totals(spans) -> Counter:
+    totals = Counter()
+    for span in spans:
+        if span.name == names.CAMPAIGN_SHARD:
+            totals.update({c: span.counters.get(c, 0) for c in _COST})
+    return totals
+
+
+def _flips(campaign) -> list[BitFlip]:
+    return [
+        BitFlip(spec.name, spec.kind, bit)
+        for spec in campaign._targeted_specs()
+        for bit in campaign._bits_for(spec)
+    ]
+
+
+class TestCostCounters:
+    """``units`` + ``units_skipped`` of every resumed cell equal the
+    units a full replay runs after its checkpoint, and every resumed
+    cell restores once, in any pool."""
+
+    def _expected(self, campaign) -> dict:
+        """Per resumed cell, the units a full replay runs after the
+        checkpoint."""
+        checkpoints = campaign._capture_checkpoints()
+        after = {}
+        for flip in _flips(campaign):
+            for (time, tc), checkpoint in checkpoints.items():
+                replayed = _replay_units(campaign.target, campaign.config, flip, time, tc)
+                after[(flip, time, tc)] = replayed - checkpoint.unit
+        return after
+
+    @given(step_campaigns())
+    @settings(max_examples=40, deadline=None)
+    def test_every_resumed_cell_reconciles(self, campaign):
+        after = self._expected(campaign)
+        golden_runs = golden_runs_for(campaign.target, campaign.config.test_cases)
+        checkpoints = campaign._capture_checkpoints()
+        memo: dict = {}
+        for flip in _flips(campaign):
+            for time in campaign.config.injection_times:
+                for tc in campaign.config.test_cases:
+                    checkpoint = checkpoints.get((time, tc))
+                    tally = Counter()
+                    campaign._run_one(
+                        flip,
+                        time,
+                        tc,
+                        golden_runs[tc],
+                        checkpoint=checkpoint,
+                        tally=tally,
+                        memo=memo.setdefault(tc, {}),
+                    )
+                    if checkpoint is None:
+                        assert not tally
+                        continue
+                    units = tally[names.COUNTER_UNITS]
+                    assert units + tally[names.COUNTER_UNITS_SKIPPED] == after[
+                        (flip, time, tc)
+                    ]
+                    assert tally[names.COUNTER_RESTORES] == 1
+                    # A run checks at most once per unit it executed,
+                    # plus where it stopped.
+                    assert tally[names.COUNTER_CHECKS] <= units + 1
+                    assert (tally[names.COUNTER_CHECK_BYTES] > 0) == (
+                        tally[names.COUNTER_CHECKS] > 0
+                    )
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["serial", "process2"])
+    def test_shard_totals_are_exact_in_any_pool(self, pooled, tmp_path):
+        campaign = _converging_campaign()
+        after = self._expected(campaign)
+        path = tmp_path / "trace.jsonl"
+        with obs.tracing_to(path):
+            if pooled:
+                with ProcessPool(2, backoff=0) as pool:
+                    result = run_campaign(campaign, pool=pool)
+            else:
+                result = run_campaign(campaign, pool=SerialPool())
+        assert _dicts(result.records) == _dicts(replay_records(campaign))
+        spans = obs.load_trace(path)
+        shards = [s for s in spans if s.name == names.CAMPAIGN_SHARD]
+        assert {s.attributes["target"] for s in shards} == {"ST"}
+        if pooled:  # every shard ran, and was counted, in a worker
+            assert os.getpid() not in {s.pid for s in shards}
+        totals = _cost_totals(spans)
+        assert totals[names.COUNTER_UNITS] + totals[
+            names.COUNTER_UNITS_SKIPPED
+        ] == sum(after.values())
+        assert totals[names.COUNTER_RESTORES] == totals[names.COUNTER_RESUMED] == len(after)
+        assert totals[names.COUNTER_CHECKS] > 0
 
 
 # ----------------------------------------------------------------------
