@@ -18,10 +18,18 @@ end-to-end throughput on four evaluation paths:
 
 Every path's detection vector is verified bit-identical before any
 timing is reported; a mismatch aborts the experiment.
+
+Run it from the root of a checkout::
+
+    PYTHONPATH=src python benchmarks/runtime_bench.py --scale bench
+
+``benchmarks/test_bench_runtime.py`` runs the same comparison under
+pytest-benchmark and asserts its bars.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import time
 
@@ -175,8 +183,12 @@ def render(rows: list[RuntimeBenchRow]) -> str:
     )
 
 
-def main(scale: Scale | str = "bench", datasets=None) -> str:
-    table = render(run(scale, datasets))
+def main(argv: list[str] | None = None) -> str:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--scale", default="bench", choices=("smoke", "bench", "paper"))
+    parser.add_argument("--datasets", nargs="*", default=None)
+    args = parser.parse_args(argv)
+    table = render(run(args.scale, args.datasets))
     print(table)
     return table
 

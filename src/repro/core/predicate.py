@@ -225,6 +225,10 @@ class Comparison(Predicate):
         else:
             try:
                 value = float(raw)  # type: ignore[arg-type]
+            except OverflowError:
+                # An int beyond the float range reads as ±inf by its
+                # sign, as exact int/float comparison would order it.
+                value = math.inf if raw > 0 else -math.inf  # type: ignore[operator]
             except (TypeError, ValueError):
                 return False
         if math.isnan(value):

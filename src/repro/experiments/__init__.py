@@ -21,8 +21,6 @@ per-experiment index lives in DESIGN.md):
   design choices DESIGN.md calls out;
 * :mod:`repro.experiments.validation` -- the runtime-assertion
   re-injection validation of Section VII-D;
-* :mod:`repro.experiments.runtime_bench` -- serving throughput of the
-  :mod:`repro.runtime` compiled detectors vs interpreted evaluation;
 * :mod:`repro.experiments.simplify_bench` -- effect of the static
   simplifier (:mod:`repro.analysis.simplify`) on mined detectors:
   atom counts, clause verdicts and batch-serving time;

@@ -4,7 +4,6 @@ Examples::
 
     repro-experiments table3 --scale bench
     repro-experiments table4 --scale smoke --datasets 7Z-A1 MG-B2
-    repro-experiments runtime --scale smoke
     repro-experiments all --scale bench
 """
 
@@ -26,7 +25,6 @@ from repro.experiments import (
     latency,
     mining_bench,
     propagation,
-    runtime_bench,
     sampling_campaign,
     significance,
     simplify_bench,
@@ -70,7 +68,6 @@ EXPERIMENTS = {
     "store-sweep": store_sweep.main,
     "latency": lambda scale, datasets: latency.main(scale, datasets),
     "mining": lambda scale, datasets: mining_bench.main(scale),
-    "runtime": runtime_bench.main,
     "simplify": simplify_bench.main,
     "validation": validation.main,
 }

@@ -24,7 +24,7 @@ what a production system runs:
   with the predicate algebra's missing/NaN semantics.
 
 The compiled and interpreted paths are bit-identical by construction
-(and re-checked at compile time); ``repro-experiments runtime``
+(and re-checked at compile time); ``benchmarks/runtime_bench.py``
 measures the resulting throughput gap on the Table II detectors.
 """
 

@@ -5,13 +5,17 @@ walks it per batch with a dict lookup per atom; both are fine offline
 but dominate the cost of a deployed detector.  This module lowers the
 predicate algebra once, ahead of serving, into:
 
-* a **batch evaluator**: a closure tree over NumPy column views with
-  the comparison operator specialised at lowering time (no AST walk,
-  no per-atom branching at evaluation time);
-* a **scalar closure**: generated Python source run through
-  :func:`compile` -- each variable is read once via
+* a **batch evaluator** over an instance array: each variable's
+  column is read once, each distinct atom ``(variable, op, value)`` is
+  computed once however often the predicate repeats it, and the
+  connectives combine those locals with ``&``/``|`` (no AST walk, no
+  per-atom dispatch, one ``np.errstate`` per call);
+* a **scalar closure**: each variable is read once via
   :func:`repro.runtime.pack.state_value` and the comparisons are plain
   expressions, so per-state checks skip the interpreter's dispatch.
+
+Both are generated Python source, emitted together and run through
+one :func:`compile` call.
 
 Both forms preserve the algebra's missing/NaN semantics (comparisons
 on a missing or NaN variable are ``False``, including ``!=``, which is
@@ -74,18 +78,23 @@ class CompiledPredicate:
 
     predicate: Predicate
     mode: str
-    scalar_source: str | None
+    #: The generated source of both lowered evaluators (``None`` when
+    #: interpreted).
+    source: str | None
     _scalar: Callable[[Mapping[str, object]], bool]
-    _batch: Callable[[dict[str, np.ndarray], int], np.ndarray] | None
+    _batch: Callable[[np.ndarray, Mapping[str, int]], np.ndarray] | None
     fallback_reason: str | None = None
     #: The provably-equivalent predicate actually lowered (the original
     #: when simplification was disabled or changed nothing).  Batch
     #: packing only needs *its* variables.
     lowered: Predicate = None  # type: ignore[assignment]
+    #: ``lowered``'s variables, sorted: the columns a batch reads.
+    variables: tuple[str, ...] = dataclasses.field(init=False)
 
     def __post_init__(self) -> None:
         if self.lowered is None:
             self.lowered = self.predicate
+        self.variables = tuple(sorted(self.lowered.variables()))
 
     @property
     def is_compiled(self) -> bool:
@@ -105,81 +114,11 @@ class CompiledPredicate:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if self._batch is None:
             return self.predicate.evaluate_rows(x, attribute_index)
-        columns = {
-            name: x[:, attribute_index[name]]
-            for name in self.lowered.variables()
-            if name in attribute_index
-        }
-        return self._batch(columns, len(x))
+        return self._batch(x, attribute_index)
 
 
 # ----------------------------------------------------------------------
-# Batch lowering: closure tree over column views
-# ----------------------------------------------------------------------
-def _batch_le(column: np.ndarray, value: float) -> np.ndarray:
-    return column <= value
-
-
-def _batch_gt(column: np.ndarray, value: float) -> np.ndarray:
-    return column > value
-
-
-def _batch_eq(column: np.ndarray, value: float) -> np.ndarray:
-    return column == value
-
-
-def _batch_ne(column: np.ndarray, value: float) -> np.ndarray:
-    return ~np.isnan(column) & (column != value)
-
-
-_BATCH_OPS = {"<=": _batch_le, ">": _batch_gt, "==": _batch_eq, "!=": _batch_ne}
-
-
-def _lower_batch(
-    predicate: Predicate,
-) -> Callable[[dict[str, np.ndarray], int], np.ndarray]:
-    if isinstance(predicate, TruePredicate):
-        return lambda columns, n: np.ones(n, dtype=bool)
-    if isinstance(predicate, FalsePredicate):
-        return lambda columns, n: np.zeros(n, dtype=bool)
-    if isinstance(predicate, Comparison):
-        op = _BATCH_OPS[predicate.op]
-        variable, value = predicate.variable, predicate.value
-
-        def atom(columns, n, variable=variable, value=value, op=op):
-            column = columns.get(variable)
-            if column is None:
-                return np.zeros(n, dtype=bool)
-            with np.errstate(invalid="ignore"):
-                return op(column, value)
-
-        return atom
-    if isinstance(predicate, (And, Or)):
-        children = [_lower_batch(child) for child in predicate.children]
-        if isinstance(predicate, And):
-
-            def conjunction(columns, n, children=children):
-                out = np.ones(n, dtype=bool)
-                for child in children:
-                    out &= child(columns, n)
-                return out
-
-            return conjunction
-
-        def disjunction(columns, n, children=children):
-            out = np.zeros(n, dtype=bool)
-            for child in children:
-                out |= child(columns, n)
-            return out
-
-        return disjunction
-    raise _Unsupported(
-        f"{type(predicate).__name__} is outside the core algebra"
-    )
-
-
-# ----------------------------------------------------------------------
-# Scalar lowering: generated source through compile()
+# Lowering: one generated source, a scalar and a batch function
 # ----------------------------------------------------------------------
 def _scalar_expression(predicate: Predicate, names: Mapping[str, str]) -> str:
     if isinstance(predicate, TruePredicate):
@@ -208,23 +147,112 @@ def _scalar_expression(predicate: Predicate, names: Mapping[str, str]) -> str:
     )
 
 
-def _lower_scalar(
+def _batch_statements(
+    predicate: Predicate, columns: Mapping[str, str]
+) -> tuple[list[str], str]:
+    """Statements computing ``predicate`` over column locals.
+
+    Returns the statements and the local holding the result.  Each
+    distinct leaf expression -- an atom ``(variable, op, value)`` or a
+    constant -- is computed once, whatever its number of occurrences;
+    a connective accumulates into a fresh local of its own, so a
+    shared leaf is never written in place.
+    """
+    leaves: dict[str, str] = {}
+    lines: list[str] = []
+
+    def leaf(expression: str) -> str:
+        local = leaves.get(expression)
+        if local is None:
+            local = leaves[expression] = f"a{len(leaves)}"
+            lines.append(f"{local} = {expression}")
+        return local
+
+    def lower(node: Predicate) -> str:
+        if isinstance(node, TruePredicate):
+            return leaf("_ones(n, dtype=bool)")
+        if isinstance(node, FalsePredicate):
+            return leaf("_zeros(n, dtype=bool)")
+        if isinstance(node, Comparison):
+            column, value = columns[node.variable], repr(node.value)
+            if node.op == "!=":
+                return leaf(f"~_isnan({column}) & ({column} != {value})")
+            return leaf(f"{column} {node.op} {value}")
+        if isinstance(node, (And, Or)):
+            symbol = "&" if isinstance(node, And) else "|"
+            children = [lower(child) for child in node.children]
+            if not children:
+                return lower(TruePredicate() if symbol == "&" else FalsePredicate())
+            if len(children) == 1:
+                return children[0]
+            local = f"t{len(lines)}"
+            lines.append(f"{local} = {children[0]} {symbol} {children[1]}")
+            lines.extend(f"{local} {symbol}= {child}" for child in children[2:])
+            return local
+        raise _Unsupported(
+            f"{type(node).__name__} is outside the core algebra"
+        )
+
+    return lines, lower(predicate)
+
+
+def _missing(n: int) -> np.ndarray:
+    return np.full(n, _NAN)
+
+
+def _lower(
     predicate: Predicate,
-) -> tuple[Callable[[Mapping[str, object]], bool], str]:
+) -> tuple[
+    Callable[[Mapping[str, object]], bool],
+    Callable[[np.ndarray, Mapping[str, int]], np.ndarray],
+    str,
+]:
+    """Generate and compile the scalar and batch evaluators at once.
+
+    The scalar ``_detector(state)`` reads each variable once through
+    :func:`~repro.runtime.pack.state_value`.  The batch
+    ``_batch(x, index)`` reads each variable's column once (an
+    all-NaN column when ``index`` lacks it, which every comparison
+    answers ``False``, as ``Comparison.evaluate_rows`` answers a
+    missing variable) and enters ``np.errstate`` once per call.
+    """
     variables = sorted(predicate.variables())
-    names = {variable: f"v{i}" for i, variable in enumerate(variables)}
+    scalars = {variable: f"v{i}" for i, variable in enumerate(variables)}
+    columns = {variable: f"c{i}" for i, variable in enumerate(variables)}
     reads = "".join(
-        f"    {names[variable]} = _value(state, {variable!r})\n"
+        f"    {scalars[variable]} = _value(state, {variable!r})\n"
         for variable in variables
     )
+    scalar = _scalar_expression(predicate, scalars)
+    statements, result = _batch_statements(predicate, columns)
+    column_reads = "".join(
+        f"    {columns[variable]} = x[:, index[{variable!r}]]"
+        f" if {variable!r} in index else _missing(n)\n"
+        for variable in variables
+    )
+    body = "".join(f"        {line}\n" for line in statements)
     source = (
         "def _detector(state, _value=_value):\n"
         f"{reads}"
-        f"    return bool({_scalar_expression(predicate, names)})\n"
+        f"    return bool({scalar})\n"
+        "\n"
+        "def _batch(x, index):\n"
+        "    n = len(x)\n"
+        f"{column_reads}"
+        "    with _errstate(invalid='ignore'):\n"
+        f"{body}"
+        f"        return {result}\n"
     )
-    namespace: dict[str, object] = {"_value": state_value}
+    namespace: dict[str, object] = {
+        "_value": state_value,
+        "_errstate": np.errstate,
+        "_isnan": np.isnan,
+        "_ones": np.ones,
+        "_zeros": np.zeros,
+        "_missing": _missing,
+    }
     exec(compile(source, "<repro.runtime.compile>", "exec"), namespace)
-    return namespace["_detector"], source  # type: ignore[return-value]
+    return namespace["_detector"], namespace["_batch"], source  # type: ignore[return-value]
 
 
 # ----------------------------------------------------------------------
@@ -260,10 +288,14 @@ def _battery(predicate: Predicate) -> list[dict[str, object]]:
         for pool in pools:
             total *= len(pool)
         if total > 256:
-            rng = np.random.default_rng(0)
+            # One vectorised draw: the same values, in the same order,
+            # as one ``rng.integers(len(pool))`` call per cell.
+            draws = np.random.default_rng(0).integers(
+                0, [len(pool) for pool in pools], size=(256, len(pools))
+            )
             combos = (
-                tuple(pool[rng.integers(len(pool))] for pool in pools)
-                for _ in range(256)
+                [pool[i] for pool, i in zip(pools, row)]
+                for row in draws.tolist()
             )
         for combo in combos:
             states.append(
@@ -279,7 +311,7 @@ def _battery(predicate: Predicate) -> list[dict[str, object]]:
 def _self_check(
     predicate: Predicate,
     scalar: Callable[[Mapping[str, object]], bool],
-    batch: Callable[[dict[str, np.ndarray], int], np.ndarray],
+    batch: Callable[[np.ndarray, Mapping[str, int]], np.ndarray],
 ) -> str | None:
     """Compare lowered evaluators with the interpreted path.
 
@@ -293,15 +325,14 @@ def _self_check(
     index = build_index(predicate.variables())
     x = pack_states(states, index)
     interpreted = predicate.evaluate_rows(x, index).astype(bool)
-    columns = {name: x[:, column] for name, column in index.items()}
-    compiled = np.asarray(batch(columns, len(states)), dtype=bool)
+    compiled = np.asarray(batch(x, index), dtype=bool)
     if not np.array_equal(interpreted, compiled):
         return "batch lowering disagrees with evaluate_rows"
     # The packed-array path must also agree with the dict path: NaN
     # packing stands in for missing variables.
     if interpreted.tolist() != expected:
         return "row semantics disagree with dict semantics"
-    empty = np.asarray(batch({}, len(states)), dtype=bool)
+    empty = np.asarray(batch(x, {}), dtype=bool)
     if not np.array_equal(
         empty, predicate.evaluate_rows(x, {}).astype(bool)
     ):
@@ -313,7 +344,7 @@ def _interpreted(predicate: Predicate, reason: str) -> CompiledPredicate:
     return CompiledPredicate(
         predicate=predicate,
         mode="interpreted",
-        scalar_source=None,
+        source=None,
         _scalar=predicate.evaluate,
         _batch=None,
         fallback_reason=reason,
@@ -341,8 +372,7 @@ def compile_predicate(
         except Exception:
             lowered = predicate  # never let analysis break serving
     try:
-        batch = _lower_batch(lowered)
-        scalar, source = _lower_scalar(lowered)
+        scalar, batch, source = _lower(lowered)
     except _Unsupported as exc:
         if lowered is not predicate:
             # The simplifier may have exposed an opaque atom it kept
@@ -358,7 +388,7 @@ def compile_predicate(
     return CompiledPredicate(
         predicate=predicate,
         mode="compiled",
-        scalar_source=source,
+        source=source,
         _scalar=scalar,
         _batch=batch,
         fallback_reason=None,

@@ -221,7 +221,7 @@ class StreamingEngine:
         served = [s for s in self._served.values() if s.enabled]
         variables: set[str] = set()
         for entry in served:
-            variables |= entry.compiled.lowered.variables()
+            variables.update(entry.compiled.variables)
         index = build_index(variables)
         x = pack_states(states, index)
         return self.evaluate_packed(x, index)
@@ -253,6 +253,7 @@ class StreamingEngine:
         ) as batch_span:
             flags: dict[str, np.ndarray] = {}
             faults: list[DetectorFault] = []
+            total = 0
             for entry in served:
                 stats = self.metrics.stats_for(entry.name)
                 started = time.perf_counter()
@@ -287,8 +288,9 @@ class StreamingEngine:
                     stats.record_batch(n, detections, elapsed)
                     entry.detector.evaluations += n
                     entry.detector.detections += detections
+                    total += detections
                 flags[entry.name] = flagged
-            batch_span.count("detections", sum(int(f.sum()) for f in flags.values()))
+            batch_span.count("detections", total)
             batch_span.count("faults", len(faults))
         return BatchResult(
             batch=batch_id, size=n, flags=flags, faults=tuple(faults)

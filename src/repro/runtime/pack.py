@@ -8,11 +8,25 @@ one place:
 
 * a variable absent from a state packs as NaN;
 * non-numeric values (``None``, unparseable strings) pack as NaN;
-* booleans pack as 0.0/1.0, matching the extractor's encoding.
+* booleans pack as 0.0/1.0, matching the extractor's encoding;
+* an int beyond the float range packs as ±inf by its sign -- the
+  answer Python's exact int/float comparison gives against any finite
+  threshold;
+* every NaN cell holds the one canonical NaN, whatever payload the
+  state's own NaN carried.
 
 Every comparison on NaN evaluates to ``False`` in both the compiled
 and interpreted paths, so NaN-as-missing keeps the predicate algebra's
 "a detector cannot flag what it cannot read" semantics.
+
+Packing reads one column at a time: one ``state.get`` per state, then
+one NumPy conversion of the column when each value is exactly a
+``float``, ``int``, ``bool`` or ``None`` (absent reads as ``None``) --
+types NumPy converts exactly as :func:`state_value` does.  Otherwise,
+or when that conversion raises (an int beyond the float range), the
+column goes through :func:`state_value` cell by cell.  Only the cells
+that read as a number are written, so every NaN cell keeps the array's
+canonical NaN and the bytes equal a per-cell :func:`state_value` loop.
 """
 
 from __future__ import annotations
@@ -26,6 +40,8 @@ __all__ = ["build_index", "pack_states", "state_value"]
 
 _NAN = float("nan")
 _MISSING = object()
+#: Cell types NumPy converts exactly as :func:`state_value` does.
+_NATIVE = frozenset((float, int, bool, type(None)))
 
 
 def state_value(state: Mapping[str, object], variable: str) -> float:
@@ -43,6 +59,8 @@ def state_value(state: Mapping[str, object], variable: str) -> float:
         return 1.0 if raw else 0.0
     try:
         return float(raw)  # type: ignore[arg-type]
+    except OverflowError:
+        return math.inf if raw > 0 else -math.inf  # type: ignore[operator]
     except (TypeError, ValueError):
         return _NAN
 
@@ -52,6 +70,17 @@ def build_index(variables: Iterable[str]) -> dict[str, int]:
     return {name: i for i, name in enumerate(sorted(set(variables)))}
 
 
+def _column(states: Sequence[Mapping[str, object]], variable: str) -> np.ndarray:
+    """The values of ``variable`` in ``states``, as :func:`state_value` reads them."""
+    cells = [state.get(variable) for state in states]
+    if _NATIVE.issuperset(map(type, cells)):
+        try:
+            return np.fromiter(cells, dtype=np.float64, count=len(cells))
+        except OverflowError:
+            pass
+    return np.array([state_value(state, variable) for state in states], dtype=np.float64)
+
+
 def pack_states(
     states: Sequence[Mapping[str, object]],
     attribute_index: Mapping[str, int],
@@ -59,9 +88,9 @@ def pack_states(
     """Pack state dicts into an ``(n, d)`` float64 instance array."""
     width = (max(attribute_index.values()) + 1) if attribute_index else 0
     x = np.full((len(states), width), _NAN, dtype=np.float64)
-    for row, state in enumerate(states):
-        for variable, column in attribute_index.items():
-            value = state_value(state, variable)
-            if not math.isnan(value):
-                x[row, column] = value
+    for variable, column in attribute_index.items():
+        values = _column(states, variable)
+        # A read NaN keeps no payload, and a variable sharing a column
+        # never overwrites a number with NaN: only numbers are written.
+        np.copyto(x[:, column], values, where=~np.isnan(values))
     return x

@@ -182,7 +182,7 @@ class ServingTopology:
         # published version (including rollback) fits without resizing.
         variables: set[str] = set()
         for entry in registry:
-            variables |= entry.compiled.lowered.variables()
+            variables.update(entry.compiled.variables)
         self.index = build_index(variables)
         self.router: ShardRouter | None = None
         self._in_rings: list[SharedRing] = []

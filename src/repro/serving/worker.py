@@ -127,7 +127,7 @@ class ServeWorker:
             del self._versions[name]
             swapped.append(f"-{name}")
         for name, entry in sorted(incoming.items()):
-            needed = entry.compiled.lowered.variables()
+            needed = set(entry.compiled.variables)
             if not needed <= schema:
                 # The ring's column layout is fixed for the topology's
                 # lifetime; a detector reading outside it would see

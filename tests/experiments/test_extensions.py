@@ -8,25 +8,8 @@ from repro.experiments import (
     ablation_labels,
     figure_roc,
     propagation,
-    runtime_bench,
     validation,
 )
-
-
-class TestRuntimeBench:
-    def test_four_modes_per_dataset(self):
-        rows = runtime_bench.run("smoke", ["MG-B1"], n_states=400)
-        assert {r.mode for r in rows} == {
-            "interpreted", "scalar", "batch", "engine"
-        }
-        # run() raises unless every path's detection vector is
-        # bit-identical, so agreeing detections here is guaranteed.
-        assert len({r.detections for r in rows}) == 1
-
-    def test_table_renders(self):
-        rows = runtime_bench.run("smoke", ["MG-B1"], n_states=200)
-        table = runtime_bench.render(rows)
-        assert "MG-B1" in table and "engine" in table
 
 
 class TestAblationBaselines:

@@ -60,7 +60,8 @@ class TestScalarClosure:
 
     def test_source_is_recorded(self):
         compiled = compile_predicate(P)
-        assert "def _detector" in compiled.scalar_source
+        assert "def _detector" in compiled.source
+        assert "def _batch" in compiled.source
 
 
 class TestBatchEvaluator:
