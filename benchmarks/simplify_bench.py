@@ -18,10 +18,18 @@ per-path bounds), so their detectors mostly shrink through cross-branch
 subsumption and interval merging; sequential-covering learners (PRISM)
 emit overlapping rules where subsumption bites harder.  Both appear in
 the report for exactly that contrast.
+
+Run it from the root of a checkout::
+
+    PYTHONPATH=src python benchmarks/simplify_bench.py --scale bench
+
+``benchmarks/test_bench_simplify.py`` runs it under pytest-benchmark
+and asserts its bars.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import time
 from collections import Counter
@@ -186,8 +194,12 @@ def render(rows: list[SimplifyBenchRow]) -> str:
     )
 
 
-def main(scale: Scale | str = "bench", datasets=None) -> str:
-    table = render(run(scale, datasets))
+def main(argv: list[str] | None = None) -> str:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--scale", default="bench", choices=("smoke", "bench", "paper"))
+    parser.add_argument("--datasets", nargs="*", default=None)
+    args = parser.parse_args(argv)
+    table = render(run(args.scale, args.datasets))
     print(table)
     return table
 

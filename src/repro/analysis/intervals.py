@@ -49,6 +49,12 @@ class Constraint:
     * otherwise -- the interval ``(lo, hi]`` minus ``excluded`` (with
       ``lo=-inf`` meaning unbounded below *inclusive* of ``-inf`` and
       ``hi=+inf`` unbounded above inclusive of ``+inf``).
+
+    :func:`atom_constraint` and the operations below only build
+    constraints in this shape: a non-empty interval (``lo < hi``
+    unless ``lo`` is ``-inf``) whose excluded points lie inside it.
+    :meth:`full` is one shared instance, and intersecting with it
+    returns the other operand unchanged.
     """
 
     lo: float = -_INF
@@ -60,11 +66,11 @@ class Constraint:
     # -- constructors --------------------------------------------------
     @classmethod
     def full(cls) -> "Constraint":
-        return cls()
+        return _FULL
 
     @classmethod
     def none(cls) -> "Constraint":
-        return cls(empty=True)
+        return _EMPTY
 
     @classmethod
     def point(cls, value: float) -> "Constraint":
@@ -113,16 +119,20 @@ class Constraint:
 
     # -- operations ----------------------------------------------------
     def intersect(self, other: "Constraint") -> "Constraint":
+        if other is _FULL:
+            return self
+        if self is _FULL:
+            return other
         if self.empty or other.empty:
-            return Constraint.none()
+            return _EMPTY
         if self.eq is not None:
-            return self if other.contains_value(self.eq) else Constraint.none()
+            return self if other.contains_value(self.eq) else _EMPTY
         if other.eq is not None:
-            return other if self.contains_value(other.eq) else Constraint.none()
+            return other if self.contains_value(other.eq) else _EMPTY
         lo = max(self.lo, other.lo)
         hi = min(self.hi, other.hi)
         if lo != -_INF and lo >= hi:
-            return Constraint.none()
+            return _EMPTY
         excluded = frozenset(
             e
             for e in self.excluded | other.excluded
@@ -195,6 +205,10 @@ class Constraint:
             pts = ", ".join(f"{e:g}" for e in sorted(self.excluded))
             body += f" \\ {{{pts}}}"
         return body
+
+
+_FULL = Constraint()
+_EMPTY = Constraint(empty=True)
 
 
 def atom_constraint(atom: Comparison) -> Constraint:

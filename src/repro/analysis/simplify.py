@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 _Env = Mapping[str, Constraint]
+_Table = dict[str, Constraint]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -116,14 +117,16 @@ class _Simplifier:
 
     # ------------------------------------------------------------------
     def simplify(self, predicate: Predicate, env: _Env) -> Predicate:
-        if isinstance(predicate, (TruePredicate, FalsePredicate)):
-            return predicate
+        # Most frequent kind first: ``isinstance`` answers an exact type
+        # at once, but each miss is a full ABC subclass check.
         if isinstance(predicate, Comparison):
             return self._atom(predicate, env)
         if isinstance(predicate, And):
             return self._conjunction(predicate, env)
         if isinstance(predicate, Or):
             return self._disjunction(predicate, env)
+        if isinstance(predicate, (TruePredicate, FalsePredicate)):
+            return predicate
         # Opaque atom: its own simplify() is equivalence-preserving by
         # the Predicate contract; interval reasoning does not apply.
         return predicate.simplify()
@@ -160,38 +163,32 @@ class _Simplifier:
                 compounds.append(raw)
                 continue
             child = self.simplify(raw, env)
-            if isinstance(child, FalsePredicate):
-                return FalsePredicate()
-            if isinstance(child, TruePredicate):
-                continue
-            if isinstance(child, And):
-                pending = list(child.children) + pending
-            elif isinstance(child, Comparison):
+            if isinstance(child, Comparison):
                 atoms.append(child)
+            elif isinstance(child, FalsePredicate):
+                return FalsePredicate()
+            elif isinstance(child, TruePredicate):
+                continue
+            elif isinstance(child, And):
+                pending = list(child.children) + pending
             elif isinstance(child, Or):
                 compounds.append(child)
             else:
                 opaque.append(child)
 
         # Fold this conjunction's atoms into per-variable constraints.
-        local: dict[str, Constraint] = {}
-        order: list[str] = []
+        groups: dict[str, list[Comparison]] = {}
         for atom in atoms:
-            if atom.variable not in local:
-                local[atom.variable] = Constraint.full()
-                order.append(atom.variable)
-            local[atom.variable] = local[atom.variable].intersect(
-                atom_constraint(atom)
-            )
-        labels = {
-            (a.variable, a.op, a.value): a.label
-            for a in atoms
-            if a.label is not None
-        }
-        for variable in order:
-            combined = local[variable].intersect(
-                env.get(variable, Constraint.full())
-            )
+            groups.setdefault(atom.variable, []).append(atom)
+        local: dict[str, Constraint] = {}
+        # The environment compound children are re-simplified under.
+        inner_env = dict(env)
+        for variable, group in groups.items():
+            constraint = Constraint.full()
+            for atom in group:
+                constraint = constraint.intersect(atom_constraint(atom))
+            local[variable] = constraint
+            combined = constraint.intersect(env.get(variable, Constraint.full()))
             if combined.empty:
                 self._note(
                     "unsatisfiable",
@@ -199,11 +196,18 @@ class _Simplifier:
                     f"no value of {variable!r} satisfies the clause",
                 )
                 return FalsePredicate()
+            inner_env[variable] = combined
 
         emitted: list[Comparison] = []
-        for variable in sorted(order):
+        for variable in sorted(groups):
+            group = groups[variable]
+            if len(group) == 1:
+                # A lone atom is its own constraint's atom form.
+                emitted.append(group[0])
+                continue
+            labels = {(a.op, a.value): a.label for a in group if a.label is not None}
             for atom in local[variable].atoms(variable):
-                label = labels.get((atom.variable, atom.op, atom.value))
+                label = labels.get((atom.op, atom.value))
                 if label is not None:
                     atom = dataclasses.replace(atom, label=label)
                 emitted.append(atom)
@@ -216,11 +220,6 @@ class _Simplifier:
 
         # Re-simplify compound children under the tightened environment
         # so branches contradicting (or implied by) the siblings fold.
-        inner_env = dict(env)
-        for variable in order:
-            inner_env[variable] = local[variable].intersect(
-                env.get(variable, Constraint.full())
-            )
         children: list[Predicate] = list(emitted)
         for compound in compounds:
             again = self.simplify(compound, inner_env)
@@ -260,14 +259,19 @@ class _Simplifier:
         if not branches:
             return FalsePredicate()
 
-        branches = self._prune_branches(branches)
-        self._diagnose_vacuous(branches)
+        branches, tables = self._prune_branches(branches)
+        self._diagnose_vacuous(branches, tables)
         if len(branches) == 1:
             return branches[0]
         return Or(sorted(branches, key=str))
 
-    def _prune_branches(self, branches: list[Predicate]) -> list[Predicate]:
-        """Drop duplicate/subsumed branches; merge abutting intervals."""
+    def _prune_branches(
+        self, branches: list[Predicate]
+    ) -> tuple[list[Predicate], list[_Table | None]]:
+        """Drop duplicate/subsumed branches; merge abutting intervals.
+
+        Returns the surviving branches and their branch tables.
+        """
         tables = [_branch_table(b) for b in branches]
         changed = True
         while changed:
@@ -307,13 +311,15 @@ class _Simplifier:
                     tables[i] = merged
                     branches[j] = None
                     changed = True
-        return [b for b in branches if b is not None]
+        kept = [i for i, b in enumerate(branches) if b is not None]
+        return [branches[i] for i in kept], [tables[i] for i in kept]
 
-    def _diagnose_vacuous(self, branches: list[Predicate]) -> None:
+    def _diagnose_vacuous(
+        self, branches: list[Predicate], tables: list[_Table | None]
+    ) -> None:
         """Warn when sibling branches cover every defined value."""
         by_variable: dict[str, list[Constraint]] = {}
-        for branch in branches:
-            table = _branch_table(branch)
+        for table in tables:
             if table is not None and len(table) == 1:
                 ((variable, constraint),) = table.items()
                 by_variable.setdefault(variable, []).append(constraint)
@@ -373,6 +379,8 @@ def _implies(
     constrained -- hence defined -- under stronger)."""
     if stronger is None or weaker is None:
         return False
+    if not weaker.keys() <= stronger.keys():
+        return False
     for variable, constraint in weaker.items():
         mine = stronger.get(variable)
         if mine is None or not mine.subset_of(constraint):
@@ -384,7 +392,7 @@ def _merge_tables(
     a: dict[str, Constraint] | None, b: dict[str, Constraint] | None
 ) -> dict[str, Constraint] | None:
     """Fuse two branch tables differing on exactly one variable."""
-    if a is None or b is None or set(a) != set(b) or not a:
+    if a is None or b is None or a.keys() != b.keys() or not a:
         return None
     differing = [v for v in a if a[v] != b[v]]
     if len(differing) != 1:

@@ -42,9 +42,38 @@ __all__ = [
     "TruePredicate",
     "FalsePredicate",
     "PredicateError",
+    "read_number",
 ]
 
 _OPS = {"<=", ">", "==", "!="}
+_NAN = float("nan")
+
+
+def read_number(raw: object) -> float:
+    """Read one raw state value as a float; NaN when it is not a number.
+
+    The one reading rule of every evaluation path -- the interpreter,
+    the generated scalar closures and state packing
+    (:func:`repro.runtime.pack.state_value`):
+
+    * an exact ``float`` is returned as it is;
+    * a ``bool`` reads as 0.0/1.0, matching the extractor's encoding;
+    * anything else goes through ``float()``; an int beyond the float
+      range reads as ±inf by its sign, as exact int/float comparison
+      would order it against any finite threshold;
+    * a value ``float()`` refuses (``None``, a non-numeric string)
+      reads as NaN, i.e. missing.
+    """
+    if type(raw) is float:
+        return raw
+    if isinstance(raw, bool):
+        return 1.0 if raw else 0.0
+    try:
+        return float(raw)  # type: ignore[arg-type]
+    except OverflowError:
+        return math.inf if raw > 0 else -math.inf  # type: ignore[operator]
+    except (TypeError, ValueError):
+        return _NAN
 
 
 class PredicateError(ValueError):
@@ -217,29 +246,19 @@ class Comparison(Predicate):
             raise PredicateError("comparison values must be finite")
 
     def evaluate(self, state: Mapping[str, object]) -> bool:
-        if self.variable not in state:
-            return False
-        raw = state[self.variable]
-        if isinstance(raw, bool):
-            value = 1.0 if raw else 0.0
-        else:
-            try:
-                value = float(raw)  # type: ignore[arg-type]
-            except OverflowError:
-                # An int beyond the float range reads as ±inf by its
-                # sign, as exact int/float comparison would order it.
-                value = math.inf if raw > 0 else -math.inf  # type: ignore[operator]
-            except (TypeError, ValueError):
-                return False
-        if math.isnan(value):
-            return False
-        if self.op == "<=":
+        value = state.get(self.variable, _NAN)
+        if type(value) is not float:
+            value = read_number(value)
+        # Missing and NaN read as NaN, which every operator below
+        # answers False; ``!=`` needs its own NaN test.
+        op = self.op
+        if op == "<=":
             return value <= self.value
-        if self.op == ">":
+        if op == ">":
             return value > self.value
-        if self.op == "==":
+        if op == "==":
             return value == self.value
-        return value != self.value
+        return value == value and value != self.value
 
     def evaluate_rows(self, x, attribute_index):
         x = np.atleast_2d(x)
@@ -338,7 +357,10 @@ class And(_Compound):
         return visitor.visit_and(self)
 
     def evaluate(self, state: Mapping[str, object]) -> bool:
-        return all(child.evaluate(state) for child in self.children)
+        for child in self.children:
+            if not child.evaluate(state):
+                return False
+        return True
 
     def evaluate_rows(self, x, attribute_index):
         x = np.atleast_2d(x)
@@ -376,7 +398,10 @@ class Or(_Compound):
         return visitor.visit_or(self)
 
     def evaluate(self, state: Mapping[str, object]) -> bool:
-        return any(child.evaluate(state) for child in self.children)
+        for child in self.children:
+            if child.evaluate(state):
+                return True
+        return False
 
     def evaluate_rows(self, x, attribute_index):
         x = np.atleast_2d(x)

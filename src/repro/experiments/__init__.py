@@ -21,9 +21,6 @@ per-experiment index lives in DESIGN.md):
   design choices DESIGN.md calls out;
 * :mod:`repro.experiments.validation` -- the runtime-assertion
   re-injection validation of Section VII-D;
-* :mod:`repro.experiments.simplify_bench` -- effect of the static
-  simplifier (:mod:`repro.analysis.simplify`) on mined detectors:
-  atom counts, clause verdicts and batch-serving time;
 * :mod:`repro.experiments.mining_bench` -- throughput of the
   vectorised mining data plane (presorted induction, batch inference,
   reuse caches) vs the naive reference, under its bit-identity

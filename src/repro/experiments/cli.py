@@ -27,7 +27,6 @@ from repro.experiments import (
     propagation,
     sampling_campaign,
     significance,
-    simplify_bench,
     store_sweep,
     table1,
     table2,
@@ -68,7 +67,6 @@ EXPERIMENTS = {
     "store-sweep": store_sweep.main,
     "latency": lambda scale, datasets: latency.main(scale, datasets),
     "mining": lambda scale, datasets: mining_bench.main(scale),
-    "simplify": simplify_bench.main,
     "validation": validation.main,
 }
 

@@ -41,7 +41,9 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from collections.abc import Callable, Mapping
+from operator import getitem
 
 import numpy as np
 
@@ -121,10 +123,6 @@ class CompiledPredicate:
 # Lowering: one generated source, a scalar and a batch function
 # ----------------------------------------------------------------------
 def _scalar_expression(predicate: Predicate, names: Mapping[str, str]) -> str:
-    if isinstance(predicate, TruePredicate):
-        return "True"
-    if isinstance(predicate, FalsePredicate):
-        return "False"
     if isinstance(predicate, Comparison):
         local = names[predicate.variable]
         if predicate.op == "!=":
@@ -142,6 +140,10 @@ def _scalar_expression(predicate: Predicate, names: Mapping[str, str]) -> str:
             f"({_scalar_expression(child, names)})"
             for child in predicate.children
         )
+    if isinstance(predicate, TruePredicate):
+        return "True"
+    if isinstance(predicate, FalsePredicate):
+        return "False"
     raise _Unsupported(
         f"{type(predicate).__name__} is outside the core algebra"
     )
@@ -169,10 +171,6 @@ def _batch_statements(
         return local
 
     def lower(node: Predicate) -> str:
-        if isinstance(node, TruePredicate):
-            return leaf("_ones(n, dtype=bool)")
-        if isinstance(node, FalsePredicate):
-            return leaf("_zeros(n, dtype=bool)")
         if isinstance(node, Comparison):
             column, value = columns[node.variable], repr(node.value)
             if node.op == "!=":
@@ -189,6 +187,10 @@ def _batch_statements(
             lines.append(f"{local} = {children[0]} {symbol} {children[1]}")
             lines.extend(f"{local} {symbol}= {child}" for child in children[2:])
             return local
+        if isinstance(node, TruePredicate):
+            return leaf("_ones(n, dtype=bool)")
+        if isinstance(node, FalsePredicate):
+            return leaf("_zeros(n, dtype=bool)")
         raise _Unsupported(
             f"{type(node).__name__} is outside the core algebra"
         )
@@ -283,28 +285,23 @@ def _battery(predicate: Predicate) -> list[dict[str, object]]:
         # istically (missing-variable states included via the final
         # candidate slot).
         pools = [candidates[v] + [None] for v in variables]
-        combos = itertools.product(*pools)
-        total = 1
-        for pool in pools:
-            total *= len(pool)
-        if total > 256:
+        if math.prod(len(pool) for pool in pools) > 256:
             # One vectorised draw: the same values, in the same order,
             # as one ``rng.integers(len(pool))`` call per cell.
             draws = np.random.default_rng(0).integers(
                 0, [len(pool) for pool in pools], size=(256, len(pools))
             )
-            combos = (
-                [pool[i] for pool, i in zip(pools, row)]
-                for row in draws.tolist()
-            )
-        for combo in combos:
-            states.append(
-                {
-                    variable: value
-                    for variable, value in zip(variables, combo)
-                    if value is not None
-                }
-            )
+            combos = (map(getitem, pools, row) for row in draws.tolist())
+        else:
+            combos = itertools.product(*pools)
+        states.extend(
+            {
+                variable: value
+                for variable, value in zip(variables, combo)
+                if value is not None
+            }
+            for combo in combos
+        )
     return states
 
 

@@ -7,11 +7,10 @@ predicate path consumes.  Packing fixes the missing/NaN convention in
 one place:
 
 * a variable absent from a state packs as NaN;
-* non-numeric values (``None``, unparseable strings) pack as NaN;
-* booleans pack as 0.0/1.0, matching the extractor's encoding;
-* an int beyond the float range packs as ±inf by its sign -- the
-  answer Python's exact int/float comparison gives against any finite
-  threshold;
+* a present value packs as :func:`repro.core.predicate.read_number`
+  reads it, the rule the interpreter reads by too: booleans as
+  0.0/1.0, an int beyond the float range as ±inf by its sign,
+  non-numeric values (``None``, unparseable strings) as NaN;
 * every NaN cell holds the one canonical NaN, whatever payload the
   state's own NaN carried.
 
@@ -31,15 +30,15 @@ canonical NaN and the bytes equal a per-cell :func:`state_value` loop.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from repro.core.predicate import read_number
+
 __all__ = ["build_index", "pack_states", "state_value"]
 
 _NAN = float("nan")
-_MISSING = object()
 #: Cell types NumPy converts exactly as :func:`state_value` does.
 _NATIVE = frozenset((float, int, bool, type(None)))
 
@@ -47,22 +46,15 @@ _NATIVE = frozenset((float, int, bool, type(None)))
 def state_value(state: Mapping[str, object], variable: str) -> float:
     """Read one variable as a float, NaN when missing or non-numeric.
 
-    This is the scalar twin of :func:`pack_states`: the generated
-    scalar closures evaluate comparisons against exactly this value,
-    so the dict-state, generated-source and instance-array paths stay
-    bit-identical.
+    This is the scalar twin of :func:`pack_states`, reading by
+    :func:`repro.core.predicate.read_number` as the interpreter does:
+    the generated scalar closures evaluate comparisons against exactly
+    this value, so the dict-state, generated-source and instance-array
+    paths stay bit-identical.
     """
-    raw = state.get(variable, _MISSING)
-    if raw is _MISSING:
-        return _NAN
-    if isinstance(raw, bool):
-        return 1.0 if raw else 0.0
-    try:
-        return float(raw)  # type: ignore[arg-type]
-    except OverflowError:
-        return math.inf if raw > 0 else -math.inf  # type: ignore[operator]
-    except (TypeError, ValueError):
-        return _NAN
+    raw = state.get(variable, _NAN)
+    # An exact float (absence included) is the common case: no call.
+    return raw if type(raw) is float else read_number(raw)
 
 
 def build_index(variables: Iterable[str]) -> dict[str, int]:

@@ -14,6 +14,8 @@ from repro.core.predicate import (
     Predicate,
     TruePredicate,
 )
+from repro.analysis.simplify import SimplificationResult
+from repro.runtime import compile as compile_module
 from repro.runtime.compile import compile_predicate
 from repro.runtime.pack import build_index, pack_states, state_value
 
@@ -120,6 +122,95 @@ class TestFallback:
         assert compiled.mode == "interpreted"
         assert compiled.evaluate({"a": 3.0, "b": 1.0}) is True
         assert compiled.evaluate({"a": 3.0}) is False
+
+
+class TestSelfCheckFailure:
+    """Each self-check comparison rejects a deliberately broken lowering.
+
+    With the lowering broken, the simplified form fails the check, so
+    does the verbatim original, and the detector is served interpreted
+    with the failing comparison named.  A broken simplifier is caught
+    by the same battery: the original is lowered verbatim instead.
+    """
+
+    @staticmethod
+    def _break_lowering(monkeypatch, scalar=None, batch=None):
+        lower = compile_module._lower
+
+        def broken(predicate):
+            good_scalar, good_batch, source = lower(predicate)
+            return (
+                scalar(good_scalar) if scalar else good_scalar,
+                batch(good_batch) if batch else good_batch,
+                source,
+            )
+
+        monkeypatch.setattr(compile_module, "_lower", broken)
+
+    @staticmethod
+    def _assert_interpreted(compiled, reason):
+        assert compiled.mode == "interpreted"
+        assert compiled.fallback_reason == f"self-check failed: {reason}"
+        assert compiled.source is None
+        assert compiled.lowered is P
+        for state in STATES:
+            assert compiled.evaluate(state) == P.evaluate(state), state
+
+    def test_scalar_that_flips_one_battery_state(self, monkeypatch):
+        # The battery's first state is the empty one.
+        self._break_lowering(
+            monkeypatch,
+            scalar=lambda good: lambda state: (not good(state)) if not state else good(state),
+        )
+        self._assert_interpreted(compile_predicate(P), "scalar lowering disagrees on {}")
+
+    def test_batch_that_flips_one_row(self, monkeypatch):
+        def flip_row(good):
+            def batch(x, index):
+                out = np.array(good(x, index), dtype=bool)
+                out[2] = not out[2]
+                return out
+
+            return batch
+
+        self._break_lowering(monkeypatch, batch=flip_row)
+        self._assert_interpreted(
+            compile_predicate(P), "batch lowering disagrees with evaluate_rows"
+        )
+
+    def test_batch_wrong_only_with_an_empty_index(self, monkeypatch):
+        self._break_lowering(
+            monkeypatch,
+            batch=lambda good: lambda x, index: good(x, index) if index else ~good(x, index),
+        )
+        self._assert_interpreted(compile_predicate(P), "unknown-variable semantics disagree")
+
+    def test_packing_that_loses_values(self, monkeypatch):
+        # Rows oracle and batch agree over the broken array; only the
+        # dict oracle sees that the values are gone.
+        monkeypatch.setattr(
+            compile_module,
+            "pack_states",
+            lambda states, index: np.full((len(states), len(index)), NAN),
+        )
+        self._assert_interpreted(
+            compile_predicate(P), "row semantics disagree with dict semantics"
+        )
+
+    def test_simplifier_returning_a_non_equivalent_predicate(self, monkeypatch):
+        wrong = Comparison("v", ">", 100.0)
+        monkeypatch.setattr(
+            compile_module,
+            "simplify_predicate",
+            lambda predicate: SimplificationResult(predicate, wrong, []),
+        )
+        compiled = compile_predicate(P)
+        assert compiled.mode == "compiled"
+        assert compiled.fallback_reason is None
+        assert compiled.lowered is P
+        assert compiled.source == compile_predicate(P, simplify=False).source
+        for state in STATES:
+            assert compiled.evaluate(state) == P.evaluate(state), state
 
 
 class TestDetectorHook:
