@@ -1,12 +1,13 @@
 """Bench R-4: mining data-plane throughput (repro.mining).
 
 Times the presorted C4.5 data plane against the seed implementation
-(naive per-node sorting, per-row descent, no reuse caches) on the
-program-state workload of ``repro.experiments.mining_bench``.  The
-contract checks run *inside* ``mining_bench.run`` -- trees, class
-distributions and refinement rankings are verified bit-identical
-before any timing is reported -- so the assertions here only encode
-the throughput bars.
+(per-node sorting, per-row descent, no reuse caches; the engine kept
+as the test oracle in ``tests/mining/_c45_reference.py``) on the
+program-state workload of ``mining_bench.py``, which sits next to
+this file.  The contract checks run *inside* ``mining_bench.run`` --
+trees, class distributions and refinement rankings are verified
+bit-identical against the reference before any timing is reported --
+so the assertions here only encode the throughput bars.
 
 Measured margins (EXPERIMENTS.md R-4): batch distribution 14-18x,
 induction 2.3-4.2x, end-to-end refinement 2.2-2.3x.  The refinement
@@ -22,7 +23,7 @@ import os
 
 import pytest
 
-from repro.experiments import mining_bench
+import mining_bench
 
 
 @pytest.mark.bench_smoke

@@ -22,9 +22,10 @@ import pytest
 
 from repro import observability as obs
 from repro.core.refine import RefinementGrid, refine
-from repro.experiments.mining_bench import make_state_dataset
 from repro.mining.cache import clear_reuse_caches
 from repro.mining.tree import C45DecisionTree
+
+from mining_bench import make_state_dataset
 
 
 def _noop_span_cost(samples: int = 50_000) -> float:

@@ -242,7 +242,11 @@ class Comparison(Predicate):
     def __post_init__(self) -> None:
         if self.op not in _OPS:
             raise PredicateError(f"unknown comparison operator {self.op!r}")
-        if not math.isfinite(self.value):
+        try:
+            finite = math.isfinite(self.value)
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
             raise PredicateError("comparison values must be finite")
 
     def evaluate(self, state: Mapping[str, object]) -> bool:

@@ -93,7 +93,7 @@ def predicate_from_dict(payload: dict) -> Predicate:
                 float(payload["value"]),
                 label=payload.get("label"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SerializationError(f"bad comparison payload: {exc}") from exc
     if kind in ("and", "or"):
         children = payload.get("children")

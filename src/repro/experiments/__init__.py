@@ -20,11 +20,12 @@ per-experiment index lives in DESIGN.md):
   :mod:`~repro.experiments.ablation_location` -- ablations over the
   design choices DESIGN.md calls out;
 * :mod:`repro.experiments.validation` -- the runtime-assertion
-  re-injection validation of Section VII-D;
-* :mod:`repro.experiments.mining_bench` -- throughput of the
-  vectorised mining data plane (presorted induction, batch inference,
-  reuse caches) vs the naive reference, under its bit-identity
-  contract.
+  re-injection validation of Section VII-D.
+
+Drivers that exist only to be timed or to check a subsystem's
+contract (R-1, R-2, R-4, R-9 and R-10 of EXPERIMENTS.md) are scripts
+under ``benchmarks/``, next to the benchmark tests that assert their
+bars.
 
 All drivers are parameterised by an :class:`~repro.experiments.scale.Scale`
 ("smoke" for tests, "bench" for the recorded numbers, "paper" for the

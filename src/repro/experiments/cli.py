@@ -23,11 +23,8 @@ from repro.experiments import (
     figure2,
     figure_roc,
     latency,
-    mining_bench,
     propagation,
-    sampling_campaign,
     significance,
-    store_sweep,
     table1,
     table2,
     table3,
@@ -62,11 +59,8 @@ EXPERIMENTS = {
     "ablation-cost": ablation_cost.main,
     "ablation-labels": ablation_labels.main,
     "propagation": propagation.main,
-    "sampling-campaign": sampling_campaign.main,
     "significance": significance.main,
-    "store-sweep": store_sweep.main,
     "latency": lambda scale, datasets: latency.main(scale, datasets),
-    "mining": lambda scale, datasets: mining_bench.main(scale),
     "validation": validation.main,
 }
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro import observability as obs
 from repro.mining.base import Classifier
-from repro.mining.dataset import Attribute, Dataset, _merge_sorted
+from repro.mining.dataset import Dataset, _merge_sorted
 from repro.mining.tree.node import (
     DecisionNode,
     LeafNode,
@@ -76,14 +76,10 @@ class C45DecisionTree(Classifier):
     max_depth:
         Optional hard depth cap (not part of classic C4.5; useful for
         the ablation experiments).
-    engine:
-        ``"presort"`` (default) grows the tree over presorted
-        row-index subsets and answers ``distribution`` queries with
-        level-wise batch routing; ``"naive"`` is the original
-        per-node-sorting, per-row-descending implementation, kept as
-        the executable reference the equivalence tests and benchmarks
-        compare against.  Both engines produce bit-identical trees and
-        predictions.
+
+    The tree grows over presorted row-index subsets
+    (:class:`_PresortedGrower`) and answers ``distribution`` queries
+    with level-wise batch routing.
     """
 
     def __init__(
@@ -92,7 +88,6 @@ class C45DecisionTree(Classifier):
         confidence_factor: float = 0.25,
         prune: bool = True,
         max_depth: int | None = None,
-        engine: str = "presort",
     ) -> None:
         if min_leaf_weight <= 0:
             raise ValueError("min_leaf_weight must be positive")
@@ -100,13 +95,10 @@ class C45DecisionTree(Classifier):
             raise ValueError("confidence_factor must be in (0, 1)")
         if max_depth is not None and max_depth < 0:
             raise ValueError("max_depth must be non-negative")
-        if engine not in ("presort", "naive"):
-            raise ValueError(f"unknown induction engine {engine!r}")
         self.min_leaf_weight = min_leaf_weight
         self.confidence_factor = confidence_factor
         self.prune = prune
         self.max_depth = max_depth
-        self.engine = engine
         self.root: TreeNode | None = None
 
     # ------------------------------------------------------------------
@@ -115,217 +107,21 @@ class C45DecisionTree(Classifier):
     def fit(self, dataset: Dataset) -> "C45DecisionTree":
         if len(dataset) == 0:
             raise ValueError("cannot fit a decision tree on an empty dataset")
-        with obs.span(
-            "c45.fit", engine=self.engine, instances=len(dataset)
-        ) as fit_span:
+        with obs.span("c45.fit", instances=len(dataset)) as fit_span:
             self._remember_schema(dataset)
             self._attributes = dataset.attributes
             self._n_classes = dataset.n_classes
-            if self.engine == "presort":
-                grower = _PresortedGrower(self, dataset)
-                root = grower.grow(
-                    np.arange(len(dataset), dtype=np.int64),
-                    dataset.weights,
-                    dataset.presort(),
-                    depth=0,
-                )
-            else:
-                root = self._grow(dataset.x, dataset.y, dataset.weights, depth=0)
+            root = _PresortedGrower(self, dataset).grow(
+                np.arange(len(dataset), dtype=np.int64),
+                dataset.weights,
+                dataset.presort(),
+                depth=0,
+            )
             if self.prune:
                 root = prune_tree(root, self.confidence_factor)
             self.root = root
             fit_span.count("nodes", root.node_count())
         return self
-
-    def _class_weights(self, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return np.bincount(y, weights=w, minlength=self._n_classes)
-
-    def _grow(
-        self, x: np.ndarray, y: np.ndarray, w: np.ndarray, depth: int
-    ) -> TreeNode:
-        class_weights = self._class_weights(y, w)
-        total = class_weights.sum()
-        # Stop: pure node, not enough weight for two branches, or depth cap.
-        if (
-            total < 2 * self.min_leaf_weight
-            or np.count_nonzero(class_weights) <= 1
-            or (self.max_depth is not None and depth >= self.max_depth)
-        ):
-            return LeafNode(class_weights)
-
-        split = self._best_split(x, y, w, total)
-        if split is None:
-            return LeafNode(class_weights)
-
-        attribute = self._attributes[split.attribute_index]
-        column = x[:, split.attribute_index]
-        known = ~np.isnan(column)
-
-        if attribute.is_numeric:
-            assert split.threshold is not None
-            branch_masks = [
-                known & (column <= split.threshold),
-                known & (column > split.threshold),
-            ]
-        else:
-            branch_masks = [
-                known & (column == v) for v in range(len(attribute.values))
-            ]
-
-        branch_weights = np.array([w[mask].sum() for mask in branch_masks])
-        known_total = branch_weights.sum()
-        if known_total <= 0:
-            return LeafNode(class_weights)
-        fractions = branch_weights / known_total
-
-        children: list[TreeNode] = []
-        missing = ~known
-        has_missing = bool(missing.any())
-        for mask, fraction in zip(branch_masks, fractions):
-            if has_missing and fraction > 0:
-                # Route missing-value instances down this branch with a
-                # fraction of their weight (C4.5's fractional instances).
-                branch_x = np.vstack([x[mask], x[missing]])
-                branch_y = np.concatenate([y[mask], y[missing]])
-                branch_w = np.concatenate([w[mask], w[missing] * fraction])
-            else:
-                branch_x, branch_y, branch_w = x[mask], y[mask], w[mask]
-            if branch_w.sum() <= 0:
-                children.append(LeafNode(class_weights.copy()))
-            else:
-                children.append(self._grow(branch_x, branch_y, branch_w, depth + 1))
-
-        return DecisionNode(
-            class_weights=class_weights,
-            attribute=attribute,
-            attribute_index=split.attribute_index,
-            threshold=split.threshold,
-            children=children,
-            branch_weights=branch_weights,
-        )
-
-    # ------------------------------------------------------------------
-    # Split selection
-    # ------------------------------------------------------------------
-    def _best_split(
-        self, x: np.ndarray, y: np.ndarray, w: np.ndarray, total: float
-    ) -> _Split | None:
-        candidates: list[_Split] = []
-        for j, attribute in enumerate(self._attributes):
-            if attribute.is_numeric:
-                candidate = self._numeric_split(j, x[:, j], y, w, total)
-            else:
-                candidate = self._nominal_split(j, attribute, x[:, j], y, w, total)
-            if candidate is not None and candidate.gain > _EPSILON:
-                candidates.append(candidate)
-        if not candidates:
-            return None
-        # C4.5's average-gain gate: only splits with at least average
-        # gain compete on gain ratio.
-        average_gain = sum(c.gain for c in candidates) / len(candidates)
-        admissible = [c for c in candidates if c.gain + _EPSILON >= average_gain]
-        return max(admissible, key=lambda c: (c.gain_ratio, c.gain))
-
-    def _numeric_split(
-        self, j: int, column: np.ndarray, y: np.ndarray, w: np.ndarray, total: float
-    ) -> _Split | None:
-        known = ~np.isnan(column)
-        if not known.any():
-            return None
-        values = column[known]
-        labels = y[known]
-        weights = w[known]
-        known_weight = weights.sum()
-        if known_weight < 2 * self.min_leaf_weight:
-            return None
-
-        order = np.argsort(values, kind="stable")
-        values = values[order]
-        labels = labels[order]
-        weights = weights[order]
-
-        # Weighted class counts cumulated over the sorted column.
-        one_hot = np.zeros((len(labels), self._n_classes))
-        one_hot[np.arange(len(labels)), labels] = weights
-        left_counts = np.cumsum(one_hot, axis=0)
-        total_counts = left_counts[-1]
-        parent_entropy = _entropy(total_counts)
-
-        # Candidate boundaries: between adjacent distinct values.
-        boundaries = np.flatnonzero(np.diff(values) > 0)
-        if boundaries.size == 0:
-            return None
-        left = left_counts[boundaries]
-        right = total_counts - left
-        left_weight = left.sum(axis=1)
-        right_weight = right.sum(axis=1)
-        feasible = (left_weight >= self.min_leaf_weight) & (
-            right_weight >= self.min_leaf_weight
-        )
-        if not feasible.any():
-            return None
-        left, right = left[feasible], right[feasible]
-        left_weight, right_weight = left_weight[feasible], right_weight[feasible]
-        boundaries = boundaries[feasible]
-
-        info = (
-            left_weight * _entropy_rows(left)
-            + right_weight * _entropy_rows(right)
-        ) / known_weight
-        gains = (known_weight / total) * (parent_entropy - info)
-        best = int(np.argmax(gains))
-        gain = float(gains[best])
-        if gain <= _EPSILON:
-            return None
-
-        threshold = _threshold_between(
-            values[boundaries[best]], values[boundaries[best] + 1]
-        )
-        split_info = _split_info(
-            np.array([left_weight[best], right_weight[best]]),
-            total - known_weight,
-            total,
-        )
-        if split_info <= _EPSILON:
-            return None
-        return _Split(j, gain, gain / split_info, threshold)
-
-    def _nominal_split(
-        self,
-        j: int,
-        attribute: Attribute,
-        column: np.ndarray,
-        y: np.ndarray,
-        w: np.ndarray,
-        total: float,
-    ) -> _Split | None:
-        known = ~np.isnan(column)
-        if not known.any():
-            return None
-        values = column[known].astype(np.int64)
-        labels = y[known]
-        weights = w[known]
-        known_weight = weights.sum()
-
-        n_values = len(attribute.values)
-        counts = np.zeros((n_values, self._n_classes))
-        np.add.at(counts, (values, labels), weights)
-        branch_weight = counts.sum(axis=1)
-        # C4.5 requires at least two branches with min_leaf_weight.
-        if np.count_nonzero(branch_weight >= self.min_leaf_weight) < 2:
-            return None
-
-        parent_entropy = _entropy(counts.sum(axis=0))
-        info = float(
-            (branch_weight * _entropy_rows(counts)).sum() / known_weight
-        )
-        gain = (known_weight / total) * (parent_entropy - info)
-        if gain <= _EPSILON:
-            return None
-        split_info = _split_info(branch_weight, total - known_weight, total)
-        if split_info <= _EPSILON:
-            return None
-        return _Split(j, float(gain), float(gain / split_info), None)
 
     # ------------------------------------------------------------------
     # Prediction
@@ -335,16 +131,11 @@ class C45DecisionTree(Classifier):
         if self.root is None:
             raise RuntimeError("tree has no root")
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if self.engine == "naive":
-            out = np.empty((len(x), self._n_classes))
-            for i, row in enumerate(x):
-                out[i] = _descend(self.root, row)
-            return out
         if len(x) == 0:
             return np.empty((0, self._n_classes))
         out = batch_distribution(self.root, x, np.arange(len(x), dtype=np.int64))
         # A single-leaf tree returns a read-only broadcast view;
-        # callers expect an owned array like the per-row path produced.
+        # callers expect an owned array.
         if not out.flags.writeable:
             out = out.copy()
         return out
@@ -375,10 +166,11 @@ class C45DecisionTree(Classifier):
 class _PresortedGrower:
     """Index-based C4.5 growth over presorted columns (SPRINT-style).
 
-    Grows the *same tree, bit for bit*, as :meth:`C45DecisionTree._grow`
-    -- every floating-point reduction consumes the same operand
-    sequence in the same order -- while eliminating the naive
-    recursion's per-node costs:
+    Grows the *same tree, bit for bit*, as the seed per-node-sorting
+    implementation kept as the test oracle in
+    ``tests/mining/_c45_reference.py`` ("the reference" below) -- every
+    floating-point reduction consumes the same operand sequence in the
+    same order -- while eliminating that recursion's per-node costs:
 
     * numeric columns are sorted once per fit (or inherited from
       :meth:`repro.mining.dataset.Dataset.presort`) and threaded
@@ -749,7 +541,7 @@ class _PresortedGrower:
     def _nominal_split(
         self, rows, y_node, w, total, m, w_sum, j, attribute
     ) -> _Split | None:
-        """:meth:`C45DecisionTree._nominal_split`, op for op, with the
+        """The reference's ``_nominal_split``, op for op, with the
         grower's scratch buffers and scalar tails."""
         tree = self._tree
         n_values = len(attribute.values)
@@ -793,7 +585,8 @@ class _PresortedGrower:
         return _Split(j, float(gain), float(gain / split_info), None)
 
     def _entropy_rows_fused(self, counts, out):
-        """`_entropy_rows` into preallocated buffers, op for op."""
+        """The reference's ``_entropy_rows`` into preallocated buffers,
+        op for op."""
         b = counts.shape[0]
         totals = np.add.reduce(counts, axis=1, keepdims=True, out=self._tot[:b])
         np.maximum(totals, 1e-300, out=totals)
@@ -913,8 +706,9 @@ def _filter_lists(
 def _split_info_scalar(
     branch_weights: tuple, missing_weight: float, total: float
 ) -> float:
-    """`_split_info` without the array round-trip (same accumulation
-    order: positive branch weights first, then the missing weight)."""
+    """The reference's ``_split_info`` without the array round-trip
+    (same accumulation order: positive branch weights first, then the
+    missing weight)."""
     info = 0.0
     for part in branch_weights:
         if part > 0:
@@ -925,21 +719,6 @@ def _split_info_scalar(
         info -= fraction * math.log2(fraction)
     return info
 
-
-def _descend(node: TreeNode, row: np.ndarray) -> np.ndarray:
-    if isinstance(node, LeafNode):
-        return node.distribution()
-    assert isinstance(node, DecisionNode)
-    branch = node.branch_of(row[node.attribute_index])
-    if branch is not None:
-        return _descend(node.children[branch], row)
-    # Missing value: blend all branches by their training fractions.
-    fractions = node.branch_fractions()
-    blended = np.zeros(len(node.class_weights))
-    for fraction, child in zip(fractions, node.children):
-        if fraction > 0:
-            blended += fraction * _descend(child, row)
-    return blended
 
 
 def _entropy(counts: np.ndarray) -> float:
@@ -952,29 +731,6 @@ def _entropy(counts: np.ndarray) -> float:
     p = p[p > 0]
     return float(-(p * np.log2(p)).sum())
 
-
-def _entropy_rows(counts: np.ndarray) -> np.ndarray:
-    """Row-wise entropy for a (rows, classes) count matrix."""
-    totals = counts.sum(axis=1, keepdims=True)
-    p = counts / np.maximum(totals, 1e-300)
-    logs = np.zeros_like(p)
-    positive = p > 0
-    logs[positive] = np.log2(p[positive])
-    return -(p * logs).sum(axis=1)
-
-
-def _split_info(
-    branch_weights: np.ndarray, missing_weight: float, total: float
-) -> float:
-    """C4.5 split information, counting missing values as a branch."""
-    parts = list(branch_weights[branch_weights > 0])
-    if missing_weight > 0:
-        parts.append(missing_weight)
-    info = 0.0
-    for part in parts:
-        fraction = part / total
-        info -= fraction * math.log2(fraction)
-    return info
 
 
 def _threshold_between(lo: float, hi: float) -> float:

@@ -60,6 +60,9 @@ class TestComparison:
             Comparison("v", "<", 5.0)
         with pytest.raises(PredicateError):
             Comparison("v", "<=", float("inf"))
+        for huge in (10**400, -(10**400)):  # ints beyond the float range
+            with pytest.raises(PredicateError):
+                Comparison("v", "<=", huge)
 
     def test_str_uses_label(self):
         assert "on" in str(W_EQ_1)

@@ -74,6 +74,19 @@ class TestErrors:
     def test_bad_comparison(self):
         with pytest.raises(SerializationError):
             predicate_from_dict({"type": "comparison", "variable": "v"})
+        # Values a float cannot hold: 1e400 reads as inf, a 401-digit
+        # int literal stays an int.
+        for value in (10**400, -(10**400)):
+            payload = {"type": "comparison", "variable": "x", "op": "<=",
+                       "value": value}
+            with pytest.raises(SerializationError):
+                predicate_from_dict(payload)
+        for literal in ("1e400", str(10**400), str(-(10**400))):
+            with pytest.raises(SerializationError):
+                predicate_from_json(
+                    '{"type":"comparison","variable":"x","op":"<=",'
+                    f'"value":{literal}}}'
+                )
 
     def test_bad_children(self):
         with pytest.raises(SerializationError):
@@ -114,3 +127,10 @@ class TestDetectorRoundTrip:
                 {"name": "x", "predicate": {"type": "true"},
                  "location": {"module": "M", "location": "middle"}}
             )
+        for value in (10**400, -(10**400)):
+            with pytest.raises(SerializationError):
+                detector_from_dict(
+                    {"name": "x",
+                     "predicate": {"type": "comparison", "variable": "v",
+                                   "op": ">", "value": value}}
+                )

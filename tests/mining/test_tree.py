@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.mining.dataset import Attribute, Dataset
 from repro.mining.tree import C45DecisionTree, render_tree, tree_to_rules
-from repro.mining.tree.induction import _entropy, _entropy_rows, _threshold_between
+from repro.mining.tree.induction import _entropy, _threshold_between
 from repro.mining.tree.node import DecisionNode, LeafNode
 from tests.conftest import make_mixed, make_separable
+from tests.mining._c45_reference import _entropy_rows
 
 
 class TestEntropy:

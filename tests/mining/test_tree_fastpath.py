@@ -2,7 +2,9 @@
 
 The presorted induction engine, the batch routing path, the kNN batch
 queries and the reuse caches all carry the same hard contract: **bit
-identity** with the naive reference implementations they replace.
+identity** with the naive reference implementations they replace
+(for C4.5 induction and routing, the seed engine kept in
+``tests/mining/_c45_reference.py``).
 These properties drive randomly generated datasets -- missing values,
 infinities, duplicated (quantised) values, fractional instance
 weights -- through both paths and compare raw bytes, plus a
@@ -22,6 +24,7 @@ from repro.mining.dataset import Attribute, Dataset
 from repro.mining.knn import NearestNeighbours
 from repro.mining.sampling import smote
 from repro.mining.tree import C45DecisionTree
+from tests.mining import _c45_reference as reference
 
 
 @st.composite
@@ -78,8 +81,8 @@ def datasets(draw) -> Dataset:
 @given(dataset=datasets(), prune=st.booleans(), mlw=st.sampled_from([1.0, 2.0, 4.0]))
 @settings(deadline=None, max_examples=60)
 def test_presorted_fit_bit_identical(dataset, prune, mlw):
-    naive = C45DecisionTree(engine="naive", prune=prune, min_leaf_weight=mlw)
-    fast = C45DecisionTree(engine="presort", prune=prune, min_leaf_weight=mlw)
+    naive = reference.ReferenceC45DecisionTree(prune=prune, min_leaf_weight=mlw)
+    fast = C45DecisionTree(prune=prune, min_leaf_weight=mlw)
     naive.fit(dataset)
     fast.fit(dataset)
     assert pickle.dumps(naive.root) == pickle.dumps(fast.root)
@@ -88,11 +91,10 @@ def test_presorted_fit_bit_identical(dataset, prune, mlw):
 @given(dataset=datasets())
 @settings(deadline=None, max_examples=40)
 def test_batch_distribution_matches_per_row_descent(dataset):
-    tree = C45DecisionTree(engine="presort").fit(dataset)
+    tree = C45DecisionTree().fit(dataset)
     queries = np.vstack([dataset.x, np.full((2, dataset.x.shape[1]), np.nan)])
     batch = tree.distribution(queries)
-    tree.engine = "naive"
-    per_row = tree.distribution(queries)
+    per_row = reference.distribution(tree, queries)
     assert batch.tobytes() == per_row.tobytes()
 
 
@@ -156,7 +158,7 @@ def test_fold_partition_cache_replays_partition_and_rng_state(dataset, k):
         assert tail.tobytes() == tail_reference.tobytes()
 
 
-def _mini_refine(engine: str):
+def _mini_refine(learner: type[C45DecisionTree]):
     """A seconds-scale Step 4 sweep with a process-local factory."""
     rng = np.random.default_rng(3)
     n = 160
@@ -186,7 +188,7 @@ def _mini_refine(engine: str):
         neighbour_counts=(1, 3),
         base_plan=PreprocessingPlan(),
     )
-    factory = lambda: C45DecisionTree(engine=engine)  # noqa: E731
+    factory = lambda: learner()  # noqa: E731
     clear_reuse_caches()
     return refine(dataset, factory, grid, folds=3, seed=9)
 
@@ -194,18 +196,18 @@ def _mini_refine(engine: str):
 def test_refine_fixed_seed_ranking_matches_seed_path():
     """The full data plane reproduces the seed path's sweep exactly."""
     with reuse_caches_disabled():
-        reference = _mini_refine("naive")
-    optimized = _mini_refine("presort")
+        seed = _mini_refine(reference.ReferenceC45DecisionTree)
+    optimized = _mini_refine(C45DecisionTree)
     ref_rank = [
         (t.plan.sampling, t.plan.level, t.plan.neighbours, t.key)
-        for t in reference.ranked()
+        for t in seed.ranked()
     ]
     opt_rank = [
         (t.plan.sampling, t.plan.level, t.plan.neighbours, t.key)
         for t in optimized.ranked()
     ]
     assert ref_rank == opt_rank
-    assert [t.evaluation.mean_auc for t in reference.trials] == [
+    assert [t.evaluation.mean_auc for t in seed.trials] == [
         t.evaluation.mean_auc for t in optimized.trials
     ]
-    assert optimized.best.plan == reference.best.plan
+    assert optimized.best.plan == seed.best.plan

@@ -120,6 +120,15 @@ class TestPersistence:
         )
         with pytest.raises(SerializationError):
             DetectorRegistry.load(bad)
+        # A saved registry whose comparison value is an int beyond the
+        # float range.
+        payload = json.loads(make_registry().save(bad).read_text())
+        atom = payload["detectors"][0]["detector"]["predicate"]
+        assert atom["type"] == "comparison"
+        atom["value"] = 10**400
+        bad.write_text(json.dumps(payload))
+        with pytest.raises(SerializationError):
+            DetectorRegistry.load(bad)
 
 
 UNSAT = And([Comparison("v", "<=", 1.0), Comparison("v", ">", 5.0)])
