@@ -63,6 +63,7 @@ from tests.mining._c45_reference import (  # noqa: E402
     ReferenceC45DecisionTree,
     distribution as reference_distribution,
 )
+from tests.mining._smote_reference import per_seed_neighbours  # noqa: E402
 
 __all__ = ["MiningBenchRow", "make_state_dataset", "run", "render", "main"]
 
@@ -223,8 +224,9 @@ def run(scale: Scale | str = "bench") -> list[MiningBenchRow]:
     # -- refine: the end-to-end Step 4 sweep --------------------------
     # The serial path is forced (a lambda factory cannot cross a
     # process boundary) so both runs time a single process; the
-    # baseline disables every reuse cache, putting smote back on
-    # per-seed neighbour queries -- the seed repo's exact data plane.
+    # baseline disables every reuse cache and puts smote back on
+    # per-seed neighbour queries (tests/mining/_smote_reference.py)
+    # -- the seed repo's exact data plane.
     def sweep(learner: type[C45DecisionTree]) -> tuple[float, RefinementResult]:
         factory = lambda: learner(**factory_args)  # noqa: E731
         clear_reuse_caches()
@@ -235,7 +237,7 @@ def run(scale: Scale | str = "bench") -> list[MiningBenchRow]:
         )
         return time.perf_counter() - started, result
 
-    with reuse_caches_disabled():
+    with reuse_caches_disabled(), per_seed_neighbours():
         refine_seed, result_seed = sweep(ReferenceC45DecisionTree)
     refine_fast, result_fast = sweep(C45DecisionTree)
     if _ranking(result_seed) != _ranking(result_fast):

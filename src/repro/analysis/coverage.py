@@ -9,7 +9,9 @@ meaningless without its confidence interval -- the point of Powell et
 al.'s estimator work.  This module provides:
 
 * :func:`coverage_estimate` -- point estimate plus Wilson and exact
-  Clopper-Pearson intervals at a configurable confidence level;
+  Clopper-Pearson intervals at a configurable confidence level
+  (:func:`wilson_interval` and :func:`exact_interval` compute one of
+  the two alone);
 * :func:`latency_statistics` -- detection latency distribution
   (mean / median / percentiles, in probe occurrences) from validation
   verdicts;
@@ -30,6 +32,8 @@ __all__ = [
     "CoverageEstimate",
     "LatencyStatistics",
     "coverage_estimate",
+    "wilson_interval",
+    "exact_interval",
     "latency_statistics",
     "detector_efficiency_report",
     "EfficiencyReport",
@@ -66,47 +70,69 @@ def coverage_estimate(
     an erroneous (failure-inducing) state; ``detected`` how many the
     detector flagged.
     """
+    wilson = wilson_interval(detected, activated, confidence)
+    exact = exact_interval(detected, activated, confidence)
+    point = detected / activated if activated else 0.0
+    return CoverageEstimate(detected, activated, confidence, point, *wilson, *exact)
+
+
+def _check_counts(detected: int, activated: int, confidence: float) -> None:
     if activated < 0 or detected < 0 or detected > activated:
         raise ValueError("need 0 <= detected <= activated")
     if not 0 < confidence < 1:
         raise ValueError("confidence must be in (0, 1)")
-    if activated == 0:
-        return CoverageEstimate(0, 0, confidence, 0.0, 0.0, 1.0, 0.0, 1.0)
 
+
+def wilson_interval(
+    detected: int, activated: int, confidence: float = 0.95
+) -> tuple[float, float]:
+    """The Wilson score interval of :func:`coverage_estimate`, alone."""
+    _check_counts(detected, activated, confidence)
+    if activated == 0:
+        return 0.0, 1.0
     p = detected / activated
     z = _normal_quantile(1 - (1 - confidence) / 2)
     n = activated
-    # Wilson score interval.
     denominator = 1 + z * z / n
     centre = (p + z * z / (2 * n)) / denominator
     margin = (
         z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denominator
     )
-    wilson_low = max(centre - margin, 0.0)
-    wilson_high = min(centre + margin, 1.0)
-    # Exact Clopper-Pearson via the beta-quantile bisection (no scipy).
+    return max(centre - margin, 0.0), min(centre + margin, 1.0)
+
+
+def exact_interval(
+    detected: int, activated: int, confidence: float = 0.95
+) -> tuple[float, float]:
+    """The exact Clopper-Pearson interval of :func:`coverage_estimate`,
+    alone: the beta-quantile bisection (no scipy)."""
+    _check_counts(detected, activated, confidence)
+    if activated == 0:
+        return 0.0, 1.0
     alpha = 1 - confidence
-    exact_low = 0.0 if detected == 0 else _beta_quantile(
+    low = 0.0 if detected == 0 else _beta_quantile(
         alpha / 2, detected, activated - detected + 1
     )
-    exact_high = 1.0 if detected == activated else _beta_quantile(
+    high = 1.0 if detected == activated else _beta_quantile(
         1 - alpha / 2, detected + 1, activated - detected
     )
-    return CoverageEstimate(
-        detected, activated, confidence, p,
-        wilson_low, wilson_high, exact_low, exact_high,
-    )
+    return low, high
 
 
 def _beta_quantile(q: float, a: float, b: float) -> float:
     """Inverse regularised incomplete beta via bisection.
 
     Accurate to ~1e-10, which is far tighter than coverage reporting
-    needs; avoids a scipy dependency.
+    needs; avoids a scipy dependency.  Stops once the midpoint equals
+    an end of the bracket: the two ends are then adjacent floats, no
+    later step can move them, and the midpoint is what the last of 200
+    steps would return.
     """
     lo, hi = 0.0, 1.0
     for _ in range(200):
         mid = (lo + hi) / 2.0
+        if mid == lo or mid == hi:
+            return mid
         if _beta_cdf(mid, a, b) < q:
             lo = mid
         else:

@@ -41,7 +41,7 @@ from repro.analysis.dataflow.analyzer import analyze_dataflow_package
 from repro.analysis.dataflow.lattice import signature
 from repro.injection.bitflip import BitFlip, flip_bits_batch
 from repro.injection.campaign import Campaign, CampaignConfig, ExperimentRecord
-from repro.injection.golden import Checkpoint, GoldenRun, golden_runs_for
+from repro.injection.golden import GoldenRun, golden_runs_for
 from repro.injection.instrument import Probe, StateSample
 
 __all__ = [
@@ -321,13 +321,11 @@ def plan_prune(
     *,
     dataflow: ModuleDataflow | None = None,
     source: str | None = None,
-    golden_runs: dict[int, GoldenRun] | None = None,
 ) -> PrunePlan:
     """Classify every injection point of ``campaign``.
 
     ``dataflow``/``source`` override how the target's code is found
-    (defaults to analysing the package defining the target's class);
-    ``golden_runs`` reuses already-captured golden runs.
+    (defaults to analysing the package defining the target's class).
     """
     config = campaign.config
     if dataflow is None:
@@ -335,8 +333,7 @@ def plan_prune(
             dataflow = analyze_dataflow(source, "<target>")
         else:
             dataflow = _dataflow_for_target(campaign.target)
-    if golden_runs is None:
-        golden_runs = golden_runs_for(campaign.target, config.test_cases)
+    golden_runs = golden_runs_for(campaign.target, config.test_cases)
     points: list[PointPlan] = []
     variable_reasons: dict[str, str] = {}
     for spec in campaign._targeted_specs():
@@ -524,7 +521,6 @@ def audit_records(
     records: list[ExperimentRecord],
     fraction: float,
     seed: int = 0,
-    checkpoints: Mapping[tuple[int, int], Checkpoint] | None = None,
 ) -> dict:
     """Re-inject a seeded random sample of pruned cells for real.
 
@@ -533,13 +529,9 @@ def audit_records(
     record must match the synthesized one exactly (``to_dict()``
     equality -- float bits included); any mismatch raises
     :class:`PruneContradiction` naming the offending points.
-    ``checkpoints`` (``(injection time, test case) -> checkpoint``,
-    see :meth:`Campaign._capture_checkpoints`) lets audited cells
-    resume from the golden prefix like executed cells; without it
-    each replays its test case from the start.  The records are the
-    same either way.
+    Audited cells resume from the golden prefix like executed cells
+    (:meth:`Campaign._fault_free`).
     """
-    checkpoints = checkpoints or {}
     config = campaign.config
     times = config.injection_times
     test_cases = config.test_cases
@@ -556,6 +548,7 @@ def audit_records(
         sample_size = min(len(cells), max(1, math.ceil(fraction * len(cells))))
     rng = random.Random(seed)
     chosen = sorted(rng.sample(cells, sample_size))
+    fault_free = campaign._fault_free() if chosen else None
     contradictions: list[str] = []
     for point_index, time_index, case_index in chosen:
         point = plan.points[point_index]
@@ -566,8 +559,8 @@ def audit_records(
             flip,
             injection_time,
             tc,
-            plan.golden_runs[tc],
-            checkpoint=checkpoints.get((injection_time, tc)),
+            fault_free.golden_runs[tc],
+            checkpoint=fault_free.checkpoints.get((injection_time, tc)),
         )
         synthesized = records[
             point_index * runs_per_point

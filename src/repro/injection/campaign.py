@@ -25,8 +25,8 @@ campaign statistics.
 An injected run is identical to its golden run up to the injection,
 so for targets that follow the step protocol of
 :mod:`repro.targets.base` it resumes from a snapshot of the fault-free
-run taken at that point (:meth:`Campaign._capture_checkpoints`)
-instead of replaying the test case from its start.  It also stops as
+run taken at that point (:meth:`Campaign._fault_free`) instead of
+replaying the test case from its start.  It also stops as
 soon as it rejoins the golden run: once the flip has fired and the
 sample is taken, a run whose state and probe counts equal the golden
 run's at a unit boundary would finish exactly as the golden run did,
@@ -63,11 +63,7 @@ from collections.abc import Mapping
 
 from repro import observability as obs
 from repro.injection.bitflip import BitFlip, bit_width
-from repro.injection.golden import (
-    Checkpoint,
-    GoldenRun,
-    capture_checkpoints,
-)
+from repro.injection.golden import Checkpoint, GoldenRun, fault_free_run
 from repro.injection.instrument import (
     InjectionHarness,
     Location,
@@ -301,7 +297,6 @@ class CampaignResult:
     target_name: str
     config: CampaignConfig
     records: list[ExperimentRecord]
-    golden_runs: dict[int, GoldenRun]
     variable_specs: tuple[VariableSpec, ...]
     sampling: object | None = None  # repro.injection.sampling.SamplingReport
 
@@ -337,10 +332,10 @@ class CampaignResult:
     def to_dict(self) -> dict:
         """JSON-compatible form of the whole campaign.
 
-        Like the PROPANE log format, golden runs are not persisted
-        (their outputs are arbitrary Python objects); everything the
-        analysis consumes -- config, variable specs, records -- round
-        trips exactly.
+        Like the PROPANE log format, it holds no golden runs (their
+        outputs are arbitrary Python objects); everything the analysis
+        consumes -- config, variable specs, records -- round trips
+        exactly.
         """
         payload = {
             "format": "repro.injection.campaign",
@@ -371,13 +366,24 @@ class CampaignResult:
             records=[
                 ExperimentRecord.from_dict(r) for r in payload["records"]
             ],
-            golden_runs={},
             variable_specs=tuple(
                 VariableSpec(spec["name"], spec["kind"])
                 for spec in payload["variable_specs"]
             ),
             sampling=sampling,
         )
+
+
+@dataclasses.dataclass
+class FaultFree:
+    """What the injected runs of one campaign call share in one
+    process (:meth:`Campaign._fault_free`): golden runs by test case,
+    checkpoints by ``(injection time, test case)``, and the suffix memo
+    by test case (:meth:`~repro.injection.golden.Checkpoint.resume`)."""
+
+    golden_runs: dict[int, GoldenRun]
+    checkpoints: dict[tuple[int, int], Checkpoint]
+    memo: dict[int, dict] = dataclasses.field(default_factory=dict)
 
 
 class Campaign:
@@ -522,8 +528,9 @@ class Campaign:
            holding all of them, or the seeded rounds of a sampling
            policy (:class:`~repro.injection.sampling.StratifiedDraws`);
         3. **execute** -- every batch through
-           :func:`repro.orchestration.campaigns.run_campaign`, sharing
-           golden runs and checkpoints;
+           :func:`repro.orchestration.campaigns.run_campaign`, whose
+           shards take the golden runs and checkpoints from their own
+           process (:meth:`_fault_free`);
         4. **assemble** -- executed and synthesized records merged in
            canonical order (:func:`repro.analysis.prune.assemble_records`),
            then the prune audit or the sampling estimates, and one
@@ -575,9 +582,10 @@ class Campaign:
         (:meth:`~repro.targets.base.TargetSystem.module_sources`);
         ineligible targets warn and run storeless.  The store composes
         with pools, pruning and sampling in both directions.  Golden
-        runs are captured up front only for a prune plan; otherwise the
-        first batch that executes a shard captures them, so a run whose
-        shards are all stored captures nothing.
+        runs are executed up front only for a prune plan; otherwise a
+        process executes a test case's fault-free run when the first
+        shard that needs it runs there, so a run whose shards are all
+        stored executes none.
 
         Campaign subclasses that observe per-run harness state through
         :meth:`_after_run` (e.g. the validation campaign) are forced
@@ -631,24 +639,11 @@ class Campaign:
                 None if sampling is None
                 else StratifiedDraws(self, sampling, pairs)
             )
-            # Shared by every batch: golden runs (the plan's, or
-            # captured by the first batch that executes a shard) and
-            # checkpoints (captured into this mapping on first use).
-            golden_runs = plan.golden_runs
-            checkpoints: dict[tuple[int, int], Checkpoint] = {}
             executed: dict[tuple[str, int], list[ExperimentRecord]] = {}
             summaries: list[dict] = []
 
             def execute(batch):
-                partial = run_campaign(
-                    self,
-                    pool=pool,
-                    pairs=batch,
-                    golden_runs=golden_runs or None,
-                    checkpoints=checkpoints,
-                    store=store,
-                )
-                golden_runs.update(partial.golden_runs)
+                partial = run_campaign(self, pool=pool, pairs=batch, store=store)
                 summaries.append(partial.orchestration)
                 drawn = records_by_pair(self, batch, partial.records)
                 executed.update(drawn)
@@ -674,7 +669,6 @@ class Campaign:
                 self.target.name,
                 self.config,
                 records,
-                golden_runs,
                 self.variable_specs,
                 sampling=None if draws is None else draws.report(plan, records),
             )
@@ -682,9 +676,7 @@ class Campaign:
                 summaries, pool.jobs
             )
             if pruned and draws is None:
-                result.prune = self._audit(  # type: ignore[attr-defined]
-                    plan, records, checkpoints
-                )
+                result.prune = self._audit(plan, records)  # type: ignore[attr-defined]
             return result
         finally:
             if owned is not None:
@@ -702,7 +694,7 @@ class Campaign:
             span.count(names.COUNTER_PRUNED, counts["dead"] + counts["member"])
         return plan
 
-    def _audit(self, plan, records, checkpoints) -> dict:
+    def _audit(self, plan, records) -> dict:
         """Re-inject the seeded audit sample of a pruned run's
         synthesized cells (:func:`repro.analysis.prune.audit_records`);
         returns the ``result.prune`` summary."""
@@ -716,7 +708,6 @@ class Campaign:
                 records,
                 config.audit_fraction,
                 config.audit_seed,
-                checkpoints,
             )
             audit_span.count(names.COUNTER_AUDITED, audit["audited"])
             audit_span.count(
@@ -775,35 +766,33 @@ class Campaign:
             self.target, dataclasses.replace(config, sample_location=other)
         )
 
-    def _capture_checkpoints(
-        self, sibling: "Campaign | None" = None
-    ) -> dict[tuple[int, int], Checkpoint]:
-        """``(injection time, test case) -> checkpoint`` for every cell
-        that can resume; empty when the campaign replays.  With
-        ``sibling`` the checkpoints also suit runs that sample the
-        sibling's probe."""
-        if not self._resumes():
-            return {}
+    def _fault_free(self, sibling: "Campaign | None" = None) -> FaultFree:
+        """What this campaign's injected runs take from the fault-free
+        runs, from one :func:`~repro.injection.golden.fault_free_run`
+        per test case: the golden runs, a checkpoint per ``(injection
+        time, test case)`` cell that can resume (none when the
+        campaign replays) and an empty suffix memo.  With ``sibling``
+        the checkpoints also suit runs that sample the sibling's
+        probe."""
         config = self.config
         sample_probes = (config.sample_probe,)
         if sibling is not None:
             sample_probes += (sibling.config.sample_probe,)
-        checkpoints: dict[tuple[int, int], Checkpoint] = {}
-        with obs.span(
-            names.CAMPAIGN_CHECKPOINT, target=self.target.name
-        ) as span:
+        resumes = self._resumes()
+        fault_free = FaultFree({}, {})
+        with obs.span(names.CAMPAIGN_CHECKPOINT, target=self.target.name) as span:
             for tc in config.test_cases:
-                captured = capture_checkpoints(
-                    self.target,
-                    tc,
-                    config.injection_probe,
-                    sample_probes,
-                    config.injection_times,
+                run = fault_free_run(self.target, tc)
+                fault_free.golden_runs[tc] = run.golden
+                if not resumes:
+                    continue
+                selected = run.checkpoints(
+                    config.injection_probe, sample_probes, config.injection_times
                 )
-                for injection_time, checkpoint in captured.items():
-                    checkpoints[(injection_time, tc)] = checkpoint
-            span.count("checkpoints", len(checkpoints))
-        return checkpoints
+                for injection_time, checkpoint in selected.items():
+                    fault_free.checkpoints[(injection_time, tc)] = checkpoint
+            span.count("checkpoints", len(fault_free.checkpoints))
+        return fault_free
 
     def _count_resumes(self, span, checkpoints, pairs: int, tally) -> None:
         """Count ``pairs`` pairs' resumed and replayed cells, and what
@@ -826,30 +815,28 @@ class Campaign:
     def _run_pair(
         self,
         flip: BitFlip,
-        golden_runs: dict[int, GoldenRun],
-        checkpoints: Mapping[tuple[int, int], Checkpoint],
+        fault_free: FaultFree,
         tally: Counter | None = None,
         sibling: "Campaign | None" = None,
-        memo: dict | None = None,
     ):
         """Every cell of one (variable, bit) pair in canonical order
-        (injection time, then test case), resuming where a checkpoint
-        exists.  The inner loop of every shard
+        (injection time, then test case), resuming where ``fault_free``
+        (:meth:`_fault_free`) holds a checkpoint and sharing its suffix
+        memo.  The inner loop of every shard
         (:func:`repro.orchestration.campaigns.run_campaign`).  With
         ``sibling`` (:meth:`_sibling`) every run also yields the
         sibling's record, and the result is ``(records, sibling's
-        records)``.  ``memo`` is the calling ``run_campaign``'s suffix
-        memo (test case -> :meth:`Checkpoint.resume` memo)."""
+        records)``."""
         cells = [
             self._run_one(
                 flip,
                 injection_time,
                 tc,
-                golden_runs[tc],
-                checkpoint=checkpoints.get((injection_time, tc)),
+                fault_free.golden_runs[tc],
+                checkpoint=fault_free.checkpoints.get((injection_time, tc)),
                 tally=tally,
                 sibling=sibling,
-                memo=None if memo is None else memo.setdefault(tc, {}),
+                memo=fault_free.memo.setdefault(tc, {}),
             )
             for injection_time in self.config.injection_times
             for tc in self.config.test_cases

@@ -1,4 +1,4 @@
-"""Golden run capture.
+"""Golden runs, golden trails and checkpoints.
 
 PROPANE compares every injected run against a *golden run*: "a
 reproducible fault-free run of the system for a given test case,
@@ -8,25 +8,27 @@ capturing information about the state of the system during execution"
 sequence of probe samples (so sampling locations can be chosen after
 the fact, and so deviation-based analyses remain possible).
 
-Golden capture is pure in (target, test case): targets are
-deterministic per test case, so two captures of the same pair are
-bit-identical.  :func:`golden_runs_for` therefore memoises captures in
-a content-addressed :class:`~repro.mining.cache.ContentCache` keyed by
-the target's configuration fingerprint -- a campaign re-run (exhaustive
-after sampled, pruned after exhaustive, a benchmark's before/after
-pair) reuses the fault-free executions instead of re-deriving them.
+One fault-free execution per test case is the only source of
+everything a campaign takes from the fault-free run
+(:func:`fault_free_run`).  A target that follows the resumable step
+protocol (:mod:`repro.targets.base`) is stepped to its end under a
+:class:`GoldenHarness`, and the one stepping yields its
+:class:`GoldenRun`, a :class:`GoldenTrail` of the probe occurrence
+counts and a digest of the state at every unit boundary, and the
+pickled state at every boundary.  A target without the protocol is
+captured by :func:`capture_golden_run` and has no trail.  Fault-free
+runs are pure in (target, test case): targets are deterministic per
+test case, so two executions of the same pair are bit-identical, and
+:data:`GOLDEN_CACHE` memoises them under the target's configuration
+fingerprint -- a campaign re-run (exhaustive after sampled, pruned
+after exhaustive, a benchmark's before/after pair) reuses the
+fault-free executions instead of re-deriving them.
 
-A fault-free run of a target that follows the resumable step protocol
-(:mod:`repro.targets.base`) is stepped to its end once per target
-fingerprint and test case, and memoised the same way
-(:data:`STEPPING_CACHE`): the pickled state at every unit boundary,
-and a :class:`GoldenTrail` of the probe occurrence counts and a
-digest of that state at every boundary.  :func:`capture_checkpoints`
-selects from it, for one campaign, the boundary where each injection
-time's run would diverge from the fault-free run, so an injected run
-resumes there instead of replaying the fault-free prefix, and it can
-stop as soon as it *rejoins* the golden run
-(:meth:`Checkpoint.resume`).
+:meth:`FaultFreeRun.checkpoints` selects, for one campaign, the
+boundary where each injection time's run would diverge from the
+fault-free run, so an injected run resumes there instead of replaying
+the fault-free prefix, and it can stop as soon as it *rejoins* the
+golden run (:meth:`Checkpoint.resume`).
 
 Stopping is sound because, under the step protocol, the rest of a run
 is determined by its state and probe counts alone: once the harness
@@ -70,8 +72,9 @@ __all__ = [
     "GoldenRun",
     "Checkpoint",
     "GoldenTrail",
+    "FaultFreeRun",
     "capture_golden_run",
-    "capture_checkpoints",
+    "fault_free_run",
     "golden_runs_for",
     "GOLDEN_CACHE",
 ]
@@ -88,19 +91,6 @@ class GoldenRun:
     def __post_init__(self) -> None:
         self._by_probe: dict[tuple, list[StateSample]] = {}
         self._by_occurrence: dict[tuple, dict[int, StateSample]] = {}
-
-    def __getstate__(self) -> dict:
-        # Probe indexes are derived data; rebuild them lazily on the
-        # other side of a pickle instead of shipping them to workers.
-        state = dict(self.__dict__)
-        state.pop("_by_probe", None)
-        state.pop("_by_occurrence", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._by_probe = {}
-        self._by_occurrence = {}
 
     def samples_at(self, probe: Probe) -> list[StateSample]:
         """Samples of one probe, indexed once per (run, probe).
@@ -136,45 +126,6 @@ def capture_golden_run(target, test_case: int) -> GoldenRun:
     return GoldenRun(test_case, output, harness.samples)
 
 
-#: Process-local memo of golden captures, keyed by
-#: ``(target.fingerprint(), test_case)``.  Registered with the global
-#: cache registry, so :func:`repro.mining.cache.clear_reuse_caches`
-#: and ``reuse_caches_disabled()`` govern it like every reuse cache.
-GOLDEN_CACHE = ContentCache(maxsize=64, name="golden")
-
-
-def _fingerprint(target) -> str | None:
-    """The target's configuration fingerprint, or ``None`` when it has
-    none (duck-typed targets) or is not content-addressable."""
-    fingerprinter = getattr(target, "fingerprint", None)
-    return fingerprinter() if fingerprinter is not None else None
-
-
-def golden_runs_for(target, test_cases) -> dict[int, GoldenRun]:
-    """Golden runs for every test case, through the content cache.
-
-    The cache key is the target's configuration fingerprint plus the
-    test case number -- where the golden run came from (which campaign,
-    which mode, which process first needed it) never matters, only what
-    it is.  A hit returns the exact object a fresh capture would
-    produce, so cached and uncached campaigns stay bit-identical.
-    """
-    fingerprint = _fingerprint(target)
-    if fingerprint is None:
-        # Duck-typed target without the protocol, or one whose state
-        # is not content-addressable: capture directly, never cache.
-        return {tc: capture_golden_run(target, tc) for tc in test_cases}
-    runs: dict[int, GoldenRun] = {}
-    for tc in test_cases:
-        key = (fingerprint, tc)
-        golden = GOLDEN_CACHE.get(key)
-        if golden is None:
-            golden = capture_golden_run(target, tc)
-            GOLDEN_CACHE.put(key, golden)
-        runs[tc] = golden
-    return runs
-
-
 @dataclasses.dataclass(frozen=True)
 class GoldenTrail:
     """A fault-free run's path: its state and counts at every boundary.
@@ -184,8 +135,7 @@ class GoldenTrail:
     (:func:`_digest`) and ``counts[i]`` the probe occurrence counts.
     The digests are 128-bit BLAKE2b, the trust model of the content
     addresses the campaign store already relies on: equal digests are
-    taken to mean equal states.  They keep the trail small enough to
-    ship with every shard.
+    taken to mean equal states.
     """
 
     digests: tuple[bytes, ...]
@@ -349,40 +299,80 @@ class Checkpoint:
         return outcome.output
 
 
-class _CountingHarness(Harness):
-    """Counts probe occurrences and records nothing: it is counting
-    from the first probe, on the harness's no-copy fast path."""
+@dataclasses.dataclass(frozen=True)
+class FaultFreeRun:
+    """One fault-free execution of a test case: its golden run, and for
+    a target with the step protocol its trail and the pickled state at
+    every unit boundary (``trail`` is ``None`` and ``states`` empty
+    for a target without it)."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._counting = True
+    golden: GoldenRun
+    trail: GoldenTrail | None = None
+    states: tuple[bytes, ...] = ()
+
+    def checkpoints(
+        self,
+        injection_probe: Probe,
+        sample_probes: tuple[Probe, ...],
+        injection_times,
+    ) -> dict[int, Checkpoint]:
+        """Resume points of this test case for each injection time.
+
+        The checkpoint of time ``t`` is the last unit boundary where
+        ``injection_probe`` has fired exactly ``t`` times -- the
+        injection fires at the next occurrence, so everything before
+        it is the golden prefix -- and where no probe of
+        ``sample_probes`` has fired more than ``t`` times (an injected
+        run samples from occurrence ``t`` on, so an earlier sample
+        would be lost).  A time past the run's last occurrence resumes
+        from the final state.  A time with no such boundary gets no
+        checkpoint, and its runs replay in full; so does every time of
+        a run without a trail.  Every checkpoint of the test case
+        shares the one trail, which its resumed runs stop against
+        (:meth:`Checkpoint.resume`).
+        """
+        trail = self.trail
+        if trail is None:
+            return {}
+        times = set(injection_times)
+        injection_key = injection_probe.key
+        sample_keys = [probe.key for probe in sample_probes]
+        snapshots: dict[int, int] = {}
+        for unit, counts in enumerate(trail.counts):
+            count = counts.get(injection_key, 0)
+            sampled = max(counts.get(key, 0) for key in sample_keys)
+            if count in times and sampled <= count:
+                snapshots[count] = unit
+        for time in sorted(times):
+            if time > count and sampled <= time:
+                snapshots[time] = unit
+        return {
+            time: Checkpoint(self.states[unit], unit, trail)
+            for time, unit in snapshots.items()
+        }
 
 
-#: Process-local memo of fault-free steppings (:func:`_stepping`),
-#: keyed like :data:`GOLDEN_CACHE` by ``(target.fingerprint(),
-#: test_case)`` and governed by the same registry.
-STEPPING_CACHE = ContentCache(maxsize=64, name="golden.stepping")
+#: Process-local memo of fault-free runs (:func:`fault_free_run`),
+#: keyed by ``(target.fingerprint(), test_case)``.  Registered with the
+#: global cache registry, so :func:`repro.mining.cache.clear_reuse_caches`
+#: and ``reuse_caches_disabled()`` govern it like every reuse cache.
+GOLDEN_CACHE = ContentCache(maxsize=64, name="golden")
 
 
-def _stepping(target, test_case: int) -> tuple[GoldenTrail, tuple[bytes, ...]]:
-    """The fault-free run of ``test_case`` stepped to its end: its
-    :class:`GoldenTrail` and the pickled state at every boundary.
+def _fingerprint(target) -> str | None:
+    """The target's configuration fingerprint, or ``None`` when it has
+    none (duck-typed targets) or is not content-addressable."""
+    fingerprinter = getattr(target, "fingerprint", None)
+    return fingerprinter() if fingerprinter is not None else None
 
-    Pure in (target, test case), so it is memoised in
-    :data:`STEPPING_CACHE` under the target's fingerprint, and every
-    campaign on the target steps each test case once; a target that is
-    not fingerprintable is stepped on every call.
-    """
-    fingerprint = _fingerprint(target)
-    key = None if fingerprint is None else (fingerprint, test_case)
-    if key is not None:
-        cached = STEPPING_CACHE.get(key)
-        if cached is not None:
-            return cached
+
+def _step(target, test_case: int) -> FaultFreeRun:
+    """Step the fault-free run of ``test_case`` to its end under a
+    :class:`GoldenHarness`, pickling the state at every boundary."""
+    harness = GoldenHarness()
     states: list[bytes] = []
     digests: list[bytes] = []
     boundary_counts: list[dict] = []
-    harness = _CountingHarness()
     state = target.start(test_case)
     while True:
         pickled = pickle.dumps(state)
@@ -391,51 +381,41 @@ def _stepping(target, test_case: int) -> tuple[GoldenTrail, tuple[bytes, ...]]:
         boundary_counts.append(harness.occurrence_counts())
         if not target.advance(state, harness):
             break
-    stepped = (GoldenTrail(tuple(digests), tuple(boundary_counts)), tuple(states))
-    if key is not None:
-        STEPPING_CACHE.put(key, stepped)
-    return stepped
+    golden = GoldenRun(test_case, target.finish(state), harness.samples)
+    trail = GoldenTrail(tuple(digests), tuple(boundary_counts))
+    return FaultFreeRun(golden, trail, tuple(states))
 
 
-def capture_checkpoints(
-    target,
-    test_case: int,
-    injection_probe: Probe,
-    sample_probes: tuple[Probe, ...],
-    injection_times,
-) -> dict[int, Checkpoint]:
-    """Resume points of ``test_case`` for each injection time.
+def fault_free_run(target, test_case: int) -> FaultFreeRun:
+    """The fault-free execution of ``test_case``, through the cache.
 
-    Selects them from the fault-free run stepped to its end
-    (``target`` must be :meth:`~repro.targets.base.TargetSystem.resumable`)
-    with its :class:`GoldenTrail` and the state at every boundary --
-    stepped once per target fingerprint and test case, however many
-    campaigns ask (:data:`STEPPING_CACHE`).  The checkpoint of time
-    ``t`` is the last unit boundary where ``injection_probe`` has fired
-    exactly ``t`` times -- the injection fires at the next occurrence,
-    so everything before it is the golden prefix -- and where no probe
-    of ``sample_probes`` has fired more than ``t`` times (an injected
-    run samples from occurrence ``t`` on, so an earlier sample would
-    be lost).  A time past the run's last occurrence resumes from the
-    final state.  A time with no such boundary gets no checkpoint, and
-    its runs replay in full.  Every checkpoint of the test case shares
-    the one trail, which its resumed runs stop against
-    (:meth:`Checkpoint.resume`).
+    Stepped when ``target`` is
+    :meth:`~repro.targets.base.TargetSystem.resumable`, else captured
+    by :func:`capture_golden_run`.  The cache key is the target's
+    configuration fingerprint plus the test case number -- where the
+    run came from (which campaign, which mode, which process first
+    needed it) never matters, only what it is.  A hit returns the
+    exact object a fresh execution would produce, so cached and
+    uncached campaigns stay bit-identical.  A target without a
+    fingerprint (duck-typed, or not content-addressable) executes on
+    every call.
     """
-    trail, states = _stepping(target, test_case)
-    times = set(injection_times)
-    injection_key = injection_probe.key
-    sample_keys = [probe.key for probe in sample_probes]
-    snapshots: dict[int, int] = {}
-    for unit, counts in enumerate(trail.counts):
-        count = counts.get(injection_key, 0)
-        sampled = max(counts.get(key, 0) for key in sample_keys)
-        if count in times and sampled <= count:
-            snapshots[count] = unit
-    for time in sorted(times):
-        if time > count and sampled <= time:
-            snapshots[time] = unit
-    return {
-        time: Checkpoint(states[unit], unit, trail)
-        for time, unit in snapshots.items()
-    }
+    fingerprint = _fingerprint(target)
+    key = None if fingerprint is None else (fingerprint, test_case)
+    if key is not None:
+        cached = GOLDEN_CACHE.get(key)
+        if cached is not None:
+            return cached
+    resumable = getattr(target, "resumable", None)
+    if resumable is not None and resumable():
+        run = _step(target, test_case)
+    else:
+        run = FaultFreeRun(capture_golden_run(target, test_case))
+    if key is not None:
+        GOLDEN_CACHE.put(key, run)
+    return run
+
+
+def golden_runs_for(target, test_cases) -> dict[int, GoldenRun]:
+    """Golden runs for every test case (:func:`fault_free_run`)."""
+    return {tc: fault_free_run(target, tc).golden for tc in test_cases}

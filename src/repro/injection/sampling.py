@@ -20,8 +20,10 @@ pruned one (plan, draw, execute, assemble), and
   entries (store addresses are pair-anchored, like the pruned
   campaign's);
 * **online confidence intervals** per (stratum, outcome class):
-  Wilson score by default, exact Clopper-Pearson on request, both via
-  :func:`repro.analysis.coverage.coverage_estimate`;
+  Wilson score by default, exact Clopper-Pearson on request
+  (:func:`repro.analysis.coverage.wilson_interval`,
+  :func:`~repro.analysis.coverage.exact_interval`), each computing only
+  the interval asked for;
 * an **early-stop rule**: a stratum stops drawing once every outcome
   class's interval half-width is at or below the configured target
   (or its population is exhausted, or an explicit cell cap is hit).
@@ -78,13 +80,12 @@ def proportion_interval(
     count: int, n: int, method: str, confidence: float
 ) -> tuple[float, float]:
     """Two-sided binomial interval for ``count`` successes out of ``n``."""
-    from repro.analysis.coverage import coverage_estimate
+    from repro.analysis.coverage import exact_interval, wilson_interval
 
-    estimate = coverage_estimate(count, n, confidence)
     if method == "wilson":
-        return estimate.wilson_low, estimate.wilson_high
+        return wilson_interval(count, n, confidence)
     if method == "clopper-pearson":
-        return estimate.exact_low, estimate.exact_high
+        return exact_interval(count, n, confidence)
     raise ValueError(
         f"unknown interval method {method!r}; "
         "expected 'wilson' or 'clopper-pearson'"

@@ -32,7 +32,6 @@ __all__ = [
     "array_fingerprint",
     "clear_reuse_caches",
     "reuse_caches_disabled",
-    "caching_disabled",
 ]
 
 _REGISTRY: list["ContentCache"] = []
@@ -40,21 +39,13 @@ _REGISTRY_LOCK = threading.Lock()
 _DISABLED = False
 
 
-def caching_disabled() -> bool:
-    """True while inside a :func:`reuse_caches_disabled` block."""
-    return _DISABLED
-
-
 @contextlib.contextmanager
 def reuse_caches_disabled():
     """Disable every reuse cache for the duration of the block.
 
-    While active, :meth:`ContentCache.get` always misses,
-    :meth:`ContentCache.put` stores nothing, and consumers that keep a
-    non-cached reference path (e.g. :func:`repro.mining.sampling.smote`
-    per-seed neighbour queries) fall back to it -- giving benchmarks an
-    honest pre-reuse baseline without a separate build.  Results are
-    bit-identical either way; only the work is repeated.
+    While active, :meth:`ContentCache.get` always misses and
+    :meth:`ContentCache.put` stores nothing.  Results are bit-identical
+    either way; only the work is repeated.
     """
     global _DISABLED
     previous = _DISABLED

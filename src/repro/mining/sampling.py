@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import observability as obs
-from repro.mining.cache import ContentCache, array_fingerprint, caching_disabled
+from repro.mining.cache import ContentCache, array_fingerprint
 from repro.mining.dataset import Dataset
 from repro.mining.knn import NearestNeighbours
 
@@ -149,12 +149,7 @@ def smote(
         # back to replication, the q=0 special case.
         return oversample_minority(dataset, level, rng, positive)
 
-    if caching_disabled():
-        # Pre-reuse reference path: an index queried seed by seed.
-        index = NearestNeighbours(minority)
-        table = None
-    else:
-        table = _minority_neighbour_table(minority, k)
+    table = _minority_neighbour_table(minority, k)
     numeric = np.array([a.is_numeric for a in dataset.attributes])
     nominal = ~numeric
     n_nominal = int(np.count_nonzero(nominal))
@@ -166,10 +161,7 @@ def smote(
         r = int(r_whole) + (1 if rng.random() < r_frac else 0)
         if r == 0:
             continue
-        if table is None:
-            neighbours = index.neighbours(minority.x[i], k, exclude=i)
-        else:
-            neighbours = table[i][:k]
+        neighbours = table[i][:k]
         if len(neighbours) == 0:
             continue
         choices = rng.choice(neighbours, size=r, replace=True)

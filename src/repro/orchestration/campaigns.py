@@ -62,8 +62,12 @@ from collections import Counter
 
 from repro import observability as obs
 from repro.injection.bitflip import BitFlip
-from repro.injection.campaign import Campaign, CampaignResult, ExperimentRecord
-from repro.injection.golden import Checkpoint, GoldenRun, golden_runs_for
+from repro.injection.campaign import (
+    Campaign,
+    CampaignResult,
+    ExperimentRecord,
+    FaultFree,
+)
 from repro.observability import names
 from repro.orchestration.pool import SerialPool, TaskOutcome, WorkerPool
 from repro.orchestration.tasks import Task, TaskGraph, fingerprint_of
@@ -112,58 +116,57 @@ def records_by_pair(
 #: ran dual (else ``None``).
 ShardResult = tuple[list[ExperimentRecord], list[ExperimentRecord] | None]
 
-#: Identifies a :func:`run_campaign` call in its shard arguments.
+#: Identifies a :func:`run_campaign` call in its shard arguments:
+#: ``(pid, call number, dual)``, where ``dual`` says that the call's
+#: checkpoints must suit its sibling's sample probe too.
 _CALLS = itertools.count()
 
-#: This process's suffix memo: ``(call token, test case -> memo)``.
-#: One slot, so a worker process keeps only the memo of the call
-#: whose shards it ran last.
-_MEMO: tuple[tuple[int, int], dict] | None = None
+#: This process's slot of one call: ``(call token, its FaultFree)``.
+#: One slot, so a worker process keeps only the golden runs,
+#: checkpoints and suffix memo of the call whose shards it ran last.
+_CALL: tuple[tuple[int, int, bool], FaultFree] | None = None
 
 
-def _suffix_memo(token: tuple[int, int]) -> dict:
-    """The suffix memo of call ``token`` in this process, fresh on the
-    call's first shard here (:meth:`Checkpoint.resume`)."""
-    global _MEMO
-    if _MEMO is None or _MEMO[0] != token:
-        _MEMO = (token, {})
-    return _MEMO[1]
+def _fault_free(campaign: Campaign, token: tuple[int, int, bool]) -> FaultFree:
+    """Call ``token``'s golden runs, checkpoints and suffix memo in
+    this process, selected on the call's first shard here
+    (:meth:`Campaign._fault_free`) from the process's own fault-free
+    runs."""
+    global _CALL
+    if _CALL is None or _CALL[0] != token:
+        sibling = campaign._sibling() if token[2] else None
+        _CALL = (token, campaign._fault_free(sibling))
+    return _CALL[1]
 
 
-def _drop_memo(token: tuple[int, int]) -> None:
-    """End call ``token``'s suffix memo in this process."""
-    global _MEMO
-    if _MEMO is not None and _MEMO[0] == token:
-        _MEMO = None
+def _drop_call(token: tuple[int, int, bool]) -> None:
+    """End call ``token``'s slot in this process."""
+    global _CALL
+    if _CALL is not None and _CALL[0] == token:
+        _CALL = None
 
 
 def _execute_shard(
     campaign: Campaign,
     pairs: tuple[Pair, ...],
-    golden_runs: dict[int, GoldenRun],
-    checkpoints: dict[tuple[int, int], Checkpoint],
-    token: tuple[int, int],
+    token: tuple[int, int, bool],
     sibling: Campaign | None = None,
 ) -> ShardResult:
     """Worker body: the serial inner loops for one shard's pairs; with
-    ``sibling`` every run also yields the sibling's record.  Resumed
-    runs share the suffix memo of call ``token`` with every shard of
-    the call that runs in this process."""
+    ``sibling`` every run also yields the sibling's record.  The
+    golden runs, checkpoints and suffix memo come from call ``token``'s
+    slot in this process, which every shard of the call that runs here
+    shares."""
     records: list[ExperimentRecord] = []
     sibling_records = None if sibling is None else []
     tally: Counter = Counter()
-    memo = _suffix_memo(token)
+    fault_free = _fault_free(campaign, token)
     with obs.span(
         names.CAMPAIGN_SHARD, target=campaign.target.name, pairs=len(pairs)
     ) as shard_span:
         for name, kind, bit in pairs:
             cells = campaign._run_pair(
-                BitFlip(name, kind, bit),
-                golden_runs,
-                checkpoints,
-                tally,
-                sibling,
-                memo,
+                BitFlip(name, kind, bit), fault_free, tally, sibling
             )
             if sibling is None:
                 records.extend(cells)
@@ -172,7 +175,9 @@ def _execute_shard(
                 sibling_records.extend(cells[1])
         shard_span.count("runs", len(records))
         shard_span.count("failures", sum(1 for r in records if r.failed))
-        campaign._count_resumes(shard_span, checkpoints, len(pairs), tally)
+        campaign._count_resumes(
+            shard_span, fault_free.checkpoints, len(pairs), tally
+        )
     return records, sibling_records
 
 
@@ -239,8 +244,6 @@ def run_campaign(
     campaign: Campaign,
     pool: WorkerPool | None = None,
     pairs: list[Pair] | None = None,
-    golden_runs: dict[int, GoldenRun] | None = None,
-    checkpoints: dict[tuple[int, int], Checkpoint] | None = None,
     store=None,
 ) -> CampaignResult:
     """Execute a campaign through a worker pool, optionally stored.
@@ -251,8 +254,7 @@ def run_campaign(
     additionally carries an ``orchestration`` attribute summarising
     the schedule: total/executed/stored/sibling task counts and the
     ids of quarantined shards.  ``pairs`` restricts execution to an
-    explicit pair subset (pruned and sampled campaigns);
-    ``golden_runs`` reuses already-captured golden runs.
+    explicit pair subset (pruned and sampled campaigns).
 
     ``store`` (a :class:`repro.injection.store.CampaignStore`) makes
     the run a delta operation: each shard's records are looked up
@@ -266,10 +268,7 @@ def run_campaign(
     campaign against its store resumes it.  A target without declared
     module source closures
     (:meth:`~repro.targets.base.TargetSystem.module_sources`) is not
-    store-eligible; the run warns and proceeds storeless.  When every
-    shard loads from the store, golden-run and checkpoint capture are
-    skipped entirely -- the warm-path fast lane the delta bench
-    measures.
+    store-eligible; the run warns and proceeds storeless.
 
     With a store that hands off (the default), a campaign that has a
     sibling (:meth:`Campaign._sibling`) hands records over in both
@@ -279,13 +278,16 @@ def run_campaign(
     lacks take records a sibling run left there (``"sibling"`` in the
     summary) and are put at once.
 
-    Executed cells resume from golden-prefix checkpoints
-    (:meth:`Campaign._capture_checkpoints`, handed to every shard like
-    the golden runs) instead of replaying their test case from the
-    start; the records are bit-identical either way.  They are
-    captured once, when the first shard executes, into
-    ``checkpoints`` if given: callers that run several pair subsets
-    (sampling rounds, the prune audit) share one capture.
+    A shard's arguments are the campaign, its pairs and the call's
+    token (plus the sibling campaign when it runs dual), never golden
+    runs or checkpoints: the process that executes a shard takes them
+    from its own fault-free runs (:func:`repro.injection.golden.
+    fault_free_run`), selecting the checkpoints once per call
+    (:meth:`Campaign._fault_free`), so nothing executes fault-free
+    when every shard loads from the store -- the warm-path fast lane
+    the delta bench measures.  Executed cells resume from those
+    golden-prefix checkpoints instead of replaying their test case
+    from the start; the records are bit-identical either way.
     """
     if pool is None:
         pool = SerialPool(isolate=False)
@@ -311,14 +313,7 @@ def run_campaign(
         else None
     )
     stored = 0
-    token = (os.getpid(), next(_CALLS))
-    # Shard arguments share these two mappings; they are filled in
-    # place once the store lookups show that some shard executes.
-    shard_golden: dict[int, GoldenRun] = (
-        golden_runs if golden_runs is not None else {}
-    )
-    if checkpoints is None:
-        checkpoints = {}
+    token = (os.getpid(), next(_CALLS), sibling is not None)
     with obs.span("campaign.plan", target=campaign.target.name):
         shards = plan_shards(campaign, pairs)
         keys: list[dict | None] = [None] * len(shards)
@@ -337,7 +332,7 @@ def run_campaign(
                 task_id=f"campaign:{position.get(shard[0], index):05d}",
                 fingerprint=None if key is None else fingerprint_of(key),
                 fn=_execute_shard,
-                args=(campaign, shard, shard_golden, checkpoints, token),
+                args=(campaign, shard, token),
                 weight=len(shard)
                 * len(config.injection_times)
                 * len(config.test_cases),
@@ -371,30 +366,17 @@ def run_campaign(
                 resolve_span.count(names.COUNTER_STORE_HITS, stored)
                 resolve_span.count(names.COUNTER_SIBLING, len(resolved) - stored)
         # A shard the store could not answer -- absent, or torn by a
-        # killed writer -- executes, and needs the golden runs.  When
-        # every shard loaded, skipping their capture is what makes a
-        # warm delta run pay only for the edited module.
-        executes = len(resolved) < len(tasks)
-        if golden_runs is None and (executes or not tasks):
-            shard_golden.update(
-                golden_runs_for(campaign.target, config.test_cases)
-            )
+        # killed writer -- executes.
         sibling_fingerprints: dict[str, str] = {}
-        if executes and sibling is not None:
+        if len(resolved) < len(tasks) and sibling is not None:
             sibling_fingerprints = _make_dual(
                 tasks, resolved, sibling, store_base, store
             )
             graph = TaskGraph(tasks, encode=_encode_shard, decode=_decode_shard)
-    if executes and not checkpoints:
-        # Executed cells resume from golden-prefix checkpoints: each
-        # test case's fault-free prefix is stepped once here, not once
-        # per cell.  A campaign with a sibling captures them for both
-        # sample probes, so any of its shards may run dual.
-        checkpoints.update(campaign._capture_checkpoints(sibling))
     try:
         outcomes = graph.run(pool, store=store, resolved=resolved)
     finally:
-        _drop_memo(token)
+        _drop_call(token)
 
     records: list[ExperimentRecord] = []
     quarantined: list[str] = []
@@ -416,7 +398,6 @@ def run_campaign(
         campaign.target.name,
         config,
         records,
-        shard_golden,
         campaign.variable_specs,
     )
     result.orchestration = {  # type: ignore[attr-defined]

@@ -41,7 +41,7 @@ taken between two units continues exactly as the original run would.
 
 That is what lets a campaign skip the fault-free prefix of an
 injected run (:mod:`repro.injection.golden`,
-:func:`~repro.injection.golden.capture_checkpoints`): the prefix
+:meth:`~repro.injection.golden.FaultFreeRun.checkpoints`): the prefix
 before the injection point is identical to the golden run, so the run
 resumes from a snapshot of the fault-free state at the last unit
 boundary before the injection instead of replaying the test case from

@@ -38,9 +38,7 @@ def cases():
         campaign = make()
         plan = plan_prune(campaign)
         pairs = plan.executed_pairs()
-        result = run_campaign(
-            campaign, pairs=pairs, golden_runs=plan.golden_runs
-        )
+        result = run_campaign(campaign, pairs=pairs)
         executed = records_by_pair(campaign, pairs, result.records)
         exhaustive = [r.to_dict() for r in make().run().records]
         built[name] = (campaign, plan, executed, exhaustive)

@@ -107,7 +107,7 @@ def table(result):
 def execute(campaign, plan):
     """``(variable, bit) -> records`` of the plan's executed pairs."""
     pairs = plan.executed_pairs()
-    result = run_campaign(campaign, pairs=pairs, golden_runs=plan.golden_runs)
+    result = run_campaign(campaign, pairs=pairs)
     return records_by_pair(campaign, pairs, result.records)
 
 

@@ -1,9 +1,9 @@
 """Resumed injected runs are bit-identical to full replays.
 
 Injected runs of a target that follows the step protocol resume from
-a golden-prefix checkpoint (:func:`repro.injection.golden.
-capture_checkpoints`) instead of replaying their test case from the
-start, and stop as soon as their state and probe counts rejoin the
+a golden-prefix checkpoint (:meth:`repro.injection.golden.
+FaultFreeRun.checkpoints`) instead of replaying their test case from
+the start, and stop as soon as their state and probe counts rejoin the
 golden trail (:meth:`repro.injection.golden.Checkpoint.resume`).
 These tests hold the resuming data plane to the full-replay oracle
 (``tests/injection/_replay.py``): on the 18 Table II datasets at
@@ -40,6 +40,7 @@ from repro.injection.bitflip import BitFlip
 from repro.injection.campaign import Campaign, CampaignConfig
 from repro.injection.golden import CHECK_STRIDE_CAP, golden_runs_for
 from repro.injection.instrument import Harness, InjectionHarness, Location, Probe, VariableSpec
+from repro.injection.store import CampaignStore
 from repro.mining.cache import clear_reuse_caches, reuse_caches_disabled
 from repro.observability import names
 from repro.orchestration import campaigns
@@ -250,7 +251,7 @@ class TestStepProperty:
     @settings(max_examples=60, deadline=None)
     def test_checkpoints_sit_at_the_last_golden_boundary(self, campaign):
         config = campaign.config
-        checkpoints = campaign._capture_checkpoints()
+        checkpoints = campaign._fault_free().checkpoints
         for tc in config.test_cases:
             boundaries = _boundaries(campaign.target, tc)
             for time in config.injection_times:
@@ -267,8 +268,8 @@ class TestStepProperty:
     def test_resumed_runs_skip_the_prefix(self, campaign):
         config = campaign.config
         target = campaign.target
-        golden_runs = golden_runs_for(target, config.test_cases)
-        checkpoints = campaign._capture_checkpoints()
+        fault_free = campaign._fault_free()
+        checkpoints = fault_free.checkpoints
         expected_units = 0
         expected = Counter()
         pairs = [
@@ -299,10 +300,9 @@ class TestStepProperty:
                     expected_units += units
                     expected[stop] += 1
         tally = Counter()
-        memo = {}
         before = StepTarget.UNITS
         for flip in pairs:
-            campaign._run_pair(flip, golden_runs, checkpoints, tally=tally, memo=memo)
+            campaign._run_pair(flip, fault_free, tally=tally)
         assert StepTarget.UNITS - before == expected_units
         assert tally[names.COUNTER_REJOINED] == expected[names.COUNTER_REJOINED]
         assert tally[names.COUNTER_CONVERGED] == expected[names.COUNTER_CONVERGED]
@@ -366,7 +366,7 @@ class TestReplayConditions:
     def test_target_without_protocol_replays(self):
         campaign = Campaign(ReplayOnlyTarget(units=3), _config((0, 2), LOCATIONS[0]))
         assert not campaign.target.resumable()
-        assert campaign._capture_checkpoints() == {}
+        assert campaign._fault_free().checkpoints == {}
         assert _dicts(campaign.run().records) == _dicts(replay_records(campaign))
 
     @pytest.mark.parametrize("hook", ["_make_harness", "_after_run"])
@@ -384,7 +384,7 @@ class TestReplayConditions:
         else:
             Hooked._after_run = lambda self, harness, record: None
         campaign = Hooked(StepTarget(units=3), _config((0, 2), LOCATIONS[0]))
-        assert campaign._capture_checkpoints() == {}
+        assert campaign._fault_free().checkpoints == {}
         with obs.tracing() as tracer:
             run_campaign(campaign)
         (shard, *_) = [s for s in tracer.spans if s.name == names.CAMPAIGN_SHARD]
@@ -399,20 +399,17 @@ class TestReplayConditions:
         target = StepTarget(units=4, skip_exit=2)
         config = _config((1,), (Location.EXIT, Location.ENTRY))
         campaign = Campaign(target, config)
-        assert campaign._capture_checkpoints() == {}
+        assert campaign._fault_free().checkpoints == {}
         assert _dicts(campaign.run().records) == _dicts(replay_records(campaign))
 
     def test_past_the_end_resumes_from_the_final_state(self):
         target = StepTarget(pre_units=2, units=3)
         campaign = Campaign(target, _config((7,), LOCATIONS[0]))
-        golden_runs = golden_runs_for(target, campaign.config.test_cases)
-        checkpoints = campaign._capture_checkpoints()
-        assert set(checkpoints) == {(7, tc) for tc in (0, 1, 2)}
+        fault_free = campaign._fault_free()
+        assert set(fault_free.checkpoints) == {(7, tc) for tc in (0, 1, 2)}
         tally = Counter()
         before = StepTarget.UNITS
-        records = campaign._run_pair(
-            BitFlip("acc", "int32", 0), golden_runs, checkpoints, tally=tally
-        )
+        records = campaign._run_pair(BitFlip("acc", "int32", 0), fault_free, tally=tally)
         assert StepTarget.UNITS == before  # every cell finished at once
         assert all(r.sample is None and not r.failed for r in records)
         assert _dicts(records) == _dicts(replay_records(campaign)[:3])
@@ -422,11 +419,10 @@ class TestReplayConditions:
 
 def _run_cells(campaign, flip):
     """One pair's records, its rejoin tally and the units it executed."""
-    golden_runs = golden_runs_for(campaign.target, campaign.config.test_cases)
-    checkpoints = campaign._capture_checkpoints()
+    fault_free = campaign._fault_free()
     tally = Counter()
     before = StepTarget.UNITS
-    records = campaign._run_pair(flip, golden_runs, checkpoints, tally=tally)
+    records = campaign._run_pair(flip, fault_free, tally=tally)
     return records, tally, StepTarget.UNITS - before
 
 
@@ -579,18 +575,15 @@ class TestConvergence:
         )
         campaign = Campaign(target, config)
         flip = BitFlip("acc", "int32", 5)
-        golden_runs = golden_runs_for(target, campaign.config.test_cases)
-        checkpoints = campaign._capture_checkpoints()
-        tally, memo = Counter(), {}
-        records = campaign._run_pair(
-            flip, golden_runs, checkpoints, tally=tally, memo=memo
-        )
+        fault_free = campaign._fault_free()
+        tally = Counter()
+        records = campaign._run_pair(flip, fault_free, tally=tally)
         assert _dicts(records) == _dicts(_replayed(campaign, flip))
         assert all(r.crashed and r.failed for r in records)
         assert tally[names.COUNTER_CONVERGED] == 3
         assert tally[names.COUNTER_REJOINED] == 0
         # The memo keeps that the runs crashed, not their exceptions.
-        outcomes = [o for cells in memo.values() for o in cells.values()]
+        outcomes = [o for cells in fault_free.memo.values() for o in cells.values()]
         assert outcomes and all(o.crashed and o.output is None for o in outcomes)
 
     def test_equal_state_with_different_counts_does_not_converge(self):
@@ -615,7 +608,7 @@ class TestConvergence:
             run_campaign(campaign, pool=pool)
         assert _shard_total(tracer, names.COUNTER_CONVERGED) > 0
         assert pool.before and pool.after == pool.before
-        assert campaigns._MEMO is None  # the in-process memo ends with the call
+        assert campaigns._CALL is None  # the in-process slot ends with the call
 
 
 # ----------------------------------------------------------------------
@@ -670,7 +663,7 @@ class TestCostCounters:
     def _expected(self, campaign) -> dict:
         """Per resumed cell, the units a full replay runs after the
         checkpoint."""
-        checkpoints = campaign._capture_checkpoints()
+        checkpoints = campaign._fault_free().checkpoints
         after = {}
         for flip in _flips(campaign):
             for (time, tc), checkpoint in checkpoints.items():
@@ -682,8 +675,8 @@ class TestCostCounters:
     @settings(max_examples=40, deadline=None)
     def test_every_resumed_cell_reconciles(self, campaign):
         after = self._expected(campaign)
-        golden_runs = golden_runs_for(campaign.target, campaign.config.test_cases)
-        checkpoints = campaign._capture_checkpoints()
+        fault_free = campaign._fault_free()
+        golden_runs, checkpoints = fault_free.golden_runs, fault_free.checkpoints
         memo: dict = {}
         for flip in _flips(campaign):
             for time in campaign.config.injection_times:
@@ -761,9 +754,9 @@ class TestOneStepping:
         second = Campaign(target, _config((0, 2, 7), LOCATIONS[2]))
         clear_reuse_caches()
         StartCounter.STARTS.clear()
-        first_checkpoints = first._capture_checkpoints()
+        first_checkpoints = first._fault_free().checkpoints
         assert StartCounter.STARTS == Counter({0: 1, 1: 1, 2: 1})
-        second_checkpoints = second._capture_checkpoints()
+        second_checkpoints = second._fault_free().checkpoints
         assert StartCounter.STARTS == Counter({0: 1, 1: 1, 2: 1})
         trails = {tc: cp.trail for (_, tc), cp in first_checkpoints.items()}
         assert all(cp.trail is trails[tc] for (_, tc), cp in second_checkpoints.items())
@@ -775,13 +768,23 @@ class TestOneStepping:
             assert (checkpoint.state, checkpoint.occurrences) == (state, counts)
         assert _dicts(second.run().records) == _dicts(replay_records(second))
 
+    def test_golden_runs_then_a_campaign_step_each_test_case_once(self):
+        target = StartCounter(pre_units=1, units=4)
+        campaign = Campaign(target, _config((0, 2), LOCATIONS[1]))
+        clear_reuse_caches()
+        StartCounter.STARTS.clear()
+        golden_runs_for(target, campaign.config.test_cases)
+        result = campaign.run()
+        assert StartCounter.STARTS == Counter({0: 1, 1: 1, 2: 1})
+        assert _dicts(result.records) == _dicts(replay_records(campaign))
+
     def test_disabled_caches_step_every_time(self):
         target = StartCounter(units=4)
         campaign = Campaign(target, _config((1,), LOCATIONS[0]))
         StartCounter.STARTS.clear()
         with reuse_caches_disabled():
-            campaign._capture_checkpoints()
-            campaign._capture_checkpoints()
+            campaign._fault_free().checkpoints
+            campaign._fault_free().checkpoints
         assert StartCounter.STARTS == Counter({0: 2, 1: 2, 2: 2})
 
 
@@ -814,11 +817,30 @@ def test_table2_shard_path_matches_replay(name):
 
 
 def test_checkpoints_cross_process_boundaries():
-    """Worker processes receive the checkpoints with the shard's
-    arguments and resume from them to the same records."""
+    """Worker processes resolve the golden runs and checkpoints
+    themselves, from their own fault-free runs, and resume from them
+    to the same records."""
     scale = get_scale("smoke")
     spec = DATASET_SPECS["MG-B1"]
     campaign = Campaign(build_target(spec.target, scale), campaign_config(spec, scale))
     with ProcessPool(2) as pool:
         result = campaign.run(pool=pool)
+    assert _dicts(result.records) == _dicts(replay_records(campaign))
+
+
+@pytest.mark.parametrize("stored", [False, True], ids=["storeless", "dual"])
+def test_shard_args_carry_keys_not_golden_runs(stored, tmp_path):
+    """Every one-pair shard's pickled arguments stay small, however
+    large the golden runs and checkpoints (FG-A1's are ~300 KiB); a
+    store-backed run executes its shards dual, with the sibling
+    campaign in the arguments."""
+    scale = get_scale("smoke")
+    spec = DATASET_SPECS["FG-A1"]
+    campaign = Campaign(build_target(spec.target, scale), campaign_config(spec, scale))
+    pool = _PicklingPool()
+    store = CampaignStore(tmp_path / "store") if stored else None
+    result = run_campaign(campaign, pool=pool, store=store)
+    assert len(pool.before) == result.orchestration["tasks"] > 0
+    assert all((len(pickle.loads(args)) == 4) == stored for args in pool.before)
+    assert max(map(len, pool.before)) < 4 * 1024
     assert _dicts(result.records) == _dicts(replay_records(campaign))

@@ -40,7 +40,6 @@ from repro.experiments.datasets import (
 from repro.experiments.scale import get_scale
 from repro.injection.bitflip import BitFlip
 from repro.injection.campaign import Campaign, CampaignConfig
-from repro.injection.golden import golden_runs_for
 from repro.injection.instrument import Harness, Location
 from repro.injection.store import CampaignStore
 from repro.observability import names
@@ -221,13 +220,10 @@ def _flips(campaign):
 
 def _dual_records(campaign, sibling, tally=None):
     """Both campaigns' records from one dual execution per cell."""
-    golden_runs = golden_runs_for(campaign.target, campaign.config.test_cases)
-    checkpoints = campaign._capture_checkpoints(sibling)
+    fault_free = campaign._fault_free(sibling)
     own, other = [], []
     for flip in _flips(campaign):
-        mine, theirs = campaign._run_pair(
-            flip, golden_runs, checkpoints, tally=tally, sibling=sibling
-        )
+        mine, theirs = campaign._run_pair(flip, fault_free, tally=tally, sibling=sibling)
         own.extend(mine)
         other.extend(theirs)
     return own, other
@@ -309,19 +305,15 @@ class TestDualHarness:
         )
         sibling = campaign._sibling()
         flip = BitFlip("scratch", "int32", 3)
-        golden_runs = golden_runs_for(campaign.target, campaign.config.test_cases)
-
-        single_checkpoints = campaign._capture_checkpoints()
-        dual_checkpoints = campaign._capture_checkpoints(sibling)
+        single_fault_free = campaign._fault_free()
+        dual_fault_free = campaign._fault_free(sibling)
         single_tally, dual_tally = Counter(), Counter()
         before = StoredStepTarget.UNITS
-        single = campaign._run_pair(
-            flip, golden_runs, single_checkpoints, tally=single_tally
-        )
+        single = campaign._run_pair(flip, single_fault_free, tally=single_tally)
         single_units = StoredStepTarget.UNITS - before
         before = StoredStepTarget.UNITS
         own, other = campaign._run_pair(
-            flip, golden_runs, dual_checkpoints, tally=dual_tally, sibling=sibling
+            flip, dual_fault_free, tally=dual_tally, sibling=sibling
         )
         dual_units = StoredStepTarget.UNITS - before
         cells = len(campaign.config.test_cases)

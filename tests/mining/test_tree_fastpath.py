@@ -25,6 +25,7 @@ from repro.mining.knn import NearestNeighbours
 from repro.mining.sampling import smote
 from repro.mining.tree import C45DecisionTree
 from tests.mining import _c45_reference as reference
+from tests.mining._smote_reference import per_seed_neighbours
 
 
 @st.composite
@@ -123,7 +124,7 @@ def test_smote_bit_identical_with_and_without_caches(dataset, level, k):
     if int(np.count_nonzero(dataset.y == 1)) < 2:
         return
     clear_reuse_caches()
-    with reuse_caches_disabled():
+    with reuse_caches_disabled(), per_seed_neighbours():
         reference = smote(dataset, level, k, np.random.default_rng(11))
     cached = smote(dataset, level, k, np.random.default_rng(11))
     again = smote(dataset, level, k, np.random.default_rng(11))  # cache hit
@@ -195,7 +196,7 @@ def _mini_refine(learner: type[C45DecisionTree]):
 
 def test_refine_fixed_seed_ranking_matches_seed_path():
     """The full data plane reproduces the seed path's sweep exactly."""
-    with reuse_caches_disabled():
+    with reuse_caches_disabled(), per_seed_neighbours():
         seed = _mini_refine(reference.ReferenceC45DecisionTree)
     optimized = _mini_refine(C45DecisionTree)
     ref_rank = [

@@ -22,9 +22,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.experiments.datasets import build_target
 from repro.experiments.scale import get_scale
-from repro.injection.golden import _CountingHarness
 from repro.targets.flightgear.gear import GearModule
 from repro.targets.flightgear.massbalance import MassModule
+from tests.injection._replay import CountingHarness
 from tests.targets import _fg_reference as reference
 
 #: The FlightGear target at smoke scale.
@@ -195,7 +195,7 @@ def test_fused_unit_matches_reference(state, overrides, units):
 def test_fault_free_runs_match_reference(test_case):
     """Every unit of every fault-free run, start to finish."""
     fused, ref = TARGET.start(test_case), TARGET.start(test_case)
-    h_fused, h_ref = _CountingHarness(), _CountingHarness()
+    h_fused, h_ref = CountingHarness(), CountingHarness()
     while True:
         more = TARGET.advance(fused, h_fused)
         assert more == _reference_unit(ref, h_ref)

@@ -5,10 +5,26 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.coverage import (
     _beta_cdf,
+    _beta_quantile,
     coverage_estimate,
     detector_efficiency_report,
+    exact_interval,
     latency_statistics,
+    wilson_interval,
 )
+
+
+def _reference_beta_quantile(q: float, a: float, b: float) -> float:
+    """The bisection run for all of its 200 steps: the reference the
+    early stop of :func:`_beta_quantile` must reproduce bit for bit."""
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        if _beta_cdf(mid, a, b) < q:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
 
 
 class TestBetaCdf:
@@ -94,6 +110,44 @@ class TestCoverageEstimate:
 
     def test_str(self):
         assert "Wilson" in str(coverage_estimate(9, 10))
+
+    @given(
+        n=st.integers(1, 5000),
+        frac=st.floats(0, 1),
+        confidence=st.sampled_from((0.8, 0.9, 0.95, 0.99)),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_early_stop_matches_full_bisection(self, n, frac, confidence):
+        k = min(int(round(n * frac)), n)
+        alpha = 1 - confidence
+        cases = []
+        if k > 0:
+            cases.append((alpha / 2, k, n - k + 1))
+        if k < n:
+            cases.append((1 - alpha / 2, k + 1, n - k))
+        for q, a, b in cases:
+            assert _beta_quantile(q, a, b) == _reference_beta_quantile(q, a, b)
+
+    @given(
+        q=st.floats(0, 1),
+        a=st.floats(0.5, 200),
+        b=st.floats(0.5, 200),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_early_stop_matches_full_bisection_off_grid(self, q, a, b):
+        assert _beta_quantile(q, a, b) == _reference_beta_quantile(q, a, b)
+
+    @given(
+        n=st.integers(0, 400),
+        frac=st.floats(0, 1),
+        confidence=st.sampled_from((0.9, 0.95)),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_single_intervals_equal_the_estimate(self, n, frac, confidence):
+        k = min(int(round(n * frac)), n)
+        est = coverage_estimate(k, n, confidence)
+        assert wilson_interval(k, n, confidence) == (est.wilson_low, est.wilson_high)
+        assert exact_interval(k, n, confidence) == (est.exact_low, est.exact_high)
 
 
 class TestLatencyStatistics:
