@@ -36,7 +36,6 @@ import types
 
 from repro.analysis.dataflow.cfg import CFG, UnsupportedConstruct, build_cfg
 from repro.analysis.dataflow.lattice import (
-    IDENTITY,
     Channel,
     constant_value,
     pure_call_name,

@@ -33,12 +33,6 @@ duplicate-detector        ERROR/    a registry pair is provably equivalent
                           /INFO     shows battery overlap (INFO)
 dead-injection            WARNING   a campaign injects into a variable the
                                     target never reads back
-unbounded-serving-ring    WARNING   a serving topology's ingest ring has no
-                                    shed policy (``shed_after_s`` null)
-overbudget-deployment     ERROR     a deployment plan's predicted per-event
-                                    cost exceeds its own budget
-redundant-deployment      WARNING   a deployment plan selects a detector
-                                    proven implied by another selected one
 unpruned-exhaustive-      WARNING   a campaign estimated above the prune budget
 campaign                            runs exhaustively (``prune`` unset) though
                                     static pruning could skip proven-dead points
@@ -64,7 +58,7 @@ import enum
 import json
 from collections.abc import Iterable, Iterator
 
-from repro.analysis.redundancy import analyze_registry, compare_predicates
+from repro.analysis.redundancy import analyze_registry
 from repro.analysis.simplify import SimplificationResult, simplify_predicate
 from repro.analysis.surface import SurfaceReport, check_campaign
 from repro.core.predicate import (
@@ -135,12 +129,6 @@ class LintContext:
     registry: object | None = None  # duck-typed DetectorRegistry
     surface: SurfaceReport | None = None
     campaigns: dict[str, object] = dataclasses.field(default_factory=dict)
-    #: serving-topology configurations (duck-typed
-    #: repro.serving.ServeConfig), by subject
-    serving: dict[str, object] = dataclasses.field(default_factory=dict)
-    #: deployment plans (duck-typed repro.portfolio.DeploymentPlan),
-    #: by subject
-    plans: dict[str, object] = dataclasses.field(default_factory=dict)
     #: sampling reports of sampled campaigns (duck-typed
     #: repro.injection.sampling.SamplingReport, or its dict payload),
     #: by subject
@@ -536,106 +524,6 @@ class StaleCampaignStoreRule(LintRule):
                     f"shard generation(s) ({records} record(s)) superseded "
                     "by module edits; run `repro store gc` to reclaim them",
                 )
-
-
-@register_rule
-class UnboundedServingRingRule(LintRule):
-    """Serving configurations whose ingest rings have no shed policy:
-    with ``shed_after_s`` unset, one stalled evaluator worker holds its
-    ring full forever and the router blocks every producer behind it.
-    Bounded topologies shed overflow *counted* (the serve report keeps
-    ``processed + shed == submitted``); unbounded ones just stop."""
-
-    name = "unbounded-serving-ring"
-
-    def check(self, context: LintContext) -> Iterator[Finding]:
-        for subject, config in context.serving.items():
-            if isinstance(config, dict):
-                bounded = config.get("shed_after_s") is not None
-            else:
-                bounded = getattr(config, "shed_after_s", 0) is not None
-            if not bounded:
-                yield Finding(
-                    self.name, Severity.WARNING, subject,
-                    "serving ring has no shed policy (shed_after_s is "
-                    "null): a stalled worker blocks producers "
-                    "indefinitely -- set a bounded wait so overflow is "
-                    "shed and counted instead",
-                )
-
-
-@register_rule
-class OverbudgetDeploymentRule(LintRule):
-    """A deployment plan whose predicted per-event cost exceeds the
-    budget it was supposedly solved under: either the plan was edited
-    by hand or the candidate costs changed after the solve.  Either
-    way, publishing it breaks the overhead contract the budget
-    encodes."""
-
-    name = "overbudget-deployment"
-
-    def check(self, context: LintContext) -> Iterator[Finding]:
-        for subject in sorted(context.plans):
-            plan = context.plans[subject]
-            budget = float(getattr(plan, "budget_s", 0.0))
-            declared = float(getattr(plan, "cost_s", 0.0))
-            recomputed = sum(
-                float(d.cost_s) for d in getattr(plan, "detectors", ())
-            )
-            cost = max(declared, recomputed)
-            if budget > 0.0 and cost > budget:
-                yield Finding(
-                    self.name, Severity.ERROR, subject,
-                    f"plan predicts {cost:.3e} s/event against a budget of "
-                    f"{budget:.3e} s/event ({cost / budget:.2f}x); re-solve "
-                    "under the real budget before deploying",
-                )
-
-
-@register_rule
-class RedundantDeploymentRule(LintRule):
-    """A deployment plan selecting a detector provably implied by (or
-    equivalent to) another selected detector: the implied one adds
-    zero marginal coverage while its full per-event cost still counts
-    against the budget.  The optimizer never produces such a pair, so
-    one in a plan means the plan was edited or the proofs postdate the
-    solve."""
-
-    name = "redundant-deployment"
-
-    def check(self, context: LintContext) -> Iterator[Finding]:
-        for subject in sorted(context.plans):
-            plan = context.plans[subject]
-            predicates = {}
-            for planned in getattr(plan, "detectors", ()):
-                predicate = None
-                if context.registry is not None:
-                    try:
-                        predicate = context.registry.lookup(
-                            planned.name, planned.version
-                        ).detector.predicate
-                    except KeyError:
-                        predicate = None
-                if predicate is None:
-                    predicate = context.predicates.get(planned.name)
-                if predicate is not None:
-                    predicates[planned.name] = predicate
-            names = sorted(predicates)
-            for i, left in enumerate(names):
-                for right in names[i + 1:]:
-                    relation = compare_predicates(
-                        predicates[left], predicates[right]
-                    )
-                    if not relation.proven or not relation.is_redundant:
-                        continue
-                    yield Finding(
-                        self.name, Severity.WARNING, subject,
-                        f"{left} is provably "
-                        f"{relation.relation.replace('_', ' ')} {right} "
-                        f"({relation.detail}): the absorbed detector adds "
-                        "no coverage but still costs its full per-event "
-                        "budget",
-                    )
 
 
 class Linter:

@@ -13,14 +13,9 @@ Static analysis from the shell, over published artefacts::
 (``DetectorRegistry.save`` output), single-detector documents
 (``detector_to_json``), bare predicate documents
 (``predicate_to_json``), campaign-configuration documents
-(``CampaignConfig.to_dict``) and
-serving-topology configurations (``ServeConfig.to_dict``); the
-document shape is sniffed per file.
-
-The serving tier runs (and load-tests itself) with ``serve``::
-
-    repro serve registry.json --workers 4 --events 20000
-    repro serve registry.json --slo-p99 0.05 --trace serve.jsonl
+(``CampaignConfig.to_dict``) and campaign documents
+(``CampaignResult.to_dict``); the document shape is sniffed per file,
+and a document whose ``format`` names anything else is refused.
 
 The expensive half of the pipeline runs through the orchestrator::
 
@@ -34,15 +29,6 @@ Campaigns compose across runs through the content-addressed store
     repro campaign 7Z-A1 --store store/ --scale smoke
     repro store inspect store/
     repro store gc store/ --dry-run
-
-The detector-placement knapsack (see :mod:`repro.portfolio`) is solved
-with ``portfolio``::
-
-    repro portfolio candidates --jobs 4 -o candidates.json
-    repro portfolio solve candidates.json --budget 1e-5 --plan plan.json
-    repro portfolio pareto candidates.json
-    repro portfolio apply plan.json registry.json --snapshot snap.json
-    repro portfolio drift plan.json metrics.json
 
 Traces are recorded, summarized and exported with ``trace``::
 
@@ -140,30 +126,11 @@ def _load_documents(paths: list[str]) -> LintContext:
                 raise SerializationError(
                     f"{path}: invalid campaign configuration: {exc}"
                 ) from exc
-        elif (
-            isinstance(payload, dict)
-            and payload.get("format") == "repro.serving.config"
-        ):
-            from repro.serving.config import ServeConfig
-
-            try:
-                context.serving[path.stem] = ServeConfig.from_dict(payload)
-            except (TypeError, ValueError) as exc:
-                raise SerializationError(
-                    f"{path}: invalid serving configuration: {exc}"
-                ) from exc
-        elif (
-            isinstance(payload, dict)
-            and payload.get("format") == "repro.portfolio.plan"
-        ):
-            from repro.portfolio.plan import DeploymentPlan
-
-            try:
-                context.plans[path.stem] = DeploymentPlan.from_dict(payload)
-            except (KeyError, ValueError) as exc:
-                raise SerializationError(
-                    f"{path}: invalid deployment plan: {exc}"
-                ) from exc
+        elif isinstance(payload, dict) and "format" in payload:
+            raise SerializationError(
+                f"{path}: unsupported document format "
+                f"'{payload['format']}'"
+            )
         elif isinstance(payload, dict) and "predicate" in payload:
             detector = detector_from_dict(payload)
             context.predicates[_unique(context, detector.name)] = (
@@ -619,306 +586,6 @@ def _cmd_store_gc(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    """Run the serving tier against a registry, self-driven by the
-    load generator, and report throughput, detections and SLOs."""
-    import contextlib
-    import tempfile
-
-    from repro import observability as obs
-    from repro.serving import (
-        LoadProfile,
-        ServeConfig,
-        ServingTopology,
-        SLOPolicy,
-        run_load,
-    )
-
-    try:
-        config = ServeConfig(
-            workers=args.workers,
-            capacity=args.capacity,
-            batch_size=args.batch_size,
-            shed_after_s=args.shed_after,
-            key_field=args.key_field,
-            worker_cost_s=args.worker_cost,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    slo = None
-    if any(
-        v is not None
-        for v in (args.slo_p50, args.slo_p95, args.slo_p99)
-    ) or args.max_shed_ratio is not None:
-        slo = SLOPolicy(
-            p50_s=args.slo_p50,
-            p95_s=args.slo_p95,
-            p99_s=args.slo_p99,
-            max_shed_ratio=(
-                args.max_shed_ratio if args.max_shed_ratio is not None else 0.0
-            ),
-        )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegistryWarning)
-        registry = DetectorRegistry.load(args.registry, check=False)
-    with contextlib.ExitStack() as stack:
-        if args.trace:
-            stack.enter_context(obs.tracing_to(args.trace))
-        if args.snapshot:
-            snapshot = pathlib.Path(args.snapshot)
-        else:
-            tmp = stack.enter_context(
-                tempfile.TemporaryDirectory(prefix="repro-serve-")
-            )
-            snapshot = pathlib.Path(tmp) / "snapshot.json"
-        topology = ServingTopology.from_registry(
-            registry, snapshot, config, slo=slo, inline=args.inline
-        )
-        topology.start()
-        try:
-            with obs.span("phase.serve", workers=config.workers):
-                timing = run_load(
-                    topology,
-                    LoadProfile(events=args.events, seed=args.seed),
-                )
-        finally:
-            report = topology.stop()
-    payload = report.to_dict()
-    payload["load"] = timing
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        print(
-            f"{args.registry}: {report.submitted} events -> "
-            f"{report.processed} processed, {report.shed} shed "
-            f"({timing['events_per_second']:.0f} events/s, "
-            f"{config.workers} worker(s))"
-        )
-        for name, count in sorted(payload["detections"].items()):
-            print(f"  {name}: {count} detection(s)")
-        if report.slo is not None:
-            verdict = "ok" if report.slo.ok else "VIOLATED"
-            print(f"  slo: {verdict}")
-            for violation in report.slo.violations:
-                print(f"    {violation}")
-    if not report.accounted:
-        print("error: accounting broken", file=sys.stderr)
-        return 1
-    if report.slo is not None and not report.slo.ok:
-        return 1
-    return 0
-
-
-def _load_candidate_set(path: str):
-    from repro.portfolio.candidates import CandidateSet
-
-    try:
-        payload = json.loads(pathlib.Path(path).read_text())
-    except OSError as exc:
-        raise SerializationError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SerializationError(f"{path}: invalid JSON: {exc}") from exc
-    try:
-        return CandidateSet.from_dict(payload)
-    except (TypeError, KeyError, ValueError) as exc:
-        raise SerializationError(
-            f"{path}: invalid candidate document: {exc}"
-        ) from exc
-
-
-def _cmd_portfolio_candidates(args: argparse.Namespace) -> int:
-    """Build the candidate set (one detector per dataset), pooled."""
-    from repro.experiments.datasets import DATASET_SPECS
-    from repro.portfolio.candidates import candidates_from_datasets
-
-    names = args.datasets or sorted(DATASET_SPECS)
-    unknown = [name for name in names if name not in DATASET_SPECS]
-    if unknown:
-        print(
-            f"error: unknown dataset(s): {', '.join(unknown)}; available: "
-            f"{', '.join(sorted(DATASET_SPECS))}",
-            file=sys.stderr,
-        )
-        return 2
-    candidates = candidates_from_datasets(
-        names,
-        args.scale,
-        jobs=args.jobs,
-        repeats=args.repeats,
-        warmup=args.warmup,
-    )
-    document = json.dumps(candidates.to_dict(), indent=2, sort_keys=True)
-    if args.out:
-        pathlib.Path(args.out).write_text(document + "\n")
-        print(
-            f"{len(candidates)} candidate(s) over {candidates.activated} "
-            f"activated failure run(s) -> {args.out}"
-        )
-    else:
-        print(document)
-    return 0
-
-
-def _render_selection(selection, candidates) -> str:
-    lines = [
-        f"budget {selection.budget_s:.3e} s/event: "
-        f"{len(selection.names)} detector(s), "
-        f"coverage {selection.coverage:.3f}, "
-        f"cost {selection.cost_s:.3e} s/event ({selection.solver})"
-    ]
-    for name in selection.names:
-        candidate = candidates.get(name)
-        lines.append(
-            f"  {name}@v{candidate.version}: coverage "
-            f"{candidate.coverage:.3f}, cost {candidate.cost_s:.3e}, "
-            f"fpr {candidate.fpr:.3f}"
-        )
-    return "\n".join(lines)
-
-
-def _cmd_portfolio_solve(args: argparse.Namespace) -> int:
-    from repro.portfolio.optimize import solve
-    from repro.portfolio.plan import DeploymentPlan
-
-    candidates = _load_candidate_set(args.candidates)
-    try:
-        selection = solve(candidates, args.budget, solver=args.solver)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.plan:
-        plan = DeploymentPlan.from_selection(
-            selection, candidates, name=args.name
-        )
-        plan.save(args.plan)
-    if args.format == "json":
-        print(json.dumps(selection.to_dict(), indent=2))
-    else:
-        print(_render_selection(selection, candidates))
-        if args.plan:
-            print(f"plan -> {args.plan}")
-    return 0
-
-
-def _cmd_portfolio_pareto(args: argparse.Namespace) -> int:
-    from repro.portfolio.pareto import pareto_front
-
-    candidates = _load_candidate_set(args.candidates)
-    budgets = None
-    if args.budgets:
-        try:
-            budgets = [float(b) for b in args.budgets.split(",") if b]
-        except ValueError as exc:
-            print(f"error: bad --budgets: {exc}", file=sys.stderr)
-            return 2
-    try:
-        front = pareto_front(candidates, budgets, solver=args.solver)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.format == "json":
-        print(
-            json.dumps(
-                {"points": [point.to_dict() for point in front]},
-                indent=2,
-                sort_keys=True,
-            )
-        )
-        return 0
-    print(
-        f"{args.candidates}: {len(front)} non-dominated point(s) over "
-        f"{len(candidates)} candidate(s)"
-    )
-    for point in front:
-        print(
-            f"  cost {point.cost_s:.3e} s/event -> coverage "
-            f"{point.coverage:.3f} ({len(point.names)} detector(s): "
-            f"{', '.join(point.names)}) [{point.solver}, budget "
-            f"{point.budget_s:.3e}]"
-        )
-    return 0
-
-
-def _cmd_portfolio_apply(args: argparse.Namespace) -> int:
-    """Materialize a plan against a registry and publish the pinned
-    subset snapshot atomically (a polling topology hot-deploys it)."""
-    from repro.portfolio.plan import DeploymentPlan
-    from repro.serving.supervisor import publish_snapshot
-
-    plan = DeploymentPlan.load(args.plan)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegistryWarning)
-        registry = DetectorRegistry.load(args.registry, check=False)
-    try:
-        subset = plan.build_registry(registry)
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    serial = publish_snapshot(subset, args.snapshot)
-    print(
-        f"plan {plan.name!r}: {len(plan.detectors)} detector(s) "
-        f"(predicted coverage {plan.coverage:.3f}, cost "
-        f"{plan.cost_s:.3e} s/event) -> {args.snapshot} @ serial {serial}"
-    )
-    return 0
-
-
-def _metrics_from_payload(payload, source: str):
-    """Accept both metrics shapes: the lossless ``to_dict()`` transport
-    form and the ``report()`` form that ``repro serve --format json``
-    emits (rebuilt just far enough for the per-state drift check)."""
-    from repro.runtime.metrics import RuntimeMetrics
-
-    if isinstance(payload, dict) and "metrics" in payload:
-        payload = payload["metrics"]
-    if isinstance(payload, dict) and "stats" in payload:
-        return RuntimeMetrics.from_dict(payload)
-    if isinstance(payload, dict) and isinstance(payload.get("detectors"), dict):
-        metrics = RuntimeMetrics()
-        for name, row in payload["detectors"].items():
-            stats = metrics.stats_for(str(name))
-            stats.evaluations = int(row.get("evaluations", 0))
-            stats.detections = int(row.get("detections", 0))
-            stats.faults = int(row.get("faults", 0))
-            stats.batches = int(row.get("batches", 0))
-            stats.latency.count = stats.batches
-            stats.latency.total = (
-                float(row.get("per_state", 0.0)) * stats.evaluations
-            )
-        return metrics
-    raise SerializationError(
-        f"{source}: neither a RuntimeMetrics document nor a serve report"
-    )
-
-
-def _cmd_portfolio_drift(args: argparse.Namespace) -> int:
-    """Plan-vs-actual check: calibrated costs against served metrics."""
-    from repro.portfolio.plan import DeploymentPlan
-
-    plan = DeploymentPlan.load(args.plan)
-    try:
-        payload = json.loads(pathlib.Path(args.metrics).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SerializationError(f"{args.metrics}: {exc}") from exc
-    metrics = _metrics_from_payload(payload, args.metrics)
-    report = plan.drift_report(metrics, cost_tolerance=args.tolerance)
-    if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        for name, row in sorted(report["detectors"].items()):
-            marker = "DRIFTED" if name in report["drifted"] else "ok"
-            print(
-                f"  {name}: predicted {row['predicted_cost_s']:.3e} "
-                f"s/event, actual {row['actual_cost_s']:.3e} "
-                f"({row['drift']:+.0%}) [{marker}]"
-            )
-        for name in report["missing"]:
-            print(f"  {name}: no serving traffic recorded [MISSING]")
-        print("drift: ok" if report["ok"] else "drift: CHECK FAILED")
-    return 0 if report["ok"] else 1
-
-
 def _cmd_trace_record(args: argparse.Namespace) -> int:
     from repro import observability as obs
     from repro.orchestration.orchestrate import run_dataset
@@ -1220,197 +887,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="report format (default: text)",
     )
     orchestrate.set_defaults(func=_cmd_orchestrate)
-
-    serve = commands.add_parser(
-        "serve",
-        help="serve a registry behind sharded workers under generated load",
-    )
-    serve.add_argument(
-        "registry", help="registry document (DetectorRegistry.save output)"
-    )
-    serve.add_argument(
-        "--workers", type=int, default=2,
-        help="evaluator worker processes (default: 2)",
-    )
-    serve.add_argument(
-        "--events", type=int, default=10000,
-        help="synthetic events to generate (default: 10000)",
-    )
-    serve.add_argument(
-        "--seed", type=int, default=0,
-        help="load-generator seed (default: 0)",
-    )
-    serve.add_argument(
-        "--batch-size", type=int, default=64,
-        help="micro-batch size (default: 64)",
-    )
-    serve.add_argument(
-        "--capacity", type=int, default=1024,
-        help="per-worker ring capacity in events (default: 1024)",
-    )
-    serve.add_argument(
-        "--shed-after", type=float, default=0.25, metavar="SECONDS",
-        help="backpressure bound before shedding (default: 0.25)",
-    )
-    serve.add_argument(
-        "--key-field", default=None, metavar="FIELD",
-        help="state field to shard by (default: sequence round-robin)",
-    )
-    serve.add_argument(
-        "--worker-cost", type=float, default=0.0, metavar="SECONDS",
-        help="modeled per-event downstream cost in workers (default: 0)",
-    )
-    serve.add_argument(
-        "--inline", action="store_true",
-        help="step workers in-process (deterministic, no subprocesses)",
-    )
-    serve.add_argument(
-        "--snapshot", default=None, metavar="PATH",
-        help="snapshot file for hot deploys (default: private temp file)",
-    )
-    serve.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="record spans to this trace journal",
-    )
-    serve.add_argument(
-        "--slo-p50", type=float, default=None, metavar="SECONDS",
-        help="per-detector p50 batch-latency budget",
-    )
-    serve.add_argument(
-        "--slo-p95", type=float, default=None, metavar="SECONDS",
-        help="per-detector p95 batch-latency budget",
-    )
-    serve.add_argument(
-        "--slo-p99", type=float, default=None, metavar="SECONDS",
-        help="per-detector p99 batch-latency budget",
-    )
-    serve.add_argument(
-        "--max-shed-ratio", type=float, default=None, metavar="RATIO",
-        help="topology-wide shed budget (events shed / submitted)",
-    )
-    serve.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format (default: text)",
-    )
-    serve.set_defaults(func=_cmd_serve)
-
-    portfolio = commands.add_parser(
-        "portfolio",
-        help="detector-placement knapsack: candidates, solve, pareto, apply",
-    )
-    portfolio_commands = portfolio.add_subparsers(
-        dest="portfolio_command", required=True
-    )
-
-    p_candidates = portfolio_commands.add_parser(
-        "candidates",
-        help="build the per-dataset candidate set (pooled evaluation)",
-    )
-    p_candidates.add_argument(
-        "--datasets", nargs="*", metavar="NAME", default=None,
-        help="Table II dataset names (default: all 18)",
-    )
-    p_candidates.add_argument(
-        "--scale", choices=("smoke", "bench", "paper"), default="smoke",
-        help="experiment scale (default: smoke)",
-    )
-    p_candidates.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes (default: serial)",
-    )
-    p_candidates.add_argument(
-        "--repeats", type=int, default=9,
-        help="timed calibration batches per detector (default: 9)",
-    )
-    p_candidates.add_argument(
-        "--warmup", type=int, default=2,
-        help="untimed calibration batches per detector (default: 2)",
-    )
-    p_candidates.add_argument(
-        "-o", "--out", default=None, metavar="PATH",
-        help="write the candidate document here (default: stdout)",
-    )
-    p_candidates.set_defaults(func=_cmd_portfolio_candidates)
-
-    p_solve = portfolio_commands.add_parser(
-        "solve", help="solve the placement knapsack under one budget"
-    )
-    p_solve.add_argument(
-        "candidates", help="candidate document (portfolio candidates output)"
-    )
-    p_solve.add_argument(
-        "--budget", type=float, required=True, metavar="SECONDS",
-        help="per-event cost budget in seconds",
-    )
-    p_solve.add_argument(
-        "--solver", choices=("auto", "greedy", "exact"), default="auto",
-        help="solver (default: auto = exact when <= 20 candidates)",
-    )
-    p_solve.add_argument(
-        "--plan", default=None, metavar="PATH",
-        help="write the selection as a deployment plan",
-    )
-    p_solve.add_argument(
-        "--name", default="portfolio",
-        help="plan name (default: portfolio)",
-    )
-    p_solve.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format (default: text)",
-    )
-    p_solve.set_defaults(func=_cmd_portfolio_solve)
-
-    p_pareto = portfolio_commands.add_parser(
-        "pareto", help="sweep the budget axis: coverage-vs-overhead front"
-    )
-    p_pareto.add_argument(
-        "candidates", help="candidate document (portfolio candidates output)"
-    )
-    p_pareto.add_argument(
-        "--budgets", default=None, metavar="CSV",
-        help="comma-separated budgets in s/event (default: cost landmarks)",
-    )
-    p_pareto.add_argument(
-        "--solver", choices=("auto", "greedy", "exact"), default="auto",
-        help="solver (default: auto)",
-    )
-    p_pareto.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format (default: text)",
-    )
-    p_pareto.set_defaults(func=_cmd_portfolio_pareto)
-
-    p_apply = portfolio_commands.add_parser(
-        "apply",
-        help="publish a plan's pinned subset registry as a serving snapshot",
-    )
-    p_apply.add_argument("plan", help="deployment plan document")
-    p_apply.add_argument(
-        "registry", help="registry document the plan was solved against"
-    )
-    p_apply.add_argument(
-        "--snapshot", required=True, metavar="PATH",
-        help="snapshot path to publish atomically (topologies poll it)",
-    )
-    p_apply.set_defaults(func=_cmd_portfolio_apply)
-
-    p_drift = portfolio_commands.add_parser(
-        "drift", help="plan-vs-actual check against merged serving metrics"
-    )
-    p_drift.add_argument("plan", help="deployment plan document")
-    p_drift.add_argument(
-        "metrics",
-        help="RuntimeMetrics document (worker summary or merged export)",
-    )
-    p_drift.add_argument(
-        "--tolerance", type=float, default=0.5, metavar="RATIO",
-        help="relative per-event cost tolerance (default: 0.5)",
-    )
-    p_drift.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format (default: text)",
-    )
-    p_drift.set_defaults(func=_cmd_portfolio_drift)
 
     trace = commands.add_parser(
         "trace", help="record, summarize and export pipeline traces"

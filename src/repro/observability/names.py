@@ -8,10 +8,7 @@ retyping the string.
 
 Phases (``phase.*``) are the top-level pipeline stages the summary
 compares against the root wall clock; everything else is a nested
-working span.  The serving tier (:mod:`repro.serving`) threads spans
-through all three of its layers -- router (ingest/shed), ring-fed
-evaluator workers (batch/deploy), and the supervisor lifecycle -- so
-one trace shows an event's whole path from submit to flags.
+working span.
 """
 
 from __future__ import annotations
@@ -20,19 +17,12 @@ __all__ = [
     "PHASE_CAMPAIGN",
     "PHASE_BASELINE",
     "PHASE_REFINE",
-    "PHASE_SERVE",
     "ENGINE_BATCH",
     "POOL_RUN",
     "ORCHESTRATION_TASK",
     "WORKER_START",
     "CAMPAIGN_SHARD",
     "CAMPAIGN_CHECKPOINT",
-    "SERVE_FLUSH",
-    "SERVE_DRAIN",
-    "SERVE_PUBLISH",
-    "SERVE_WORKER",
-    "SERVE_WORKER_BATCH",
-    "SERVE_DEPLOY",
     "PRUNE_PLAN",
     "PRUNE_SYNTHESIZE",
     "PRUNE_AUDIT",
@@ -42,18 +32,11 @@ __all__ = [
     "STORE_RESOLVE",
     "STORE_SYNC",
     "STORE_GC",
-    "PORTFOLIO_CANDIDATES",
-    "PORTFOLIO_SOLVE",
-    "PORTFOLIO_PARETO",
-    "PORTFOLIO_APPLY",
-    "COUNTER_SHED",
     "COUNTER_DETECTIONS",
     "COUNTER_FAULTS",
     "COUNTER_PRUNED",
     "COUNTER_AUDITED",
     "COUNTER_CONTRADICTIONS",
-    "COUNTER_EXPLORED",
-    "COUNTER_SELECTED",
     "COUNTER_SAMPLED_CELLS",
     "COUNTER_CONVERGED_STRATA",
     "COUNTER_STORE_HITS",
@@ -73,12 +56,10 @@ __all__ = [
     "COUNTER_SIBLING",
 ]
 
-# -- pipeline phases (orchestrate.run, serve lifecycles) ---------------
+# -- pipeline phases (orchestrate.run) --------------------------------
 PHASE_CAMPAIGN = "phase.campaign"
 PHASE_BASELINE = "phase.baseline"
 PHASE_REFINE = "phase.refine"
-#: One serving session end-to-end: start -> ingest -> drain -> stop.
-PHASE_SERVE = "phase.serve"
 
 # -- runtime / orchestration (emitted since PR 1/3/5) ------------------
 ENGINE_BATCH = "engine.batch"
@@ -99,21 +80,6 @@ CAMPAIGN_SHARD = "campaign.shard"
 #: trail they stop against (carries ``target``; counts
 #: ``checkpoints``).
 CAMPAIGN_CHECKPOINT = "campaign.checkpoint"
-
-# -- serving tier ------------------------------------------------------
-#: Router flushing one shard's pending micro-batch into its ring
-#: (carries ``shard``, ``size``; counts ``shed`` on backpressure).
-SERVE_FLUSH = "serve.flush"
-#: Supervisor waiting for in-flight events to clear the topology.
-SERVE_DRAIN = "serve.drain"
-#: Supervisor publishing a registry snapshot (hot deploy/rollback).
-SERVE_PUBLISH = "serve.publish"
-#: One evaluator worker's lifetime (root of the worker's span tree).
-SERVE_WORKER = "serve.worker"
-#: One micro-batch through a worker's StreamingEngine.
-SERVE_WORKER_BATCH = "serve.worker.batch"
-#: A worker swapping detector versions between micro-batches.
-SERVE_DEPLOY = "serve.deploy"
 
 # -- static injection-space pruning (repro.analysis.prune) -------------
 #: Dataflow analysis + golden capture + per-point classification
@@ -150,20 +116,7 @@ STORE_SYNC = "campaign.store.sync"
 #: Removing stale shard generations (counts ``store_stale``).
 STORE_GC = "campaign.store.gc"
 
-# -- detector portfolio optimizer (repro.portfolio) --------------------
-#: Pooled candidate assembly across datasets (carries ``datasets``,
-#: ``scale``).
-PORTFOLIO_CANDIDATES = "portfolio.candidates"
-#: One knapsack solve (carries ``solver``, ``candidates``; sets
-#: ``selected``; the exact solver counts ``explored`` subtrees).
-PORTFOLIO_SOLVE = "portfolio.solve"
-#: One budget-axis sweep producing the coverage-vs-overhead front.
-PORTFOLIO_PARETO = "portfolio.pareto"
-#: Applying a deployment plan through the serving topology.
-PORTFOLIO_APPLY = "portfolio.apply"
-
 # -- counter names -----------------------------------------------------
-COUNTER_SHED = "shed"
 COUNTER_DETECTIONS = "detections"
 COUNTER_FAULTS = "faults"
 #: Injection points (variable x bit) skipped by a prune plan.
@@ -172,10 +125,6 @@ COUNTER_PRUNED = "pruned"
 COUNTER_AUDITED = "audited"
 #: Audited cells whose real outcome contradicted the synthesized one.
 COUNTER_CONTRADICTIONS = "contradictions"
-#: Branch-and-bound subtrees visited by the exact portfolio solver.
-COUNTER_EXPLORED = "explored"
-#: Detectors chosen by a portfolio solve.
-COUNTER_SELECTED = "selected"
 #: Cells (variable x bit x time x test case) executed by a sampling
 #: campaign.
 COUNTER_SAMPLED_CELLS = "sampled_cells"

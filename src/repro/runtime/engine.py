@@ -136,9 +136,9 @@ class StreamingEngine:
     ) -> None:
         """Replace the implementation behind an installed name.
 
-        The serving tier's hot-deploy path: the registration keeps its
-        name (and so its metrics continuity) while the detector and
-        compiled predicate are exchanged between micro-batches.  The
+        The hot-deploy path: the registration keeps its name (and so
+        its metrics continuity) while the detector and compiled
+        predicate are exchanged between micro-batches.  The
         fault count resets and the detector re-enables -- a fresh
         implementation earns a fresh quarantine budget.
         """
@@ -231,9 +231,8 @@ class StreamingEngine:
     ) -> BatchResult:
         """Fan a pre-packed ``(n, d)`` batch out across the detectors.
 
-        The serving tier's zero-copy path: a shared-memory ingest ring
-        already holds states in packed column form, so evaluation runs
-        directly on the ring's NumPy view.  ``attribute_index`` must
+        A caller that already holds states in packed column form
+        evaluates them here without re-packing.  ``attribute_index`` must
         cover every enabled detector's variables (a missing column
         evaluates as missing/NaN, same as :func:`pack_states`); flags
         are bit-identical to :meth:`evaluate_batch` over the same

@@ -17,15 +17,6 @@ Latencies are recorded per micro-batch (the engine's unit of work);
 ``per_state`` in the report divides by the states served so the two
 cost views -- batch overhead and amortised per-check cost -- are both
 visible.
-
-Cross-process aggregation: the multi-worker serving tier
-(:mod:`repro.serving`) runs one ``RuntimeMetrics`` per evaluator
-process and folds them together with :meth:`RuntimeMetrics.merge`.
-Merging is **bucket-exact** -- histograms over identical bounds add
-slot-by-slot, so quantiles of the merged histogram are exactly the
-quantiles of the pooled samples' bucketing -- and commutative.
-``to_dict``/``from_dict`` give the lossless transport form a worker
-writes at exit and the supervisor reloads.
 """
 
 from __future__ import annotations
@@ -33,16 +24,11 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import math
-import statistics
-import time
-from collections.abc import Mapping, Sequence
 
 __all__ = [
     "LatencyHistogram",
     "DetectorStats",
     "RuntimeMetrics",
-    "CostCalibration",
-    "calibrate_detector_cost",
 ]
 
 
@@ -119,85 +105,6 @@ class LatencyHistogram:
             "p99": self.quantile(0.99),
         }
 
-    @property
-    def empty(self) -> bool:
-        """No samples observed (bucketed, overflowed or counted)."""
-        return (
-            self.count == 0
-            and self.overflow == 0
-            and not any(self.counts)
-        )
-
-    def merge(self, other: "LatencyHistogram") -> "LatencyHistogram":
-        """Fold ``other`` into this histogram, bucket-exact.
-
-        Two populated histograms must share bucket bounds; counts add
-        slot-by-slot, so the merged quantiles are exactly what one
-        histogram observing both sample streams would report.  The
-        operation is commutative: ``a.merge(b)`` and ``b.merge(a)``
-        leave the two sides with identical contents.
-
-        An **empty** side is the identity whatever its bounds: merging
-        an empty ``other`` is a no-op, and an empty ``self`` adopts
-        ``other``'s bounds wholesale.  This is what lets a supervisor
-        fold a worker that served a detector the aggregate has not
-        seen yet (the ``stats_for``-created histogram is empty) even
-        when that worker used custom bounds -- a one-sided merge must
-        never lose the side that has data.
-        """
-        if self.bounds != other.bounds:
-            if other.empty:
-                return self
-            if self.empty:
-                self.bounds = other.bounds
-                self.counts = list(other.counts)
-                self.overflow = other.overflow
-                self.count = other.count
-                self.total = other.total
-                self.minimum = other.minimum
-                self.maximum = other.maximum
-                return self
-            raise ValueError(
-                "cannot merge histograms with different bucket bounds "
-                f"({len(self.bounds)} vs {len(other.bounds)} buckets)"
-            )
-        for slot, bucket_count in enumerate(other.counts):
-            self.counts[slot] += bucket_count
-        self.overflow += other.overflow
-        self.count += other.count
-        self.total += other.total
-        self.minimum = min(self.minimum, other.minimum)
-        self.maximum = max(self.maximum, other.maximum)
-        return self
-
-    def to_dict(self) -> dict:
-        """Lossless transport form (sparse bucket counts)."""
-        return {
-            "buckets": [
-                [slot, count]
-                for slot, count in enumerate(self.counts)
-                if count
-            ],
-            "overflow": self.overflow,
-            "count": self.count,
-            "total": self.total,
-            "min": self.minimum if self.count else None,
-            "max": self.maximum,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "LatencyHistogram":
-        histogram = cls()
-        for slot, count in payload.get("buckets", ()):
-            histogram.counts[int(slot)] = int(count)
-        histogram.overflow = int(payload.get("overflow", 0))
-        histogram.count = int(payload.get("count", 0))
-        histogram.total = float(payload.get("total", 0.0))
-        minimum = payload.get("min")
-        histogram.minimum = float(minimum) if minimum is not None else math.inf
-        histogram.maximum = float(payload.get("max", 0.0))
-        return histogram
-
 
 @dataclasses.dataclass
 class DetectorStats:
@@ -222,36 +129,6 @@ class DetectorStats:
 
     def record_fault(self) -> None:
         self.faults += 1
-
-    def merge(self, other: "DetectorStats") -> "DetectorStats":
-        """Fold another worker's stats for the same detector in."""
-        self.evaluations += other.evaluations
-        self.detections += other.detections
-        self.faults += other.faults
-        self.batches += other.batches
-        self.latency.merge(other.latency)
-        return self
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "evaluations": self.evaluations,
-            "detections": self.detections,
-            "faults": self.faults,
-            "batches": self.batches,
-            "latency": self.latency.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "DetectorStats":
-        return cls(
-            name=str(payload["name"]),
-            evaluations=int(payload.get("evaluations", 0)),
-            detections=int(payload.get("detections", 0)),
-            faults=int(payload.get("faults", 0)),
-            batches=int(payload.get("batches", 0)),
-            latency=LatencyHistogram.from_dict(payload.get("latency", {})),
-        )
 
     def snapshot(self) -> dict[str, object]:
         latency = self.latency.snapshot()
@@ -289,35 +166,6 @@ class RuntimeMetrics:
     def reset(self) -> None:
         self._stats.clear()
 
-    def merge(self, other: "RuntimeMetrics") -> "RuntimeMetrics":
-        """Fold another process's metrics in, per-detector.
-
-        Names present on either side survive; shared names merge
-        counter-exact and bucket-exact (see
-        :meth:`LatencyHistogram.merge`).  Commutative, so a supervisor
-        can fold worker reports in any completion order and always
-        produce the same aggregate.
-        """
-        for name, stats in other._stats.items():
-            self.stats_for(name).merge(stats)
-        return self
-
-    def to_dict(self) -> dict:
-        """Lossless transport form (`report` is the human-facing one)."""
-        return {
-            "stats": [
-                self._stats[name].to_dict() for name in sorted(self._stats)
-            ]
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RuntimeMetrics":
-        metrics = cls()
-        for spec in payload.get("stats", ()):
-            stats = DetectorStats.from_dict(spec)
-            metrics._stats[stats.name] = stats
-        return metrics
-
     def report(self) -> dict[str, object]:
         """Plain-dict export: per-detector snapshots plus totals."""
         detectors = {
@@ -332,93 +180,3 @@ class RuntimeMetrics:
             "seconds": sum(s.latency.total for s in self._stats.values()),
         }
         return {"detectors": detectors, "totals": totals}
-
-
-@dataclasses.dataclass(frozen=True)
-class CostCalibration:
-    """One detector's measured per-event evaluation cost.
-
-    ``per_event_s`` is the number the portfolio optimizer budgets
-    with: the **median** of ``repeats`` timed compiled-batch
-    evaluations, divided by the batch size.  The median (not the mean)
-    makes one descheduled repeat harmless; ``spread_s`` (max - min of
-    the batch timings) is kept so a caller can see when the machine
-    was too noisy to trust the number.
-    """
-
-    name: str
-    per_event_s: float
-    batch_s: float
-    spread_s: float
-    events: int
-    repeats: int
-    warmup: int
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "per_event_s": self.per_event_s,
-            "batch_s": self.batch_s,
-            "spread_s": self.spread_s,
-            "events": self.events,
-            "repeats": self.repeats,
-            "warmup": self.warmup,
-        }
-
-
-def calibrate_detector_cost(
-    compiled,
-    states: Sequence[Mapping[str, float]],
-    *,
-    repeats: int = 9,
-    warmup: int = 2,
-    name: str = "detector",
-    metrics: "RuntimeMetrics | None" = None,
-) -> CostCalibration:
-    """Measure a compiled predicate's per-event cost over ``states``.
-
-    Runs ``warmup`` untimed batch evaluations (populating caches and
-    any lazy lowering), then ``repeats`` timed ones over the same
-    packed batch, and reports the median batch time divided by the
-    batch size.  When ``metrics`` is given every timed batch is also
-    recorded into ``metrics.stats_for(name)``, so calibration runs
-    show up in the same report as serving traffic.
-    """
-    import numpy as np
-
-    if not states:
-        raise ValueError("calibration needs at least one state")
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    if warmup < 0:
-        raise ValueError(f"warmup must be >= 0, got {warmup}")
-    variables = sorted({key for state in states for key in state})
-    index = {variable: i for i, variable in enumerate(variables)}
-    x = np.full((len(states), len(variables)), np.nan, dtype=np.float64)
-    for row, state in enumerate(states):
-        for variable, value in state.items():
-            x[row, index[variable]] = float(value)
-    for _ in range(warmup):
-        compiled.evaluate_rows(x, index)
-    timings = []
-    detections = 0
-    for _ in range(repeats):
-        start = time.perf_counter()
-        flags = compiled.evaluate_rows(x, index)
-        elapsed = time.perf_counter() - start
-        timings.append(elapsed)
-        detections = int(np.count_nonzero(flags))
-        if metrics is not None:
-            metrics.stats_for(name).record_batch(
-                len(states), detections, elapsed
-            )
-    batch_s = statistics.median(timings)
-    return CostCalibration(
-        name=name,
-        per_event_s=batch_s / len(states),
-        batch_s=batch_s,
-        spread_s=max(timings) - min(timings),
-        events=len(states),
-        repeats=repeats,
-        warmup=warmup,
-    )

@@ -96,10 +96,6 @@ class DetectorRegistry:
         self._latest: dict[str, int] = {}
         #: recorded deploy actions (rollbacks), newest last.
         self.actions: list[dict] = []
-        #: attached deployment plan (repro.portfolio.DeploymentPlan);
-        #: when set, publishes are additionally gated by the plan lint
-        #: rules (overbudget-deployment, redundant-deployment).
-        self._plan = None
 
     # -- publishing ----------------------------------------------------
     def _publish_problems(self, name: str, detector: Detector) -> list[str]:
@@ -125,25 +121,7 @@ class DetectorRegistry:
                     f"predicate is provably {relation.relation.replace('_', ' ')}"
                     f" {other.name}@v{other.version} ({relation.detail})"
                 )
-        problems.extend(
-            str(finding)
-            for finding in self._plan_findings()
-            if finding.severity >= Severity.ERROR
-        )
         return problems
-
-    def _plan_findings(self) -> list:
-        """Findings of the deployment-plan lint rules, when a plan is
-        attached (empty otherwise)."""
-        if self._plan is None:
-            return []
-        context = LintContext(
-            registry=self,
-            plans={getattr(self._plan, "name", "plan"): self._plan},
-        )
-        return Linter(
-            select=["overbudget-deployment", "redundant-deployment"]
-        ).run(context)
 
     def register(
         self,
@@ -202,58 +180,6 @@ class DetectorRegistry:
         # version is what `latest` serves again.
         self._latest.pop(name, None)
         return entry
-
-    @property
-    def plan(self):
-        """The attached deployment plan, or ``None``."""
-        return self._plan
-
-    def attach_plan(self, plan, *, lint_policy: str | None = None) -> None:
-        """Attach a deployment plan; future publishes are gated by it.
-
-        The plan must validate against this registry (every pinned
-        ``name@version`` published), or :class:`RegistryError` is
-        raised.  The plan lint rules run immediately under
-        ``lint_policy`` (the registry's policy by default):
-        error-grade findings reject or warn per policy, warning-grade
-        findings always surface as :class:`RegistryWarning` while the
-        policy is not ``"off"``.  The plan persists through
-        :meth:`to_dict`/:meth:`from_dict`.
-        """
-        policy = lint_policy if lint_policy is not None else self.lint_policy
-        if policy not in _LINT_POLICIES:
-            raise ValueError(
-                f"lint_policy must be one of {_LINT_POLICIES}, got {policy!r}"
-            )
-        unexecutable = plan.validate_against(self)
-        if unexecutable:
-            raise RegistryError(
-                f"plan {plan.name!r} does not validate against this "
-                f"registry: {'; '.join(unexecutable)}"
-            )
-        previous, self._plan = self._plan, plan
-        if policy == "off":
-            return
-        findings = self._plan_findings()
-        errors = [f for f in findings if f.severity >= Severity.ERROR]
-        if errors and policy == "reject":
-            self._plan = previous
-            raise RegistryError(
-                f"refusing to attach plan {plan.name!r}: "
-                + "; ".join(str(f) for f in errors)
-            )
-        if findings:
-            warnings.warn(
-                f"plan {plan.name!r} attached with findings: "
-                + "; ".join(str(f) for f in findings),
-                RegistryWarning,
-                stacklevel=2,
-            )
-
-    def detach_plan(self):
-        """Remove (and return) the attached plan, if any."""
-        plan, self._plan = self._plan, None
-        return plan
 
     def publish(
         self,
@@ -384,8 +310,6 @@ class DetectorRegistry:
             payload["latest"] = dict(sorted(self._latest.items()))
         if self.actions:
             payload["actions"] = list(self.actions)
-        if self._plan is not None:
-            payload["plan"] = self._plan.to_dict()
         return payload
 
     def save(self, path: str | pathlib.Path) -> pathlib.Path:
@@ -404,6 +328,13 @@ class DetectorRegistry:
             raise SerializationError(
                 f"unsupported registry format version "
                 f"{payload.get('version')!r}"
+            )
+        if "plan" in payload:
+            # Deployment plans gated publishes; dropping the key would
+            # silently lift a gate the document says is in force.
+            raise SerializationError(
+                "registry document carries a deployment plan; deployment "
+                "plans were retired, so remove the 'plan' key to load it"
             )
         registry = cls()
         entries = payload.get("detectors")
@@ -443,17 +374,6 @@ class DetectorRegistry:
         if not isinstance(actions, list):
             raise SerializationError("registry 'actions' must be a list")
         registry.actions = [dict(action) for action in actions]
-        plan_spec = payload.get("plan")
-        if plan_spec is not None:
-            from repro.portfolio.plan import DeploymentPlan
-
-            try:
-                plan = DeploymentPlan.from_dict(plan_spec)
-            except (TypeError, KeyError, ValueError) as exc:
-                raise SerializationError(f"bad registry plan: {exc}") from exc
-            # Gating off, like the detector entries: an artefact that
-            # was publishable when written must stay loadable.
-            registry.attach_plan(plan, lint_policy="off")
         return registry
 
     @classmethod

@@ -1,43 +1,7 @@
-"""repro.serving -- the multi-process detector serving tier.
+"""repro.serving -- synthetic event streams for served detectors.
 
-The production shape of the runtime: N evaluator worker processes
-behind a deterministic shard-by-key router, fed through shared-memory
-columnar ring buffers (zero-copy from router pack to compiled-predicate
-evaluation), with hot deploy/rollback via a versioned registry
-snapshot file, bounded backpressure with counted shedding, and
-per-detector SLO tracking over a bucket-exact cross-worker metrics
-merge.  See ``docs/serving.md`` for the topology walkthrough.
+:mod:`repro.serving.loadgen` synthesises seeded module states that
+straddle a registry's published thresholds, so a stream exercises both
+branches of every detector.  The package re-exports nothing: importing
+the generator loads only the generator.
 """
-
-from repro.serving.config import ServeConfig
-from repro.serving.loadgen import LoadProfile, run_load, synthesize_states
-from repro.serving.ring import RingSpec, SharedRing
-from repro.serving.router import ShardRouter, shard_of
-from repro.serving.slo import SLOPolicy, SLOReport, SLOViolation, evaluate_slo
-from repro.serving.supervisor import (
-    ServeReport,
-    ServingTopology,
-    publish_snapshot,
-)
-from repro.serving.worker import ServeWorker, read_snapshot, worker_main
-
-__all__ = [
-    "ServeConfig",
-    "LoadProfile",
-    "run_load",
-    "synthesize_states",
-    "RingSpec",
-    "SharedRing",
-    "ShardRouter",
-    "shard_of",
-    "SLOPolicy",
-    "SLOReport",
-    "SLOViolation",
-    "evaluate_slo",
-    "ServeReport",
-    "ServingTopology",
-    "publish_snapshot",
-    "ServeWorker",
-    "read_snapshot",
-    "worker_main",
-]

@@ -1,13 +1,12 @@
-"""Self-driving load generation for the serving tier.
+"""Seeded load generation for served detectors.
 
-The generator reads the topology's own registry snapshot, collects
-every comparison threshold the published predicates test, and
-synthesises states that straddle those thresholds -- so a load run
-exercises both branches of every detector (some events flag, most
-don't) instead of streaming inert noise.  Everything is seeded: the
-same ``(registry, seed, n)`` triple produces the same event stream,
-which is what lets the differential tests replay a load run through a
-single :class:`~repro.runtime.engine.StreamingEngine` and demand
+The generator reads a detector registry, collects every comparison
+threshold the published predicates test, and synthesises states that
+straddle those thresholds -- so a stream exercises both branches of
+every detector (some events flag, most don't) instead of streaming
+inert noise.  Everything is seeded: the same ``(registry, seed, n)``
+triple produces the same event stream, which is what lets a replay
+through :class:`~repro.runtime.engine.StreamingEngine` be pinned to
 bit-identical flags.
 """
 
@@ -15,7 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import time
 from collections.abc import Iterator
 
 import numpy as np
@@ -23,7 +21,7 @@ import numpy as np
 from repro.core.predicate import And, Comparison, Or, Predicate
 from repro.runtime.registry import DetectorRegistry
 
-__all__ = ["LoadProfile", "synthesize_states", "run_load"]
+__all__ = ["LoadProfile", "synthesize_states"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -103,22 +101,3 @@ def synthesize_states(
         if variables and rng.random() < profile.missing_fraction:
             state.pop(variables[int(rng.integers(len(variables)))], None)
         yield state
-
-
-def run_load(topology, profile: LoadProfile | None = None) -> dict:
-    """Drive a started topology with a synthetic stream; return timing.
-
-    Reads the registry back from the topology's own snapshot path so
-    the stream matches whatever is currently deployed.
-    """
-    profile = profile if profile is not None else LoadProfile()
-    registry = DetectorRegistry.load(topology.snapshot_path, check=False)
-    started = time.perf_counter()
-    submitted = topology.submit_many(synthesize_states(registry, profile))
-    topology.drain()
-    elapsed = time.perf_counter() - started
-    return {
-        "events": submitted,
-        "seconds": elapsed,
-        "events_per_second": submitted / elapsed if elapsed > 0 else 0.0,
-    }

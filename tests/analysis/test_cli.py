@@ -213,87 +213,21 @@ class TestErrors:
         assert main(["analyze", a, b]) == 0
         assert "d#2" in capsys.readouterr().out
 
+    def test_unknown_format_is_refused(self, write_doc, capsys):
+        path = write_doc("doc.json", {"format": "repro.bogus"})
+        assert main(["lint", path]) == 2
+        err = capsys.readouterr().err
+        assert "unsupported document format 'repro.bogus'" in err
+
 
 class TestServingDocuments:
-    def config(self, shed_after_s):
-        return {
-            "format": "repro.serving.config",
-            "version": 1,
-            "workers": 2,
-            "shed_after_s": shed_after_s,
-        }
-
-    def test_unbounded_ring_warns(self, write_doc, capsys):
-        path = write_doc("topo.json", self.config(None))
-        assert main(["lint", path, "--fail-on", "warning"]) == 1
-        assert "unbounded-serving-ring" in capsys.readouterr().out
-
-    def test_bounded_ring_passes(self, write_doc):
-        path = write_doc("topo.json", self.config(0.25))
-        assert main(["lint", path, "--fail-on", "warning"]) == 0
-
     def test_invalid_serving_document(self, write_doc, capsys):
+        # Serving configurations went with the multi-process serving
+        # tier: lint refuses them as an unknown format.
         path = write_doc(
             "topo.json",
             {"format": "repro.serving.config", "workers": 0},
         )
         assert main(["lint", path]) == 2
-        assert "invalid serving configuration" in capsys.readouterr().err
-
-
-class TestServe:
-    @pytest.fixture
-    def registry_doc(self, write_doc):
-        registry = DetectorRegistry(lint_policy="off")
-        registry.publish(Detector(CLEAN, name="ok"))
-        return write_doc("registry.json", registry.to_dict())
-
-    def test_inline_serve_text(self, registry_doc, capsys):
-        assert main(
-            ["serve", registry_doc, "--inline", "--workers", "2",
-             "--events", "300"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "300 events -> 300 processed, 0 shed" in out
-        assert "ok:" in out
-
-    def test_serve_json_report(self, registry_doc, capsys):
-        assert main(
-            ["serve", registry_doc, "--inline", "--events", "200",
-             "--format", "json"]
-        ) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["accounted"] is True
-        assert payload["submitted"] == 200
-        assert payload["load"]["events"] == 200
-        assert "ok" in payload["detections"]
-
-    def test_serve_gates_on_slo(self, registry_doc, capsys):
-        # An absurd p99 budget (1 ns) must fail the run.
-        assert main(
-            ["serve", registry_doc, "--inline", "--events", "200",
-             "--slo-p99", "1e-9"]
-        ) == 1
-        assert "VIOLATED" in capsys.readouterr().out
-
-    def test_serve_multiprocess(self, registry_doc, capsys):
-        assert main(
-            ["serve", registry_doc, "--workers", "2", "--events", "500"]
-        ) == 0
-        assert "500 processed" in capsys.readouterr().out
-
-    def test_serve_records_trace(self, registry_doc, tmp_path, capsys):
-        trace = tmp_path / "serve-trace.jsonl"
-        assert main(
-            ["serve", registry_doc, "--inline", "--events", "100",
-             "--trace", str(trace)]
-        ) == 0
-        from repro import observability as obs
-
-        names = {span.name for span in obs.load_trace(trace)}
-        assert "phase.serve" in names
-        assert "serve.flush" in names
-
-    def test_serve_invalid_config(self, registry_doc, capsys):
-        assert main(["serve", registry_doc, "--workers", "0"]) == 2
-        assert "workers" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unsupported document format 'repro.serving.config'" in err

@@ -220,66 +220,6 @@ class TestStaleCampaignStoreRule:
         assert finding.severity == Severity.WARNING
 
 
-class TestDeploymentRules:
-    def _plan(self, budget_s=1e-5, names=("narrow", "wide")):
-        from repro.portfolio.plan import DeploymentPlan, PlannedDetector
-
-        planned = tuple(
-            PlannedDetector(name=name, version=1, coverage=0.5, cost_s=2e-6)
-            for name in sorted(names)
-        )
-        return DeploymentPlan(
-            name="plan", budget_s=budget_s, coverage=0.5,
-            cost_s=sum(d.cost_s for d in planned), solver="manual",
-            detectors=planned,
-        )
-
-    def test_overbudget_is_error(self):
-        context = LintContext(plans={"plan": self._plan(budget_s=1e-6)})
-        (finding,) = Linter(select=["overbudget-deployment"]).run(context)
-        assert finding.severity == Severity.ERROR
-        assert "budget" in finding.message
-
-    def test_overbudget_recomputes_cost_from_detectors(self):
-        # A plan whose declared total understates the per-detector sum
-        # is still over budget.
-        plan = self._plan(budget_s=3e-6)
-        object.__setattr__(plan, "cost_s", 1e-7)
-        context = LintContext(plans={"plan": plan})
-        assert Linter(select=["overbudget-deployment"]).run(context) != []
-
-    def test_within_budget_is_clean(self):
-        context = LintContext(plans={"plan": self._plan(budget_s=1e-5)})
-        assert Linter(select=["overbudget-deployment"]).run(context) == []
-
-    def test_redundant_pair_warns_via_context_predicates(self):
-        narrow = And([Comparison("v", ">", 5.0), Comparison("w", ">", 0.0)])
-        wide = Comparison("v", ">", 5.0)
-        context = LintContext(
-            predicates={"narrow": narrow, "wide": wide},
-            plans={"plan": self._plan()},
-        )
-        (finding,) = Linter(select=["redundant-deployment"]).run(context)
-        assert finding.severity == Severity.WARNING
-        assert "narrow" in finding.message and "wide" in finding.message
-
-    def test_independent_detectors_are_clean(self):
-        context = LintContext(
-            predicates={
-                "narrow": Comparison("v", ">", 5.0),
-                "wide": Comparison("u", ">", 0.0),
-            },
-            plans={"plan": self._plan()},
-        )
-        assert Linter(select=["redundant-deployment"]).run(context) == []
-
-    def test_unresolvable_predicates_are_skipped(self):
-        # No registry, no context predicates: the rule cannot prove
-        # anything and must stay silent rather than crash.
-        context = LintContext(plans={"plan": self._plan()})
-        assert Linter(select=["redundant-deployment"]).run(context) == []
-
-
 class TestLinter:
     def test_findings_sorted_most_severe_first(self):
         findings = Linter().run(
@@ -338,10 +278,15 @@ class TestLinter:
             "dead-injection",
             "unpruned-exhaustive-campaign",
             "prune-without-audit",
-            "overbudget-deployment",
-            "redundant-deployment",
+            "low-sample-stratum",
             "stale-campaign-store",
         } <= names
+        retired = {
+            "unbounded-serving-ring",
+            "overbudget-deployment",
+            "redundant-deployment",
+        }
+        assert not retired & names
 
 
 class TestReporters:

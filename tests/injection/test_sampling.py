@@ -30,7 +30,7 @@ from repro.injection.bitflip import (
     flip_bits_batch,
 )
 from repro.injection.campaign import Campaign, CampaignConfig, CampaignResult
-from repro.injection.golden import GOLDEN_CACHE, golden_runs_for
+from repro.injection.golden import golden_runs_for
 from repro.injection.instrument import Harness, Location, VariableSpec
 from repro.injection.sampling import (
     SamplingReport,

@@ -8,7 +8,6 @@ from repro.runtime.metrics import (
     DetectorStats,
     LatencyHistogram,
     RuntimeMetrics,
-    calibrate_detector_cost,
 )
 
 
@@ -109,243 +108,3 @@ class TestRuntimeMetrics:
         metrics.reset()
         assert "a" not in metrics
 
-
-class TestMerge:
-    """Cross-process aggregation: bucket-exact, commutative merges."""
-
-    @staticmethod
-    def _filled(samples) -> LatencyHistogram:
-        histogram = LatencyHistogram()
-        for value in samples:
-            histogram.observe(value)
-        return histogram
-
-    def test_merge_equals_pooled_observation(self):
-        left = self._filled(i * 1e-5 for i in range(1, 500))
-        right = self._filled(i * 1e-4 for i in range(1, 200))
-        pooled = self._filled(
-            [i * 1e-5 for i in range(1, 500)]
-            + [i * 1e-4 for i in range(1, 200)]
-        )
-        left.merge(right)
-        assert left.counts == pooled.counts
-        assert left.count == pooled.count
-        assert left.overflow == pooled.overflow
-        assert left.total == pytest.approx(pooled.total)
-        assert left.minimum == pooled.minimum
-        assert left.maximum == pooled.maximum
-        for q in (0.5, 0.95, 0.99):
-            assert left.quantile(q) == pooled.quantile(q)
-
-    def test_merge_is_commutative(self):
-        a1 = self._filled((0.001, 0.002))
-        b1 = self._filled((0.5, 1000.0))  # includes overflow
-        a2 = self._filled((0.001, 0.002))
-        b2 = self._filled((0.5, 1000.0))
-        a1.merge(b1)
-        b2.merge(a2)
-        assert a1.counts == b2.counts
-        assert (a1.count, a1.overflow, a1.minimum, a1.maximum) == (
-            b2.count, b2.overflow, b2.minimum, b2.maximum
-        )
-
-    def test_merge_with_empty_is_identity(self):
-        filled = self._filled((0.001, 0.002, 0.003))
-        before = filled.snapshot()
-        filled.merge(LatencyHistogram())
-        assert filled.snapshot() == before
-
-    def test_merge_rejects_different_bounds(self):
-        # Only two *populated* histograms with mismatched bounds are
-        # irreconcilable; empty sides adopt or no-op (TestOneSidedMerge).
-        left = self._filled((0.001,))
-        right = LatencyHistogram(bounds=(0.1, 1.0))
-        right.observe(0.2)
-        with pytest.raises(ValueError):
-            left.merge(right)
-
-    def test_pooled_p99_is_not_an_average_of_p99s(self):
-        # The classic failure mode bucket-exact merging avoids: one
-        # fast worker and one slow worker.  The pooled p99 must come
-        # from the slow tail, not the average of the two p99s.
-        fast = self._filled(1e-4 for _ in range(99))
-        slow = self._filled(1e-1 for _ in range(99))
-        naive_average = (fast.quantile(0.99) + slow.quantile(0.99)) / 2
-        fast.merge(slow)
-        assert fast.quantile(0.99) == pytest.approx(1e-1, rel=0.25)
-        assert fast.quantile(0.99) > naive_average
-
-    def test_histogram_roundtrip(self):
-        original = self._filled((0.001, 0.5, 1000.0))
-        restored = LatencyHistogram.from_dict(
-            json.loads(json.dumps(original.to_dict()))
-        )
-        assert restored.counts == original.counts
-        assert restored.overflow == original.overflow
-        assert restored.snapshot() == original.snapshot()
-
-    def test_empty_histogram_roundtrip(self):
-        restored = LatencyHistogram.from_dict(LatencyHistogram().to_dict())
-        assert restored.count == 0
-        restored.observe(0.002)  # minimum must still track correctly
-        assert restored.minimum == 0.002
-
-    def test_detector_stats_merge(self):
-        a = DetectorStats("d")
-        a.record_batch(100, 7, 0.010)
-        a.record_fault()
-        b = DetectorStats("d")
-        b.record_batch(50, 3, 0.005)
-        a.merge(b)
-        assert (a.evaluations, a.detections, a.faults, a.batches) == (
-            150, 10, 1, 2
-        )
-        assert a.latency.count == 2
-
-    def test_runtime_metrics_merge_unions_names(self):
-        ours = RuntimeMetrics()
-        ours.stats_for("shared").record_batch(10, 1, 0.001)
-        ours.stats_for("only_ours").record_batch(5, 0, 0.002)
-        theirs = RuntimeMetrics()
-        theirs.stats_for("shared").record_batch(20, 2, 0.003)
-        theirs.stats_for("only_theirs").record_fault()
-        ours.merge(theirs)
-        report = ours.report()
-        assert set(report["detectors"]) == {
-            "shared", "only_ours", "only_theirs"
-        }
-        assert report["detectors"]["shared"]["evaluations"] == 30
-        assert report["totals"]["faults"] == 1
-
-    def test_runtime_metrics_roundtrip_then_merge(self):
-        # The supervisor's actual path: workers serialise, the
-        # supervisor restores and folds in any order.
-        workers = []
-        for shard in range(3):
-            metrics = RuntimeMetrics()
-            metrics.stats_for("d").record_batch(10 * (shard + 1), shard, 0.001)
-            workers.append(json.loads(json.dumps(metrics.to_dict())))
-        forward = RuntimeMetrics()
-        for payload in workers:
-            forward.merge(RuntimeMetrics.from_dict(payload))
-        backward = RuntimeMetrics()
-        for payload in reversed(workers):
-            backward.merge(RuntimeMetrics.from_dict(payload))
-        assert forward.report() == backward.report()
-        assert forward.report()["totals"]["evaluations"] == 60
-        assert forward.report()["detectors"]["d"]["detections"] == 3
-
-
-class TestOneSidedMerge:
-    """Per-detector counts must survive merging into a fresh aggregate,
-    even when the populated side uses non-default bucket bounds."""
-
-    @staticmethod
-    def _custom(samples):
-        histogram = LatencyHistogram(bounds=(0.001, 0.01, 0.1))
-        for value in samples:
-            histogram.observe(value)
-        return histogram
-
-    def test_empty_property(self):
-        assert LatencyHistogram().empty
-        filled = LatencyHistogram()
-        filled.observe(0.002)
-        assert not filled.empty
-
-    def test_empty_self_adopts_other_bounds(self):
-        aggregate = LatencyHistogram()  # default bounds
-        worker = self._custom((0.002, 0.02, 0.2))
-        aggregate.merge(worker)
-        assert aggregate.count == 3
-        assert aggregate.bounds == worker.bounds
-        assert aggregate.counts == worker.counts
-        assert aggregate.minimum == 0.002
-        assert aggregate.maximum == 0.2
-
-    def test_empty_other_is_noop_despite_bounds(self):
-        filled = self._custom((0.002, 0.02))
-        before = filled.snapshot()
-        filled.merge(LatencyHistogram())  # default bounds, but empty
-        assert filled.snapshot() == before
-        assert filled.bounds == (0.001, 0.01, 0.1)
-
-    def test_two_nonempty_different_bounds_still_rejected(self):
-        filled = self._custom((0.002,))
-        other = LatencyHistogram()
-        other.observe(0.002)
-        with pytest.raises(ValueError):
-            filled.merge(other)
-
-    def test_detector_stats_survive_one_sided_merge(self):
-        # The supervisor path that used to zero worker counts: a fresh
-        # aggregate folding in a worker with custom-bounds histograms.
-        aggregate = DetectorStats("d")
-        worker = DetectorStats("d", latency=self._custom(()))
-        worker.record_batch(100, 7, 0.004)
-        aggregate.merge(worker)
-        assert aggregate.evaluations == 100
-        assert aggregate.detections == 7
-        assert aggregate.latency.count == 1
-        assert aggregate.latency.bounds == (0.001, 0.01, 0.1)
-
-    def test_one_sided_merge_is_commutative(self):
-        worker = self._custom((0.002, 0.02, 0.2))
-        a = LatencyHistogram()
-        a.merge(worker)
-        b = self._custom((0.002, 0.02, 0.2))
-        b.merge(LatencyHistogram())
-        assert a.snapshot() == b.snapshot()
-        assert a.counts == b.counts
-
-
-class TestCalibrateDetectorCost:
-    @staticmethod
-    def _compiled():
-        from repro.core.predicate import Comparison
-        from repro.runtime.compile import compile_predicate
-
-        return compile_predicate(Comparison("v", ">", 5.0))
-
-    @staticmethod
-    def _states(n=64):
-        return [{"v": float(i % 10), "w": 1.0} for i in range(n)]
-
-    def test_measures_positive_cost(self):
-        calibration = calibrate_detector_cost(
-            self._compiled(), self._states(), repeats=5, warmup=1, name="hi"
-        )
-        assert calibration.per_event_s > 0.0
-        assert calibration.batch_s == pytest.approx(
-            calibration.per_event_s * calibration.events
-        )
-        assert calibration.spread_s >= 0.0
-        assert (calibration.events, calibration.repeats, calibration.warmup) == (
-            64, 5, 1
-        )
-        payload = calibration.to_dict()
-        assert payload["name"] == "hi"
-        assert json.dumps(payload)  # JSON-exportable
-
-    def test_records_into_metrics(self):
-        metrics = RuntimeMetrics()
-        calibrate_detector_cost(
-            self._compiled(), self._states(), repeats=3, warmup=0,
-            name="hi", metrics=metrics,
-        )
-        stats = metrics.stats_for("hi")
-        assert stats.batches == 3
-        assert stats.evaluations == 3 * 64
-        # 24 of the 64 states satisfy v > 5 (values 6..9 in each full
-        # cycle of 10).
-        assert stats.detections == 3 * 24
-        assert stats.latency.count == 3
-
-    def test_validates_arguments(self):
-        compiled = self._compiled()
-        with pytest.raises(ValueError, match="at least one state"):
-            calibrate_detector_cost(compiled, [])
-        with pytest.raises(ValueError, match="repeats"):
-            calibrate_detector_cost(compiled, self._states(), repeats=0)
-        with pytest.raises(ValueError, match="warmup"):
-            calibrate_detector_cost(compiled, self._states(), warmup=-1)

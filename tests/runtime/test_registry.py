@@ -130,6 +130,15 @@ class TestPersistence:
         with pytest.raises(SerializationError):
             DetectorRegistry.load(bad)
 
+    def test_document_with_plan_rejected(self):
+        # A plan gated publishes; loading without it would silently
+        # lift a gate the document says is in force.
+        payload = make_registry().to_dict()
+        assert "plan" not in payload
+        payload["plan"] = {"name": "plan", "budget_s": 1e-5, "detectors": []}
+        with pytest.raises(SerializationError, match="plans were retired"):
+            DetectorRegistry.from_dict(payload)
+
 
 UNSAT = And([Comparison("v", "<=", 1.0), Comparison("v", ">", 5.0)])
 

@@ -182,6 +182,7 @@ def _reference_unit(state, harness):
     deadline=None,
     max_examples=400,
     suppress_health_check=[HealthCheck.too_slow],
+    print_blob=True,
 )
 def test_fused_unit_matches_reference(state, overrides, units):
     twin = copy.deepcopy(state)
