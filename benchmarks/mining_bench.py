@@ -22,7 +22,12 @@ Three stages:
   distributions compared by bytes);
 * ``refine`` -- the end-to-end Step 4 grid search, seed path
   (reference engine, reuse caches disabled) vs the full data plane
-  (rankings, selection keys and per-trial AUCs compared exactly).
+  (rankings, selection keys and per-trial AUCs compared exactly);
+* ``crossval fit`` -- one cross-validation's training folds, each
+  fitted alone through ``fit`` vs grown together by ``fit_trees``
+  (trees compared by pickle bytes), with the stacked split-search
+  passes each needed (the ``split_passes`` count of the ``c45.fit``
+  spans).
 
 The synthetic dataset mirrors sampled program state: small counters,
 enum-like codes, quantised measurements and a few continuous signals,
@@ -47,12 +52,14 @@ import time
 
 import numpy as np
 
+from repro import observability as obs
 from repro.core.refine import RefinementGrid, RefinementResult, refine
 from repro.experiments.reporting import render_table
 from repro.experiments.scale import Scale, get_scale
 from repro.mining.cache import clear_reuse_caches, reuse_caches_disabled
+from repro.mining.crossval import stratified_folds
 from repro.mining.dataset import Attribute, Dataset
-from repro.mining.tree import C45DecisionTree
+from repro.mining.tree import C45DecisionTree, fit_trees
 
 # The reference engine lives in the test suite; make it importable
 # when this file runs as a script.
@@ -74,6 +81,8 @@ class MiningBenchRow:
     detail: str
     baseline_s: float
     optimized_s: float
+    #: Split-search passes (baseline, optimized), where the stage counts them.
+    split_passes: tuple[int, int] | None = None
 
     @property
     def speedup(self) -> float:
@@ -170,6 +179,17 @@ def _ranking(result: RefinementResult) -> list[tuple]:
     ]
 
 
+def _split_passes(fit) -> int:
+    """The stacked split-search passes ``fit()`` runs."""
+    with obs.tracing() as tracer:
+        fit()
+    return sum(
+        int(record.counters.get("split_passes", 0))
+        for record in tracer.spans
+        if record.name == "c45.fit"
+    )
+
+
 def run(scale: Scale | str = "bench") -> list[MiningBenchRow]:
     if isinstance(scale, str):
         scale = get_scale(scale)
@@ -254,6 +274,37 @@ def run(scale: Scale | str = "bench") -> list[MiningBenchRow]:
             refine_fast,
         )
     )
+
+    # -- crossval fit: the folds' trees grown alone vs together ---------
+    test_folds = stratified_folds(
+        dataset, load["folds"], np.random.default_rng(scale.seed)
+    )
+    trains = [
+        dataset.subset(np.setdiff1d(np.arange(len(dataset)), test))
+        for test in test_folds
+    ]
+
+    def alone() -> list[C45DecisionTree]:
+        return [C45DecisionTree(**factory_args).fit(train) for train in trains]
+
+    def together() -> list[C45DecisionTree]:
+        trees = [C45DecisionTree(**factory_args) for _ in trains]
+        fit_trees(trees, trains)
+        return trees
+
+    for one, batched in zip(alone(), together()):
+        if pickle.dumps(one.root) != pickle.dumps(batched.root):
+            raise RuntimeError("fold-batched growth diverged from a lone fit")
+    passes = (_split_passes(alone), _split_passes(together))
+    rows.append(
+        MiningBenchRow(
+            "crossval fit",
+            f"folds={load['folds']} split passes {passes[0]} -> {passes[1]}",
+            _best_of(alone, load["repeats"]),
+            _best_of(together, load["repeats"]),
+            passes,
+        )
+    )
     return rows
 
 
@@ -261,7 +312,10 @@ def render(rows: list[MiningBenchRow]) -> str:
     return render_table(
         ["Stage", "Workload", "Baseline ms", "Optimized ms", "Speedup"],
         [row.cells() for row in rows],
-        title="R-4: mining data-plane throughput (presorted vs seed engine)",
+        title=(
+            "R-4: mining data-plane throughput (presorted vs seed engine; "
+            "crossval fit: folds alone vs together)"
+        ),
     )
 
 

@@ -7,7 +7,8 @@ program-state workload of ``mining_bench.py``, which sits next to
 this file.  The contract checks run *inside* ``mining_bench.run`` --
 trees, class distributions and refinement rankings are verified
 bit-identical against the reference before any timing is reported --
-so the assertions here only encode the throughput bars.
+so the assertions here only encode the throughput bars and the
+split-search pass counts of the fold-batched fit.
 
 Measured margins (EXPERIMENTS.md R-4): batch distribution 14-18x,
 induction 2.3-4.2x, end-to-end refinement 2.2-2.3x.  The refinement
@@ -36,7 +37,7 @@ def test_bench_mining_data_plane(benchmark, scale):
     print()
     print(mining_bench.render(rows))
     by_stage = {row.stage: row for row in rows}
-    assert set(by_stage) == {"fit", "distribution", "refine"}
+    assert set(by_stage) == {"fit", "distribution", "refine", "crossval fit"}
 
     artifact = os.environ.get("REPRO_BENCH_JSON")
     if artifact:
@@ -46,6 +47,7 @@ def test_bench_mining_data_plane(benchmark, scale):
                 "baseline_s": row.baseline_s,
                 "optimized_s": row.optimized_s,
                 "speedup": row.speedup,
+                "split_passes": row.split_passes,
             }
             for row in rows
         }
@@ -60,3 +62,7 @@ def test_bench_mining_data_plane(benchmark, scale):
     # End-to-end Step 4 sweep vs the seed path (measured 2.2-2.3x; see
     # the module docstring for why the bar sits below the 3x target).
     assert by_stage["refine"].speedup >= 1.5
+    # A cross-validation's folds grown together need fewer stacked
+    # split-search passes than the folds fitted one by one.
+    alone, together = by_stage["crossval fit"].split_passes
+    assert 0 < together < alone

@@ -15,7 +15,7 @@ relies on for speed.
 Datasets also carry a lazily computed **presort cache**
 (:meth:`Dataset.presort`): one stable sort order per numeric column,
 restricted to the rows where the value is known.  C4.5 induction seeds
-its index-based recursion from this cache instead of re-sorting every
+its index-based growth from this cache instead of re-sorting every
 column at every node, and the cache is *derived* -- never recomputed --
 across the row operations the mining pipeline chains: an
 order-preserving :meth:`subset` filters the parent's orders,

@@ -4,7 +4,8 @@ The paper induces its detection predicates with Quinlan's C4.5 [34]
 (Weka's J48).  This package reimplements the parts the paper exercises:
 
 * gain-ratio split selection with the average-gain gate
-  (:mod:`repro.mining.tree.induction`),
+  (:mod:`repro.mining.tree.induction`), growing one tree or several
+  together (:func:`fit_trees`),
 * binary splits on numeric attributes and multiway splits on nominal
   ones, with fractional handling of missing values in both training and
   prediction,
@@ -18,11 +19,12 @@ The paper induces its detection predicates with Quinlan's C4.5 [34]
 """
 
 from repro.mining.tree.node import DecisionNode, LeafNode, TreeNode
-from repro.mining.tree.induction import C45DecisionTree
+from repro.mining.tree.induction import C45DecisionTree, fit_trees
 from repro.mining.tree.export import render_tree, tree_to_rules
 
 __all__ = [
     "C45DecisionTree",
+    "fit_trees",
     "TreeNode",
     "DecisionNode",
     "LeafNode",

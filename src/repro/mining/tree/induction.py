@@ -25,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from repro.mining.tree.node import (
 )
 from repro.mining.tree.pruning import prune_tree
 
-__all__ = ["C45DecisionTree"]
+__all__ = ["C45DecisionTree", "fit_trees"]
 
 # Gains this close to the best still count as "at least average" when
 # applying the average-gain gate, mirroring C4.5's epsilon comparisons.
@@ -48,6 +49,12 @@ _EPSILON = 1e-10
 # Smallest positive double: clamping probabilities to it before log2
 # leaves every p > 0 bit-untouched (see _PresortedGrower._entropy_rows_fused).
 _TINY = float(np.nextafter(0.0, 1.0))
+
+# Bounds of one stacked split-search pass, in one-hot cells: a node
+# joins a pass unless its zero padding would exceed _PAD_CELLS or the
+# pass would outgrow _PASS_CELLS (a node larger than that runs alone).
+_PAD_CELLS = 1 << 12
+_PASS_CELLS = 1 << 14
 
 
 @dataclasses.dataclass
@@ -105,22 +112,7 @@ class C45DecisionTree(Classifier):
     # Fitting
     # ------------------------------------------------------------------
     def fit(self, dataset: Dataset) -> "C45DecisionTree":
-        if len(dataset) == 0:
-            raise ValueError("cannot fit a decision tree on an empty dataset")
-        with obs.span("c45.fit", instances=len(dataset)) as fit_span:
-            self._remember_schema(dataset)
-            self._attributes = dataset.attributes
-            self._n_classes = dataset.n_classes
-            root = _PresortedGrower(self, dataset).grow(
-                np.arange(len(dataset), dtype=np.int64),
-                dataset.weights,
-                dataset.presort(),
-                depth=0,
-            )
-            if self.prune:
-                root = prune_tree(root, self.confidence_factor)
-            self.root = root
-            fit_span.count("nodes", root.node_count())
+        fit_trees([self], [dataset])
         return self
 
     # ------------------------------------------------------------------
@@ -163,61 +155,136 @@ class C45DecisionTree(Classifier):
         return self.root.depth()
 
 
+def fit_trees(
+    trees: Sequence[C45DecisionTree], datasets: Sequence[Dataset]
+) -> None:
+    """Fit ``trees[i]`` on ``datasets[i]`` for every ``i``, growing the
+    trees together.
+
+    Each tree comes out bit for bit as ``trees[i].fit(datasets[i])``
+    alone would grow it: trees of one configuration and schema share a
+    breadth-first grower (:class:`_PresortedGrower`), which searches
+    the open nodes of all of them in one stacked pass per depth.
+    :func:`repro.mining.crossval.cross_validate` fits a
+    cross-validation's fold trees this way.
+    """
+    if len(trees) != len(datasets):
+        raise ValueError("fit_trees needs one dataset per tree")
+    if any(len(dataset) == 0 for dataset in datasets):
+        raise ValueError("cannot fit a decision tree on an empty dataset")
+    with obs.span("c45.fit") as fit_span:
+        batches: dict[tuple, list[int]] = {}
+        for i, (tree, dataset) in enumerate(zip(trees, datasets)):
+            key = (
+                tree.min_leaf_weight,
+                tree.max_depth,
+                dataset.n_classes,
+                tuple(a.is_numeric for a in dataset.attributes),
+            )
+            batches.setdefault(key, []).append(i)
+        roots: list[TreeNode] = [None] * len(trees)  # type: ignore[list-item]
+        for (min_leaf_weight, max_depth, _, _), members in batches.items():
+            grower = _PresortedGrower(
+                min_leaf_weight, max_depth, [datasets[i] for i in members]
+            )
+            for i, root in zip(members, grower.grow()):
+                roots[i] = root
+            fit_span.count("split_passes", grower.split_passes)
+        nodes = 0
+        for tree, dataset, root in zip(trees, datasets, roots):
+            tree._remember_schema(dataset)
+            tree._attributes = dataset.attributes
+            tree._n_classes = dataset.n_classes
+            if tree.prune:
+                root = prune_tree(root, tree.confidence_factor)
+            tree.root = root
+            nodes += root.node_count()
+        fit_span.count("trees", len(trees))
+        fit_span.count("instances", sum(len(dataset) for dataset in datasets))
+        fit_span.count("nodes", nodes)
+
+
+class _Node:
+    """A node awaiting growth: tree ``tree``'s training rows ``rows``
+    with weights ``w``, whose grown subtree goes to ``slot[index]``."""
+
+    __slots__ = (
+        "tree", "rows", "w", "lists", "slot", "index",
+        "y_node", "class_weights", "total", "w_sum", "by_index",
+    )
+
+    def __init__(self, tree, rows, w, lists, slot, index) -> None:
+        self.tree = tree
+        self.rows = rows
+        self.w = w
+        # The node's per-attribute sort orders, or a zero-argument
+        # callable producing them (lazy derivation).
+        self.lists = lists
+        self.slot = slot
+        self.index = index
+
+
 class _PresortedGrower:
-    """Index-based C4.5 growth over presorted columns (SPRINT-style).
+    """Breadth-first C4.5 growth of several trees over presorted columns
+    (SPRINT-style).
 
-    Grows the *same tree, bit for bit*, as the seed per-node-sorting
+    Grows the *same trees, bit for bit*, as the seed per-node-sorting
     implementation kept as the test oracle in
-    ``tests/mining/_c45_reference.py`` ("the reference" below) -- every
-    floating-point reduction consumes the same operand sequence in the
-    same order -- while eliminating that recursion's per-node costs:
+    ``tests/mining/_c45_reference.py`` ("the reference" below) grows
+    one at a time -- every floating-point reduction consumes the same
+    operand sequence in the same order -- while eliminating that
+    recursion's per-node costs:
 
-    * numeric columns are sorted once per fit (or inherited from
-      :meth:`repro.mining.dataset.Dataset.presort`) and threaded
-      through the recursion as filtered ``(positions, values)`` pairs;
-      children of a split derive their orders by linear filtering and a
-      stable two-way merge, never by re-sorting;
+    * numeric columns are sorted once per dataset
+      (:meth:`repro.mining.dataset.Dataset.presort`) and handed down as
+      filtered ``(positions, values)`` pairs; children of a split
+      derive their orders by linear filtering and a stable two-way
+      merge, never by re-sorting;
     * node membership travels as row-index subsets instead of copied
       matrices, and missing-value routing appends indices carrying
       fractional weights instead of duplicating rows with ``np.vstack``;
     * sort-order derivation for a child is *lazy*, so children that
       immediately bottom out as leaves never pay for it;
-    * split evaluation runs over preallocated scratch buffers with the
-      left/right halves of every reduction stacked into single numpy
-      calls -- the arithmetic per element is unchanged (each row of a
-      stacked reduction is reduced independently, exactly as the
-      two-array form reduces it), only the per-call overhead goes.
+    * the trees grow level by level, and the numeric split search of
+      every open node of a level, in every tree, runs as one stacked
+      one-hot/cumsum/entropy pass (:meth:`_numeric_splits`) over
+      preallocated scratch buffers -- the arithmetic per element is
+      unchanged (each row or column of a stacked operation belongs to
+      one node and one attribute and is computed independently), only
+      the per-call overhead goes.  C4.5 draws no random numbers, so
+      the growth order cannot change a tree.
+
+    The datasets share one schema; the trees share ``min_leaf_weight``
+    and ``max_depth``.
     """
 
-    def __init__(self, tree: "C45DecisionTree", dataset: Dataset) -> None:
-        self._tree = tree
-        self._x = dataset.x
-        self._y = dataset.y
-        self._attributes = dataset.attributes
-        self._n_classes = dataset.n_classes
-        # Slot s of the stacked evaluation holds numeric attribute
-        # _numeric_js[s]; its one-hot/cumsum columns are s*C .. s*C+C-1.
+    def __init__(
+        self, min_leaf_weight: float, max_depth: int | None, datasets
+    ) -> None:
+        self._min_leaf_weight = min_leaf_weight
+        self._max_depth = max_depth
+        self._datasets = datasets
+        self._n_classes = datasets[0].n_classes
+        # Column block t of a stacked pass holds the t-th candidate
+        # (node, numeric attribute) pair: columns t*C .. t*C+C-1.
         self._numeric_js = [
-            j for j, a in enumerate(dataset.attributes) if a.is_numeric
+            j for j, a in enumerate(datasets[0].attributes) if a.is_numeric
         ]
-        n = max(len(dataset), 1)
+        n = max(len(dataset) for dataset in datasets)
         c = self._n_classes
-        dc = max(len(self._numeric_js), 1) * c
-        self._dc = dc
-        self._one_hot = np.zeros((n, dc))
-        self._cumulative = np.empty((n, dc))
         self._arange = np.arange(max(n, c, len(self._numeric_js)))
-        self._mask = np.empty(n, dtype=bool)
-        # Column t marks the known rows of the node's t-th candidate
+        # Column t marks the known rows of a node's t-th candidate
         # attribute (one scatter per node covers all attributes).
         self._known = np.empty((n, max(len(self._numeric_js), 1)), dtype=bool)
-        # Per-candidate parent entropies (kept out of the shared
-        # entropy work areas, which the boundary chain reuses later).
-        self._pe = np.empty(max(len(self._numeric_js), 1))
+        # One-hot/cumsum scratch, grown on first use to the largest pass.
+        self._one_hot = np.empty(0)
+        self._cumulative = np.empty(0)
         # Boundary-evaluation scratch, sized on first use to twice the
-        # root's stacked known count (children only shrink): row i of
-        # the left block and row F + i of the right block pair up.
+        # largest stacked known count: row i of the left block and row
+        # F + i of the right block pair up.
         self._stack_rows = 0
+        #: Stacked numeric split-search passes run so far.
+        self.split_passes = 0
 
     def _ensure_stack(self, rows_needed: int) -> None:
         if self._stack_rows >= rows_needed:
@@ -231,32 +298,81 @@ class _PresortedGrower:
         self._tot = np.empty((r, 1))
         self._p = np.empty((r, c))
         self._logs = np.empty((r, c))
-        self._pos = np.empty((r, c), dtype=bool)
         self._stack_rows = r
 
-    # -- recursion ------------------------------------------------------
-    def grow(self, rows, w, lists, depth: int) -> TreeNode:
-        """``lists`` is the node's per-attribute sort orders, or a
-        zero-argument callable producing them (lazy derivation)."""
-        tree = self._tree
-        y_node = self._y[rows]
-        class_weights = np.bincount(y_node, weights=w, minlength=self._n_classes)
-        total = class_weights.sum()
-        if (
-            total < 2 * tree.min_leaf_weight
-            or np.count_nonzero(class_weights) <= 1
-            or (tree.max_depth is not None and depth >= tree.max_depth)
-        ):
-            return LeafNode(class_weights)
+    def _aranged(self, n: int) -> np.ndarray:
+        if self._arange.size < n:
+            self._arange = np.arange(2 * n)
+        return self._arange
 
-        if callable(lists):
-            lists = lists()
-        split = self._best_split(rows, y_node, w, total, lists)
-        if split is None:
-            return LeafNode(class_weights)
+    # -- growth ---------------------------------------------------------
+    def grow(self) -> list[TreeNode]:
+        """The unpruned tree of every dataset, in dataset order."""
+        roots: list[TreeNode] = [None] * len(self._datasets)  # type: ignore[list-item]
+        level = [
+            _Node(
+                t,
+                np.arange(len(dataset), dtype=np.int64),
+                dataset.weights,
+                dataset.presort(),
+                roots,
+                t,
+            )
+            for t, dataset in enumerate(self._datasets)
+        ]
+        depth = 0
+        while level:
+            level = self._grow_level(level, depth)
+            depth += 1
+        return roots
 
+    def _grow_level(self, level: list[_Node], depth: int) -> list[_Node]:
+        """Settle every node of one depth -- as a leaf or a split -- and
+        return the next depth's nodes."""
+        c = self._n_classes
+        max_depth = self._max_depth
+        searched: list[_Node] = []
+        for node in level:
+            y_node = self._datasets[node.tree].y[node.rows]
+            class_weights = np.bincount(y_node, weights=node.w, minlength=c)
+            total = class_weights.sum()
+            if (
+                total < 2 * self._min_leaf_weight
+                or np.count_nonzero(class_weights) <= 1
+                or (max_depth is not None and depth >= max_depth)
+            ):
+                node.slot[node.index] = LeafNode(class_weights)
+                continue
+            if callable(node.lists):
+                node.lists = node.lists()
+            node.y_node = y_node
+            node.class_weights = class_weights
+            node.total = total
+            # For columns with no missing value at this node the
+            # reference's known-weight sum w[known].sum() reduces a
+            # verbatim copy of w, so one shared w.sum() serves every
+            # such column.
+            node.w_sum = node.w.sum()
+            node.by_index = {}
+            searched.append(node)
+        if self._numeric_js and searched:
+            self._numeric_splits(searched)
+        next_level: list[_Node] = []
+        for node in searched:
+            split = self._best_split(node)
+            if split is None:
+                node.slot[node.index] = LeafNode(node.class_weights)
+            else:
+                self._branch(node, split, next_level)
+        return next_level
+
+    def _branch(self, node: _Node, split: _Split, next_level: list[_Node]) -> None:
+        """Partition ``node`` by ``split``; its children join ``next_level``."""
+        x = self._datasets[node.tree].x
+        attributes = self._datasets[node.tree].attributes
+        rows, w, lists = node.rows, node.w, node.lists
         j = split.attribute_index
-        attribute = self._attributes[j]
+        attribute = attributes[j]
         m = rows.size
         if attribute.is_numeric:
             assert split.threshold is not None
@@ -269,7 +385,7 @@ class _PresortedGrower:
             branch_masks = [mask_low, mask_high]
             known = mask_low | mask_high
         else:
-            column = self._x[rows, j]
+            column = x[rows, j]
             known = ~np.isnan(column)
             branch_masks = [
                 known & (column == v) for v in range(len(attribute.values))
@@ -278,13 +394,14 @@ class _PresortedGrower:
         branch_weights = np.array([w[mask].sum() for mask in branch_masks])
         known_total = branch_weights.sum()
         if known_total <= 0:
-            return LeafNode(class_weights)
+            node.slot[node.index] = LeafNode(node.class_weights)
+            return
         fractions = branch_weights / known_total
 
-        children: list[TreeNode] = []
+        children: list[TreeNode] = [None] * len(branch_masks)  # type: ignore[list-item]
         missing = ~known
         has_missing = bool(missing.any())
-        for mask, fraction in zip(branch_masks, fractions):
+        for b, (mask, fraction) in enumerate(zip(branch_masks, fractions)):
             route_missing = has_missing and fraction > 0
             if route_missing:
                 child_rows = np.concatenate([rows[mask], rows[missing]])
@@ -293,24 +410,26 @@ class _PresortedGrower:
                 child_rows = rows[mask]
                 child_w = w[mask]
             if child_w.sum() <= 0:
-                children.append(LeafNode(class_weights.copy()))
+                children[b] = LeafNode(node.class_weights.copy())
+                continue
+            # Both derivations produce the identical canonical sort
+            # orders (see _resorted_lists); filtering scans the
+            # parent's lists at O(parent size) per attribute, so a
+            # child much smaller than its parent re-sorts instead.
+            if child_rows.size <= 64 or child_rows.size * 8 <= m:
+                child_lists = functools.partial(
+                    _resorted_lists, x, child_rows, self._numeric_js
+                )
             else:
-                # Both derivations produce the identical canonical sort
-                # orders (see _resorted_lists); filtering scans the
-                # parent's lists at O(parent size) per attribute, so a
-                # child much smaller than its parent re-sorts instead.
-                if child_rows.size <= 64 or child_rows.size * 8 <= m:
-                    child_lists = functools.partial(
-                        _resorted_lists, self._x, child_rows, self._attributes
-                    )
-                else:
-                    child_lists = functools.partial(
-                        _filter_lists, lists, mask, missing if route_missing else None
-                    )
-                children.append(self.grow(child_rows, child_w, child_lists, depth + 1))
+                child_lists = functools.partial(
+                    _filter_lists, lists, mask, missing if route_missing else None
+                )
+            next_level.append(
+                _Node(node.tree, child_rows, child_w, child_lists, children, b)
+            )
 
-        return DecisionNode(
-            class_weights=class_weights,
+        node.slot[node.index] = DecisionNode(
+            class_weights=node.class_weights,
             attribute=attribute,
             attribute_index=j,
             threshold=split.threshold,
@@ -319,21 +438,11 @@ class _PresortedGrower:
         )
 
     # -- split selection ------------------------------------------------
-    def _best_split(self, rows, y_node, w, total, lists) -> _Split | None:
-        tree = self._tree
-        m = rows.size
-        # For columns with no missing value at this node the reference's
-        # known-weight sum w[known].sum() reduces a verbatim copy of w,
-        # so one shared w.sum() serves every such column.
-        w_sum = w.sum()
-        by_index: dict[int, _Split] = {}
-        if self._numeric_js:
-            self._numeric_splits(rows, y_node, w, total, m, w_sum, lists, by_index)
-        for j, attribute in enumerate(self._attributes):
+    def _best_split(self, node: _Node) -> _Split | None:
+        by_index = node.by_index
+        for j, attribute in enumerate(self._datasets[node.tree].attributes):
             if not attribute.is_numeric:
-                candidate = self._nominal_split(
-                    rows, y_node, w, total, m, w_sum, j, attribute
-                )
+                candidate = self._nominal_split(node, j, attribute)
                 if candidate is not None:
                     by_index[j] = candidate
         # The reference accumulates candidates in attribute order, and
@@ -350,135 +459,164 @@ class _PresortedGrower:
         admissible = [c for c in candidates if c.gain + _EPSILON >= average_gain]
         return max(admissible, key=lambda c: (c.gain_ratio, c.gain))
 
-    def _numeric_splits(
-        self, rows, y_node, w, total, m, w_sum, lists, by_index
-    ) -> None:
-        """Evaluate every numeric attribute of the node in one stacked
-        pass, reproducing the reference evaluation bit for bit.
-
-        Per-attribute candidate cuts are laid side by side: attribute
-        slot ``s`` owns columns ``s*C .. s*C+C-1`` of one (rows, d*C)
-        one-hot matrix, so a single column-wise cumsum produces every
-        attribute's running class counts at once (cumsum is sequential
-        per column, and trailing zero rows of shorter columns add 0.0,
-        which never changes a float).  Boundary detection, feasibility,
-        and the entropy/gain chain then run once over the concatenated
-        boundary rows of all attributes -- every row of those
-        reductions belongs to exactly one attribute and is reduced
-        independently, so each sees the operand sequence the reference
-        gave it -- and only the tiny per-attribute argmax loop remains.
-        """
-        tree = self._tree
+    def _numeric_splits(self, nodes: list[_Node]) -> None:
+        """Evaluate every numeric attribute of every node in ``nodes``
+        into its ``by_index``, in as few stacked passes as the padding
+        and scratch bounds allow, reproducing the reference evaluation
+        bit for bit."""
         c = self._n_classes
-        dc = self._dc
-        arange = self._arange
-        # Candidate slots: numeric attributes with at least one known row.
-        cand = [
-            (s, j, lists[j][0], lists[j][1])
-            for s, j in enumerate(self._numeric_js)
-            if lists[j][0].size
-        ]
-        if not cand:
-            return
-        n_cand = len(cand)
-        sizes = [positions.size for _, _, positions, _ in cand]
-        sz = np.array(sizes)
-        positions_cat = (
-            cand[0][2]
-            if n_cand == 1
-            else np.concatenate([p for _, _, p, _ in cand])
-        )
-        # Known-row weights, batched: one boolean scatter marks every
-        # attribute's known rows at once, then each attribute that has
-        # missing values sums its own rows in node order -- exactly the
-        # reference's per-attribute w[~isnan(column)].sum().
-        kws = [w_sum] * n_cand
-        need = [t for t, nk in enumerate(sizes) if nk != m]
-        if need:
-            km = self._known[:m, :n_cand]
-            km[:] = False
-            km[positions_cat, np.repeat(arange[:n_cand], sz)] = True
-            for t in need:
-                kws[t] = w[km[:, t]].sum()
-        # Admission gate, exactly the reference's.
-        min2 = 2 * tree.min_leaf_weight
-        if any(kw < min2 for kw in kws):
-            kept = [t for t in range(n_cand) if kws[t] >= min2]
-            if not kept:
-                return
-            cand = [cand[t] for t in kept]
-            kws = [kws[t] for t in kept]
-            sizes = [sizes[t] for t in kept]
+        min2 = 2 * self._min_leaf_weight
+        # Per node, the candidate slots: numeric attributes with at
+        # least one known row whose known weight passes the reference's
+        # admission gate, as (node, j, positions, values, kw).
+        blocks = []
+        for node in nodes:
+            lists, w, m = node.lists, node.w, node.rows.size
+            cand = [(j, *lists[j]) for j in self._numeric_js if lists[j][0].size]
+            if not cand:
+                continue
             n_cand = len(cand)
-            sz = np.array(sizes)
+            sizes = [positions.size for _, positions, _ in cand]
             positions_cat = (
-                cand[0][2]
+                cand[0][1]
                 if n_cand == 1
-                else np.concatenate([p for _, _, p, _ in cand])
+                else np.concatenate([p for _, p, _ in cand])
             )
-        max_known = max(sizes)
-        stack = int(positions_cat.size)
+            # Known-row weights, batched: one boolean scatter marks
+            # every attribute's known rows at once, then each attribute
+            # that has missing values sums its own rows in node order --
+            # exactly the reference's per-attribute
+            # w[~isnan(column)].sum().
+            kws = [node.w_sum] * n_cand
+            need = [t for t, nk in enumerate(sizes) if nk != m]
+            if need:
+                km = self._known[:m, :n_cand]
+                km[:] = False
+                km[positions_cat, np.repeat(self._arange[:n_cand], sizes)] = True
+                for t in need:
+                    kws[t] = w[km[:, t]].sum()
+            if any(kw < min2 for kw in kws):
+                kept = [t for t in range(n_cand) if kws[t] >= min2]
+                if not kept:
+                    continue
+                cand = [cand[t] for t in kept]
+                kws = [kws[t] for t in kept]
+                sizes = [sizes[t] for t in kept]
+                positions_cat = np.concatenate([p for _, p, _ in cand])
+            slots = [
+                (node, j, positions, values, kw)
+                for (j, positions, values), kw in zip(cand, kws)
+            ]
+            blocks.append(
+                (max(sizes), slots, node.y_node[positions_cat], w[positions_cat])
+            )
+        # Pack the nodes, largest first, into passes: a node joins the
+        # open pass unless its zero padding (the pass is as tall as its
+        # largest node) or the pass's scratch would grow too large.
+        blocks.sort(key=lambda block: -block[0])
+        group: list = []
+        rows = cols = 0
+        for block in blocks:
+            block_cols = len(block[1]) * c
+            if group and (
+                (rows - block[0]) * block_cols > _PAD_CELLS
+                or rows * (cols + block_cols) > _PASS_CELLS
+            ):
+                self._search_pass(group, rows)
+                group = []
+            if not group:
+                rows, cols = block[0], 0
+            group.append(block)
+            cols += block_cols
+        if group:
+            self._search_pass(group, rows)
+
+    def _search_pass(self, group: list, max_known: int) -> None:
+        """One stacked split search over the candidate slots of
+        ``group``'s nodes.
+
+        Candidate cuts are laid side by side: slot ``t`` owns columns
+        ``t*C .. t*C+C-1`` of one (rows, slots*C) one-hot matrix, so a
+        single column-wise cumsum produces every slot's running class
+        counts at once (cumsum is sequential per column, and trailing
+        zero rows of shorter columns are never read).  Boundary
+        detection, feasibility, and the entropy/gain chain then run
+        once over the concatenated boundary rows of all slots -- every
+        row of those reductions belongs to exactly one slot and is
+        reduced independently, so each sees the operand sequence the
+        reference gave it -- and only the per-slot split-information
+        and threshold tails stay scalar.
+        """
+        self.split_passes += 1
+        c = self._n_classes
+        slots = [slot for _, block_slots, _, _ in group for slot in block_slots]
+        n_slots = len(slots)
+        dc = n_slots * c
+        sizes = [positions.size for _, _, positions, _, _ in slots]
+        sz = np.array(sizes)
+        stack = int(sz.sum())
+        arange = self._aranged(max(stack, n_slots, c))
         self._ensure_stack(2 * stack)
 
-        values = (
-            cand[0][3]
-            if n_cand == 1
-            else np.concatenate([v for _, _, _, v in cand])
-        )
-        col_starts = np.array([s * c for s, _, _, _ in cand])
+        values = np.concatenate([v for _, _, _, v, _ in slots])
+        col_starts = arange[:n_slots] * c
         ends = np.cumsum(sz)
         offs0 = ends - sz
-        # One scatter builds every attribute's one-hot block: row i of
-        # block t is the i-th sorted known row of that attribute.
-        row_idx = (
-            arange[:stack]
-            if n_cand == 1
-            else np.concatenate([arange[:nk] for nk in sizes])
+        # One scatter builds every slot's one-hot block: row i of block
+        # t is the i-th sorted known row of that slot's attribute.
+        row_idx = arange[:stack] - np.repeat(offs0, sz)
+        col_idx = np.concatenate([y for _, _, y, _ in group]) + np.repeat(
+            col_starts, sz
         )
-        col_idx = y_node[positions_cat] + np.repeat(col_starts, sz)
-        one_hot = self._one_hot[:max_known]
+        cells = max_known * dc
+        if self._one_hot.size < cells:
+            self._one_hot = np.empty(cells)
+            self._cumulative = np.empty(cells)
+        one_hot = self._one_hot[:cells].reshape(max_known, dc)
         one_hot[:] = 0.0
-        one_hot[row_idx, col_idx] = w[positions_cat]
-        left_counts = one_hot.cumsum(axis=0, out=self._cumulative[:max_known])
+        one_hot[row_idx, col_idx] = np.concatenate([w for _, _, _, w in group])
+        left_counts = one_hot.cumsum(
+            axis=0, out=self._cumulative[:cells].reshape(max_known, dc)
+        )
         flat = left_counts.ravel()  # contiguous view of the buffer slice
 
-        # Per-attribute totals live in the last valid row of each block.
-        # Parent entropies come from one fused row chain when every row
-        # reduction is sequential from 0.0 (C < 8) and every total
+        # Per-slot totals live in the last valid row of each block.
+        # Parent entropies come from one fused row chain where every
+        # row reduction is sequential from 0.0 (C < 8) and the total
         # clears the reference's positivity test by a wide margin; the
-        # degenerate cases fall back to the per-attribute scalar replica
-        # of _entropy.
+        # degenerate slots fall back to the scalar replica of _entropy.
+        kws = [kw for _, _, _, _, kw in slots]
         arange_c = arange[:c]
         tot = flat[((sz - 1) * dc + col_starts)[:, None] + arange_c]
-        if c < 8 and min(kws) >= 1e-300:
-            pe = self._entropy_rows_fused(tot, self._pe[:n_cand])
-        else:
-            pe = np.array([_entropy_fast(tot[t]) for t in range(n_cand)])
+        pe = np.empty(n_slots)
+        if c < 8:
+            self._entropy_rows_fused(tot, pe)
+        if c >= 8 or min(kws) < 1e-300:
+            for t in range(n_slots):
+                if c >= 8 or kws[t] < 1e-300:
+                    pe[t] = _entropy_fast(tot[t])
 
         # values[1:] > values[:-1] is IEEE-equivalent to the reference's
         # diff(values) > 0 (x - y > 0 iff x > y under gradual underflow,
         # and both give False whenever the difference is NaN).  At the
-        # joints between attribute segments the comparison crosses
-        # attributes; mask those positions out.
+        # joints between slot segments the comparison crosses slots;
+        # mask those positions out.
         cmp = values[1:] > values[:-1]
-        if n_cand > 1:
+        if n_slots > 1:
             cmp[ends[:-1] - 1] = False
         bnd = np.flatnonzero(cmp)
         if bnd.size == 0:
             return
-        # Boundaries per attribute segment, in ascending slot order.
-        cuts = np.searchsorted(bnd, ends[:-1])
-        b_counts = np.diff(np.concatenate([[0], cuts, [bnd.size]]))
         big = int(bnd.size)
 
-        slot_of = np.repeat(arange[:n_cand], b_counts)
+        slot_of = np.searchsorted(ends, bnd, side="right")
         local = bnd - offs0[slot_of]
         col_base = col_starts[slot_of]
         lr = self._lr[: 2 * big]
         np.take(flat, (local * dc + col_base)[:, None] + arange_c, out=lr[:big])
         np.subtract(tot[slot_of], lr[:big], out=lr[big:])
         branch_w = np.add.reduce(lr, axis=1)
-        ge = branch_w >= tree.min_leaf_weight
+        ge = branch_w >= self._min_leaf_weight
         feasible = np.logical_and(ge[:big], ge[big:], out=ge[:big])
         if feasible.all():
             # Every cut admissible (the common case away from the
@@ -500,64 +638,71 @@ class _PresortedGrower:
 
         # H(left) rows at h[:f], H(right) rows at h[f:], then
         # (lw * Hl + rw * Hr) / kw and the gain transform, all with the
-        # reference's per-element arithmetic (the per-attribute scalars
-        # kw, H(parent), kw/total arrive as per-row vectors; multiplying
-        # or dividing by a broadcast scalar and by a vector holding that
+        # reference's per-element arithmetic (the per-slot scalars kw,
+        # H(parent), kw/total arrive as per-row vectors; multiplying or
+        # dividing by a broadcast scalar and by a vector holding that
         # scalar are the same element operation).
+        totals = [node.total for node, _, _, _, _ in slots]
         kw_arr = np.array(kws)
         h = self._entropy_rows_fused(counts, self._h[: 2 * f])
         np.multiply(weights_f, h, out=h)
         info = np.add(h[:f], h[f:], out=h[:f])
         np.divide(info, kw_arr[slot_f], out=info)
         np.subtract(pe[slot_f], info, out=info)
-        gains = np.multiply(info, (kw_arr / total)[slot_f], out=info)
+        gains = np.multiply(info, (kw_arr / np.array(totals))[slot_f], out=info)
 
-        # First-max argmax within each attribute's feasible segment,
-        # exactly the reference's per-attribute np.argmax.
-        seg_counts = np.bincount(slot_f, minlength=n_cand)
-        start = 0
-        for t, (s, j, _, _) in enumerate(cand):
-            count = int(seg_counts[t])
-            if count == 0:
-                continue
-            seg = gains[start : start + count]
-            best = int(seg.argmax())
-            gain = float(seg[best])
-            row = start + best
-            start += count
-            if gain <= _EPSILON:
-                continue
-            g = int(bnd[row] if fidx is None else bnd[int(fidx[row])])
-            threshold = _threshold_between(values[g], values[g + 1])
-            split_info = _split_info_scalar(
-                (weights_f[row], weights_f[f + row]),
-                total - kws[t],
-                total,
-            )
+        # First-max argmax within each slot's feasible segment, exactly
+        # the reference's per-attribute np.argmax: the segment's max
+        # (max is exact in any order), then its first occurrence -- or
+        # the first NaN, which np.argmax returns when there is one.
+        seg_counts = np.bincount(slot_f, minlength=n_slots)
+        present = np.flatnonzero(seg_counts)
+        seg_max = np.maximum.reduceat(
+            gains, (np.cumsum(seg_counts) - seg_counts)[present]
+        )
+        hit = gains == np.repeat(seg_max, seg_counts[present])
+        if np.isnan(seg_max).any():
+            hit |= np.isnan(gains)
+        hit_rows = np.flatnonzero(hit)
+        best = hit_rows[np.searchsorted(slot_f[hit_rows], present)]
+        best_gains = gains[best]
+        keep = ~(best_gains <= _EPSILON)
+        best = best[keep]
+        g = bnd[best] if fidx is None else bnd[fidx[best]]
+        for t, gain, lo, hi, lw, rw in zip(
+            present[keep].tolist(),
+            best_gains[keep].tolist(),
+            values[g].tolist(),
+            values[g + 1].tolist(),
+            weights_f[best].tolist(),
+            weights_f[f + best].tolist(),
+        ):
+            node, j, _, _, kw = slots[t]
+            split_info = _split_info_scalar((lw, rw), totals[t] - kw, totals[t])
             if split_info <= _EPSILON:
                 continue
-            by_index[j] = _Split(j, gain, gain / split_info, threshold)
+            node.by_index[j] = _Split(
+                j, gain, gain / split_info, _threshold_between(lo, hi)
+            )
 
-    def _nominal_split(
-        self, rows, y_node, w, total, m, w_sum, j, attribute
-    ) -> _Split | None:
+    def _nominal_split(self, node: _Node, j: int, attribute) -> _Split | None:
         """The reference's ``_nominal_split``, op for op, with the
         grower's scratch buffers and scalar tails."""
-        tree = self._tree
         n_values = len(attribute.values)
         self._ensure_stack(n_values)
-        column = self._x[rows, j]
+        column = self._datasets[node.tree].x[node.rows, j]
         known = ~np.isnan(column)
         n_known = int(np.count_nonzero(known))
         if n_known == 0:
             return None
-        if n_known == m:
+        y_node, w, total = node.y_node, node.w, node.total
+        if n_known == node.rows.size:
             # All values known: the reference's all-true gathers return
             # verbatim copies, and w[known].sum() is the shared w.sum().
             values = column.astype(np.int64)
             labels = y_node
             weights = w
-            known_weight = w_sum
+            known_weight = node.w_sum
         else:
             values = column[known].astype(np.int64)
             labels = y_node[known]
@@ -567,7 +712,7 @@ class _PresortedGrower:
         counts = np.zeros((n_values, self._n_classes))
         np.add.at(counts, (values, labels), weights)
         branch_weight = np.add.reduce(counts, axis=1)
-        if np.count_nonzero(branch_weight >= tree.min_leaf_weight) < 2:
+        if np.count_nonzero(branch_weight >= self._min_leaf_weight) < 2:
             return None
 
         parent_entropy = _entropy_fast(counts.sum(axis=0))
@@ -643,7 +788,7 @@ def _entropy_fast(counts: np.ndarray) -> float:
 
 
 def _resorted_lists(
-    x: np.ndarray, rows: np.ndarray, attributes: tuple
+    x: np.ndarray, rows: np.ndarray, numeric_js: list[int]
 ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Build a node's sort orders by sorting its columns directly.
 
@@ -654,16 +799,15 @@ def _resorted_lists(
     sort last and are trimmed).  Used for small children of large
     nodes, where filtering the parent's lists costs O(parent size) per
     attribute but re-sorting costs only O(child size log child size).
+    One row-wise argsort sorts every column at once.
     """
+    columns = x[rows][:, numeric_js].T
+    orders = np.argsort(columns, axis=1, kind="stable")
+    n_known = (rows.size - np.count_nonzero(np.isnan(columns), axis=1)).tolist()
     out: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for j, attribute in enumerate(attributes):
-        if not attribute.is_numeric:
-            continue
-        column = x[rows, j]
-        order = np.argsort(column, kind="stable")
-        n_known = column.size - int(np.count_nonzero(np.isnan(column)))
-        positions = order[:n_known]
-        out[j] = (positions, column[positions])
+    for t, j in enumerate(numeric_js):
+        positions = orders[t, : n_known[t]]
+        out[j] = (positions, columns[t, positions])
     return out
 
 

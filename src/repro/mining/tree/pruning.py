@@ -38,10 +38,13 @@ def _prune(node: TreeNode, confidence_factor: float) -> tuple[TreeNode, float]:
     """The pruned ``node`` and the pessimistic error estimate of what it
     became: a leaf's own estimate, or the sum of its children's in
     child order.  Each subtree returns its estimate to its parent, so
-    a pass visits every node once and reads each node's weights once.
+    a pass visits every node once and reduces each node's weights once
+    per statistic: one sum and one max (the values of
+    ``node.total_weight`` and ``node.training_errors``).
     """
-    total_weight = node.total_weight
-    training_errors = node.training_errors
+    weights = node.class_weights
+    total_weight = float(weights.sum())
+    training_errors = total_weight - float(weights.max(initial=0.0))
     if isinstance(node, LeafNode):
         return node, pessimistic_errors(
             total_weight, training_errors, confidence_factor

@@ -14,16 +14,16 @@ fixed-seed regression pinning the Step 4 refinement ranking.
 import pickle
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.preprocess import PreprocessingPlan
 from repro.core.refine import RefinementGrid, refine
 from repro.mining.cache import clear_reuse_caches, reuse_caches_disabled
-from repro.mining.crossval import stratified_folds
+from repro.mining.crossval import cross_validate, stratified_folds
 from repro.mining.dataset import Attribute, Dataset
 from repro.mining.knn import NearestNeighbours
 from repro.mining.sampling import smote
-from repro.mining.tree import C45DecisionTree
+from repro.mining.tree import C45DecisionTree, fit_trees
 from tests.mining import _c45_reference as reference
 from tests.mining._smote_reference import per_seed_neighbours
 
@@ -79,14 +79,91 @@ def datasets(draw) -> Dataset:
     )
 
 
-@given(dataset=datasets(), prune=st.booleans(), mlw=st.sampled_from([1.0, 2.0, 4.0]))
-@settings(deadline=None, max_examples=60)
-def test_presorted_fit_bit_identical(dataset, prune, mlw):
+@st.composite
+def training_subsets(draw, dataset: Dataset) -> Dataset:
+    """A training set drawn from ``dataset`` the ways Steps 2-3 make
+    them: a cross-validation fold (ascending rows), a fold with copies
+    of its rows appended (oversampling), a bootstrap sample (rows
+    repeated, any order), or a few rows (a tree that stops at once)."""
+    n = len(dataset)
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    kind = draw(st.sampled_from(["fold", "oversampled", "bootstrap", "tiny"]))
+    if kind == "bootstrap":
+        return dataset.subset(rng.choice(n, n, replace=True))
+    if kind == "tiny":
+        size = draw(st.integers(1, 3))
+        return dataset.subset(np.sort(rng.choice(n, size, replace=False)))
+    keep = draw(st.sampled_from([0.5, 0.8, 0.9]))
+    rows = np.flatnonzero(rng.random(n) < keep)
+    if rows.size == 0:
+        rows = np.arange(1)
+    fold = dataset.subset(rows)
+    if kind == "oversampled":
+        copies = rng.choice(rows, int(rng.integers(1, rows.size + 1)))
+        fold = fold.concat(dataset.subset(copies))
+    return fold
+
+
+@given(
+    dataset=datasets(),
+    prune=st.booleans(),
+    mlw=st.sampled_from([1.0, 2.0, 4.0]),
+    data=st.data(),
+)
+@settings(deadline=None, max_examples=60, print_blob=True)
+def test_presorted_fit_bit_identical(dataset, prune, mlw, data):
     naive = reference.ReferenceC45DecisionTree(prune=prune, min_leaf_weight=mlw)
     fast = C45DecisionTree(prune=prune, min_leaf_weight=mlw)
     naive.fit(dataset)
     fast.fit(dataset)
     assert pickle.dumps(naive.root) == pickle.dumps(fast.root)
+
+    # Fold-batched: k training sets grown together, each tree equal to
+    # the reference fitted on its set alone.
+    k = data.draw(st.integers(1, 5), label="k")
+    subsets = [data.draw(training_subsets(dataset)) for _ in range(k)]
+    batched = [C45DecisionTree(prune=prune, min_leaf_weight=mlw) for _ in subsets]
+    fit_trees(batched, subsets)
+    for tree, subset in zip(batched, subsets):
+        alone = reference.ReferenceC45DecisionTree(
+            prune=prune, min_leaf_weight=mlw
+        ).fit(subset)
+        assert pickle.dumps(tree.root) == pickle.dumps(alone.root)
+
+
+@given(
+    dataset=datasets(),
+    k=st.integers(2, 4),
+    level=st.sampled_from([100.0, 300.0]),
+    neighbours=st.integers(1, 3),
+)
+@settings(deadline=None, max_examples=30, print_blob=True)
+def test_cross_validate_fold_batched_matches_reference(
+    dataset, k, level, neighbours
+):
+    """Fold trees grown together score fold for fold as the reference
+    grows them one fold at a time, SMOTE-resampled training folds
+    included."""
+    assume(int(np.count_nonzero(dataset.y == 1)) > k)
+
+    def preprocess(train, rng):
+        return smote(train, level, neighbours, rng)
+
+    results = [
+        cross_validate(
+            dataset,
+            learner,
+            k=k,
+            rng=np.random.default_rng(7),
+            preprocess=preprocess,
+        )
+        for learner in (reference.ReferenceC45DecisionTree, C45DecisionTree)
+    ]
+    naive, fast = results
+    assert len(naive.folds) == len(fast.folds) == k
+    for a, b in zip(naive.folds, fast.folds):
+        assert a.confusion.matrix.tobytes() == b.confusion.matrix.tobytes()
+        assert a.complexity == b.complexity
 
 
 @given(dataset=datasets())

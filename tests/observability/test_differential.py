@@ -123,7 +123,12 @@ def _ranking(result):
 
 
 def _fit_spans(tracer) -> int:
-    return sum(1 for record in tracer.spans if record.name == "c45.fit")
+    """Trees fitted: a shared fit's span counts its ``trees``."""
+    return sum(
+        record.counters.get("trees", 1)
+        for record in tracer.spans
+        if record.name == "c45.fit"
+    )
 
 
 class TestEnginesAgreeUnderTracing:
