@@ -12,7 +12,7 @@ predictions and trial rankings** -- every comparison is verified
 before any timing is reported, and a divergence aborts the
 experiment.
 
-Three stages:
+Five stages:
 
 * ``fit`` -- one C4.5 induction on the full dataset, the reference's
   per-node sorting vs presorted index subsets (trees compared by
@@ -27,7 +27,12 @@ Three stages:
   fitted alone through ``fit`` vs grown together by ``fit_trees``
   (trees compared by pickle bytes), with the stacked split-search
   passes each needed (the ``split_passes`` count of the ``c45.fit``
-  spans).
+  spans);
+* ``grid fit`` -- the fold trees of every plan of the refinement grid,
+  one ``fit_trees`` call per plan vs one for the whole grid as the
+  serial sweep joins them (trees compared by pickle bytes), with the
+  split passes and the depths settled (the ``levels`` count) each
+  needed.
 
 The synthetic dataset mirrors sampled program state: small counters,
 enum-like codes, quantised measurements and a few continuous signals,
@@ -57,7 +62,7 @@ from repro.core.refine import RefinementGrid, RefinementResult, refine
 from repro.experiments.reporting import render_table
 from repro.experiments.scale import Scale, get_scale
 from repro.mining.cache import clear_reuse_caches, reuse_caches_disabled
-from repro.mining.crossval import stratified_folds
+from repro.mining.crossval import stratified_folds, train_folds
 from repro.mining.dataset import Attribute, Dataset
 from repro.mining.tree import C45DecisionTree, fit_trees
 
@@ -83,6 +88,8 @@ class MiningBenchRow:
     optimized_s: float
     #: Split-search passes (baseline, optimized), where the stage counts them.
     split_passes: tuple[int, int] | None = None
+    #: Depths settled (baseline, optimized), where the stage counts them.
+    levels: tuple[int, int] | None = None
 
     @property
     def speedup(self) -> float:
@@ -179,14 +186,15 @@ def _ranking(result: RefinementResult) -> list[tuple]:
     ]
 
 
-def _split_passes(fit) -> int:
-    """The stacked split-search passes ``fit()`` runs."""
+def _fit_counts(fit) -> tuple[int, int]:
+    """The stacked split-search passes ``fit()`` runs and the depths it
+    settles, from its ``c45.fit`` spans."""
     with obs.tracing() as tracer:
         fit()
-    return sum(
-        int(record.counters.get("split_passes", 0))
-        for record in tracer.spans
-        if record.name == "c45.fit"
+    spans = [record for record in tracer.spans if record.name == "c45.fit"]
+    return (
+        sum(int(record.counters.get("split_passes", 0)) for record in spans),
+        sum(int(record.counters.get("levels", 0)) for record in spans),
     )
 
 
@@ -295,7 +303,7 @@ def run(scale: Scale | str = "bench") -> list[MiningBenchRow]:
     for one, batched in zip(alone(), together()):
         if pickle.dumps(one.root) != pickle.dumps(batched.root):
             raise RuntimeError("fold-batched growth diverged from a lone fit")
-    passes = (_split_passes(alone), _split_passes(together))
+    passes = (_fit_counts(alone)[0], _fit_counts(together)[0])
     rows.append(
         MiningBenchRow(
             "crossval fit",
@@ -303,6 +311,54 @@ def run(scale: Scale | str = "bench") -> list[MiningBenchRow]:
             _best_of(alone, load["repeats"]),
             _best_of(together, load["repeats"]),
             passes,
+        )
+    )
+
+    # -- grid fit: a grid's fold trees fitted plan by plan vs joined ----
+    # Each plan's training folds are built as the sweep builds them,
+    # with its own (seed, index) generator.
+    factory = lambda: C45DecisionTree(**factory_args)  # noqa: E731
+    plan_sets = [
+        train_folds(
+            dataset,
+            factory,
+            load["folds"],
+            np.random.default_rng((scale.seed, index)),
+            plan.apply,
+        ).tree_sets
+        for index, plan in enumerate(load["grid"].plans())
+    ]
+
+    def per_plan() -> list[C45DecisionTree]:
+        trees = []
+        for sets in plan_sets:
+            batch = [factory() for _ in sets]
+            fit_trees(batch, sets)
+            trees.extend(batch)
+        return trees
+
+    def joined() -> list[C45DecisionTree]:
+        sets = [train for sets in plan_sets for train in sets]
+        trees = [factory() for _ in sets]
+        fit_trees(trees, sets)
+        return trees
+
+    for one, batched in zip(per_plan(), joined()):
+        if pickle.dumps(one.root) != pickle.dumps(batched.root):
+            raise RuntimeError("grid-joined growth diverged from per-plan growth")
+    (passes_plan, levels_plan), (passes_joined, levels_joined) = (
+        _fit_counts(per_plan),
+        _fit_counts(joined),
+    )
+    rows.append(
+        MiningBenchRow(
+            "grid fit",
+            f"plans={len(plan_sets)} split passes {passes_plan} -> "
+            f"{passes_joined}, levels {levels_plan} -> {levels_joined}",
+            _best_of(per_plan, load["repeats"]),
+            _best_of(joined, load["repeats"]),
+            (passes_plan, passes_joined),
+            (levels_plan, levels_joined),
         )
     )
     return rows
@@ -314,7 +370,7 @@ def render(rows: list[MiningBenchRow]) -> str:
         [row.cells() for row in rows],
         title=(
             "R-4: mining data-plane throughput (presorted vs seed engine; "
-            "crossval fit: folds alone vs together)"
+            "crossval fit: folds alone vs together; grid fit: per plan vs joined)"
         ),
     )
 

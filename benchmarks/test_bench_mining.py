@@ -8,7 +8,7 @@ this file.  The contract checks run *inside* ``mining_bench.run`` --
 trees, class distributions and refinement rankings are verified
 bit-identical against the reference before any timing is reported --
 so the assertions here only encode the throughput bars and the
-split-search pass counts of the fold-batched fit.
+split-search pass and depth counts of the batched fits.
 
 Measured margins (EXPERIMENTS.md R-4): batch distribution 14-18x,
 induction 2.3-4.2x, end-to-end refinement 2.2-2.3x.  The refinement
@@ -37,7 +37,9 @@ def test_bench_mining_data_plane(benchmark, scale):
     print()
     print(mining_bench.render(rows))
     by_stage = {row.stage: row for row in rows}
-    assert set(by_stage) == {"fit", "distribution", "refine", "crossval fit"}
+    assert set(by_stage) == {
+        "fit", "distribution", "refine", "crossval fit", "grid fit"
+    }
 
     artifact = os.environ.get("REPRO_BENCH_JSON")
     if artifact:
@@ -48,6 +50,7 @@ def test_bench_mining_data_plane(benchmark, scale):
                 "optimized_s": row.optimized_s,
                 "speedup": row.speedup,
                 "split_passes": row.split_passes,
+                "levels": row.levels,
             }
             for row in rows
         }
@@ -66,3 +69,10 @@ def test_bench_mining_data_plane(benchmark, scale):
     # split-search passes than the folds fitted one by one.
     alone, together = by_stage["crossval fit"].split_passes
     assert 0 < together < alone
+    # A grid's plans joined into one batch need fewer passes and settle
+    # fewer depths than one batch per plan.
+    for per_plan, joined in (
+        by_stage["grid fit"].split_passes,
+        by_stage["grid fit"].levels,
+    ):
+        assert 0 < joined < per_plan

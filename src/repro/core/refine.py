@@ -31,8 +31,9 @@ import numpy as np
 from repro import observability as obs
 from repro.core.preprocess import PreprocessingPlan
 from repro.mining.base import Classifier
-from repro.mining.crossval import CrossValidationResult, cross_validate
+from repro.mining.crossval import CrossValidationResult, TrainedFolds, train_folds
 from repro.mining.dataset import Dataset
+from repro.mining.tree import fit_trees
 
 __all__ = [
     "RefinementGrid",
@@ -46,6 +47,12 @@ __all__ = [
 PAPER_UNDERSAMPLE_LEVELS = (5.0, 15.0, 25.0, 35.0, 45.0, 55.0, 65.0, 75.0, 85.0, 100.0)
 PAPER_OVERSAMPLE_LEVELS = tuple(float(v) for v in range(100, 1501, 100))
 PAPER_NEIGHBOUR_COUNTS = tuple(range(1, 16))
+
+#: Training rows the serial sweep holds at once: plans join one batch of
+#: fold trees (one ``fit_trees`` call) while their training folds' rows
+#: stay under this, so a paper-size grid of resampled folds is grown in
+#: several batches rather than held in memory together.
+_BATCH_ROWS = 1 << 17
 
 
 @dataclasses.dataclass(frozen=True)
@@ -184,23 +191,49 @@ def refine(
     dataset.presort()
     trials: list[RefinementTrial] = []
     with obs.span("refine.sweep", plans=grid.size(), folds=folds):
+        # Each plan's folds are built with its own generator, in grid
+        # order; the fold trees of consecutive plans then grow together
+        # (one fit_trees call per batch), and each plan is scored.
+        batch: list[tuple[int, PreprocessingPlan, TrainedFolds]] = []
+        held = 0
         for index, plan in enumerate(grid.plans()):
             rng = np.random.default_rng((seed, index))
-            with obs.span("refine.trial", index=index, plan=plan.describe()):
-                evaluation = cross_validate(
-                    dataset,
-                    make_classifier,
-                    k=folds,
-                    rng=rng,
-                    preprocess=plan.apply,
-                    complexity=complexity,
-                    positive=positive,
-                )
-            trials.append(RefinementTrial(plan, evaluation))
+            with obs.span(
+                "refine.trial", index=index, plan=plan.describe(), phase="train"
+            ):
+                trained = train_folds(dataset, make_classifier, folds, rng, plan.apply)
+            if batch and held + trained.held_rows > _BATCH_ROWS:
+                trials.extend(_score_batch(dataset, batch, complexity, positive))
+                batch, held = [], 0
+            batch.append((index, plan, trained))
+            held += trained.held_rows
+        trials.extend(_score_batch(dataset, batch, complexity, positive))
     if not trials:
         raise ValueError("refinement grid is empty")
     best = max(trials, key=lambda t: t.key)
     return RefinementResult(trials, best)
+
+
+def _score_batch(
+    dataset: Dataset,
+    batch: list[tuple[int, PreprocessingPlan, TrainedFolds]],
+    complexity: Callable[[Classifier], float] | None,
+    positive: int,
+) -> list[RefinementTrial]:
+    """Grow the batch's fold trees together, then score each plan."""
+    trees = [tree for _, _, trained in batch for tree in trained.trees]
+    if trees:
+        fit_trees(
+            trees, [train for _, _, trained in batch for train in trained.tree_sets]
+        )
+    trials = []
+    for index, plan, trained in batch:
+        with obs.span(
+            "refine.trial", index=index, plan=plan.describe(), phase="score"
+        ):
+            evaluation = trained.score(dataset, complexity, positive)
+        trials.append(RefinementTrial(plan, evaluation))
+    return trials
 
 
 def refine_predicate(predicate):

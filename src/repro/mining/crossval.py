@@ -17,14 +17,16 @@ methodology-critical details:
   states appear in every test fold whenever there are at least k of
   them.
 
-Fold-batched fitting: the k training folds are built first, in fold
-order, so the generator draws exactly the numbers a fold-by-fold loop
-draws.  The folds' C4.5 trees are then grown together by
-:func:`repro.mining.tree.fit_trees` -- one stacked split search per
-depth across all folds instead of one per node -- and each comes out
-bit for bit as fitting its fold alone would grow it.  Every other
-classifier, and any C4.5 subclass that overrides ``fit``, is fitted in
-its own fold.  Each fold is then predicted and scored on its own.
+Fold-batched fitting: :func:`train_folds` builds the k training folds
+first, in fold order, so the generator draws exactly the numbers a
+fold-by-fold loop draws.  The folds' C4.5 trees are then grown together
+by :func:`repro.mining.tree.fit_trees` -- each depth of all of them
+settled at once -- and each comes out bit for bit as fitting its fold
+alone would grow it.  Every other classifier, and any C4.5 subclass
+that overrides ``fit``, is fitted in its own fold.  Each fold is then
+predicted and scored on its own (:meth:`TrainedFolds.score`).  A Step 4
+sweep (:func:`repro.core.refine.refine`) runs the two halves itself so
+that the trees of many plans' cross-validations grow in one batch.
 """
 
 from __future__ import annotations
@@ -41,7 +43,14 @@ from repro.mining.dataset import Dataset
 from repro.mining.metrics import ConfusionMatrix
 from repro.mining.tree import C45DecisionTree, fit_trees
 
-__all__ = ["FoldResult", "CrossValidationResult", "stratified_folds", "cross_validate"]
+__all__ = [
+    "FoldResult",
+    "CrossValidationResult",
+    "TrainedFolds",
+    "stratified_folds",
+    "cross_validate",
+    "train_folds",
+]
 
 # Fold partitions depend only on the class vector, the fold count, and
 # the generator's exact state, so they can be memoised without changing
@@ -187,33 +196,40 @@ def cross_validate(
         # subsets below derive their sort orders from it instead of
         # re-sorting (see Dataset.presort).
         dataset.presort()
-        fold_indices = stratified_folds(dataset, k, rng)
-        all_indices = np.arange(len(dataset))
-        # Every fold's training set and model first, in fold order, so
-        # the generator draws exactly as a fold-by-fold loop would.
-        models: list[Classifier] = []
-        trees: list[C45DecisionTree] = []
-        tree_sets: list[Dataset] = []
-        for fold, test_idx in enumerate(fold_indices):
-            with obs.span("crossval.fold", fold=fold, phase="train"):
-                train_mask = np.ones(len(dataset), dtype=bool)
-                train_mask[test_idx] = False
-                train = dataset.subset(all_indices[train_mask])
-                if preprocess is not None:
-                    train = preprocess(
-                        train, np.random.default_rng(rng.integers(2**63))
-                    )
-                model = make_classifier()
-                if type(model).fit is C45DecisionTree.fit:
-                    trees.append(model)
-                    tree_sets.append(train)
-                else:
-                    model.fit(train)
-                models.append(model)
-        if trees:
-            fit_trees(trees, tree_sets)
+        folds = train_folds(dataset, make_classifier, k, rng, preprocess)
+        if folds.trees:
+            fit_trees(folds.trees, folds.tree_sets)
+        return folds.score(dataset, complexity, positive)
+
+
+@dataclasses.dataclass
+class TrainedFolds:
+    """A cross-validation's folds with every model built: the test
+    indices and model of each fold, in fold order.  ``trees`` are the
+    folds' C4.5 trees, still to be fitted on ``tree_sets`` (one
+    :func:`repro.mining.tree.fit_trees` call may grow them together
+    with other cross-validations' trees); every other model is fitted.
+    """
+
+    test_indices: list[np.ndarray]
+    models: list[Classifier]
+    trees: list[C45DecisionTree]
+    tree_sets: list[Dataset]
+
+    @property
+    def held_rows(self) -> int:
+        """Training rows held for the unfitted trees."""
+        return sum(len(train) for train in self.tree_sets)
+
+    def score(
+        self,
+        dataset: Dataset,
+        complexity: Callable[[Classifier], float] | None = None,
+        positive: int = 1,
+    ) -> CrossValidationResult:
+        """Predict and score every fold once its trees are fitted."""
         results: list[FoldResult] = []
-        for fold, (test_idx, model) in enumerate(zip(fold_indices, models)):
+        for fold, (test_idx, model) in enumerate(zip(self.test_indices, self.models)):
             with obs.span("crossval.fold", fold=fold, phase="score"):
                 test = dataset.subset(test_idx)
                 predicted = (
@@ -231,4 +247,39 @@ def cross_validate(
                 else:
                     size = float(getattr(model, "node_count", 0.0))
                 results.append(FoldResult(fold, confusion, size))
-    return CrossValidationResult(results)
+        return CrossValidationResult(results)
+
+
+def train_folds(
+    dataset: Dataset,
+    make_classifier: Callable[[], Classifier],
+    k: int,
+    rng: np.random.Generator,
+    preprocess: Callable[[Dataset, np.random.Generator], Dataset] | None = None,
+) -> TrainedFolds:
+    """The first half of :func:`cross_validate`: every fold's training
+    set and model, in fold order, so the generator draws exactly as a
+    fold-by-fold loop would.  Models whose ``fit`` is C4.5's own are
+    left unfitted for :func:`repro.mining.tree.fit_trees`; the oracle
+    ``ReferenceC45DecisionTree`` and every other classifier are fitted
+    in their fold."""
+    test_indices = stratified_folds(dataset, k, rng)
+    all_indices = np.arange(len(dataset))
+    folds = TrainedFolds(test_indices, [], [], [])
+    for fold, test_idx in enumerate(test_indices):
+        with obs.span("crossval.fold", fold=fold, phase="train"):
+            train_mask = np.ones(len(dataset), dtype=bool)
+            train_mask[test_idx] = False
+            train = dataset.subset(all_indices[train_mask])
+            if preprocess is not None:
+                train = preprocess(
+                    train, np.random.default_rng(rng.integers(2**63))
+                )
+            model = make_classifier()
+            if type(model).fit is C45DecisionTree.fit:
+                folds.trees.append(model)
+                folds.tree_sets.append(train)
+            else:
+                model.fit(train)
+            folds.models.append(model)
+    return folds

@@ -14,6 +14,7 @@ this one.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,13 +25,22 @@ from repro.mining.tree.induction import (
     _EPSILON,
     C45DecisionTree,
     _entropy,
-    _Split,
     _threshold_between,
 )
 from repro.mining.tree.node import DecisionNode, LeafNode, TreeNode
 from repro.mining.tree.pruning import prune_tree
 
 __all__ = ["ReferenceC45DecisionTree", "distribution"]
+
+
+@dataclasses.dataclass
+class _Split:
+    """A candidate split with the statistics needed to rank it."""
+
+    attribute_index: int
+    gain: float
+    gain_ratio: float
+    threshold: float | None  # None for nominal splits
 
 
 class ReferenceC45DecisionTree(C45DecisionTree):

@@ -12,33 +12,39 @@ fixed-seed regression pinning the Step 4 refinement ranking.
 """
 
 import pickle
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
+from repro.core import refine as refine_module
 from repro.core.preprocess import PreprocessingPlan
-from repro.core.refine import RefinementGrid, refine
+from repro.core.refine import RefinementGrid, RefinementResult, RefinementTrial, refine
 from repro.mining.cache import clear_reuse_caches, reuse_caches_disabled
 from repro.mining.crossval import cross_validate, stratified_folds
 from repro.mining.dataset import Attribute, Dataset
 from repro.mining.knn import NearestNeighbours
-from repro.mining.sampling import smote
-from repro.mining.tree import C45DecisionTree, fit_trees
+from repro.mining.sampling import oversample_minority, smote, undersample_majority
+from repro.mining.tree import C45DecisionTree, fit_trees, induction
 from tests.mining import _c45_reference as reference
 from tests.mining._smote_reference import per_seed_neighbours
 
 
 @st.composite
-def datasets(draw) -> Dataset:
+def datasets(
+    draw, min_rows: int = 12, max_rows: int = 70, always_missing: bool = False
+) -> Dataset:
     """Random small mixed dataset exercising the data plane's edges.
 
     Numeric columns mix continuous, quantised (heavy duplicate values)
     and constant flavours; cells may be NaN or +/-inf; instance
     weights may be fractional (as missing-value routing produces).
+    ``always_missing`` makes every dataset hold NaN cells, nominal ones
+    included, and fractional weights.
     """
-    n = draw(st.integers(12, 70))
+    n = draw(st.integers(min_rows, max_rows))
     n_numeric = draw(st.integers(1, 4))
-    n_nominal = draw(st.integers(0, 2))
+    n_nominal = draw(st.integers(1 if always_missing else 0, 2))
     rng = np.random.default_rng(draw(st.integers(0, 2**31)))
     attributes = []
     columns = []
@@ -59,15 +65,17 @@ def datasets(draw) -> Dataset:
         )
         columns.append(rng.integers(0, k, n).astype(float))
     x = np.column_stack(columns)
-    if draw(st.booleans()):
+    if always_missing or draw(st.booleans()):
         x[:, :n_numeric][rng.random((n, n_numeric)) < 0.15] = np.nan
     if draw(st.booleans()):
         x[:, :n_numeric][rng.random((n, n_numeric)) < 0.05] = np.inf
         x[:, :n_numeric][rng.random((n, n_numeric)) < 0.05] = -np.inf
+    if always_missing:
+        x[:, n_numeric:][rng.random((n, n_nominal)) < 0.1] = np.nan
     y = rng.integers(0, draw(st.integers(2, 3)), n)
     y[0], y[1] = 0, 1
     weights = None
-    if draw(st.booleans()):
+    if always_missing or draw(st.booleans()):
         weights = rng.uniform(0.25, 2.0, n)
     return Dataset(
         attributes,
@@ -128,6 +136,62 @@ def test_presorted_fit_bit_identical(dataset, prune, mlw, data):
         alone = reference.ReferenceC45DecisionTree(
             prune=prune, min_leaf_weight=mlw
         ).fit(subset)
+        assert pickle.dumps(tree.root) == pickle.dumps(alone.root)
+
+
+class _CheckedGrower(induction._PresortedGrower):
+    """The grower, checking at every depth that each node's sort orders
+    are the canonical ones a stable argsort of the node's column gives:
+    known values by (value, node position), then the missing ones."""
+
+    def _grow_level(self, level, depth):
+        starts = level.start.tolist()
+        for i, (a, b) in enumerate(zip(starts, starts[1:])):
+            for t, column in enumerate(level.xt[:, a:b]):
+                known = int(np.count_nonzero(~np.isnan(column)))
+                assert level.known[i, t] == known
+                order = level.order[t, a:b] - a
+                canonical = np.argsort(column, kind="stable")
+                assert np.array_equal(order[:known], canonical[:known])
+                assert np.array_equal(np.sort(order[known:]), np.sort(canonical[known:]))
+        return super()._grow_level(level, depth)
+
+
+@given(
+    dataset=datasets(min_rows=100, max_rows=400, always_missing=True),
+    prune=st.booleans(),
+    presorted=st.booleans(),
+    seed=st.integers(0, 2**31),
+    max_depth=st.integers(0, 4),
+)
+@settings(deadline=None, max_examples=30, print_blob=True)
+def test_grid_batch_fit_bit_identical(dataset, prune, presorted, seed, max_depth):
+    """One fit_trees batch of the training sets a Step 4 grid makes of
+    one dataset -- undersampled, oversampled and SMOTE -- plus a depth-
+    capped tree: each tree's pickle equals the reference fitted on its
+    own set, and every node's derived sort orders are the ones sorting
+    its columns afresh gives.  At 100-400 rows with NaN cells and
+    fractional weights, children derive their orders from big parents
+    and take routed missing values, with value ties between routed and
+    branch rows."""
+    assume(int(np.count_nonzero(dataset.y == 1)) >= 2)
+    if presorted:
+        # As in a sweep: resampled sets derive their sort orders.
+        dataset.presort()
+    rng = np.random.default_rng(seed)
+    sets = [
+        undersample_majority(dataset, 40.0, rng),
+        oversample_minority(dataset, 200.0, rng),
+        smote(dataset, 300.0, 3, rng),
+        dataset,
+    ]
+    depths = [None, None, None, max_depth]
+    trees = [C45DecisionTree(prune=prune, max_depth=depth) for depth in depths]
+    with mock.patch.object(induction, "_PresortedGrower", _CheckedGrower):
+        fit_trees(trees, sets)
+    for tree, train, depth in zip(trees, sets, depths):
+        alone = reference.ReferenceC45DecisionTree(prune=prune, max_depth=depth)
+        alone.fit(train)
         assert pickle.dumps(tree.root) == pickle.dumps(alone.root)
 
 
@@ -236,8 +300,7 @@ def test_fold_partition_cache_replays_partition_and_rng_state(dataset, k):
         assert tail.tobytes() == tail_reference.tobytes()
 
 
-def _mini_refine(learner: type[C45DecisionTree]):
-    """A seconds-scale Step 4 sweep with a process-local factory."""
+def _mini_dataset() -> Dataset:
     rng = np.random.default_rng(3)
     n = 160
     x = np.column_stack(
@@ -250,7 +313,7 @@ def _mini_refine(learner: type[C45DecisionTree]):
     x[:, :2][rng.random((n, 2)) < 0.05] = np.nan
     y = (x[:, 0] * 0.3 + np.nan_to_num(x[:, 1]) > 2.5).astype(np.int64)
     y[:4] = 1
-    dataset = Dataset(
+    return Dataset(
         [
             Attribute.numeric("a"),
             Attribute.numeric("b"),
@@ -260,6 +323,11 @@ def _mini_refine(learner: type[C45DecisionTree]):
         x,
         y,
     )
+
+
+def _mini_refine(learner: type[C45DecisionTree]):
+    """A seconds-scale Step 4 sweep with a process-local factory."""
+    dataset = _mini_dataset()
     grid = RefinementGrid(
         undersample_levels=(30.0, 80.0),
         oversample_levels=(150.0,),
@@ -289,3 +357,47 @@ def test_refine_fixed_seed_ranking_matches_seed_path():
         t.evaluation.mean_auc for t in optimized.trials
     ]
     assert optimized.best.plan == seed.best.plan
+
+
+def test_refine_grid_batch_equals_per_plan_loop(monkeypatch):
+    """The sweep grows many plans' fold trees in one batch; it must
+    equal cross-validating plan by plan, trial for trial, whichever
+    plans share a batch."""
+    dataset = _mini_dataset()
+    grid = RefinementGrid(
+        undersample_levels=(30.0, 80.0),
+        oversample_levels=(150.0, 300.0),
+        neighbour_counts=(1, 3),
+        base_plan=PreprocessingPlan(),
+    )
+    factory = lambda: C45DecisionTree()  # noqa: E731 -- keeps the sweep serial
+    loop = [
+        RefinementTrial(
+            plan,
+            cross_validate(
+                dataset,
+                factory,
+                k=3,
+                rng=np.random.default_rng((9, index)),
+                preprocess=plan.apply,
+            ),
+        )
+        for index, plan in enumerate(grid.plans())
+    ]
+    expected = RefinementResult(loop, max(loop, key=lambda t: t.key))
+    # The default bound holds the whole grid; 1 row makes every plan its
+    # own batch, 1,500 rows a few plans per batch.
+    for bound in (refine_module._BATCH_ROWS, 1, 1500):
+        monkeypatch.setattr(refine_module, "_BATCH_ROWS", bound)
+        clear_reuse_caches()
+        result = refine(dataset, factory, grid, folds=3, seed=9)
+        assert len(result.trials) == len(loop)
+        for got, want in zip(result.trials, loop):
+            assert got.plan == want.plan
+            for a, b in zip(got.evaluation.folds, want.evaluation.folds):
+                assert a.confusion.matrix.tobytes() == b.confusion.matrix.tobytes()
+                assert a.complexity == b.complexity
+        assert [(t.plan, t.key) for t in result.ranked()] == [
+            (t.plan, t.key) for t in expected.ranked()
+        ]
+        assert result.best.plan == expected.best.plan

@@ -9,13 +9,27 @@ unit by unit -- including states no fault-free run reaches: NaN,
 infinities, values near the float range's ends, zero or negative mass
 and stiffness, a damaged gear, airborne, cleared-runway and stall
 branches, and probes that return corrupted values.
+
+The bytes are compared with every float NaN written as one quiet NaN
+(:func:`_canonical`); every other bit, signed zeros and infinities
+included, must match, and a NaN must still meet a NaN in the same
+slot.  CPython does not fix the sign or payload of the NaN an
+operation on NaNs returns: on 3.11, ``a * b`` with two NaN operands of
+opposite sign gives -NaN until the adaptive interpreter specializes the
+multiplication and +NaN after, so a warm unit and a cold one computing
+the same ``friction = mu_roll * normal`` can pickle different NaNs
+(:func:`test_warm_fused_unit_matches_cold_reference`).
 """
 
 from __future__ import annotations
 
 import copy
+import importlib.util
 import math
 import pickle
+import pickletools
+import struct
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -156,21 +170,34 @@ def _overrides():
     return st.dictionaries(st.integers(0, 11), change, max_size=3)
 
 
+_QUIET_NAN = struct.pack(">d", math.nan)
+
+
+def _canonical(data: bytes) -> bytes:
+    """The pickle ``data`` with every float NaN written as one quiet NaN
+    (a pickled float is a BINFLOAT opcode and its 8 big-endian bytes)."""
+    out = bytearray(data)
+    for opcode, arg, pos in pickletools.genops(data):
+        if opcode.name == "BINFLOAT" and math.isnan(arg):
+            out[pos + 1 : pos + 9] = _QUIET_NAN
+    return bytes(out)
+
+
 def _run(unit, state, overrides, units: int):
     """Step ``state`` with ``unit``; the pickled state after every unit,
-    the probe log and how the run ended."""
+    the probe log and how the run ended, NaNs canonical."""
     harness = _Scripted(overrides)
     snapshots = []
     ended = None
     try:
         for _ in range(units):
             more = unit(state, harness)
-            snapshots.append((more, pickle.dumps(state)))
+            snapshots.append((more, _canonical(pickle.dumps(state))))
             if not more:
                 break
     except Exception as exc:  # both units must fail alike
         ended = type(exc).__name__
-    return snapshots, harness.log, ended
+    return snapshots, [_canonical(entry) for entry in harness.log], ended
 
 
 def _reference_unit(state, harness):
@@ -189,6 +216,64 @@ def test_fused_unit_matches_reference(state, overrides, units):
     assert pickle.dumps(twin) == pickle.dumps(state)
     fused = _run(TARGET.advance, state, overrides, units)
     expected = _run(_reference_unit, twin, overrides, units)
+    assert fused == expected
+
+
+def _cold_reference():
+    """A fresh copy of the reference module: new code objects that the
+    adaptive interpreter has not specialized yet."""
+    name = "_fg_reference_cold"
+    spec = importlib.util.spec_from_file_location(name, reference.__file__)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[name]
+    return module
+
+
+def test_warm_fused_unit_matches_cold_reference():
+    """The example the property once failed on: ``mu_roll`` is +NaN
+    and the normal force the -NaN of ``inf - inf``, so the gear's
+    ``friction = mu_roll * normal`` is a NaN whose sign depends on how
+    warm each unit's bytecode is.  The fused unit is warmed first and
+    the reference loaded afresh; the states and probe dicts must agree
+    with NaNs canonical."""
+
+    def state():
+        drawn = TARGET.start(0)
+        drawn.iteration = 199
+        drawn.q = math.inf
+        drawn.x = math.nan
+        drawn.gear.damaged = True
+        drawn.gear.mu_roll = math.nan
+        drawn.mass.gravity = 1e308
+        # A NaN with payload 1.
+        (drawn.mass.inertia_base,) = struct.unpack(
+            ">d", bytes.fromhex("7ff0000000000001")
+        )
+        return drawn
+
+    overrides = {
+        3: {},
+        4: {},
+        11: {
+            "dry_mass": 15711.884439398753,
+            "inertia_eff": 23648.87572145606,
+            "weight": 8443.992205531205,
+        },
+    }
+    for _ in range(16):
+        _run(TARGET.advance, state(), overrides, 2)
+    cold = _cold_reference()
+    fused = _run(TARGET.advance, state(), overrides, 2)
+    expected = _run(
+        lambda drawn, harness: cold.advance(TARGET, drawn, harness),
+        state(),
+        overrides,
+        2,
+    )
     assert fused == expected
 
 
