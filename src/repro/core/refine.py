@@ -48,11 +48,16 @@ PAPER_UNDERSAMPLE_LEVELS = (5.0, 15.0, 25.0, 35.0, 45.0, 55.0, 65.0, 75.0, 85.0,
 PAPER_OVERSAMPLE_LEVELS = tuple(float(v) for v in range(100, 1501, 100))
 PAPER_NEIGHBOUR_COUNTS = tuple(range(1, 16))
 
-#: Training rows the serial sweep holds at once: plans join one batch of
-#: fold trees (one ``fit_trees`` call) while their training folds' rows
-#: stay under this, so a paper-size grid of resampled folds is grown in
-#: several batches rather than held in memory together.
-_BATCH_ROWS = 1 << 17
+#: Training cells (rows x attributes) the serial sweep holds at once:
+#: plans join one batch of fold trees (one ``fit_trees`` call) while
+#: their training folds' cells stay under this.  A batch's peak memory
+#: grows with its cells -- the held folds plus the grower's per-level
+#: arrays, 86-115 bytes a cell on 9- and 25-attribute datasets -- so a
+#: full batch peaks about 30 MiB above the sweep's own footprint.  A plan
+#: larger than the bound is a batch of its own, as its cross-validation
+#: alone would be.  Every smoke-scale grid (at most 80,440 cells) is one
+#: batch.
+_BATCH_CELLS = 1 << 18
 
 
 @dataclasses.dataclass(frozen=True)
@@ -202,11 +207,17 @@ def refine(
                 "refine.trial", index=index, plan=plan.describe(), phase="train"
             ):
                 trained = train_folds(dataset, make_classifier, folds, rng, plan.apply)
-            if batch and held + trained.held_rows > _BATCH_ROWS:
+            if batch and held + trained.held_cells > _BATCH_CELLS:
                 trials.extend(_score_batch(dataset, batch, complexity, positive))
                 batch, held = [], 0
             batch.append((index, plan, trained))
-            held += trained.held_rows
+            held += trained.held_cells
+            if not trained.trees:
+                # Fitted in its folds already (any learner but C4.5):
+                # nothing to grow together, so score it at once rather
+                # than hold its models.
+                trials.extend(_score_batch(dataset, batch, complexity, positive))
+                batch, held = [], 0
         trials.extend(_score_batch(dataset, batch, complexity, positive))
     if not trials:
         raise ValueError("refinement grid is empty")

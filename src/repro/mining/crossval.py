@@ -217,9 +217,9 @@ class TrainedFolds:
     tree_sets: list[Dataset]
 
     @property
-    def held_rows(self) -> int:
-        """Training rows held for the unfitted trees."""
-        return sum(len(train) for train in self.tree_sets)
+    def held_cells(self) -> int:
+        """Training cells (rows x attributes) held for the unfitted trees."""
+        return sum(train.x.size for train in self.tree_sets)
 
     def score(
         self,

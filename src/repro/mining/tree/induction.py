@@ -354,7 +354,7 @@ class _PresortedGrower:
         unit = bool((w == 1.0).all())
         places = [(roots, i) for i in range(len(datasets))]
         open_, cw, total = self._settle(
-            self._aranged(int(start[-1])), w, start, places, 0, unit
+            self._aranged(int(start[-1])), w, start, places, 0
         )
         level = self._root_level(open_, start, w, unit, cw, total, places)
         # From here on each level holds its own columns; the root's go
@@ -366,7 +366,7 @@ class _PresortedGrower:
             depth += 1
         return roots
 
-    def _settle(self, rows, w, start, places, depth, unit, parents=None):
+    def _settle(self, rows, w, start, places, depth, parents=None):
         """Class weights of a depth's candidate nodes: place the ones
         that stop as leaves and return the indices of the rest, with
         every candidate's class weights and their sums.
@@ -390,11 +390,7 @@ class _PresortedGrower:
             leaf[:] = True
         closed = leaf
         if parents is not None:
-            empty = (
-                sizes == 0
-                if unit
-                else np.bincount(node_of, weights=w > 0, minlength=n) == 0
-            )
+            empty = np.bincount(node_of, weights=w > 0, minlength=n) == 0
             if empty.any():
                 parent_cw, parent_of = parents
                 for i in np.flatnonzero(empty).tolist():
@@ -954,8 +950,7 @@ class _PresortedGrower:
         np.cumsum(child_sizes, out=child_start[1:])
         unit = level.unit and not routed
         open_, child_cw, child_total = self._settle(
-            rows[src], child_w, child_start, child_places, depth + 1, unit,
-            (cw, parents),
+            rows[src], child_w, child_start, child_places, depth + 1, (cw, parents)
         )
         if open_.size == 0:
             return None
@@ -1030,16 +1025,20 @@ class _PresortedGrower:
         """
         order = level.order
         n_numeric, r_total = order.shape
-        rows_t = self._aranged(n_numeric)[:, None]
+        ranks = np.empty((n_numeric, r_total), dtype=np.int64)
         positions = self._aranged(r_total)
-        if branch_of is not None:
-            values = level.xt[rows_t, order]
-            member = (branch_of >= 0)[order].ravel()
-            fresh = np.empty((n_numeric, r_total), dtype=bool)
-            np.not_equal(values[:, 1:], values[:, :-1], out=fresh[:, 1:])
-            del values
-            fresh[:, level.start[:-1]] = True
-            fresh = fresh.ravel()
+        if branch_of is None:
+            ranks[self._aranged(n_numeric)[:, None], order] = positions
+            return ranks
+        member_of = branch_of >= 0
+        node_starts = level.start[:-1]
+        for t in range(n_numeric):
+            # One attribute at a time keeps the temporaries to one row.
+            values = level.xt[t, order[t]]
+            member = member_of[order[t]]
+            fresh = np.empty(r_total, dtype=bool)
+            np.not_equal(values[1:], values[:-1], out=fresh[1:])
+            fresh[node_starts] = True
             group_start = np.flatnonzero(fresh)
             group = np.cumsum(fresh) - 1
             members_through = np.cumsum(member)
@@ -1047,12 +1046,10 @@ class _PresortedGrower:
             group_base = members_before[group_start]
             group_members = np.append(group_base[1:], members_through[-1]) - group_base
             ahead = members_before - group_base[group]
-            within = np.arange(fresh.size) - group_start[group]
+            within = positions - group_start[group]
             shift = np.where(member, ahead, group_members[group] + within - ahead)
             shift -= within
-            positions = positions + shift.reshape(n_numeric, r_total)
-        ranks = np.empty((n_numeric, r_total), dtype=np.int64)
-        ranks[rows_t, order] = positions
+            ranks[t, order[t]] = positions + shift
         return ranks
 
     def _entropy_rows_fused(self, counts, out):

@@ -17,13 +17,14 @@ from unittest import mock
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
+from repro import observability as obs
 from repro.core import refine as refine_module
 from repro.core.preprocess import PreprocessingPlan
 from repro.core.refine import RefinementGrid, RefinementResult, RefinementTrial, refine
 from repro.mining.cache import clear_reuse_caches, reuse_caches_disabled
 from repro.mining.crossval import cross_validate, stratified_folds
 from repro.mining.dataset import Attribute, Dataset
-from repro.mining.knn import NearestNeighbours
+from repro.mining.knn import KNNClassifier, NearestNeighbours
 from repro.mining.sampling import oversample_minority, smote, undersample_majority
 from repro.mining.tree import C45DecisionTree, fit_trees, induction
 from tests.mining import _c45_reference as reference
@@ -359,10 +360,10 @@ def test_refine_fixed_seed_ranking_matches_seed_path():
     assert optimized.best.plan == seed.best.plan
 
 
-def test_refine_grid_batch_equals_per_plan_loop(monkeypatch):
-    """The sweep grows many plans' fold trees in one batch; it must
-    equal cross-validating plan by plan, trial for trial, whichever
-    plans share a batch."""
+def _refine_against_per_plan_loop(monkeypatch, factory, bounds):
+    """Run the sweep at every batch bound of ``bounds`` against
+    cross-validating plan by plan, trial for trial; return each
+    sweep's ``refine.trial`` spans in start order."""
     dataset = _mini_dataset()
     grid = RefinementGrid(
         undersample_levels=(30.0, 80.0),
@@ -370,7 +371,6 @@ def test_refine_grid_batch_equals_per_plan_loop(monkeypatch):
         neighbour_counts=(1, 3),
         base_plan=PreprocessingPlan(),
     )
-    factory = lambda: C45DecisionTree()  # noqa: E731 -- keeps the sweep serial
     loop = [
         RefinementTrial(
             plan,
@@ -385,12 +385,12 @@ def test_refine_grid_batch_equals_per_plan_loop(monkeypatch):
         for index, plan in enumerate(grid.plans())
     ]
     expected = RefinementResult(loop, max(loop, key=lambda t: t.key))
-    # The default bound holds the whole grid; 1 row makes every plan its
-    # own batch, 1,500 rows a few plans per batch.
-    for bound in (refine_module._BATCH_ROWS, 1, 1500):
-        monkeypatch.setattr(refine_module, "_BATCH_ROWS", bound)
+    traces = []
+    for bound in bounds:
+        monkeypatch.setattr(refine_module, "_BATCH_CELLS", bound)
         clear_reuse_caches()
-        result = refine(dataset, factory, grid, folds=3, seed=9)
+        with obs.tracing() as tracer:
+            result = refine(dataset, factory, grid, folds=3, seed=9)
         assert len(result.trials) == len(loop)
         for got, want in zip(result.trials, loop):
             assert got.plan == want.plan
@@ -401,3 +401,38 @@ def test_refine_grid_batch_equals_per_plan_loop(monkeypatch):
             (t.plan, t.key) for t in expected.ranked()
         ]
         assert result.best.plan == expected.best.plan
+        traces.append(
+            sorted(
+                (s for s in tracer.spans if s.name == "refine.trial"),
+                key=lambda s: s.start_ns,
+            )
+        )
+    return traces
+
+
+def test_refine_grid_batch_equals_per_plan_loop(monkeypatch):
+    """The sweep grows many plans' fold trees in one batch; it must
+    equal cross-validating plan by plan, trial for trial, whichever
+    plans share a batch."""
+    # The default bound holds the whole grid; 1 cell makes every plan
+    # its own batch, 4,500 cells (1,500 rows) a few plans per batch.
+    _refine_against_per_plan_loop(
+        monkeypatch,
+        lambda: C45DecisionTree(),  # a lambda keeps the sweep serial
+        (refine_module._BATCH_CELLS, 1, 4500),
+    )
+    # A learner other than C4.5 is fitted in its folds, so there is
+    # nothing to grow together: each plan is scored before the next
+    # one trains, and no plan's models are held, at any bound.
+    traces = _refine_against_per_plan_loop(
+        monkeypatch,
+        lambda: KNNClassifier(k=3),
+        (refine_module._BATCH_CELLS, 1),
+    )
+    for spans in traces:
+        phases = [(s.attributes["index"], s.attributes["phase"]) for s in spans]
+        assert phases == [
+            (index, phase)
+            for index in range(len(spans) // 2)
+            for phase in ("train", "score")
+        ]
