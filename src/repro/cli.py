@@ -347,6 +347,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     from repro.experiments.scale import get_scale
     from repro.injection.campaign import Campaign
     from repro.injection.sampling import SamplingSpec
+    from repro.orchestration.pool import make_pool
 
     spec = DATASET_SPECS.get(args.dataset)
     if spec is None:
@@ -371,19 +372,11 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    pool = None
-    if args.jobs > 1:
-        from repro.orchestration.pool import ProcessPool
-
-        pool = ProcessPool(jobs=args.jobs)
     start = time.perf_counter()
-    try:
+    with make_pool(args.jobs) as pool:
         result = Campaign(target, config).run(
             pool=pool, sampling=sampling, store=_store_arg(args)
         )
-    finally:
-        if pool is not None:
-            pool.close()
     seconds = time.perf_counter() - start
     if args.out:
         payload = result.to_dict()
@@ -418,32 +411,93 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_orchestrate(args: argparse.Namespace) -> int:
-    from repro.orchestration.orchestrate import run_dataset
+def _run_pipeline(
+    args: argparse.Namespace,
+    prune: str | None = None,
+    audit_fraction: float | None = None,
+) -> dict:
+    """Steps 1-4 on one Table II dataset through one worker pool: the
+    run behind ``repro orchestrate`` and ``repro trace record``.
 
-    report = run_dataset(
-        args.dataset,
-        scale=args.scale,
-        jobs=args.jobs,
-        store=_store_arg(args),
-        learner=args.learner,
-        prune=args.prune,
-        audit_fraction=args.audit_fraction,
+    :meth:`Methodology.step1_inject` runs the campaign sharded (and
+    stored, with ``--store``), and :meth:`Methodology.run` evaluates the
+    baseline and searches the scale's refinement grid on the same pool
+    and store.  Campaign-shard addresses do not involve the grid, so a
+    rerun against the same store reuses every shard, and rerunning a
+    killed run resumes it.  ``prune``/``audit_fraction`` override the
+    dataset's :class:`~repro.injection.campaign.CampaignConfig` fields
+    of the same names (:meth:`~repro.injection.campaign.CampaignConfig.with_prune`).
+    """
+    import time
+
+    from repro import observability as obs
+    from repro.core.methodology import Methodology, MethodologyConfig
+    from repro.experiments.datasets import (
+        DATASET_SPECS,
+        build_target,
+        campaign_config,
     )
+    from repro.experiments.scale import get_scale
+    from repro.orchestration.pool import make_pool
+
+    spec = DATASET_SPECS.get(args.dataset)
+    if spec is None:
+        raise ValueError(
+            f"unknown dataset {args.dataset!r}; available: {sorted(DATASET_SPECS)}"
+        )
+    scale = get_scale(args.scale)
+    methodology = Methodology(
+        MethodologyConfig(args.learner, folds=scale.folds, seed=scale.seed)
+    )
+    store = _store_arg(args)
+    started = time.perf_counter()
+    with make_pool(args.jobs) as pool, obs.span(
+        "orchestrate.run", dataset=args.dataset, scale=scale.name, jobs=pool.jobs
+    ):
+        target = build_target(spec.target, scale)
+        config = campaign_config(spec, scale).with_prune(prune, audit_fraction)
+        result = methodology.step1_inject(target, config, pool, store)
+        outcome = methodology.run(
+            result.to_dataset(args.dataset), scale.grid, pool=pool, store=store
+        )
+    best = outcome.refinement.best
+    return {
+        "dataset": args.dataset,
+        "scale": scale.name,
+        "learner": args.learner,
+        "jobs": pool.jobs,
+        "seconds": time.perf_counter() - started,
+        "campaign": {
+            "runs": result.n_runs,
+            "failures": result.n_failures,
+            "crashes": result.n_crashes,
+            "failure_rate": result.failure_rate,
+            **result.orchestration,
+            **({"prune": result.prune} if result.prune is not None else {}),
+        },
+        "baseline": outcome.baseline.summary(),
+        "refined": best.evaluation.summary(),
+        "best_plan": best.plan.describe(),
+    }
+
+
+def _cmd_orchestrate(args: argparse.Namespace) -> int:
+    report = _run_pipeline(args, args.prune, args.audit_fraction)
     if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2))
+        print(json.dumps(report, indent=2))
         return 0
-    campaign = report.campaign
+    campaign = report["campaign"]
     print(
-        f"{report.dataset} @ {report.scale} (learner {report.learner}, "
-        f"jobs {report.jobs}): {report.seconds:.2f}s"
+        f"{report['dataset']} @ {report['scale']} (learner "
+        f"{report['learner']}, jobs {report['jobs']}): "
+        f"{report['seconds']:.2f}s"
     )
     print(
         f"  campaign: {campaign['runs']} runs, "
         f"{campaign['failures']} failures ({campaign['crashes']} crashes); "
-        f"{campaign.get('executed', '?')} shard(s) executed, "
-        f"{campaign.get('stored', 0)} from store, "
-        f"{len(campaign.get('quarantined', ()))} quarantined"
+        f"{campaign['executed']} shard(s) executed, "
+        f"{campaign['stored']} from store, "
+        f"{len(campaign['quarantined'])} quarantined"
     )
     prune_info = campaign.get("prune")
     if prune_info:
@@ -455,12 +509,13 @@ def _cmd_orchestrate(args: argparse.Namespace) -> int:
             f"{audit.get('audited', 0)} audited, "
             f"{audit.get('contradictions', 0)} contradiction(s)"
         )
-    for label, row in (("baseline", report.baseline), ("refined", report.refined)):
+    for label in ("baseline", "refined"):
+        row = report[label]
         print(
             f"  {label}: auc={row['auc']:.3f} tpr={row['tpr']:.3f} "
             f"fpr={row['fpr']:.3f} comp={row['comp']:.1f}"
         )
-    print(f"  best plan: {report.best_plan}")
+    print(f"  best plan: {report['best_plan']}")
     return 0
 
 
@@ -479,6 +534,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.injection.campaign import Campaign
     from repro.injection.sampling import SamplingSpec
     from repro.injection.store import CampaignStore
+    from repro.orchestration.pool import make_pool
 
     spec = DATASET_SPECS.get(args.dataset)
     if spec is None:
@@ -492,27 +548,19 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     target = build_target(spec.target, scale_obj)
     config = campaign_config(spec, scale_obj).with_prune(args.prune)
     store = CampaignStore(args.store, hand_off=False)
-    pool = None
-    if args.jobs > 1:
-        from repro.orchestration.pool import ProcessPool
-
-        pool = ProcessPool(jobs=args.jobs)
     start = time.perf_counter()
-    try:
+    with make_pool(args.jobs) as pool:
         result = Campaign(target, config).run(
             pool=pool,
             sampling=SamplingSpec() if args.mode == "sample" else None,
             store=store,
         )
-    finally:
-        if pool is not None:
-            pool.close()
     seconds = time.perf_counter() - start
     if args.out:
         payload = result.to_dict()
         payload["store"] = args.store
         pathlib.Path(args.out).write_text(json.dumps(payload, indent=2))
-    orchestration = getattr(result, "orchestration", None) or {}
+    orchestration = result.orchestration
     counters = orchestration.get("store") or {}
     if args.format == "json":
         print(
@@ -588,29 +636,19 @@ def _cmd_store_gc(args: argparse.Namespace) -> int:
 
 def _cmd_trace_record(args: argparse.Namespace) -> int:
     from repro import observability as obs
-    from repro.orchestration.orchestrate import run_dataset
 
     with obs.tracing_to(args.out):
-        report = run_dataset(
-            args.dataset,
-            scale=args.scale,
-            jobs=args.jobs,
-            store=_store_arg(args),
-            learner=args.learner,
-        )
+        report = _run_pipeline(args)
     spans = obs.load_trace(args.out)
     summary = obs.summarize(spans)
     if args.format == "json":
         print(
-            json.dumps(
-                {"report": report.to_dict(), "summary": summary.to_dict()},
-                indent=2,
-            )
+            json.dumps({"report": report, "summary": summary.to_dict()}, indent=2)
         )
         return 0
     print(
-        f"{report.dataset} @ {report.scale} (jobs {report.jobs}): "
-        f"{report.seconds:.2f}s -> {args.out}"
+        f"{report['dataset']} @ {report['scale']} (jobs {report['jobs']}): "
+        f"{report['seconds']:.2f}s -> {args.out}"
     )
     print(obs.render_summary(summary))
     return 0

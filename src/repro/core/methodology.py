@@ -228,15 +228,18 @@ class Methodology:
         self,
         dataset: Dataset,
         grid: RefinementGrid | None = None,
-        jobs: int | None = None,
+        pool=None,
         store=None,
     ) -> MethodologyOutcome:
         """Steps 2-4 on an injection dataset.
 
-        ``jobs`` runs the Step 4 grid search on that many worker
-        processes (``None``/1 keeps the serial path); ``store`` (a
+        ``pool`` (a :class:`repro.orchestration.WorkerPool`, owned by
+        the caller, who may share it with :meth:`step1_inject`) runs
+        the Step 4 grid search; ``store`` (a
         :class:`repro.injection.store.CampaignStore`) keeps the trials
-        for reuse and resumption.
+        for reuse and resumption.  Without either, :func:`refine` runs
+        the grid serially, or on the
+        :func:`repro.orchestration.configure`-d default pool.
         """
         with obs.span(
             "methodology.run", dataset=dataset.name, learner=self.config.learner
@@ -244,18 +247,9 @@ class Methodology:
             with obs.span("phase.baseline"):
                 baseline = self.step3_generate(dataset)
             with obs.span("phase.refine"):
-                if (jobs is not None and jobs > 1) or store is not None:
-                    from repro.orchestration.pool import make_pool
-
-                    pool = make_pool(jobs)
-                    try:
-                        refinement = self.step4_refine(
-                            dataset, grid, pool=pool, store=store
-                        )
-                    finally:
-                        pool.close()
-                else:
-                    refinement = self.step4_refine(dataset, grid)
+                refinement = self.step4_refine(
+                    dataset, grid, pool=pool, store=store
+                )
             with obs.span("phase.finalize"):
                 best = refinement.best
                 # The refined candidate must actually beat the baseline

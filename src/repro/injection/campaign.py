@@ -292,6 +292,12 @@ class CampaignResult:
     estimates and the spec that produced them.  When present,
     ``records`` holds only the sampled (plus prune-synthesized) subset
     of the enumeration, in canonical order.
+
+    ``orchestration`` (task counts, store traffic) and ``prune`` (the
+    static prune summary and its audit) describe how :meth:`Campaign.run`
+    produced the records.  They are not part of the campaign document:
+    :meth:`to_dict` leaves them out and :meth:`from_dict` leaves them
+    ``None``.
     """
 
     target_name: str
@@ -299,6 +305,8 @@ class CampaignResult:
     records: list[ExperimentRecord]
     variable_specs: tuple[VariableSpec, ...]
     sampling: object | None = None  # repro.injection.sampling.SamplingReport
+    orchestration: dict | None = dataclasses.field(default=None, compare=False)
+    prune: dict | None = dataclasses.field(default=None, compare=False)
 
     @property
     def n_runs(self) -> int:
@@ -629,9 +637,7 @@ class Campaign:
             # raised by campaign code propagates instead of being
             # retried into crash records.  Observation hooks need
             # exactly that -- every run once, here.
-            pool = SerialPool(
-                metrics=getattr(pool, "metrics", None), isolate=False
-            )
+            pool = SerialPool(isolate=False)
         try:
             plan = self._plan_prune() if pruned else prune_mod.all_live(self)
             pairs = plan.executed_pairs()
@@ -672,11 +678,9 @@ class Campaign:
                 self.variable_specs,
                 sampling=None if draws is None else draws.report(plan, records),
             )
-            result.orchestration = _merge_summaries(  # type: ignore[attr-defined]
-                summaries, pool.jobs
-            )
+            result.orchestration = _merge_summaries(summaries, pool.jobs)
             if pruned and draws is None:
-                result.prune = self._audit(plan, records)  # type: ignore[attr-defined]
+                result.prune = self._audit(plan, records)
             return result
         finally:
             if owned is not None:

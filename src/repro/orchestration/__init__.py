@@ -8,9 +8,10 @@ pools that survive worker death (:mod:`~repro.orchestration.pool`),
 each completion stored as it lands in the content-addressed
 :class:`~repro.injection.store.CampaignStore` (the one durable layer:
 re-running a killed run against the same store resumes it), with
-campaign sharding (:mod:`~repro.orchestration.campaigns`), grid
-fan-out (:mod:`~repro.orchestration.grids`) and an end-to-end
-pipeline driver (:mod:`~repro.orchestration.orchestrate`).
+campaign sharding (:mod:`~repro.orchestration.campaigns`) and grid
+fan-out (:mod:`~repro.orchestration.grids`).  The end-to-end driver
+is :class:`repro.core.methodology.Methodology`, which takes a pool for
+Step 1 and Step 4 alike.
 
 Determinism contract: for the same seed and configuration, a merged
 parallel result is bit-identical to the serial one -- any worker
@@ -19,7 +20,6 @@ count, with or without a store, resumed or not.
 
 from repro.orchestration.campaigns import plan_pairs, plan_shards, run_campaign
 from repro.orchestration.grids import dataset_fingerprint, run_refinement
-from repro.orchestration.orchestrate import OrchestrationReport, run_dataset
 from repro.orchestration.pool import (
     ProcessPool,
     SerialPool,
@@ -57,6 +57,4 @@ __all__ = [
     "run_campaign",
     "dataset_fingerprint",
     "run_refinement",
-    "OrchestrationReport",
-    "run_dataset",
 ]

@@ -333,9 +333,6 @@ def run_campaign(
                 fingerprint=None if key is None else fingerprint_of(key),
                 fn=_execute_shard,
                 args=(campaign, shard, token),
-                weight=len(shard)
-                * len(config.injection_times)
-                * len(config.test_cases),
                 key=key,
             )
             for index, (shard, key) in enumerate(zip(shards, keys))
@@ -394,13 +391,7 @@ def run_campaign(
         merge_span.count("records", len(records))
         merge_span.count("stored_shards", stored)
         merge_span.count("quarantined_shards", len(quarantined))
-    result = CampaignResult(
-        campaign.target.name,
-        config,
-        records,
-        campaign.variable_specs,
-    )
-    result.orchestration = {  # type: ignore[attr-defined]
+    orchestration = {
         "tasks": len(tasks),
         "executed": len(tasks) - len(resolved) - len(quarantined),
         "stored": stored,
@@ -424,5 +415,11 @@ def run_campaign(
                 names.COUNTER_STORE_INVALIDATED, delta["invalidated"]
             )
             sync_span.count(names.COUNTER_STORE_WRITES, delta["writes"])
-        result.orchestration["store"] = delta  # type: ignore[attr-defined]
-    return result
+        orchestration["store"] = delta
+    return CampaignResult(
+        campaign.target.name,
+        config,
+        records,
+        campaign.variable_specs,
+        orchestration=orchestration,
+    )

@@ -268,7 +268,6 @@ def run_refinement(
                 complexity,
                 positive,
             ),
-            weight=folds,
             key=key,
         )
         for index, (plan, key) in enumerate(zip(plans, keys))

@@ -19,10 +19,9 @@ process down with it.  The pools here make that survivable:
   poisoning the run -- mirroring the detector quarantine of
   :class:`repro.runtime.engine.StreamingEngine`.
 
-Both pools report per-task latency and fault counters through a
-:class:`repro.runtime.metrics.RuntimeMetrics` instance under
-``orchestration.<kind>`` names, so campaign and grid progress shows up
-in the same report as detector serving.
+Each task's attempts and seconds come back on its
+:class:`TaskOutcome`, and each execution runs under an
+``orchestration.task`` span (:mod:`repro.observability`).
 
 :func:`configure` installs a process-wide default worker count that
 :meth:`Campaign.run` and :func:`refine` pick up when no explicit pool
@@ -42,7 +41,6 @@ from concurrent.futures.process import BrokenProcessPool
 
 from repro import observability as obs
 from repro.orchestration.tasks import Task
-from repro.runtime.metrics import RuntimeMetrics
 
 __all__ = [
     "TaskOutcome",
@@ -104,7 +102,7 @@ def _invoke(
 
 
 class WorkerPool:
-    """Common retry/quarantine/metrics machinery for the pools."""
+    """Common retry/quarantine machinery for the pools."""
 
     jobs: int = 1
 
@@ -113,14 +111,12 @@ class WorkerPool:
         max_retries: int = 2,
         backoff: float = 0.05,
         max_backoff: float = 2.0,
-        metrics: RuntimeMetrics | None = None,
     ) -> None:
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         self.max_retries = max_retries
         self.backoff = backoff
         self.max_backoff = max_backoff
-        self.metrics = metrics
 
     def run(
         self,
@@ -144,16 +140,6 @@ class WorkerPool:
         if self.backoff > 0:
             time.sleep(min(self.backoff * (2 ** (failures - 1)), self.max_backoff))
 
-    def _record_done(self, task: Task, seconds: float) -> None:
-        if self.metrics is not None:
-            self.metrics.stats_for(f"orchestration.{task.kind}").record_batch(
-                task.weight, 0, seconds
-            )
-
-    def _record_fault(self, task: Task) -> None:
-        if self.metrics is not None:
-            self.metrics.stats_for(f"orchestration.{task.kind}").record_fault()
-
 
 class SerialPool(WorkerPool):
     """In-process execution in task order: the reference schedule.
@@ -173,10 +159,9 @@ class SerialPool(WorkerPool):
         max_retries: int = 2,
         backoff: float = 0.05,
         max_backoff: float = 2.0,
-        metrics: RuntimeMetrics | None = None,
         isolate: bool = True,
     ) -> None:
-        super().__init__(max_retries, backoff, max_backoff, metrics)
+        super().__init__(max_retries, backoff, max_backoff)
         self.isolate = isolate
 
     def run(
@@ -195,7 +180,6 @@ class SerialPool(WorkerPool):
                             task.fn, task.args, task.task_id
                         )
                     except Exception as exc:  # noqa: BLE001 -- isolation boundary
-                        self._record_fault(task)
                         if not self.isolate:
                             raise
                         if attempts > self.max_retries:
@@ -208,7 +192,6 @@ class SerialPool(WorkerPool):
                             break
                         self._sleep(attempts)
                     else:
-                        self._record_done(task, seconds)
                         outcome = TaskOutcome(
                             task_id=task.task_id,
                             status="done",
@@ -240,10 +223,9 @@ class ProcessPool(WorkerPool):
         max_retries: int = 2,
         backoff: float = 0.05,
         max_backoff: float = 2.0,
-        metrics: RuntimeMetrics | None = None,
         mp_context=None,
     ) -> None:
-        super().__init__(max_retries, backoff, max_backoff, metrics)
+        super().__init__(max_retries, backoff, max_backoff)
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
@@ -313,7 +295,6 @@ class ProcessPool(WorkerPool):
                     except BrokenProcessPool as exc:
                         broken = True
                         if len(futures) == 1:
-                            self._record_fault(task)
                             failures[task.task_id] += 1
                             if failures[task.task_id] > self.max_retries:
                                 settle(task, TaskOutcome(
@@ -323,7 +304,6 @@ class ProcessPool(WorkerPool):
                                     attempts=failures[task.task_id],
                                 ))
                     except Exception as exc:  # noqa: BLE001 -- isolation
-                        self._record_fault(task)
                         failures[task.task_id] += 1
                         if failures[task.task_id] > self.max_retries:
                             settle(task, TaskOutcome(
@@ -333,7 +313,6 @@ class ProcessPool(WorkerPool):
                                 attempts=failures[task.task_id],
                             ))
                     else:
-                        self._record_done(task, seconds)
                         settle(task, TaskOutcome(
                             task_id=task.task_id,
                             status="done",
@@ -368,15 +347,17 @@ class ProcessPool(WorkerPool):
         return {task.task_id: outcomes[task.task_id] for task in tasks}
 
 
-def make_pool(
-    jobs: int | None,
-    metrics: RuntimeMetrics | None = None,
-    **kwargs,
-) -> WorkerPool:
-    """A pool sized for ``jobs`` workers (serial for ``None``/``<=1``)."""
+def make_pool(jobs: int | None) -> WorkerPool:
+    """A pool sized for ``jobs`` workers.
+
+    ``None``/``<=1`` gives the in-process loop,
+    ``SerialPool(isolate=False)``: as for a campaign run without a
+    pool, an exception raised in this process is a bug to surface, not
+    a worker fault to retry.
+    """
     if jobs is None or jobs <= 1:
-        return SerialPool(metrics=metrics, **kwargs)
-    return ProcessPool(jobs, metrics=metrics, **kwargs)
+        return SerialPool(isolate=False)
+    return ProcessPool(jobs)
 
 
 def picklable(obj: object) -> bool:
@@ -405,11 +386,11 @@ def configure(jobs: int | None = None) -> None:
     _DEFAULT_JOBS = jobs
 
 
-def default_pool(metrics: RuntimeMetrics | None = None) -> WorkerPool | None:
+def default_pool() -> WorkerPool | None:
     """A fresh pool per the configured default, or None when serial.
 
     The caller owns the returned pool and must :meth:`close` it.
     """
     if _DEFAULT_JOBS is None or _DEFAULT_JOBS <= 1:
         return None
-    return ProcessPool(_DEFAULT_JOBS, metrics=metrics)
+    return ProcessPool(_DEFAULT_JOBS)

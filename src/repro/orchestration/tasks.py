@@ -73,21 +73,14 @@ class Task:
     executes.  ``key`` is the full store key, kept so the store can
     classify a miss as cold vs invalidated and persist provenance with
     the result.  ``fn`` must be a module-level callable (workers import
-    it by reference); ``weight`` is the number of underlying work units
-    (injection runs, CV folds) the task covers, reported to metrics.
+    it by reference).
     """
 
     task_id: str
     fingerprint: str | None
     fn: Callable
     args: tuple = ()
-    weight: int = 1
     key: object = None
-
-    @property
-    def kind(self) -> str:
-        """Task family: the ``task_id`` prefix before the colon."""
-        return self.task_id.split(":", 1)[0]
 
 
 class TaskGraph:

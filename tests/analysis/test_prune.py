@@ -182,7 +182,7 @@ class TestBitIdentity:
         assert again.prune["runs_pruned"] == pruned.prune["runs_pruned"] > 0
         cleared = config(prune="static").with_prune("none", 0.5)
         assert (cleared.prune, cleared.audit_fraction) == (None, 0.5)
-        assert not hasattr(Campaign(PruneTarget(), cleared).run(), "prune")
+        assert Campaign(PruneTarget(), cleared).run().prune is None
 
     def test_full_audit_passes(self):
         result = Campaign(

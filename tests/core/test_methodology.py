@@ -15,6 +15,7 @@ from repro.core.preprocess import (
 )
 from repro.core.refine import RefinementGrid, refine
 from repro.mining.tree import C45DecisionTree
+from repro.orchestration import ProcessPool
 from tests.conftest import make_imbalanced, make_separable
 
 SMALL_GRID = RefinementGrid(
@@ -189,7 +190,8 @@ class TestEndToEnd:
         ds = make_imbalanced(n=300)
         config = MethodologyConfig(folds=5, seed=7)
         serial = Methodology(config).run(ds, SMALL_GRID)
-        pooled = Methodology(config).run(ds, SMALL_GRID, jobs=2)
+        with ProcessPool(2) as pool:
+            pooled = Methodology(config).run(ds, SMALL_GRID, pool=pool)
         assert pooled.baseline.summary() == serial.baseline.summary()
         assert pooled.refined.plan == serial.refined.plan
         assert (

@@ -35,7 +35,7 @@ class TestRecord:
         assert payload["report"]["dataset"] == "MG-B1"
         assert payload["summary"]["root"] == "orchestrate.run"
         assert payload["summary"]["phases"].keys() == {
-            "campaign", "baseline", "refine"
+            "campaign", "baseline", "refine", "finalize"
         }
 
 

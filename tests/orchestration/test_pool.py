@@ -11,7 +11,6 @@ from repro.orchestration import (
     make_pool,
     picklable,
 )
-from repro.runtime.metrics import RuntimeMetrics
 
 from tests.orchestration._targets import boom, die, flaky, snooze, square
 
@@ -54,16 +53,6 @@ class TestSerialPool:
         assert outcomes["t:00"].result == 9
         assert outcomes["t:01"].status == "quarantined"
         assert outcomes["t:02"].result == 16
-
-    def test_metrics_recorded(self):
-        metrics = RuntimeMetrics()
-        pool = SerialPool(max_retries=0, backoff=0, metrics=metrics)
-        pool.run([Task("campaign:00", "a", square, (2,), weight=5),
-                  Task("campaign:01", "b", boom, ())])
-        stats = metrics.stats_for("orchestration.campaign")
-        assert stats.evaluations == 5
-        assert stats.batches == 1
-        assert stats.faults == 1
 
 
 class TestProcessPool:
@@ -111,6 +100,7 @@ class TestMakePool:
     def test_serial_for_none_or_one(self):
         assert isinstance(make_pool(None), SerialPool)
         assert isinstance(make_pool(1), SerialPool)
+        assert not make_pool(1).isolate  # in-process errors propagate
 
     def test_process_for_many(self):
         pool = make_pool(2)

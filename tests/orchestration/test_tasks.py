@@ -46,10 +46,6 @@ class TestDeriveSeed:
 
 
 class TestTask:
-    def test_kind(self):
-        task = Task("campaign:00004", "ff", square, (2,))
-        assert task.kind == "campaign"
-
     def test_duplicate_ids_rejected(self):
         tasks = [Task("t:1", "a", square, (1,)), Task("t:1", "b", square, (2,))]
         with pytest.raises(ValueError, match="duplicate"):
