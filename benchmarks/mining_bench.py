@@ -4,7 +4,7 @@ Step 4's refinement sweep is the compute budget of the methodology:
 every plan in the grid re-induces C4.5 trees over resampled training
 folds, so induction cost multiplies by (plans x folds).  This driver
 measures the vectorised data plane (presorted index-based induction,
-batch tree inference, content-keyed reuse caches) against the seed
+fold-batched growth, batch tree inference) against the seed
 implementation (the C4.5 engine kept as the test oracle in
 ``tests/mining/_c45_reference.py``) on a program-state-like workload,
 under the data plane's hard contract: **bit-identical trees,
@@ -21,7 +21,8 @@ Five stages:
   per-row recursive descent vs level-order batch routing (class
   distributions compared by bytes);
 * ``refine`` -- the end-to-end Step 4 grid search, seed path
-  (reference engine, reuse caches disabled) vs the full data plane
+  (reference engine, per-seed SMOTE neighbour queries) vs the full
+  data plane
   (rankings, selection keys and per-trial AUCs compared exactly);
 * ``crossval fit`` -- one cross-validation's training folds, each
   fitted alone through ``fit`` vs grown together by ``fit_trees``
@@ -61,7 +62,6 @@ from repro import observability as obs
 from repro.core.refine import RefinementGrid, RefinementResult, refine
 from repro.experiments.reporting import render_table
 from repro.experiments.scale import Scale, get_scale
-from repro.mining.cache import clear_reuse_caches, reuse_caches_disabled
 from repro.mining.crossval import stratified_folds, train_folds
 from repro.mining.dataset import Attribute, Dataset
 from repro.mining.tree import C45DecisionTree, fit_trees
@@ -252,12 +252,11 @@ def run(scale: Scale | str = "bench") -> list[MiningBenchRow]:
     # -- refine: the end-to-end Step 4 sweep --------------------------
     # The serial path is forced (a lambda factory cannot cross a
     # process boundary) so both runs time a single process; the
-    # baseline disables every reuse cache and puts smote back on
-    # per-seed neighbour queries (tests/mining/_smote_reference.py)
-    # -- the seed repo's exact data plane.
+    # baseline puts smote back on per-seed neighbour queries
+    # (tests/mining/_smote_reference.py) -- the seed repo's exact
+    # data plane.
     def sweep(learner: type[C45DecisionTree]) -> tuple[float, RefinementResult]:
         factory = lambda: learner(**factory_args)  # noqa: E731
-        clear_reuse_caches()
         fresh = make_state_dataset(load["n"], load["d"], seed=scale.seed)
         started = time.perf_counter()
         result = refine(
@@ -265,7 +264,7 @@ def run(scale: Scale | str = "bench") -> list[MiningBenchRow]:
         )
         return time.perf_counter() - started, result
 
-    with reuse_caches_disabled(), per_seed_neighbours():
+    with per_seed_neighbours():
         refine_seed, result_seed = sweep(ReferenceC45DecisionTree)
     refine_fast, result_fast = sweep(C45DecisionTree)
     if _ranking(result_seed) != _ranking(result_fast):

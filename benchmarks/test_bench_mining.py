@@ -1,9 +1,9 @@
 """Bench R-4: mining data-plane throughput (repro.mining).
 
 Times the presorted C4.5 data plane against the seed implementation
-(per-node sorting, per-row descent, no reuse caches; the engine kept
-as the test oracle in ``tests/mining/_c45_reference.py``) on the
-program-state workload of ``mining_bench.py``, which sits next to
+(per-node sorting, per-row descent, per-seed SMOTE neighbour queries;
+the engine kept as the test oracle in ``tests/mining/_c45_reference.py``)
+on the program-state workload of ``mining_bench.py``, which sits next to
 this file.  The contract checks run *inside* ``mining_bench.run`` --
 trees, class distributions and refinement rankings are verified
 bit-identical against the reference before any timing is reported --

@@ -273,26 +273,34 @@ def _cmd_surface(args: argparse.Namespace) -> int:
     return 0
 
 
+class _UnknownDataset(LookupError):
+    """A dataset command named no Table II dataset (exit 2)."""
+
+
+def _dataset_spec(name: str):
+    """The Table II dataset spec named ``name``, for every dataset
+    command; an unknown name ends the command with an ``error:`` line
+    listing the valid ids and exit code 2 (see :func:`main`)."""
+    from repro.experiments.datasets import DATASET_SPECS
+
+    spec = DATASET_SPECS.get(name)
+    if spec is None:
+        raise _UnknownDataset(
+            f"unknown dataset {name!r}; available: "
+            f"{', '.join(sorted(DATASET_SPECS))}"
+        )
+    return spec
+
+
 def _cmd_prune(args: argparse.Namespace) -> int:
     """Plan (without executing) the static prune of one dataset's
     campaign: per-point verdicts with dataflow provenance."""
     from repro.analysis.prune import plan_prune
-    from repro.experiments.datasets import (
-        DATASET_SPECS,
-        build_target,
-        campaign_config,
-    )
+    from repro.experiments.datasets import build_target, campaign_config
     from repro.experiments.scale import get_scale
     from repro.injection.campaign import Campaign
 
-    spec = DATASET_SPECS.get(args.dataset)
-    if spec is None:
-        print(
-            f"error: unknown dataset {args.dataset!r}; available: "
-            f"{', '.join(sorted(DATASET_SPECS))}",
-            file=sys.stderr,
-        )
-        return 2
+    spec = _dataset_spec(args.dataset)
     scale_obj = get_scale(args.scale)
     target = build_target(spec.target, scale_obj)
     config = campaign_config(spec, scale_obj)
@@ -339,24 +347,13 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     report the per-stratum outcome-class estimates."""
     import time
 
-    from repro.experiments.datasets import (
-        DATASET_SPECS,
-        build_target,
-        campaign_config,
-    )
+    from repro.experiments.datasets import build_target, campaign_config
     from repro.experiments.scale import get_scale
     from repro.injection.campaign import Campaign
     from repro.injection.sampling import SamplingSpec
     from repro.orchestration.pool import make_pool
 
-    spec = DATASET_SPECS.get(args.dataset)
-    if spec is None:
-        print(
-            f"error: unknown dataset {args.dataset!r}; available: "
-            f"{', '.join(sorted(DATASET_SPECS))}",
-            file=sys.stderr,
-        )
-        return 2
+    spec = _dataset_spec(args.dataset)
     scale_obj = get_scale(args.scale)
     target = build_target(spec.target, scale_obj)
     config = campaign_config(spec, scale_obj).with_prune(args.prune)
@@ -413,11 +410,13 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 def _run_pipeline(
     args: argparse.Namespace,
+    spec,
     prune: str | None = None,
     audit_fraction: float | None = None,
 ) -> dict:
-    """Steps 1-4 on one Table II dataset through one worker pool: the
-    run behind ``repro orchestrate`` and ``repro trace record``.
+    """Steps 1-4 on one Table II dataset (``spec``, from
+    :func:`_dataset_spec`) through one worker pool: the run behind
+    ``repro orchestrate`` and ``repro trace record``.
 
     :meth:`Methodology.step1_inject` runs the campaign sharded (and
     stored, with ``--store``), and :meth:`Methodology.run` evaluates the
@@ -432,19 +431,10 @@ def _run_pipeline(
 
     from repro import observability as obs
     from repro.core.methodology import Methodology, MethodologyConfig
-    from repro.experiments.datasets import (
-        DATASET_SPECS,
-        build_target,
-        campaign_config,
-    )
+    from repro.experiments.datasets import build_target, campaign_config
     from repro.experiments.scale import get_scale
     from repro.orchestration.pool import make_pool
 
-    spec = DATASET_SPECS.get(args.dataset)
-    if spec is None:
-        raise ValueError(
-            f"unknown dataset {args.dataset!r}; available: {sorted(DATASET_SPECS)}"
-        )
     scale = get_scale(args.scale)
     methodology = Methodology(
         MethodologyConfig(args.learner, folds=scale.folds, seed=scale.seed)
@@ -482,7 +472,9 @@ def _run_pipeline(
 
 
 def _cmd_orchestrate(args: argparse.Namespace) -> int:
-    report = _run_pipeline(args, args.prune, args.audit_fraction)
+    report = _run_pipeline(
+        args, _dataset_spec(args.dataset), args.prune, args.audit_fraction
+    )
     if args.format == "json":
         print(json.dumps(report, indent=2))
         return 0
@@ -525,25 +517,14 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     so re-runs after a module edit only pay for the edited module."""
     import time
 
-    from repro.experiments.datasets import (
-        DATASET_SPECS,
-        build_target,
-        campaign_config,
-    )
+    from repro.experiments.datasets import build_target, campaign_config
     from repro.experiments.scale import get_scale
     from repro.injection.campaign import Campaign
     from repro.injection.sampling import SamplingSpec
     from repro.injection.store import CampaignStore
     from repro.orchestration.pool import make_pool
 
-    spec = DATASET_SPECS.get(args.dataset)
-    if spec is None:
-        print(
-            f"error: unknown dataset {args.dataset!r}; available: "
-            f"{', '.join(sorted(DATASET_SPECS))}",
-            file=sys.stderr,
-        )
-        return 2
+    spec = _dataset_spec(args.dataset)
     scale_obj = get_scale(args.scale)
     target = build_target(spec.target, scale_obj)
     config = campaign_config(spec, scale_obj).with_prune(args.prune)
@@ -637,8 +618,9 @@ def _cmd_store_gc(args: argparse.Namespace) -> int:
 def _cmd_trace_record(args: argparse.Namespace) -> int:
     from repro import observability as obs
 
+    spec = _dataset_spec(args.dataset)
     with obs.tracing_to(args.out):
-        report = _run_pipeline(args)
+        report = _run_pipeline(args, spec)
     spans = obs.load_trace(args.out)
     summary = obs.summarize(spans)
     if args.format == "json":
@@ -987,7 +969,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SerializationError as exc:
+    except (SerializationError, _UnknownDataset) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

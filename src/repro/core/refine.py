@@ -191,8 +191,8 @@ def refine(
             store=store,
         )
     # Warm the column presort once for the whole sweep: every trial's
-    # training folds (and any append-only resampling) derive their sort
-    # orders from this one set instead of re-sorting per tree.
+    # training folds are order-preserving subsets and derive their sort
+    # orders from this one set; a resampled fold sorts its own.
     dataset.presort()
     trials: list[RefinementTrial] = []
     with obs.span("refine.sweep", plans=grid.size(), folds=folds):

@@ -1,35 +1,29 @@
-"""Content-addressed reuse caches for the mining data plane.
+"""Process-local reuse caches keyed by content.
 
-Step 4's refinement grid re-derives near-identical intermediate
-artefacts hundreds of times: the same training fold feeds 15 SMOTE
-levels and 15 neighbour counts, and every plan re-partitions the same
-class vector into the same stratified folds.  The caches here memoise
-those artefacts keyed by **content fingerprints** (the same
-sha256-prefix convention as :func:`repro.orchestration.tasks.fingerprint_of`),
-so reuse is driven by what the data *is*, never by where it came from
--- store/resume and parallel-schedule semantics are untouched because
-a cache hit returns exactly the bytes a recompute would.
+A :class:`ContentCache` memoises an artefact under a key that says
+what its inputs *are*, never where they came from, so a hit returns
+exactly what a recompute would and store/resume and parallel-schedule
+semantics are untouched.  Two memos use it: the fault-free runs of
+:data:`repro.injection.golden.GOLDEN_CACHE` (keyed by target
+fingerprint and test case) and the normalised sources of
+:func:`repro.targets.base.normalized_source` (keyed by source text).
 
-Caches are process-local, bounded (LRU), and registered globally so
-benchmarks can measure the cold path honestly via
-:func:`clear_reuse_caches`.
+Caches are bounded (LRU) and registered globally, so a benchmark can
+measure the cold path honestly via :func:`clear_reuse_caches`, and
+:func:`reuse_caches_disabled` makes every one of them miss.
 """
 
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import threading
 from collections import OrderedDict
 from typing import Any
-
-import numpy as np
 
 from repro import observability as obs
 
 __all__ = [
     "ContentCache",
-    "array_fingerprint",
     "clear_reuse_caches",
     "reuse_caches_disabled",
 ]
@@ -54,23 +48,6 @@ def reuse_caches_disabled():
         yield
     finally:
         _DISABLED = previous
-
-
-def array_fingerprint(*arrays: np.ndarray) -> str:
-    """Fingerprint one or more arrays by dtype, shape, and raw bytes.
-
-    Two arrays with equal fingerprints are bit-identical (modulo sha256
-    collisions), so anything deterministically derived from one can be
-    reused for the other.  NaNs compare by payload bytes, which is the
-    conservative direction for cache keys.
-    """
-    digest = hashlib.sha256()
-    for array in arrays:
-        array = np.ascontiguousarray(array)
-        digest.update(str(array.dtype).encode())
-        digest.update(repr(array.shape).encode())
-        digest.update(array.tobytes())
-    return digest.hexdigest()[:16]
 
 
 class ContentCache:

@@ -38,7 +38,6 @@ import numpy as np
 
 from repro import observability as obs
 from repro.mining.base import Classifier
-from repro.mining.cache import ContentCache, array_fingerprint
 from repro.mining.dataset import Dataset
 from repro.mining.metrics import ConfusionMatrix
 from repro.mining.tree import C45DecisionTree, fit_trees
@@ -51,16 +50,6 @@ __all__ = [
     "cross_validate",
     "train_folds",
 ]
-
-# Fold partitions depend only on the class vector, the fold count, and
-# the generator's exact state, so they can be memoised without changing
-# a single drawn number: a hit replays the stored partition *and*
-# fast-forwards the generator to the state the computation would have
-# left it in.  Keying on the pre-call state (not just the seed) keeps
-# every caller semantics-identical -- a refine() trial seeded
-# differently simply misses.
-_FOLD_PARTITIONS = ContentCache(maxsize=32, name="stratified-fold-partitions")
-
 
 @dataclasses.dataclass
 class FoldResult:
@@ -143,26 +132,17 @@ def stratified_folds(
         raise ValueError(
             f"cannot make {k} folds from {len(dataset)} instances"
         )
-    key = (array_fingerprint(dataset.y), dataset.n_classes, k,
-           repr(rng.bit_generator.state))
-    cached = _FOLD_PARTITIONS.get(key)
-    if cached is not None:
-        partition, post_state = cached
-        rng.bit_generator.state = post_state
-        return [fold.copy() for fold in partition]
-    folds: list[list[int]] = [[] for _ in range(k)]
+    # Deal each class's shuffled members to folds offset, offset + 1,
+    # ...; the offset carries over from class to class so small classes
+    # do not all land in fold 0.
+    assign = np.full(len(dataset), -1, dtype=np.int64)
     offset = 0
     for cls in range(dataset.n_classes):
         members = np.flatnonzero(dataset.y == cls)
         members = members[rng.permutation(len(members))]
-        for i, index in enumerate(members):
-            folds[(offset + i) % k].append(int(index))
-        # Continue dealing where the previous class stopped so small
-        # classes do not all land in fold 0.
+        assign[members] = (offset + np.arange(len(members))) % k
         offset += len(members)
-    partition = [np.array(sorted(fold), dtype=np.int64) for fold in folds]
-    _FOLD_PARTITIONS.put(key, (partition, rng.bit_generator.state))
-    return [fold.copy() for fold in partition]
+    return [np.flatnonzero(assign == fold) for fold in range(k)]
 
 
 def cross_validate(

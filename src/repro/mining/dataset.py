@@ -16,12 +16,13 @@ Datasets also carry a lazily computed **presort cache**
 (:meth:`Dataset.presort`): one stable sort order per numeric column,
 restricted to the rows where the value is known.  C4.5 induction seeds
 its index-based growth from this cache instead of re-sorting every
-column at every node, and the cache is *derived* -- never recomputed --
-across the row operations the mining pipeline chains: an
-order-preserving :meth:`subset` filters the parent's orders,
-:meth:`concat` merges the two operands' orders, and weight-only
-:meth:`replace` shares the cache outright (sort order depends on ``x``
-alone).  See ``docs/mining-performance.md``.
+column at every node.  Two row operations *derive* the cache instead
+of recomputing it: an order-preserving :meth:`subset` (a
+cross-validation training fold) filters the parent's orders, and a
+label- or weight-only :meth:`replace` shares the cache outright (sort
+order depends on ``x`` alone).  Any other new dataset, a resampled
+:meth:`concat` included, sorts on first use.  See
+``docs/mining-performance.md``.
 """
 
 from __future__ import annotations
@@ -386,24 +387,11 @@ class Dataset:
             or other.class_attribute != self.class_attribute
         ):
             raise DatasetError("cannot concatenate datasets with different schemas")
-        out = self.replace(
+        return self.replace(
             x=np.vstack([self.x, other.x]),
             y=np.concatenate([self.y, other.y]),
             weights=np.concatenate([self.weights, other.weights]),
         )
-        if self._presort is not None and other._presort is not None:
-            # Merge the operands' sort orders; all of self's rows come
-            # before other's, so ties resolve self-first -- exactly the
-            # stable order a fresh sort of the concatenation would give.
-            derived: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-            offset = len(self)
-            for j, (pos_a, val_a) in self._presort.items():
-                pos_b, val_b = other._presort[j]
-                derived[j] = _merge_sorted(
-                    pos_a, val_a, pos_b + offset, val_b
-                )
-            out._presort = derived
-        return out
 
     def shuffled(self, rng: np.random.Generator) -> "Dataset":
         """Return a row-shuffled copy."""
@@ -469,34 +457,6 @@ class Dataset:
 
     def decode_label(self, i: int) -> str:
         return self.class_attribute.value_of(int(self.y[i]))
-
-
-def _merge_sorted(
-    pos_a: np.ndarray,
-    val_a: np.ndarray,
-    pos_b: np.ndarray,
-    val_b: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stable merge of two (positions, ascending values) sort orders.
-
-    Every position in ``pos_a`` must be smaller than every position in
-    ``pos_b`` (the caller offsets the second operand), so putting ``a``
-    elements first on value ties reproduces a stable sort by
-    ``(value, position)`` of the union.
-    """
-    if pos_b.size == 0:
-        return pos_a, val_a
-    if pos_a.size == 0:
-        return pos_b, val_b
-    at = np.searchsorted(val_b, val_a, side="left") + np.arange(pos_a.size)
-    bt = np.searchsorted(val_a, val_b, side="right") + np.arange(pos_b.size)
-    positions = np.empty(pos_a.size + pos_b.size, dtype=np.int64)
-    values = np.empty(positions.size, dtype=np.float64)
-    positions[at] = pos_a
-    positions[bt] = pos_b
-    values[at] = val_a
-    values[bt] = val_b
-    return positions, values
 
 
 def _encode_value(value: object, attribute: Attribute) -> float:

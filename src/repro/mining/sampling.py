@@ -29,7 +29,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro import observability as obs
-from repro.mining.cache import ContentCache, array_fingerprint
 from repro.mining.dataset import Dataset
 from repro.mining.knn import NearestNeighbours
 
@@ -46,25 +45,9 @@ class SamplingError(ValueError):
     """Raised for invalid sampling parameters or degenerate datasets."""
 
 
-# The paper's refinement grid sweeps SMOTE over k in [1, 15] against a
-# fixed training fold, so the minority neighbour lists are computed once
-# at the grid's largest k and *sliced* for every smaller k (per-seed
-# neighbour lists are prefixes of one stable distance ordering; see
-# NearestNeighbours.neighbour_table).  Keyed purely by minority-matrix
-# content, so any two plans sharing a training fold share the table.
-_TABLE_K = 15
-_NEIGHBOUR_TABLES = ContentCache(maxsize=16, name="smote-neighbour-tables")
-
-
 def _minority_neighbour_table(minority: Dataset, k: int) -> list[np.ndarray]:
-    table_k = max(k, _TABLE_K)
-    key = array_fingerprint(minority.x)
-    cached = _NEIGHBOUR_TABLES.get(key)
-    if cached is not None and cached[0] >= table_k:
-        return cached[1]
-    table = NearestNeighbours(minority).neighbour_table(table_k)
-    _NEIGHBOUR_TABLES.put(key, (table_k, table))
-    return table
+    """Each minority seed's ``k`` nearest minority neighbours."""
+    return NearestNeighbours(minority).neighbour_table(k)
 
 
 def _split_by_class(dataset: Dataset, positive: int) -> tuple[np.ndarray, np.ndarray]:
@@ -161,7 +144,7 @@ def smote(
         r = int(r_whole) + (1 if rng.random() < r_frac else 0)
         if r == 0:
             continue
-        neighbours = table[i][:k]
+        neighbours = table[i]
         if len(neighbours) == 0:
             continue
         choices = rng.choice(neighbours, size=r, replace=True)

@@ -37,7 +37,6 @@ from repro.core.refine import (
     RefinementResult,
     RefinementTrial,
 )
-from repro.mining.cache import ContentCache
 from repro.mining.crossval import (
     CrossValidationResult,
     FoldResult,
@@ -183,13 +182,6 @@ def _decode_evaluation(payload: dict) -> CrossValidationResult:
     )
 
 
-# Datasets cross the process boundary once per trial and arrive
-# without their presort cache (it is dropped on pickling), so workers
-# re-adopt the column sort orders computed by an earlier trial on the
-# same content instead of re-sorting for every plan.
-_WORKER_PRESORTS = ContentCache(maxsize=4, name="worker-dataset-presorts")
-
-
 def _evaluate_plan(
     dataset: Dataset,
     make_classifier: Callable,
@@ -202,12 +194,6 @@ def _evaluate_plan(
 ) -> CrossValidationResult:
     """Worker body: one trial, with the serial loop's exact RNG."""
     with obs.span("refine.trial", index=index, plan=plan.describe()):
-        fingerprint = dataset_fingerprint(dataset)
-        presort = _WORKER_PRESORTS.get(fingerprint)
-        if presort is not None:
-            dataset._presort = presort
-        else:
-            _WORKER_PRESORTS.put(fingerprint, dataset.presort())
         rng = np.random.default_rng((seed, index))
         return cross_validate(
             dataset,

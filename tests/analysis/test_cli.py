@@ -191,9 +191,78 @@ class TestOrchestrate:
         assert second["refined"] == first["refined"]
         assert second["best_plan"] == first["best_plan"]
 
-    def test_unknown_dataset(self):
-        with pytest.raises(ValueError, match="unknown dataset"):
-            main(["orchestrate", "XX-Z9", "--scale", "smoke"])
+    def test_unknown_dataset(self, capsys):
+        assert main(["orchestrate", "XX-Z9", "--scale", "smoke"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: unknown dataset 'XX-Z9'; available: 7Z-A1, "
+        )
+
+
+class TestDatasetCommands:
+    """``sample`` and ``campaign`` end to end at smoke scale, and the
+    unknown-dataset error ``orchestrate`` shares with every other
+    dataset command."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["prune", "XX-Z9"],
+            ["sample", "XX-Z9"],
+            ["campaign", "XX-Z9", "--store", "{tmp}/store"],
+            ["trace", "record", "XX-Z9", "--out", "{tmp}/trace.jsonl"],
+        ],
+        ids=["prune", "sample", "campaign", "trace-record"],
+    )
+    def test_unknown_dataset(self, command, tmp_path, capsys):
+        assert main([arg.format(tmp=tmp_path) for arg in command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown dataset 'XX-Z9'; available: ")
+        assert "MG-B1" in err
+        assert list(tmp_path.iterdir()) == []  # no store, no trace
+
+    def test_sample_text_and_json(self, capsys):
+        argv = ["sample", "7Z-A1", "--target-halfwidth", "0.08"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("7Z-A1 @ smoke: sampled ")
+        assert "target half-width 0.08" in out
+        assert main([*argv, "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["spec"]["target_halfwidth"] == 0.08
+        assert 0 < report["cells_sampled"] <= report["cells_total"]
+        assert report["strata"]
+
+    def test_campaign_rerun_is_served_by_the_store(self, tmp_path, capsys):
+        store = str(tmp_path / "store")
+        docs = [tmp_path / "first.json", tmp_path / "second.json"]
+        runs = []
+        for doc in docs:
+            assert main([
+                "campaign", "MG-B1", "--store", store,
+                "--out", str(doc), "--format", "json",
+            ]) == 0
+            runs.append(json.loads(capsys.readouterr().out))
+        first, second = runs
+        assert first["orchestration"]["executed"] > 0
+        assert second["orchestration"]["executed"] == 0
+        assert second["orchestration"]["stored"] == second["orchestration"]["tasks"]
+        records = [json.loads(doc.read_text())["records"] for doc in docs]
+        assert records[0] and records[1] == records[0]
+
+    def test_out_documents_pass_lint(self, tmp_path, capsys):
+        sampled = tmp_path / "sampled.json"
+        stored = tmp_path / "stored.json"
+        assert main([
+            "sample", "7Z-A1", "--target-halfwidth", "0.08",
+            "--out", str(sampled),
+        ]) == 0
+        assert main([
+            "campaign", "MG-B1", "--store", str(tmp_path / "store"),
+            "--out", str(stored),
+        ]) == 0
+        capsys.readouterr()
+        assert "sampling" in json.loads(sampled.read_text())
+        assert main(["lint", str(sampled), str(stored)]) == 0
 
 
 class TestErrors:

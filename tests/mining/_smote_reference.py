@@ -1,12 +1,11 @@
 """Per-seed SMOTE neighbour queries: the reference neighbour path.
 
 :func:`repro.mining.sampling.smote` takes every seed's neighbours from
-one table built at the refinement grid's largest k and slices it
-(:meth:`repro.mining.knn.NearestNeighbours.neighbour_table`, reused
-across plans through a content cache).  This module builds the table
-the way the seed implementation queried it: one
-:meth:`~repro.mining.knn.NearestNeighbours.neighbours` call per seed,
-at exactly ``k``, excluding the seed itself.  :func:`per_seed_neighbours`
+one self-query of the whole minority set
+(:meth:`repro.mining.knn.NearestNeighbours.neighbour_table`).  This
+module builds the table the way the seed implementation queried it:
+one :meth:`~repro.mining.knn.NearestNeighbours.neighbours` call per
+seed, at exactly ``k``, excluding the seed itself.  :func:`per_seed_neighbours`
 swaps that builder in for the duration of a block, so a test or a
 benchmark can run the whole data plane on the reference path and
 compare the results bit for bit.

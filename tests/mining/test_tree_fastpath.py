@@ -1,10 +1,11 @@
 """Equivalence properties of the vectorised mining data plane.
 
 The presorted induction engine, the batch routing path, the kNN batch
-queries and the reuse caches all carry the same hard contract: **bit
-identity** with the naive reference implementations they replace
-(for C4.5 induction and routing, the seed engine kept in
-``tests/mining/_c45_reference.py``).
+queries, SMOTE and stratified fold dealing all carry the same hard
+contract: **bit identity** with the naive reference implementations
+they replace (for C4.5 induction and routing, the seed engine kept in
+``tests/mining/_c45_reference.py``; for SMOTE and fold dealing, the
+loops in ``_smote_reference.py`` and ``_fold_reference.py``).
 These properties drive randomly generated datasets -- missing values,
 infinities, duplicated (quantised) values, fractional instance
 weights -- through both paths and compare raw bytes, plus a
@@ -21,13 +22,13 @@ from repro import observability as obs
 from repro.core import refine as refine_module
 from repro.core.preprocess import PreprocessingPlan
 from repro.core.refine import RefinementGrid, RefinementResult, RefinementTrial, refine
-from repro.mining.cache import clear_reuse_caches, reuse_caches_disabled
 from repro.mining.crossval import cross_validate, stratified_folds
 from repro.mining.dataset import Attribute, Dataset
 from repro.mining.knn import KNNClassifier, NearestNeighbours
 from repro.mining.sampling import oversample_minority, smote, undersample_majority
 from repro.mining.tree import C45DecisionTree, fit_trees, induction
 from tests.mining import _c45_reference as reference
+from tests.mining._fold_reference import round_robin_folds
 from tests.mining._smote_reference import per_seed_neighbours
 
 
@@ -262,43 +263,38 @@ def test_neighbour_table_is_prefix_of_per_row_queries(dataset, k):
 
 @given(dataset=datasets(), level=st.sampled_from([80.0, 300.0]), k=st.integers(1, 7))
 @settings(deadline=None, max_examples=25)
-def test_smote_bit_identical_with_and_without_caches(dataset, level, k):
+def test_smote_equals_per_seed_reference(dataset, level, k):
     if int(np.count_nonzero(dataset.y == 1)) < 2:
         return
-    clear_reuse_caches()
-    with reuse_caches_disabled(), per_seed_neighbours():
+    with per_seed_neighbours():
         reference = smote(dataset, level, k, np.random.default_rng(11))
-    cached = smote(dataset, level, k, np.random.default_rng(11))
-    again = smote(dataset, level, k, np.random.default_rng(11))  # cache hit
-    for candidate in (cached, again):
-        assert candidate.x.tobytes() == reference.x.tobytes()
-        assert candidate.y.tobytes() == reference.y.tobytes()
-        assert candidate.weights.tobytes() == reference.weights.tobytes()
+    candidate = smote(dataset, level, k, np.random.default_rng(11))
+    assert candidate.x.tobytes() == reference.x.tobytes()
+    assert candidate.y.tobytes() == reference.y.tobytes()
+    assert candidate.weights.tobytes() == reference.weights.tobytes()
 
 
-@given(dataset=datasets(), k=st.integers(2, 4))
-@settings(deadline=None, max_examples=25)
-def test_fold_partition_cache_replays_partition_and_rng_state(dataset, k):
-    if len(dataset) < 2 * k:
+@given(
+    dataset=datasets(min_rows=4),
+    k=st.integers(2, 10),
+    seed=st.integers(0, 2**31),
+)
+@settings(deadline=None, max_examples=60)
+def test_stratified_folds_equal_round_robin_reference(dataset, k, seed):
+    if len(dataset) < k:
         return
-    clear_reuse_caches()
-    with reuse_caches_disabled():
-        rng = np.random.default_rng(5)
-        reference = stratified_folds(dataset, k, rng)
-        tail_reference = rng.random(4)
-    rng = np.random.default_rng(5)
-    miss = stratified_folds(dataset, k, rng)  # populates the cache
-    tail_miss = rng.random(4)
-    rng = np.random.default_rng(5)
-    hit = stratified_folds(dataset, k, rng)  # replays it
-    tail_hit = rng.random(4)
-    for candidate, tail in ((miss, tail_miss), (hit, tail_hit)):
-        assert len(candidate) == len(reference)
-        for fold, expected in zip(candidate, reference):
-            assert np.array_equal(fold, expected)
-        # The generator must leave a cache hit exactly where the
-        # computation would have left it.
-        assert tail.tobytes() == tail_reference.tobytes()
+    rng = np.random.default_rng(seed)
+    reference = round_robin_folds(dataset, k, rng)
+    tail_reference = rng.random(4)
+    rng = np.random.default_rng(seed)
+    folds = stratified_folds(dataset, k, rng)
+    # The generator must be left where the dealing loop leaves it.
+    tail = rng.random(4)
+    assert len(folds) == len(reference)
+    for fold, expected in zip(folds, reference):
+        assert fold.dtype == expected.dtype
+        assert fold.tobytes() == expected.tobytes()
+    assert tail.tobytes() == tail_reference.tobytes()
 
 
 def _mini_dataset() -> Dataset:
@@ -336,13 +332,12 @@ def _mini_refine(learner: type[C45DecisionTree]):
         base_plan=PreprocessingPlan(),
     )
     factory = lambda: learner()  # noqa: E731
-    clear_reuse_caches()
     return refine(dataset, factory, grid, folds=3, seed=9)
 
 
 def test_refine_fixed_seed_ranking_matches_seed_path():
     """The full data plane reproduces the seed path's sweep exactly."""
-    with reuse_caches_disabled(), per_seed_neighbours():
+    with per_seed_neighbours():
         seed = _mini_refine(reference.ReferenceC45DecisionTree)
     optimized = _mini_refine(C45DecisionTree)
     ref_rank = [
@@ -388,7 +383,6 @@ def _refine_against_per_plan_loop(monkeypatch, factory, bounds):
     traces = []
     for bound in bounds:
         monkeypatch.setattr(refine_module, "_BATCH_CELLS", bound)
-        clear_reuse_caches()
         with obs.tracing() as tracer:
             result = refine(dataset, factory, grid, folds=3, seed=9)
         assert len(result.trials) == len(loop)
