@@ -273,25 +273,6 @@ def _cmd_surface(args: argparse.Namespace) -> int:
     return 0
 
 
-class _UnknownDataset(LookupError):
-    """A dataset command named no Table II dataset (exit 2)."""
-
-
-def _dataset_spec(name: str):
-    """The Table II dataset spec named ``name``, for every dataset
-    command; an unknown name ends the command with an ``error:`` line
-    listing the valid ids and exit code 2 (see :func:`main`)."""
-    from repro.experiments.datasets import DATASET_SPECS
-
-    spec = DATASET_SPECS.get(name)
-    if spec is None:
-        raise _UnknownDataset(
-            f"unknown dataset {name!r}; available: "
-            f"{', '.join(sorted(DATASET_SPECS))}"
-        )
-    return spec
-
-
 def _cmd_prune(args: argparse.Namespace) -> int:
     """Plan (without executing) the static prune of one dataset's
     campaign: per-point verdicts with dataflow provenance."""
@@ -300,7 +281,7 @@ def _cmd_prune(args: argparse.Namespace) -> int:
     from repro.experiments.scale import get_scale
     from repro.injection.campaign import Campaign
 
-    spec = _dataset_spec(args.dataset)
+    spec = args.spec
     scale_obj = get_scale(args.scale)
     target = build_target(spec.target, scale_obj)
     config = campaign_config(spec, scale_obj)
@@ -353,7 +334,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     from repro.injection.sampling import SamplingSpec
     from repro.orchestration.pool import make_pool
 
-    spec = _dataset_spec(args.dataset)
+    spec = args.spec
     scale_obj = get_scale(args.scale)
     target = build_target(spec.target, scale_obj)
     config = campaign_config(spec, scale_obj).with_prune(args.prune)
@@ -415,7 +396,7 @@ def _run_pipeline(
     audit_fraction: float | None = None,
 ) -> dict:
     """Steps 1-4 on one Table II dataset (``spec``, from
-    :func:`_dataset_spec`) through one worker pool: the run behind
+    :func:`main`) through one worker pool: the run behind
     ``repro orchestrate`` and ``repro trace record``.
 
     :meth:`Methodology.step1_inject` runs the campaign sharded (and
@@ -472,9 +453,7 @@ def _run_pipeline(
 
 
 def _cmd_orchestrate(args: argparse.Namespace) -> int:
-    report = _run_pipeline(
-        args, _dataset_spec(args.dataset), args.prune, args.audit_fraction
-    )
+    report = _run_pipeline(args, args.spec, args.prune, args.audit_fraction)
     if args.format == "json":
         print(json.dumps(report, indent=2))
         return 0
@@ -524,7 +503,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.injection.store import CampaignStore
     from repro.orchestration.pool import make_pool
 
-    spec = _dataset_spec(args.dataset)
+    spec = args.spec
     scale_obj = get_scale(args.scale)
     target = build_target(spec.target, scale_obj)
     config = campaign_config(spec, scale_obj).with_prune(args.prune)
@@ -618,9 +597,8 @@ def _cmd_store_gc(args: argparse.Namespace) -> int:
 def _cmd_trace_record(args: argparse.Namespace) -> int:
     from repro import observability as obs
 
-    spec = _dataset_spec(args.dataset)
     with obs.tracing_to(args.out):
-        report = _run_pipeline(args, spec)
+        report = _run_pipeline(args, args.spec)
     spans = obs.load_trace(args.out)
     summary = obs.summarize(spans)
     if args.format == "json":
@@ -967,9 +945,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if hasattr(args, "dataset"):
+        # Every command with a ``dataset`` argument takes a Table II id;
+        # it reaches the command resolved, as ``args.spec``.  Imported
+        # here: the dataset table imports every target, which the other
+        # commands never need.
+        from repro.experiments.datasets import UnknownDataset, dataset_spec
+
+        try:
+            args.spec = dataset_spec(args.dataset)
+        except UnknownDataset as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
-    except (SerializationError, _UnknownDataset) as exc:
+    except SerializationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -28,9 +28,9 @@ import dataclasses
 from repro.baselines.invariants import mine_invariants, range_assertions
 from repro.core.methodology import Methodology, MethodologyConfig
 from repro.experiments.datasets import (
-    DATASET_SPECS,
     build_target,
     campaign_config,
+    dataset_spec,
     generate_dataset,
 )
 from repro.experiments.reporting import fmt_rate, fmt_sci, render_table
@@ -67,7 +67,7 @@ def run(scale: Scale | str = "bench", datasets=None) -> list[BaselineRow]:
     )
     rows: list[BaselineRow] = []
     for name in names:
-        spec = DATASET_SPECS[name]
+        spec = dataset_spec(name)
         data = generate_dataset(name, scale)
         config = campaign_config(spec, scale)
         target = build_target(spec.target, scale)

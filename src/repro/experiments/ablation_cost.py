@@ -20,7 +20,7 @@ import dataclasses
 import numpy as np
 
 from repro.core.preprocess import PreprocessingPlan
-from repro.experiments.datasets import DATASET_SPECS, generate_dataset
+from repro.experiments.datasets import generate_dataset
 from repro.experiments.reporting import fmt_rate, fmt_sci, render_table
 from repro.experiments.scale import Scale, get_scale
 from repro.mining.crossval import cross_validate
@@ -61,8 +61,6 @@ def run(scale: Scale | str = "bench", datasets=None) -> list[CostRow]:
     names = list(datasets) if datasets is not None else ["7Z-B1", "MG-B1"]
     rows: list[CostRow] = []
     for name in names:
-        if name not in DATASET_SPECS:
-            raise ValueError(f"unknown dataset {name!r}")
         data = generate_dataset(name, scale)
         for plan_name, plan in PLANS.items():
             evaluation = cross_validate(

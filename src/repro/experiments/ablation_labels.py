@@ -25,9 +25,9 @@ import dataclasses
 
 from repro.core.methodology import Methodology, MethodologyConfig
 from repro.experiments.datasets import (
-    DATASET_SPECS,
     build_target,
     campaign_config,
+    dataset_spec,
 )
 from repro.experiments.reporting import fmt_rate, fmt_sci, render_table
 from repro.experiments.scale import Scale, get_scale
@@ -63,7 +63,7 @@ def run(scale: Scale | str = "bench", datasets=None) -> list[LabelRow]:
     )
     rows: list[LabelRow] = []
     for name in names:
-        spec = DATASET_SPECS[name]
+        spec = dataset_spec(name)
         # Run the campaign fresh: the deviation label needs the golden
         # comparison, which cached logs from older runs may lack.
         target = build_target(spec.target, scale)

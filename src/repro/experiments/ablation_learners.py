@@ -22,7 +22,7 @@ import dataclasses
 import numpy as np
 
 from repro.core.preprocess import PreprocessingPlan, make_learner, model_complexity
-from repro.experiments.datasets import DATASET_SPECS, generate_dataset
+from repro.experiments.datasets import generate_dataset
 from repro.experiments.reporting import fmt_rate, fmt_sci, render_table
 from repro.experiments.scale import Scale, get_scale
 from repro.mining.crossval import cross_validate
@@ -75,8 +75,6 @@ def run(scale: Scale | str = "bench", datasets=None, configs=None) -> list[Learn
     chosen = configs if configs is not None else CONFIGS
     rows: list[LearnerRow] = []
     for name in names:
-        if name not in DATASET_SPECS:
-            raise ValueError(f"unknown dataset {name!r}")
         data = generate_dataset(name, scale)
         for label, learner, plan in chosen:
             evaluation = cross_validate(

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.experiments.datasets import DATASET_SPECS
+from repro.experiments.datasets import dataset_spec
 from repro.experiments.reporting import fmt_rate, fmt_sci, render_table
 from repro.experiments.scale import Scale, get_scale
 from repro.experiments import table3
@@ -53,11 +53,10 @@ def run(scale: Scale | str = "bench", groups=None) -> list[LocationRow]:
     chosen = list(groups) if groups is not None else ["7Z-A", "7Z-B", "MG-A"]
     names = [f"{group}{k}" for group in chosen for k in (1, 2, 3)]
     for name in names:
-        if name not in DATASET_SPECS:
-            raise ValueError(f"unknown dataset {name!r}")
+        dataset_spec(name)
     rows: list[LocationRow] = []
     for entry in table3.run(scale, names):
-        spec = DATASET_SPECS[entry.dataset]
+        spec = dataset_spec(entry.dataset)
         rows.append(
             LocationRow(
                 module_group=entry.dataset[:-1],

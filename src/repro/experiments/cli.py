@@ -31,6 +31,7 @@ from repro.experiments import (
     table4,
     validation,
 )
+from repro.experiments.datasets import UnknownDataset
 
 __all__ = ["main", "EXPERIMENTS"]
 
@@ -111,12 +112,19 @@ def main(argv: list[str] | None = None) -> int:
 
         report.main(args.scale, None, args.output)
         return 0
-    if args.experiment == "all":
-        for name in sorted(EXPERIMENTS):
-            print(f"\n=== {name} ===")
-            EXPERIMENTS[name](args.scale, args.datasets)
-        return 0
-    EXPERIMENTS[args.experiment](args.scale, args.datasets)
+    # --datasets means dataset ids to most experiments and group
+    # prefixes ("MG-B") to latency and ablation-location, so each
+    # driver resolves its own names; an unknown one ends here.
+    try:
+        if args.experiment == "all":
+            for name in sorted(EXPERIMENTS):
+                print(f"\n=== {name} ===")
+                EXPERIMENTS[name](args.scale, args.datasets)
+            return 0
+        EXPERIMENTS[args.experiment](args.scale, args.datasets)
+    except UnknownDataset as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

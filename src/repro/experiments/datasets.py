@@ -29,6 +29,8 @@ from repro.targets.base import TargetSystem
 __all__ = [
     "DatasetSpec",
     "DATASET_SPECS",
+    "UnknownDataset",
+    "dataset_spec",
     "build_target",
     "campaign_config",
     "generate_campaign",
@@ -129,11 +131,18 @@ def default_cache_dir() -> pathlib.Path:
     return pathlib.Path(__file__).resolve().parents[3] / ".cache" / "repro"
 
 
-def _spec_for(name: str) -> DatasetSpec:
+class UnknownDataset(ValueError):
+    """A name that is no Table II dataset; the message lists the valid
+    ids (both CLIs print it as an ``error:`` line and exit 2)."""
+
+
+def dataset_spec(name: str) -> DatasetSpec:
+    """The Table II dataset spec named ``name``."""
     spec = DATASET_SPECS.get(name)
     if spec is None:
-        raise ValueError(
-            f"unknown dataset {name!r}; available: {sorted(DATASET_SPECS)}"
+        raise UnknownDataset(
+            f"unknown dataset {name!r}; available: "
+            f"{', '.join(sorted(DATASET_SPECS))}"
         )
     return spec
 
@@ -163,7 +172,7 @@ def generate_campaign(
     """
     if isinstance(scale, str):
         scale = get_scale(scale)
-    spec = _spec_for(name)
+    spec = dataset_spec(name)
     campaign = Campaign(
         build_target(spec.target, scale), campaign_config(spec, scale)
     )

@@ -15,9 +15,9 @@ import io
 from repro.core.detector import Detector
 from repro.core.methodology import Methodology, MethodologyConfig
 from repro.experiments.datasets import (
-    DATASET_SPECS,
     build_target,
     campaign_config,
+    dataset_spec,
 )
 from repro.experiments.scale import Scale, get_scale
 
@@ -28,7 +28,7 @@ def run(scale: Scale | str = "bench", dataset: str = "MG-A2") -> tuple[str, Dete
     """Execute steps 1-4 and return (trace, generated detector)."""
     if isinstance(scale, str):
         scale = get_scale(scale)
-    spec = DATASET_SPECS[dataset]
+    spec = dataset_spec(dataset)
     out = io.StringIO()
     method = Methodology(
         MethodologyConfig(learner="c45", folds=scale.folds, seed=scale.seed)

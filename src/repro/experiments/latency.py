@@ -29,9 +29,9 @@ from repro.core.composition import any_of
 from repro.core.methodology import Methodology, MethodologyConfig
 from repro.core.validate import ValidationCampaign
 from repro.experiments.datasets import (
-    DATASET_SPECS,
     build_target,
     campaign_config,
+    dataset_spec,
     generate_dataset,
 )
 from repro.experiments.reporting import fmt_rate, fmt_sci, render_table
@@ -70,17 +70,13 @@ def run(scale: Scale | str = "bench", groups=None) -> list[LatencyRow]:
     rows: list[LatencyRow] = []
     for group in chosen:
         entry_name, exit_name = f"{group}1", f"{group}3"
-        for name in (entry_name, exit_name):
-            if name not in DATASET_SPECS:
-                raise ValueError(f"unknown dataset {name!r}")
-        entry_spec = DATASET_SPECS[entry_name]
+        entry_spec, exit_spec = dataset_spec(entry_name), dataset_spec(exit_name)
         entry_detector = method.step3_generate(
             generate_dataset(entry_name, scale)
         ).detector(
             location=campaign_config(entry_spec, scale).sample_probe,
             name="entry",
         )
-        exit_spec = DATASET_SPECS[exit_name]
         exit_detector = method.step3_generate(
             generate_dataset(exit_name, scale)
         ).detector(

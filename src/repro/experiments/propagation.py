@@ -12,7 +12,7 @@ resilient produce the heavily imbalanced datasets).
 from __future__ import annotations
 
 from repro.analysis.propagation import PropagationReport, analyse_propagation
-from repro.experiments.datasets import DATASET_SPECS, generate_campaign
+from repro.experiments.datasets import generate_campaign
 from repro.experiments.reporting import render_table
 from repro.experiments.scale import Scale, get_scale
 
@@ -29,8 +29,6 @@ def run(scale: Scale | str = "bench", datasets=None) -> list[PropagationReport]:
     )
     reports = []
     for name in names:
-        if name not in DATASET_SPECS:
-            raise ValueError(f"unknown dataset {name!r}")
         reports.append(analyse_propagation(generate_campaign(name, scale)))
     return reports
 

@@ -23,7 +23,7 @@ import numpy as np
 from repro.analysis.significance import TTestResult, compare_fold_metrics
 from repro.core.methodology import Methodology, MethodologyConfig
 from repro.core.preprocess import PreprocessingPlan, model_complexity
-from repro.experiments.datasets import DATASET_SPECS, generate_dataset
+from repro.experiments.datasets import generate_dataset
 from repro.experiments.reporting import fmt_rate, render_table
 from repro.experiments.scale import Scale, get_scale
 from repro.mining.crossval import cross_validate
@@ -69,8 +69,6 @@ def run(scale: Scale | str = "bench", datasets=None) -> list[SignificanceRow]:
     )
     rows: list[SignificanceRow] = []
     for name in names:
-        if name not in DATASET_SPECS:
-            raise ValueError(f"unknown dataset {name!r}")
         data = generate_dataset(name, scale)
         refinement = method.step4_refine(data, scale.grid)
         best_plan = refinement.best.plan

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.experiments.datasets import DATASET_SPECS, generate_dataset
+from repro.experiments.datasets import DATASET_SPECS, dataset_spec, generate_dataset
 from repro.experiments.reporting import render_table
 from repro.experiments.scale import Scale, get_scale
 
@@ -40,7 +40,7 @@ def run(scale: Scale | str = "bench", datasets=None) -> list[Table2Row]:
     names = list(datasets) if datasets is not None else sorted(DATASET_SPECS)
     rows: list[Table2Row] = []
     for name in names:
-        spec = DATASET_SPECS[name]
+        spec = dataset_spec(name)
         dataset = generate_dataset(name, scale)
         counts = dataset.class_counts()
         rows.append(

@@ -28,9 +28,9 @@ import dataclasses
 from repro.core.methodology import Methodology, MethodologyConfig
 from repro.core.validate import ValidationCampaign
 from repro.experiments.datasets import (
-    DATASET_SPECS,
     build_target,
     campaign_config,
+    dataset_spec,
     generate_dataset,
 )
 from repro.experiments.reporting import fmt_rate, fmt_sci, render_table
@@ -94,7 +94,7 @@ def run(
     )
     rows: list[ValidationRow] = []
     for name in names:
-        spec = DATASET_SPECS[name]
+        spec = dataset_spec(name)
         data = generate_dataset(name, scale)
         outcome = method.run(data, scale.grid)
         refined = outcome.refined

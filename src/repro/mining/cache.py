@@ -3,10 +3,12 @@
 A :class:`ContentCache` memoises an artefact under a key that says
 what its inputs *are*, never where they came from, so a hit returns
 exactly what a recompute would and store/resume and parallel-schedule
-semantics are untouched.  Two memos use it: the fault-free runs of
+semantics are untouched.  Three memos use it: the fault-free runs of
 :data:`repro.injection.golden.GOLDEN_CACHE` (keyed by target
-fingerprint and test case) and the normalised sources of
-:func:`repro.targets.base.normalized_source` (keyed by source text).
+fingerprint and test case), the normalised sources of
+:func:`repro.targets.base.normalized_source` (keyed by source text),
+and 7-Zip's codec calls in :mod:`repro.targets.sevenzip.archiver`
+(keyed by every input the codec reads).
 
 Caches are bounded (LRU) and registered globally, so a benchmark can
 measure the cold path honestly via :func:`clear_reuse_caches`, and

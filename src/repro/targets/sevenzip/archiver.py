@@ -35,6 +35,7 @@ import random
 import zlib
 
 from repro.injection.instrument import Harness, Location, VariableSpec
+from repro.mining.cache import ContentCache
 from repro.targets.base import TargetSystem
 from repro.targets.sevenzip.huffman import huffman_decode, huffman_encode
 from repro.targets.sevenzip.lz77 import lz77_compress, lz77_decompress
@@ -44,6 +45,50 @@ __all__ = ["SevenZipTarget"]
 # Hard bounds that keep corrupted control variables from exhausting
 # memory; chosen far above anything a legitimate run produces.
 _MAX_DECODE_BYTES = 1 << 20
+
+#: Codec results keyed by every input the codec reads: a ``bytes`` key
+#: is a file's input (its encode), a tuple key a decode's inputs.  The
+#: codec runs between a module's entry and exit probes, so only its
+#: input-to-output map is observable; an injected run resumes at the
+#: probe it flips and mostly re-codes golden inputs.  The golden keys
+#: are one encode and one decode per (test case, file): 12,500 at
+#: paper scale (250 x 25), which every (variable, bit) pair sweeps in
+#: turn, so the memo must hold them all or LRU evicts each before its
+#: reuse.  16,384 leaves room for the corrupt keys of a few pairs (at
+#: most one per run, 1,000 a paper pair); smoke and bench campaigns
+#: stay far below it (157 and 1,609 distinct keys for all six 7-Zip
+#: datasets).  About 1 kB an entry with its objects.  A registered
+#: reuse cache, so ``clear_reuse_caches()`` and
+#: ``reuse_caches_disabled()`` govern it.
+_CODEC = ContentCache(maxsize=16384, name="codec")
+
+
+def _encode(payload_in: bytes) -> tuple[int, bytes, bytes, int]:
+    """LZ77 + Huffman encode: (token count, lengths table, payload,
+    bit count)."""
+    coded = _CODEC.get(payload_in)
+    if coded is None:
+        tokens = lz77_compress(payload_in)
+        coded = (len(tokens), *huffman_encode(tokens))
+        _CODEC.put(payload_in, coded)
+    return coded
+
+
+def _decode(
+    lengths: bytes,
+    payload: bytes,
+    total_bits: int,
+    token_len: int,
+    expected_size: int,
+) -> bytes:
+    """Huffman + LZ77 decode of one (possibly corrupt) archive entry."""
+    key = (lengths, payload, total_bits, token_len, expected_size)
+    data = _CODEC.get(key)
+    if data is None:
+        tokens = huffman_decode(lengths, payload, total_bits, token_len)
+        data = lz77_decompress(tokens, expected_size)
+        _CODEC.put(key, data)
+    return data
 
 
 def _clamp_int(value: object, lo: int, hi: int) -> int:
@@ -260,8 +305,7 @@ class SevenZipTarget(TargetSystem):
         # checksum_acc is a scratch accumulator: recomputed from
         # scratch here, so entry corruption of it is absorbed.
         checksum = zlib.crc32(payload_in) & 0x7FFFFFFF
-        tokens = lz77_compress(payload_in)
-        lengths, payload, total_bits = huffman_encode(tokens)
+        n_tokens, lengths, payload, total_bits = _encode(payload_in)
         if key is not None:
             from repro.targets.sevenzip.xtea import xtea_ctr
 
@@ -279,7 +323,7 @@ class SevenZipTarget(TargetSystem):
                 "n_files": self.n_files,
                 "arch_offset": arch_offset,
                 "stored_size": len(payload_in),
-                "token_len": len(tokens),
+                "token_len": n_tokens,
                 "checksum": checksum,
                 "ratio": ratio,
             },
@@ -335,10 +379,9 @@ class SevenZipTarget(TargetSystem):
             from repro.targets.sevenzip.xtea import xtea_ctr
 
             payload = xtea_ctr(payload, key, nonce=file_index << 32)
-        tokens = huffman_decode(
-            entry["lengths"], payload, total_bits, token_len
+        data = _decode(
+            entry["lengths"], payload, total_bits, token_len, expected_size
         )
-        data = lz77_decompress(tokens, expected_size)
         crc = zlib.crc32(data) & 0x7FFFFFFF
         ok = crc == crc_expected
 

@@ -114,6 +114,39 @@ class TestCli:
         with pytest.raises(SystemExit):
             cli_main(["tableX"])
 
+    @pytest.mark.parametrize(
+        "experiment",
+        ["table2", "validation", "ablation-labels", "ablation-baselines"],
+    )
+    def test_unknown_dataset(self, experiment, capsys):
+        argv = [experiment, "--scale", "smoke", "--datasets", "XX-Z9", "MG-B2"]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error: unknown dataset 'XX-Z9'; available: 7Z-A1, "
+        )
+        assert "MG-B3" in captured.err
+        assert captured.out == ""  # no table printed
+
+    @pytest.mark.parametrize("experiment", ["latency", "ablation-location"])
+    def test_group_prefix_reaches_the_driver(self, experiment, monkeypatch):
+        # These two take dataset groups ("MG-B"), not dataset ids.
+        from repro.experiments import cli
+
+        seen = []
+        monkeypatch.setitem(
+            cli.EXPERIMENTS, experiment, lambda scale, datasets: seen.append(datasets)
+        )
+        assert cli_main([experiment, "--scale", "smoke", "--datasets", "MG-B"]) == 0
+        assert seen == [["MG-B"]]
+
+    def test_unknown_group_prefix(self, capsys):
+        argv = ["ablation-location", "--scale", "smoke", "--datasets", "XX-Z"]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: unknown dataset 'XX-Z1'; available: "
+        )
+
 
 class TestFigure1:
     def test_trace_has_all_stages(self):
